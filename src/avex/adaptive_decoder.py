@@ -27,6 +27,7 @@ from .autodiff import (
     softmax,
     transpose,
 )
+from .errors import NumericError
 from .tagging import NUM_TAGS
 
 
@@ -189,10 +190,12 @@ def viterbi(P, T) -> tuple[list[int], float]:
     Ties are broken toward the smallest tag index both at each backtrack
     cell and at the final position.  The returned score is the decoded
     path's score, recomputed so it is directly comparable with exhaustive
-    enumeration.
+    enumeration.  Non-finite scores raise NumericError.
     """
     Pt, Tt, m = _check_chain(P, T)
     Pd, Td = Pt.data, Tt.data
+    if not (np.isfinite(Pd).all() and np.isfinite(Td).all()):
+        raise NumericError("viterbi: emission or transition scores are not finite")
     n = Pd.shape[1]
     score = Pd[:, 0].copy()
     back = np.zeros((n, m), dtype=int)

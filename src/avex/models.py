@@ -1,18 +1,32 @@
-"""Model variants sharing one training and evaluation interface.
+"""One model class for all six variants.
 
-Every model exposes:
-  - ``loss(example)``: scalar NLL tensor for one training example,
-  - ``predict_tags(token_texts, attribute)``: decoded BIOE tags,
-  - ``params``: a ModelParams registry used by the optimizer and the
-    checkpoint writer,
-  - ``prepare_examples(examples)``: the variant's view of the training
-    set (identity except for the joint-tagset variant, which merges all
-    attributes of a product into one sequence).
+The variants differ only in how each attribute gets its word table, its
+BiLSTM and its CRF decoder.  The constructor registers the variant's
+parameters and fills in a resolver, attribute -> (word table, forward
+cell, backward cell, decoder):
 
-The "adatag" variant generates each attribute's CRF decoder from its
-frozen embedding; "adatag_random_emb" swaps in a trainable random
-embedding table.  The baselines replace generation with explicitly
-parameterized decoders in different sharing regimes.
+  - "adatag": one shared encoder; each attribute's decoder is generated
+    from its frozen embedding on every call (a hypernetwork for the
+    emissions, a gated mixture of expert matrices for the transitions).
+    "adatag_random_emb" swaps in a trainable random embedding table.
+  - "bilstm_multicrf": the shared encoder and one explicit CRF per
+    attribute.
+  - "n_tag_sets": the shared encoder and one CRF over the joint 3N+1
+    tagset, resolved for every attribute.
+  - "bilstm_crf_shared_emb": a shared word table, and a BiLSTM and a CRF
+    per attribute.
+  - "per_attribute": a word table, a BiLSTM and a CRF per attribute,
+    each trained on its own.
+
+A tagset adaptor connects chains to tags.  For the BIOE variants an
+example's tags are its targets and a Viterbi path maps straight to BIOE
+tags.  For "n_tag_sets" the training set is first merged into one joint
+sequence per product, and a path is projected onto the requested
+attribute.  Everything else is shared: ``loss`` and ``predict_tags``
+resolve, encode and score emissions the same way and end in
+``chain_nll`` or ``viterbi``.  A model also exposes ``params``, the
+registry that the optimizer and the checkpoint writer read, and
+``prepare_examples``, the adaptor's view of the training set.
 """
 
 from __future__ import annotations
@@ -37,7 +51,6 @@ from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_matrix
 from .errors import DataError
 from .tagging import (
     NUM_TAGS,
-    ExpandedTagset,
     expand_tagset,
     tag_indices,
     tags_from_indices,
@@ -118,144 +131,6 @@ def _make_cell(params: ModelParams, prefix: str, group: str,
                     b("b_i"), b("b_f"), b("b_o"), b("b_g"))
 
 
-def _make_encoder(params, prefix, group, itos, vectors, d_word, d_h, rng):
-    if d_h % 2:
-        raise DataError(f"d_h must be even to split across directions, got {d_h}")
-    table = WordEmbeddingTable.from_itos(itos, vectors, d_word, rng)
-    params.add(f"{prefix}/W_word", table.matrix, group)
-    half = d_h // 2
-    fwd = _make_cell(params, f"{prefix}/lstm_fwd", group, d_word, half, rng)
-    bwd = _make_cell(params, f"{prefix}/lstm_bwd", group, d_word, half, rng)
-    return table, fwd, bwd
-
-
-def _make_direct_decoder(params, prefix, group, num_tags, d_h, rng):
-    W = params.add(f"{prefix}/W", _uniform(rng, (num_tags, d_h), d_h), group)
-    b = params.add(f"{prefix}/b", _uniform(rng, (num_tags,), d_h), group)
-    T = params.add(f"{prefix}/T", _uniform(rng, (num_tags, num_tags), num_tags), group)
-    return DecoderInstance(W, b, T)
-
-
-def _predict(P, T) -> list[str]:
-    path, _ = viterbi(P, T)
-    return tags_from_indices(path)
-
-
-class AdaptiveModel:
-    """Shared encoder; per-attribute decoders generated from embeddings."""
-
-    def __init__(self, config, vocab: AttributeVocab, word_itos, attr_table,
-                 vectors, rng):
-        self.config = config
-        self.attr_vocab = vocab
-        self.params = ModelParams()
-        self.table, self.fwd, self.bwd = _make_encoder(
-            self.params, "encoder", "encoder", word_itos[SHARED_SCOPE], vectors,
-            config.d_word, config.d_h, rng)
-        d_r = attr_table.d_r
-        self.d_r = d_r
-        self.provenance = attr_table.provenance
-        self.frozen_embeddings = attr_table.frozen
-        self._attr_index = {a: i for i, a in enumerate(vocab.ids())}
-        self.w_att = self.params.add(
-            "att_emb/W_att", attr_table.as_matrix(vocab.ids()), "att_emb",
-            trainable=not attr_table.frozen)
-        flat = NUM_TAGS * config.d_h
-        self.hyper = HyperNetwork(
-            self.params.add("hyper/W_hyper_w", _uniform(rng, (flat, d_r), d_r), "hyper"),
-            self.params.add("hyper/b_hyper_w", _uniform(rng, (flat,), d_r), "hyper"),
-            self.params.add("hyper/W_hyper_b", _uniform(rng, (NUM_TAGS, d_r), d_r), "hyper"),
-            self.params.add("hyper/b_hyper_b", _uniform(rng, (NUM_TAGS,), d_r), "hyper"),
-        )
-        experts = tuple(
-            self.params.add(f"moe/expert_{i}",
-                            _uniform(rng, (NUM_TAGS, NUM_TAGS), NUM_TAGS), "moe")
-            for i in range(config.k))
-        self.moe = TransitionMoe(
-            self.params.add("moe/W_moe", _uniform(rng, (config.k, d_r), d_r), "moe"),
-            self.params.add("moe/b_moe", _uniform(rng, (config.k,), d_r), "moe"),
-            experts,
-        )
-
-    def word_vocabs(self):
-        return {SHARED_SCOPE: list(self.table.itos)}
-
-    def attribute_info(self):
-        return {"ids": self.attr_vocab.ids(), "d_r": self.d_r,
-                "provenance": self.provenance, "frozen": self.frozen_embeddings}
-
-    def prepare_examples(self, examples):
-        return list(examples)
-
-    def attribute_vector(self, attribute: str) -> Tensor:
-        try:
-            idx = self._attr_index[attribute]
-        except KeyError:
-            raise DataError(f"unknown attribute {attribute!r}")
-        return row(self.w_att, idx)
-
-    def decoder_for(self, attribute: str) -> DecoderInstance:
-        return build_decoder(self.hyper, self.moe, self.attribute_vector(attribute))
-
-    def loss(self, example) -> Tensor:
-        dec = self.decoder_for(example.attribute)
-        H = encode_matrix(example.token_texts(), self.table, self.fwd, self.bwd)
-        P = emissions(H, dec.W, dec.b)
-        return chain_nll(P, dec.T, tag_indices(example.tags))
-
-    def predict_tags(self, token_texts, attribute) -> list[str]:
-        with no_grad():
-            dec = self.decoder_for(attribute)
-            H = encode_matrix(token_texts, self.table, self.fwd, self.bwd)
-            P = emissions(H, dec.W, dec.b)
-            return _predict(P, dec.T)
-
-
-class MultiCrfModel:
-    """Shared encoder; one explicitly parameterized CRF per attribute."""
-
-    def __init__(self, config, vocab, word_itos, vectors, rng):
-        self.config = config
-        self.attr_vocab = vocab
-        self.params = ModelParams()
-        self.table, self.fwd, self.bwd = _make_encoder(
-            self.params, "encoder", "encoder", word_itos[SHARED_SCOPE], vectors,
-            config.d_word, config.d_h, rng)
-        self.decoders = {
-            a: _make_direct_decoder(self.params, f"decoder/{a}", "decoder",
-                                    NUM_TAGS, config.d_h, rng)
-            for a in vocab.ids()
-        }
-
-    def word_vocabs(self):
-        return {SHARED_SCOPE: list(self.table.itos)}
-
-    def attribute_info(self):
-        return None
-
-    def prepare_examples(self, examples):
-        return list(examples)
-
-    def _decoder(self, attribute):
-        try:
-            return self.decoders[attribute]
-        except KeyError:
-            raise DataError(f"unknown attribute {attribute!r}")
-
-    def loss(self, example) -> Tensor:
-        dec = self._decoder(example.attribute)
-        H = encode_matrix(example.token_texts(), self.table, self.fwd, self.bwd)
-        P = emissions(H, dec.W, dec.b)
-        return chain_nll(P, dec.T, tag_indices(example.tags))
-
-    def predict_tags(self, token_texts, attribute) -> list[str]:
-        with no_grad():
-            dec = self._decoder(attribute)
-            H = encode_matrix(token_texts, self.table, self.fwd, self.bwd)
-            P = emissions(H, dec.W, dec.b)
-            return _predict(P, dec.T)
-
-
 @dataclass(frozen=True)
 class MergedExample:
     """All attributes of one product as a single joint-tagset sequence."""
@@ -268,27 +143,30 @@ class MergedExample:
         return [t.text for t in self.tokens]
 
 
-class ExpandedTagsetModel:
-    """Shared encoder; a single CRF over the joint 3N+1 tagset."""
+class BioeTags:
+    """Per-attribute BIOE chains: examples and paths map one to one."""
 
-    def __init__(self, config, vocab, word_itos, vectors, rng):
-        self.config = config
-        self.attr_vocab = vocab
-        self.tagset: ExpandedTagset = expand_tagset(vocab)
-        self.params = ModelParams()
-        self.table, self.fwd, self.bwd = _make_encoder(
-            self.params, "encoder", "encoder", word_itos[SHARED_SCOPE], vectors,
-            config.d_word, config.d_h, rng)
-        self.decoder = _make_direct_decoder(
-            self.params, "decoder", "decoder", len(self.tagset), config.d_h, rng)
+    num_tags = NUM_TAGS
 
-    def word_vocabs(self):
-        return {SHARED_SCOPE: list(self.table.itos)}
+    def prepare(self, examples):
+        return list(examples)
 
-    def attribute_info(self):
-        return None
+    def chain(self, example):
+        """The attribute to resolve and the target tag indices."""
+        return example.attribute, tag_indices(example.tags)
 
-    def prepare_examples(self, examples) -> list[MergedExample]:
+    def tags(self, path, attribute) -> list[str]:
+        return tags_from_indices(path)
+
+
+class JointTags:
+    """The joint 3N+1 tagset: one chain labels every attribute of a product."""
+
+    def __init__(self, attribute_ids):
+        self.tagset = expand_tagset(attribute_ids)
+        self.num_tags = len(self.tagset)
+
+    def prepare(self, examples) -> list[MergedExample]:
         """Merge per-attribute examples of each product into one sequence.
 
         Cross-attribute span conflicts are resolved in attribute-vocabulary
@@ -305,127 +183,142 @@ class ExpandedTagsetModel:
         merged = []
         for pid in sorted(by_product):
             slot = by_product[pid]
-            tags, _dropped = self.tagset.merge(slot["spans"], len(slot["tokens"]))
-            merged.append(MergedExample(
-                pid, slot["tokens"], tuple(self.tagset.index(t) for t in tags)))
+            tag_ids, _dropped = self.tagset.merge(slot["spans"], len(slot["tokens"]))
+            merged.append(MergedExample(pid, slot["tokens"], tuple(tag_ids)))
         return merged
 
-    def loss(self, example: MergedExample) -> Tensor:
-        H = encode_matrix(example.token_texts(), self.table, self.fwd, self.bwd)
-        P = emissions(H, self.decoder.W, self.decoder.b)
-        return chain_nll(P, self.decoder.T, list(example.tag_ids))
+    def chain(self, example: MergedExample):
+        # Every attribute resolves to the one joint decoder.
+        return self.tagset.attributes[0], list(example.tag_ids)
 
-    def predict_tags(self, token_texts, attribute) -> list[str]:
-        if attribute not in self.tagset.attributes:
-            raise DataError(f"unknown attribute {attribute!r}")
-        with no_grad():
-            H = encode_matrix(token_texts, self.table, self.fwd, self.bwd)
-            P = emissions(H, self.decoder.W, self.decoder.b)
-            path, _ = viterbi(P, self.decoder.T)
-        expanded = [self.tagset.tags[i] for i in path]
-        return self.tagset.project(expanded, attribute)
+    def tags(self, path, attribute) -> list[str]:
+        return self.tagset.project(path, attribute)
 
 
-class SharedEmbModel:
-    """Shared word embeddings; per-attribute BiLSTM + CRF stacks."""
+class Model:
+    """BiLSTM-CRF tagger; the variant decides which parts attributes share."""
 
-    def __init__(self, config, vocab, word_itos, vectors, rng):
+    def __init__(self, config, vocab: AttributeVocab, word_itos,
+                 attr_table: AttributeEmbeddingTable | None, vectors, rng):
         self.config = config
         self.attr_vocab = vocab
         self.params = ModelParams()
-        self.table = WordEmbeddingTable.from_itos(
-            word_itos[SHARED_SCOPE], vectors, config.d_word, rng)
-        self.params.add("embedding/W_word", self.table.matrix, "embedding")
-        if config.d_h % 2:
-            raise DataError(f"d_h must be even to split across directions, got {config.d_h}")
-        half = config.d_h // 2
-        self.cells = {}
-        self.decoders = {}
-        for a in vocab.ids():
-            fwd = _make_cell(self.params, f"encoder/{a}/lstm_fwd", "encoder",
-                             config.d_word, half, rng)
-            bwd = _make_cell(self.params, f"encoder/{a}/lstm_bwd", "encoder",
-                             config.d_word, half, rng)
-            self.cells[a] = (fwd, bwd)
-            self.decoders[a] = _make_direct_decoder(
-                self.params, f"decoder/{a}", "decoder", NUM_TAGS, config.d_h, rng)
+        self.word_tables: dict[str, WordEmbeddingTable] = {}
+        self.adaptor = JointTags(vocab.ids()) if config.variant == "n_tag_sets" \
+            else BioeTags()
+        self._attr_info = None
+        ids = vocab.ids()
+        add = self.params.add
+
+        def word_table(scope, prefix, group):
+            table = WordEmbeddingTable.from_itos(
+                word_itos[scope], vectors, config.d_word, rng)
+            add(f"{prefix}/W_word", table.matrix, group)
+            self.word_tables[scope] = table
+            return table
+
+        def cells(prefix, group):
+            return tuple(_make_cell(self.params, f"{prefix}/lstm_{d}", group,
+                                    config.d_word, config.d_h // 2, rng)
+                         for d in ("fwd", "bwd"))
+
+        def crf(prefix, group):
+            m, d_h = self.adaptor.num_tags, config.d_h
+            return DecoderInstance(add(f"{prefix}/W", _uniform(rng, (m, d_h), d_h), group),
+                                   add(f"{prefix}/b", _uniform(rng, (m,), d_h), group),
+                                   add(f"{prefix}/T", _uniform(rng, (m, m), m), group))
+
+        # attribute -> (word table, forward cell, backward cell, decoder);
+        # a None decoder is generated from the attribute embedding per call.
+        self._resolver: dict[str, tuple] = {}
+        if config.variant == "per_attribute":
+            for a in ids:
+                if a not in word_itos:
+                    raise DataError(f"no word vocabulary for attribute {a!r}")
+                table = word_table(a, f"per_attr/{a}/encoder", a)
+                self._resolver[a] = (table, *cells(f"per_attr/{a}/encoder", a),
+                                   crf(f"per_attr/{a}/decoder", a))
+        elif config.variant == "bilstm_crf_shared_emb":
+            table = word_table(SHARED_SCOPE, "embedding", "embedding")
+            for a in ids:
+                self._resolver[a] = (table, *cells(f"encoder/{a}", "encoder"),
+                                   crf(f"decoder/{a}", "decoder"))
+        else:
+            encoder = (word_table(SHARED_SCOPE, "encoder", "encoder"),
+                       *cells("encoder", "encoder"))
+            if config.variant == "bilstm_multicrf":
+                decoders = {a: crf(f"decoder/{a}", "decoder") for a in ids}
+            elif config.variant == "n_tag_sets":
+                decoders = dict.fromkeys(ids, crf("decoder", "decoder"))
+            else:
+                self._make_generator(attr_table, rng)
+                decoders = dict.fromkeys(ids)
+            self._resolver = {a: (*encoder, decoders[a]) for a in ids}
+
+    def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
+        """Attribute table, hypernetwork and transition mixture of adatag."""
+        ids = self.attr_vocab.ids()
+        d_r = attr_table.d_r
+        self._attr_info = {"ids": ids, "d_r": d_r,
+                           "provenance": attr_table.provenance,
+                           "frozen": attr_table.frozen}
+        self._attr_index = {a: i for i, a in enumerate(ids)}
+        add = self.params.add
+        self.w_att = add("att_emb/W_att", attr_table.as_matrix(ids), "att_emb",
+                         trainable=not attr_table.frozen)
+        flat = NUM_TAGS * self.config.d_h
+        self.hyper = HyperNetwork(
+            add("hyper/W_hyper_w", _uniform(rng, (flat, d_r), d_r), "hyper"),
+            add("hyper/b_hyper_w", _uniform(rng, (flat,), d_r), "hyper"),
+            add("hyper/W_hyper_b", _uniform(rng, (NUM_TAGS, d_r), d_r), "hyper"),
+            add("hyper/b_hyper_b", _uniform(rng, (NUM_TAGS,), d_r), "hyper"),
+        )
+        experts = tuple(
+            add(f"moe/expert_{i}", _uniform(rng, (NUM_TAGS, NUM_TAGS), NUM_TAGS), "moe")
+            for i in range(self.config.k))
+        self.moe = TransitionMoe(
+            add("moe/W_moe", _uniform(rng, (self.config.k, d_r), d_r), "moe"),
+            add("moe/b_moe", _uniform(rng, (self.config.k,), d_r), "moe"),
+            experts,
+        )
 
     def word_vocabs(self):
-        return {SHARED_SCOPE: list(self.table.itos)}
+        return {scope: list(t.itos) for scope, t in self.word_tables.items()}
 
     def attribute_info(self):
-        return None
+        return self._attr_info
 
     def prepare_examples(self, examples):
-        return list(examples)
+        return self.adaptor.prepare(examples)
 
-    def _stack(self, attribute):
-        if attribute not in self.decoders:
-            raise DataError(f"unknown attribute {attribute!r}")
-        return self.cells[attribute], self.decoders[attribute]
-
-    def loss(self, example) -> Tensor:
-        (fwd, bwd), dec = self._stack(example.attribute)
-        H = encode_matrix(example.token_texts(), self.table, fwd, bwd)
-        P = emissions(H, dec.W, dec.b)
-        return chain_nll(P, dec.T, tag_indices(example.tags))
-
-    def predict_tags(self, token_texts, attribute) -> list[str]:
-        with no_grad():
-            (fwd, bwd), dec = self._stack(attribute)
-            H = encode_matrix(token_texts, self.table, fwd, bwd)
-            P = emissions(H, dec.W, dec.b)
-            return _predict(P, dec.T)
-
-
-class PerAttributeModel:
-    """Fully disjoint parameter sets: one independent model per attribute."""
-
-    def __init__(self, config, vocab, word_itos, vectors, rng):
-        self.config = config
-        self.attr_vocab = vocab
-        self.params = ModelParams()
-        self._word_itos = {}
-        self.stacks = {}
-        for a in vocab.ids():
-            itos = word_itos.get(a)
-            if itos is None:
-                raise DataError(f"no word vocabulary for attribute {a!r}")
-            self._word_itos[a] = list(itos)
-            table, fwd, bwd = _make_encoder(
-                self.params, f"per_attr/{a}/encoder", a, itos, vectors,
-                config.d_word, config.d_h, rng)
-            dec = _make_direct_decoder(
-                self.params, f"per_attr/{a}/decoder", a, NUM_TAGS, config.d_h, rng)
-            self.stacks[a] = (table, fwd, bwd, dec)
-
-    def word_vocabs(self):
-        return dict(self._word_itos)
-
-    def attribute_info(self):
-        return None
-
-    def prepare_examples(self, examples):
-        return list(examples)
-
-    def _stack(self, attribute):
+    def attribute_vector(self, attribute: str) -> Tensor:
         try:
-            return self.stacks[attribute]
+            idx = self._attr_index[attribute]
         except KeyError:
             raise DataError(f"unknown attribute {attribute!r}")
+        return row(self.w_att, idx)
+
+    def _scores(self, token_texts, attribute):
+        """Emission matrix and transition table of one attribute's chain."""
+        try:
+            table, fwd, bwd, dec = self._resolver[attribute]
+        except KeyError:
+            raise DataError(f"unknown attribute {attribute!r}")
+        if dec is None:
+            dec = build_decoder(self.hyper, self.moe, self.attribute_vector(attribute))
+        H = encode_matrix(token_texts, table, fwd, bwd)
+        return emissions(H, dec.W, dec.b), dec.T
 
     def loss(self, example) -> Tensor:
-        table, fwd, bwd, dec = self._stack(example.attribute)
-        H = encode_matrix(example.token_texts(), table, fwd, bwd)
-        P = emissions(H, dec.W, dec.b)
-        return chain_nll(P, dec.T, tag_indices(example.tags))
+        attribute, target = self.adaptor.chain(example)
+        P, T = self._scores(example.token_texts(), attribute)
+        return chain_nll(P, T, target)
 
     def predict_tags(self, token_texts, attribute) -> list[str]:
         with no_grad():
-            table, fwd, bwd, dec = self._stack(attribute)
-            H = encode_matrix(token_texts, table, fwd, bwd)
-            P = emissions(H, dec.W, dec.b)
-            return _predict(P, dec.T)
+            P, T = self._scores(token_texts, attribute)
+            path, _ = viterbi(P, T)
+        return self.adaptor.tags(path, attribute)
 
 
 def derive_word_itos(variant: str, examples) -> dict[str, list[str]]:
@@ -444,24 +337,13 @@ def derive_word_itos(variant: str, examples) -> dict[str, list[str]]:
 def build_variant(config, vocab: AttributeVocab, word_itos: dict,
                   attr_table: AttributeEmbeddingTable | None = None,
                   vectors: dict | None = None,
-                  rng: np.random.Generator | None = None):
+                  rng: np.random.Generator | None = None) -> Model:
     """Instantiate a model variant with freshly initialized parameters."""
-    if config.variant not in VARIANTS:
-        raise DataError(
-            f"unsupported variant {config.variant!r}; choose one of {VARIANTS}")
+    config.validate()
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if config.variant == "adatag":
-        if attr_table is None:
-            raise DataError("variant 'adatag' requires an attribute embedding table")
-        return AdaptiveModel(config, vocab, word_itos, attr_table, vectors, rng)
     if config.variant == "adatag_random_emb":
-        table = random_table(vocab.ids(), config.d_r, config.seed)
-        return AdaptiveModel(config, vocab, word_itos, table, vectors, rng)
-    if config.variant == "bilstm_multicrf":
-        return MultiCrfModel(config, vocab, word_itos, vectors, rng)
-    if config.variant == "n_tag_sets":
-        return ExpandedTagsetModel(config, vocab, word_itos, vectors, rng)
-    if config.variant == "bilstm_crf_shared_emb":
-        return SharedEmbModel(config, vocab, word_itos, vectors, rng)
-    return PerAttributeModel(config, vocab, word_itos, vectors, rng)
+        attr_table = random_table(vocab.ids(), config.d_r, config.seed)
+    elif config.variant == "adatag" and attr_table is None:
+        raise DataError("variant 'adatag' requires an attribute embedding table")
+    return Model(config, vocab, word_itos, attr_table, vectors, rng)

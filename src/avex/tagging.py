@@ -137,52 +137,36 @@ class ExpandedTagset:
         except KeyError:
             raise ValueError(f"tag {tag!r} not in expanded tagset")
 
-    def to_expanded(self, attribute: str, tags) -> list[str]:
-        """Suffix one attribute's BIOE sequence into joint tags."""
-        if attribute not in self.attributes:
+    def project(self, tag_ids, attribute: str) -> list[str]:
+        """One attribute's BIOE tags from joint tag indices; others become O."""
+        try:
+            first = 3 * self.attributes.index(attribute)
+        except ValueError:
             raise ValueError(f"unknown attribute {attribute!r}")
-        return [OUTSIDE if t == OUTSIDE else f"{t}-{attribute}" for t in tags]
-
-    def project(self, expanded_tags, attribute: str) -> list[str]:
-        """Keep one attribute's tags, mapping everything else to O."""
-        if attribute not in self.attributes:
-            raise ValueError(f"unknown attribute {attribute!r}")
-        suffix = f"-{attribute}"
-        out = []
-        for t in expanded_tags:
-            if t != OUTSIDE and t.endswith(suffix):
-                out.append(t[: t.index("-")])
-            else:
-                out.append(OUTSIDE)
-        return out
+        return [self.tags[i][0] if first <= i < first + 3 else OUTSIDE
+                for i in tag_ids]
 
     def merge(self, spans_by_attribute, length: int):
         """Combine per-attribute spans into one joint sequence.
 
         Attributes are laid down in tagset order; a span that overlaps
         positions already claimed by an earlier attribute is dropped.
-        Returns (tags, number of dropped spans).
+        Returns (joint tag indices, number of dropped spans).
         """
-        tags = [OUTSIDE] * length
+        outside = self.index(OUTSIDE)
+        tag_ids = [outside] * length
         dropped = 0
         for a in self.attributes:
             for span in sorted(spans_by_attribute.get(a, ())):
                 if not (0 <= span.start <= span.end < length):
                     raise ValueError(f"span {span} out of range for length {length}")
-                if any(tags[i] != OUTSIDE for i in range(span.start, span.end + 1)):
+                if any(tag_ids[i] != outside for i in range(span.start, span.end + 1)):
                     dropped += 1
                     continue
                 base = spans_to_tags([span], length)
                 for i in range(span.start, span.end + 1):
-                    tags[i] = f"{base[i]}-{a}"
-        return tags, dropped
-
-    def spans_by_attribute(self, expanded_tags) -> dict[str, set[Span]]:
-        """Decode a joint sequence into per-attribute span sets."""
-        return {
-            a: tags_to_spans(self.project(expanded_tags, a))
-            for a in self.attributes
-        }
+                    tag_ids[i] = self.index(f"{base[i]}-{a}")
+        return tag_ids, dropped
 
 
 def expand_tagset(attribute_ids) -> ExpandedTagset:

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import GenericAlias
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .corpus import AttributeVocab
 from .errors import DataError, NumericError
 from .evaluation import evaluate_model, macro
 from .models import SHARED_SCOPE, VARIANTS, build_variant, derive_word_itos
-from .tagging import NUM_TAGS
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -367,6 +367,57 @@ def save_checkpoint(stem, model) -> Path:
     return manifest_path
 
 
+def _is(value, typ) -> bool:
+    """isinstance, where an int is a size and list[T] checks each item."""
+    if typ is int:  # bool is an int subclass, and no size is negative
+        return type(value) is int and value >= 0
+    if isinstance(typ, GenericAlias):
+        return isinstance(value, list) and all(_is(v, typ.__args__[0]) for v in value)
+    return isinstance(value, typ)
+
+
+def _check_fields(obj, where, **fields):
+    """Raise DataError unless ``obj`` maps each key to a value of its type."""
+    if not isinstance(obj, dict):
+        raise DataError(f"checkpoint manifest: {where} must be an object")
+    for key, typ in fields.items():
+        if key not in obj:
+            raise DataError(f"checkpoint manifest: {where} lacks {key!r}")
+        if not _is(obj[key], typ):
+            raise DataError(f"checkpoint manifest: {where} {key!r} must be "
+                            f"{typ if isinstance(typ, GenericAlias) else typ.__name__}, "
+                            f"got {obj[key]!r:.60}")
+
+
+def _check_manifest(manifest):
+    """The keys and types ``load_checkpoint`` reads, before it reads them."""
+    _check_fields(manifest, "manifest", config=dict, attribute_vocab=list,
+                  word_vocabs=dict, payload_file=str, payload_bytes=int, tensors=list)
+    for i, entry in enumerate(manifest["attribute_vocab"]):
+        _check_fields(entry, f"attribute_vocab[{i}]", id=str)
+    words = manifest["word_vocabs"]
+    _check_fields(words, "word_vocabs", **dict.fromkeys(words, list[str]))
+    for i, entry in enumerate(manifest["tensors"]):
+        _check_fields(entry, f"tensors[{i}]", name=str, shape=list[int], byte_offset=int)
+    if manifest.get("attribute_embeddings") is not None:
+        _check_fields(manifest["attribute_embeddings"], "attribute_embeddings",
+                      ids=list[str], d_r=int, provenance=str, frozen=bool)
+
+
+def _placeholder_model(config, vocab, word_itos, attr_info=None):
+    """A model of the configured shapes whose weights are yet to be filled in.
+
+    ``attr_info`` has the layout of ``Model.attribute_info()``; for adatag
+    it sizes an all-zero attribute table.
+    """
+    attr_table = None
+    if attr_info is not None and config.variant == "adatag":
+        attr_table = AttributeEmbeddingTable(
+            {a: np.zeros(attr_info["d_r"]) for a in attr_info["ids"]},
+            attr_info["provenance"], attr_info["frozen"])
+    return build_variant(config, vocab, word_itos, attr_table)
+
+
 def load_checkpoint(stem):
     """Rebuild a model from a manifest/payload pair."""
     stem = Path(stem)
@@ -376,31 +427,25 @@ def load_checkpoint(stem):
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read checkpoint manifest {manifest_path}: {e}")
-    version = manifest.get("format_version")
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"checkpoint format version {version!r} unsupported "
             f"(expected {CHECKPOINT_FORMAT_VERSION})")
+    _check_manifest(manifest)
     config = TrainConfig.from_mapping(manifest["config"])
     vocab = AttributeVocab(
         [(row["id"], row.get("phrase")) for row in manifest["attribute_vocab"]])
     word_itos = {scope: list(itos) for scope, itos in manifest["word_vocabs"].items()}
-
-    attr_table = None
-    info = manifest.get("attribute_embeddings")
-    if info is not None and config.variant == "adatag":
-        attr_table = AttributeEmbeddingTable(
-            {a: np.zeros(int(info["d_r"])) for a in info["ids"]},
-            info["provenance"], bool(info["frozen"]))
-    rng = np.random.default_rng(config.seed)
-    model = build_variant(config, vocab, word_itos, attr_table, None, rng)
+    model = _placeholder_model(config, vocab, word_itos,
+                               manifest.get("attribute_embeddings"))
 
     payload_path = manifest_path.with_name(manifest["payload_file"])
     try:
         payload = payload_path.read_bytes()
     except OSError as e:
         raise DataError(f"cannot read checkpoint payload {payload_path}: {e}")
-    if len(payload) != int(manifest["payload_bytes"]):
+    if len(payload) != manifest["payload_bytes"]:
         raise DataError(
             f"checkpoint payload {payload_path} is {len(payload)} bytes, "
             f"manifest expects {manifest['payload_bytes']} (truncated?)")
@@ -413,14 +458,14 @@ def load_checkpoint(stem):
             f"checkpoint tensors do not match model: missing {missing}, extra {extra}")
     for entry in manifest["tensors"]:
         name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
+        shape = tuple(entry["shape"])
         t = expected[name]
         if t.data.shape != shape:
             raise DataError(
                 f"tensor {name} has shape {shape} in checkpoint but the "
                 f"configured model expects {t.data.shape}")
         count = int(np.prod(shape)) if shape else 1
-        start = int(entry["byte_offset"])
+        start = entry["byte_offset"]
         end = start + 4 * count
         if end > len(payload):
             raise DataError(f"checkpoint payload too short for tensor {name}")
@@ -459,13 +504,15 @@ class ParamCountReport:
         return "\n".join(lines)
 
 
-def param_count(params) -> ParamCountReport:
+def param_count(params, exclude=()) -> ParamCountReport:
     """Element counts per tensor and per group from a live model."""
     tensors = {}
     groups = {}
     total = 0
     trainable = 0
     for name, t in params.items():
+        if name in exclude:
+            continue
         n = int(t.data.size)
         tensors[name] = n
         groups[params.group_of(name)] = groups.get(params.group_of(name), 0) + n
@@ -475,86 +522,66 @@ def param_count(params) -> ParamCountReport:
     return ParamCountReport(tensors, groups, total, trainable)
 
 
+def _brace(names) -> str:
+    """'a/x', 'a/y', 'b' -> 'a/{x,y}, b' (order kept)."""
+    leaves: dict[str, list[str]] = {}
+    for name in names:
+        parent, _, leaf = name.rpartition("/")
+        leaves.setdefault(parent, []).append(leaf)
+    return ", ".join(f"{p}/{ls[0]}" if len(ls) == 1 else f"{p}/{{{','.join(ls)}}}"
+                     for p, ls in leaves.items())
+
+
 def param_count_from_config(config: TrainConfig, n_attributes: int | None = None,
                             word_vocab_size: int | None = None) -> ParamCountReport:
-    """Symbolic counts derivable from a configuration alone.
+    """Counts of a model built from placeholder inputs of the given sizes.
 
-    Word-embedding counts need a vocabulary size; attribute-dependent
-    counts need the attribute inventory size.  Missing information is
-    reported in the notes rather than guessed.
+    The attributes are named ``<attribute 1>`` .. ``<attribute N>`` and
+    every word vocabulary has |V| words.  A size that is not given is
+    probed instead of guessed: the model is built again with that size
+    changed, and the tensors whose name or shape moves are listed in the
+    notes and left out of the counts.
     """
     config.validate()
-    d_h, d_w, d_r, k = config.d_h, config.d_word, config.d_r, config.k
-    tensors: dict[str, int] = {}
-    groups: dict[str, int] = {}
-    notes: list[str] = []
+    for what, size in (("n_attributes", n_attributes),
+                       ("word_vocab_size", word_vocab_size)):
+        if size is not None and size < 1:
+            raise DataError(f"{what} must be >= 1, got {size}")
 
-    def put(name, group, n):
-        tensors[name] = n
-        groups[group] = groups.get(group, 0) + n
+    def build(ids, n_words):
+        scopes = ids if config.variant == "per_attribute" else [SHARED_SCOPE]
+        words = [f"<word {i}>" for i in range(n_words)]
+        info = {"ids": ids, "d_r": config.d_r, "provenance": "uncontextualized",
+                "frozen": True}
+        return _placeholder_model(config, AttributeVocab([(a, None) for a in ids]),
+                                  dict.fromkeys(scopes, words), info)
 
-    def encoder_counts(prefix="encoder", group="encoder"):
-        half = d_h // 2
-        per_direction = 4 * (half * (d_w + half)) + 4 * half
-        put(f"{prefix}/lstm_fwd", group, per_direction)
-        put(f"{prefix}/lstm_bwd", group, per_direction)
-        if word_vocab_size is not None:
-            put(f"{prefix}/W_word", group, word_vocab_size * d_w)
-        else:
-            notes.append(
-                f"{prefix}/W_word: vocabulary-dependent (|V| x {d_w}); "
-                "pass a word vocabulary size or count a checkpoint")
-
-    variant = config.variant
-    if variant in ("adatag", "adatag_random_emb"):
-        encoder_counts()
-        put("hyper/W_hyper_w", "hyper", 4 * d_h * d_r)
-        put("hyper/b_hyper_w", "hyper", 4 * d_h)
-        put("hyper/W_hyper_b", "hyper", 4 * d_r)
-        put("hyper/b_hyper_b", "hyper", 4)
-        put("moe/W_moe", "moe", k * d_r)
-        put("moe/b_moe", "moe", k)
-        for i in range(k):
-            put(f"moe/expert_{i}", "moe", NUM_TAGS * NUM_TAGS)
-        if n_attributes is not None:
-            put("att_emb/W_att", "att_emb", n_attributes * d_r)
-        else:
-            notes.append(f"att_emb/W_att: attribute-dependent (N x {d_r})")
-    elif variant == "bilstm_multicrf":
-        encoder_counts()
-        if n_attributes is None:
-            notes.append("decoders: attribute-dependent "
-                         f"(N x {NUM_TAGS * d_h + NUM_TAGS + NUM_TAGS * NUM_TAGS})")
-        else:
-            for_each = NUM_TAGS * d_h + NUM_TAGS + NUM_TAGS * NUM_TAGS
-            put("decoder (all attributes)", "decoder", n_attributes * for_each)
-    elif variant == "n_tag_sets":
-        encoder_counts()
-        if n_attributes is None:
-            notes.append("decoder: attribute-dependent ((3N+1) tags)")
-        else:
-            m = 3 * n_attributes + 1
-            put("decoder/W", "decoder", m * d_h)
-            put("decoder/b", "decoder", m)
-            put("decoder/T", "decoder", m * m)
-            notes.append(
-                f"transition matrix is (3N+1)^2 = {m * m:,}; "
-                f"the 9N^2 approximation gives {9 * n_attributes * n_attributes:,}")
-    elif variant == "bilstm_crf_shared_emb":
-        if word_vocab_size is not None:
-            put("embedding/W_word", "embedding", word_vocab_size * d_w)
-        else:
-            notes.append(f"embedding/W_word: vocabulary-dependent (|V| x {d_w})")
-        if n_attributes is None:
-            notes.append("per-attribute stacks: attribute-dependent")
-        else:
-            half = d_h // 2
-            per_direction = 4 * (half * (d_w + half)) + 4 * half
-            stack = 2 * per_direction + NUM_TAGS * d_h + NUM_TAGS + NUM_TAGS * NUM_TAGS
-            put("per-attribute stacks", "encoder+decoder", n_attributes * stack)
-    else:  # per_attribute
-        notes.append("per_attribute: counts depend on each attribute's vocabulary; "
-                     "count a checkpoint instead")
-
-    total = sum(tensors.values())
-    return ParamCountReport(tensors, groups, total, total, notes)
+    ids = (["<attribute>"] if n_attributes is None
+           else [f"<attribute {i}>" for i in range(1, n_attributes + 1)])
+    n_words = word_vocab_size or 2
+    model = build(ids, n_words)
+    probes = []
+    if n_attributes is None:
+        probes.append(("the number of attributes N",
+                       build(["<attribute 1>", "<attribute 2>"], n_words)))
+    if word_vocab_size is None:
+        probes.append(("the word vocabulary size |V|", build(ids, n_words + 1)))
+    notes = []
+    unknown = set()
+    for what, probe in probes:
+        moved = [name for name, t in model.params.items()
+                 if name not in probe.params
+                 or probe.params[name].data.shape != t.data.shape]
+        if moved:
+            notes.append(f"{_brace(moved)}: not counted (depends on {what})")
+            unknown.update(moved)
+    if config.variant == "n_tag_sets" and n_attributes is not None:
+        m = model.params["decoder/T"].data.shape[0]
+        notes.append(f"transition matrix is (3N+1)^2 = {m * m:,}; "
+                     f"the 9N^2 approximation gives {9 * n_attributes ** 2:,}")
+    if config.variant == "per_attribute":
+        notes.append("per_attribute: counts depend on each attribute's vocabulary "
+                     "(here every one has |V| words); count a checkpoint instead")
+    report = param_count(model.params, exclude=unknown)
+    report.notes = notes
+    return report

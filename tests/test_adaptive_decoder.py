@@ -19,6 +19,7 @@ from avex.adaptive_decoder import (
     path_score,
     viterbi,
 )
+from avex.errors import NumericError
 from avex.tagging import NUM_TAGS
 from oracles import (
     all_path_scores,
@@ -224,6 +225,16 @@ def test_viterbi_tie_breaks_to_smallest_index():
     path, score = viterbi(P, T)
     assert path == [0, 0, 0]
     assert score == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_viterbi_refuses_non_finite_scores(bad):
+    with pytest.raises(NumericError):
+        viterbi(np.full((NUM_TAGS, 3), bad), np.zeros((NUM_TAGS, NUM_TAGS)))
+    T = np.zeros((NUM_TAGS, NUM_TAGS))
+    T[1, 2] = bad
+    with pytest.raises(NumericError):
+        viterbi(np.zeros((NUM_TAGS, 3)), T)
 
 
 def test_score_order_viterbi_partition():

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line pipeline on a tiny generated corpus."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from avex import cli, training
@@ -181,6 +183,79 @@ def test_eval_stratify_needs_counts(pipeline, capsys):
                    "--test", str(pipeline["labeled"]), "--stratify", "10"])
     assert rc == 2
     assert "train-counts" in capsys.readouterr().err
+
+
+def _copy_checkpoint(pipeline, tmp_path):
+    stem = tmp_path / "model"
+    for suffix in (".json", ".bin"):
+        shutil.copy(pipeline["stem"].with_suffix(suffix), stem.with_suffix(suffix))
+    return stem, json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
+
+
+def _run_on_checkpoint(pipeline, command, stem):
+    args = {"extract": ["--attr", "Scent", "--text", "rose scent"],
+            "eval": ["--test", str(pipeline["labeled"])],
+            "param-count": []}[command]
+    return cli.main([command, "--checkpoint", str(stem)] + args)
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _first_tensor(manifest, entry):
+    return {**manifest, "tensors": [entry] + manifest["tensors"][1:]}
+
+
+MANIFEST_KEYS = ("config", "attribute_vocab", "word_vocabs", "payload_file",
+                 "payload_bytes", "tensors")
+TENSOR_KEYS = ("name", "shape", "byte_offset")
+BAD_MANIFESTS = (
+    [("empty", lambda m: {"format_version": 1}), ("not an object", lambda m: [1])]
+    + [(f"no {k}", lambda m, k=k: _without(m, k)) for k in MANIFEST_KEYS]
+    + [(f"{k} mistyped", lambda m, k=k: {**m, k: "7" if k == "payload_bytes" else 7})
+       for k in MANIFEST_KEYS]
+    + [(f"tensor without {k}",
+        lambda m, k=k: _first_tensor(m, _without(m["tensors"][0], k)))
+       for k in TENSOR_KEYS]
+    + [(f"tensor {k} mistyped",
+        lambda m, k=k: _first_tensor(m, {**m["tensors"][0], k: None}))
+       for k in TENSOR_KEYS]
+    + [("negative offset",
+        lambda m: _first_tensor(m, {**m["tensors"][0], "byte_offset": -4})),
+       ("shape of strings",
+        lambda m: _first_tensor(m, {**m["tensors"][0], "shape": ["2"]})),
+       ("attribute row without id", lambda m: {**m, "attribute_vocab": [{}]}),
+       ("word vocabulary not a list", lambda m: {**m, "word_vocabs": {"shared": "a"}}),
+       ("word not a string", lambda m: {**m, "word_vocabs": {"shared": [["x"]]}}),
+       ("attribute embeddings without d_r", lambda m: {
+           **m, "attribute_embeddings": _without(m["attribute_embeddings"], "d_r")}),
+       ("attribute embedding id not a string", lambda m: {
+           **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": [["x"]]}})])
+
+
+@pytest.mark.parametrize("case", BAD_MANIFESTS, ids=[c[0] for c in BAD_MANIFESTS])
+@pytest.mark.parametrize("command", ("extract", "eval", "param-count"))
+def test_malformed_manifest_is_data_error(pipeline, tmp_path, capsys, case, command):
+    stem, manifest = _copy_checkpoint(pipeline, tmp_path)
+    stem.with_suffix(".json").write_text(json.dumps(case[1](manifest)),
+                                         encoding="utf-8")
+    rc = _run_on_checkpoint(pipeline, command, stem)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("extract", "eval"))
+def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command):
+    stem, manifest = _copy_checkpoint(pipeline, tmp_path)
+    entry = next(e for e in manifest["tensors"] if e["name"] == "hyper/b_hyper_b")
+    payload = bytearray(stem.with_suffix(".bin").read_bytes())
+    offset = entry["byte_offset"]
+    payload[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    stem.with_suffix(".bin").write_bytes(bytes(payload))
+    assert _run_on_checkpoint(pipeline, command, stem) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_param_count_from_flags(capsys):

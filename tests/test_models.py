@@ -147,7 +147,7 @@ def test_adatag_random_emb_is_trainable():
     model, _, _ = build("adatag_random_emb")
     assert model.params["att_emb/W_att"].requires_grad
     assert model.params["att_emb/W_att"].data.shape == (2, 5)
-    assert not model.frozen_embeddings
+    assert not model.attribute_info()["frozen"]
 
 
 def test_adatag_loss_and_predict_shapes():

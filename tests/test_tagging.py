@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avex import tagging
 from avex.tagging import Span, expand_tagset, is_valid, spans_to_tags, tags_to_spans
@@ -119,14 +121,52 @@ def test_expand_tagset_layout():
     assert ts.tags[-1] == "O"
 
 
-def test_expand_project_round_trip():
-    ts = expand_tagset(["Scent", "Color"])
-    tags = ["B", "I", "E", "O"]
-    joint = ts.to_expanded("Color", tags)
-    assert joint == ["B-Color", "I-Color", "E-Color", "O"]
-    assert ts.project(joint, "Color") == tags
-    # Other attributes see only outside tags.
-    assert ts.project(joint, "Scent") == ["O", "O", "O", "O"]
+def test_project_does_not_match_attribute_suffixes():
+    ts = expand_tagset(["a-b", "b"])
+    joint = [ts.index(t) for t in ("B-a-b", "E-a-b", "O")]
+    assert ts.project(joint, "b") == ["O", "O", "O"]
+    assert ts.project(joint, "a-b") == ["B", "E", "O"]
+
+
+# Arbitrary ids plus every "x-y" joint of two of them, so that ids are
+# prefixes and suffixes of one another ("b", "a-b", "b-a"), in any order.
+ATTRIBUTE_IDS = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3,
+                         unique=True).map(
+    lambda base: list(dict.fromkeys(base + [f"{x}-{y}" for x in base for y in base]))
+).flatmap(st.permutations)
+
+
+@given(data=st.data(), ids=ATTRIBUTE_IDS)
+def test_project_keeps_exactly_one_attributes_tags(data, ids):
+    ts = expand_tagset(ids)
+    # Each position is owned by one attribute (with a B/I/E tag) or by O.
+    owned = data.draw(st.lists(st.one_of(
+        st.none(), st.tuples(st.sampled_from(ids), st.sampled_from("BIE"))),
+        max_size=12))
+    joint = [ts.index("O") if o is None else ts.index(f"{o[1]}-{o[0]}")
+             for o in owned]
+    for a in ids:
+        assert ts.project(joint, a) == [
+            o[1] if o is not None and o[0] == a else "O" for o in owned]
+
+
+@given(data=st.data(), ids=ATTRIBUTE_IDS)
+def test_merge_then_project_recovers_kept_spans(data, ids):
+    ts = expand_tagset(ids)
+    length = 8
+    spans = {a: set(data.draw(st.lists(
+        st.tuples(st.integers(0, length - 1), st.integers(0, 2)).map(
+            lambda p: Span(p[0], min(p[0] + p[1], length - 1))),
+        max_size=3)))
+        for a in ids}
+    # Keep only each attribute's own non-overlapping spans.
+    spans = {a: {s for s in ss if not any(
+        o != s and o.start <= s.end and s.start <= o.end for o in ss)}
+        for a, ss in spans.items()}
+    joint, dropped = ts.merge(spans, length)
+    kept = {a: tags_to_spans(ts.project(joint, a)) for a in ids}
+    assert all(kept[a] <= spans[a] for a in ids)
+    assert sum(map(len, kept.values())) + dropped == sum(map(len, spans.values()))
 
 
 def test_expand_merge_disjoint_attributes():
@@ -145,12 +185,3 @@ def test_expand_merge_conflict_keeps_earlier_attribute():
     assert ts.project(merged, "Scent") == ["B", "O"]
     assert ts.project(merged, "Color") == ["O", "O"]
     assert dropped == 1
-
-
-def test_spans_by_attribute():
-    ts = expand_tagset(["Scent", "Color"])
-    merged, _ = ts.merge(
-        {"Scent": {Span(0, 1)}, "Color": {Span(2, 2)}}, length=4)
-    by_attr = ts.spans_by_attribute(merged)
-    assert by_attr["Scent"] == {Span(0, 1)}
-    assert by_attr["Color"] == {Span(2, 2)}

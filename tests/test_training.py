@@ -12,10 +12,10 @@ from avex.corpus import (
     build_corpus,
     split_examples,
 )
-from avex.attribute_embeddings import uncontextualized_table
+from avex.attribute_embeddings import AttributeEmbeddingTable, uncontextualized_table
 from avex.errors import DataError, NumericError
 from avex.evaluation import evaluate_model
-from avex.models import build_variant, derive_word_itos
+from avex.models import VARIANTS, build_variant, derive_word_itos
 from avex.synth import SynthAttribute, SynthSpec, generate
 from avex.training import (
     Adam,
@@ -472,3 +472,65 @@ def test_param_count_report_to_table():
     # Groups, not individual tensors: hyper = 1,228,800 + 800 + 6,144 + 4.
     assert "hyper" in text and "1,235,748" in text
     assert "total" in text
+
+
+def test_param_count_frozen_attribute_table_not_trainable():
+    report = param_count_from_config(TrainConfig(), n_attributes=12,
+                                     word_vocab_size=100)
+    assert report.trainable_total == report.total - 12 * 1536
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_param_count_from_config_matches_built_model(variant):
+    ids = ["Scent", "Color", "Size"]
+    words = ["<pad>", "<unk>", "rose", "red", "teal", "large", "mango"]
+    config = TrainConfig(variant=variant, d_h=6, d_word=4, d_r=5, k=2)
+    scopes = ids if variant == "per_attribute" else ["shared"]
+    table = AttributeEmbeddingTable(
+        {a: np.arange(5.0) + i for i, a in enumerate(ids)}, "uncontextualized")
+    built = param_count(build_variant(
+        config, AttributeVocab([(a, None) for a in ids]),
+        dict.fromkeys(scopes, words), attr_table=table).params)
+    derived = param_count_from_config(config, n_attributes=len(ids),
+                                      word_vocab_size=len(words))
+
+    def placeholders(mapping):
+        out = {}
+        for key, count in mapping.items():
+            for i, a in enumerate(ids, 1):
+                key = key.replace(a, f"<attribute {i}>")
+            out[key] = count
+        return out
+
+    assert list(derived.tensors.items()) == list(placeholders(built.tensors).items())
+    assert derived.groups == placeholders(built.groups)
+    assert derived.total == built.total
+    assert derived.trainable_total == built.trainable_total
+    vocabulary_note = any("vocabulary" in n for n in derived.notes)
+    assert vocabulary_note == (variant == "per_attribute")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_param_count_lists_size_dependent_tensors(variant):
+    config = TrainConfig(variant=variant, d_h=6, d_word=4, d_r=5, k=2)
+    full = param_count_from_config(config, n_attributes=2, word_vocab_size=9)
+    partial = param_count_from_config(config)
+    notes = " ".join(partial.notes)
+    # Everything counted without the sizes is counted identically with them.
+    assert set(partial.tensors) <= set(full.tensors)
+    assert all(full.tensors[k] == v for k, v in partial.tensors.items())
+    assert partial.total == sum(partial.tensors.values())
+    for name in full.tensors:
+        dependent = "<attribute" in name or "W_word" in name or name in (
+            "att_emb/W_att", "decoder/W", "decoder/b", "decoder/T")
+        assert (name in partial.tensors) != dependent
+    assert "W_word" in notes and "|V|" in notes
+    assert "number of attributes N" in notes
+
+
+def test_param_count_rejects_nonpositive_sizes():
+    with pytest.raises(DataError):
+        param_count_from_config(TrainConfig(), n_attributes=0)
+    with pytest.raises(DataError):
+        param_count_from_config(TrainConfig(), word_vocab_size=0)
+
