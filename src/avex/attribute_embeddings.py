@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .corpus import span_text, tokenize
 from .errors import DataError
 from .tagging import tags_to_spans
@@ -71,7 +72,7 @@ class AttributeEmbeddingTable:
         return np.stack([self.get(a) for a in attr_ids])
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with files.write(path) as fh:
             for a in self.ids():
                 row = {"attribute": a, "vec": self.vectors[a].tolist(),
                        "provenance": self.provenance}
@@ -82,26 +83,19 @@ class AttributeEmbeddingTable:
         """Read a pooled-table JSONL file: {"attribute", "vec"} per line."""
         vectors = {}
         provenances = set()
-        try:
-            fh = open(path, encoding="utf-8")
-        except OSError as e:
-            raise DataError(f"cannot read embedding table {path}: {e}")
-        with fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    attr, vec = str(row["attribute"]), row["vec"]
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise DataError(f"{path}:{lineno}: bad table row: {e}")
-                if attr in vectors:
-                    raise DataError(f"{path}:{lineno}: duplicate attribute {attr!r}")
-                vectors[attr] = np.asarray(vec, dtype=np.float64)
-                if vectors[attr].ndim != 1:
-                    raise DataError(f"{path}:{lineno}: vector must be flat")
-                if "provenance" in row:
-                    provenances.add(row["provenance"])
+        for lineno, line in files.read_lines(path, "embedding table"):
+            try:
+                row = json.loads(line)
+                attr, vec = str(row["attribute"]), np.asarray(row["vec"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"{path}:{lineno}: bad table row: {e}")
+            if attr in vectors:
+                raise DataError(f"{path}:{lineno}: duplicate attribute {attr!r}")
+            if vec.ndim != 1:
+                raise DataError(f"{path}:{lineno}: vector must be flat")
+            vectors[attr] = vec
+            if "provenance" in row:
+                provenances.add(row["provenance"])
         if len(provenances) > 1:
             raise DataError(
                 f"{path} mixes provenances {sorted(provenances)} in one table")
@@ -184,38 +178,31 @@ def ingest_contextualized(path) -> AttributeEmbeddingTable:
     value_sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     dim = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read instance file {path}: {e}")
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                attr = str(row["attribute"])
-                name_vec = np.asarray(row["name_vec"], dtype=np.float64)
-                value_vec = np.asarray(row["value_vec"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: bad instance row: {e}")
-            if name_vec.ndim != 1 or value_vec.ndim != 1 \
-                    or name_vec.shape != value_vec.shape:
-                raise DataError(
-                    f"{path}:{lineno}: name/value vectors must be flat and equal-sized")
-            if dim is None:
-                dim = name_vec.shape[0]
-            elif name_vec.shape[0] != dim:
-                raise DataError(
-                    f"{path}:{lineno}: vector dim {name_vec.shape[0]} differs "
-                    f"from earlier rows ({dim})")
-            if attr not in counts:
-                name_sums[attr] = np.zeros(dim)
-                value_sums[attr] = np.zeros(dim)
-                counts[attr] = 0
-            name_sums[attr] += name_vec
-            value_sums[attr] += value_vec
-            counts[attr] += 1
+    for lineno, line in files.read_lines(path, "instance file"):
+        try:
+            row = json.loads(line)
+            attr = str(row["attribute"])
+            name_vec = np.asarray(row["name_vec"], dtype=np.float64)
+            value_vec = np.asarray(row["value_vec"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}:{lineno}: bad instance row: {e}")
+        if name_vec.ndim != 1 or value_vec.ndim != 1 \
+                or name_vec.shape != value_vec.shape:
+            raise DataError(
+                f"{path}:{lineno}: name/value vectors must be flat and equal-sized")
+        if dim is None:
+            dim = name_vec.shape[0]
+        elif name_vec.shape[0] != dim:
+            raise DataError(
+                f"{path}:{lineno}: vector dim {name_vec.shape[0]} differs "
+                f"from earlier rows ({dim})")
+        if attr not in counts:
+            name_sums[attr] = np.zeros(dim)
+            value_sums[attr] = np.zeros(dim)
+            counts[attr] = 0
+        name_sums[attr] += name_vec
+        value_sums[attr] += value_vec
+        counts[attr] += 1
     if not counts:
         raise DataError(f"instance file {path} is empty")
     table = {

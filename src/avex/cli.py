@@ -4,8 +4,9 @@ Subcommands cover the full pipeline: ``label`` projects catalog values
 onto text, ``embed`` builds attribute embedding tables, ``train`` fits a
 variant, ``extract`` decodes raw text, ``eval`` scores a labeled file,
 ``param-count`` reports parameter budgets, and ``synth`` generates a
-templated corpus.  Exit codes: 0 ok, 1 usage, 2 data error, 3 numerical
-failure.  Outputs written before a failure are removed.
+templated corpus.  Exit codes: 0 ok, 1 usage, 2 data error (including
+files that cannot be read or written), 3 numerical failure.  A failed
+command leaves every output path as it was.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from . import attribute_embeddings, corpus, evaluation, synth, training
+from . import attribute_embeddings, corpus, evaluation, files, synth, training
 from .encoder import load_word_vectors
 from .errors import DataError, NumericError
 
@@ -113,28 +113,21 @@ def _resolved_config(args) -> training.TrainConfig:
     return training.TrainConfig.from_mapping(mapping)
 
 
-def _cmd_label(args, outputs):
+def _cmd_label(args):
     vocab = corpus.AttributeVocab.load(args.vocab)
     examples, report = corpus.build_corpus_from_file(
         args.corpus, vocab, args.setting, args.include_negatives)
-    out = Path(args.out)
-    outputs.append(out)
-    corpus.save_labeled(out, examples)
+    corpus.save_labeled(args.out, examples)
     payload = report.to_json()
     if args.report:
-        report_path = Path(args.report)
-        outputs.append(report_path)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        files.write_json(args.report, payload, indent=2)
     else:
         print(json.dumps(payload, indent=2))
     for lineno, reason in report.malformed_lines:
         print(f"warning: {args.corpus}:{lineno}: {reason}", file=sys.stderr)
-    return 0
 
 
-def _cmd_embed(args, outputs):
+def _cmd_embed(args):
     if args.mode == "uncontextualized":
         if not (args.labeled and args.vectors and args.vocab):
             raise DataError(
@@ -152,15 +145,12 @@ def _cmd_embed(args, outputs):
             raise DataError("random mode needs --vocab")
         vocab = corpus.AttributeVocab.load(args.vocab)
         table = attribute_embeddings.random_table(vocab.ids(), args.d_r, args.seed)
-    out = Path(args.out)
-    outputs.append(out)
-    table.save(out)
+    table.save(args.out)
     print(f"wrote {len(table.ids())} attribute embeddings "
-          f"(d_r={table.d_r}, provenance={table.provenance}) to {out}")
-    return 0
+          f"(d_r={table.d_r}, provenance={table.provenance}) to {args.out}")
 
 
-def _cmd_train(args, outputs):
+def _cmd_train(args):
     config = _resolved_config(args)
     print(f"resolved config: {json.dumps(config.to_json(), sort_keys=True)}",
           file=sys.stderr)
@@ -175,26 +165,19 @@ def _cmd_train(args, outputs):
     attr_table = None
     if args.embeddings:
         attr_table = attribute_embeddings.AttributeEmbeddingTable.load(args.embeddings)
-    stem = Path(args.out)
-    outputs.extend([stem.with_suffix(".json"), stem.with_suffix(".bin")])
     report, _model = training.train(
         config, vocab, by_split["train"], by_split["dev"],
-        attr_table=attr_table, vectors=vectors, checkpoint_stem=stem)
+        attr_table=attr_table, vectors=vectors, checkpoint_stem=args.out)
     payload = report.to_json()
     payload["label_coverage"] = coverage.to_json()
     if args.report:
-        report_path = Path(args.report)
-        outputs.append(report_path)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        files.write_json(args.report, payload, indent=2)
     print(f"best dev macro-F1 {report.best_dev_f1:.4f} at epoch {report.best_epoch}; "
           f"stopped after epoch {report.stopped_epoch}; "
           f"checkpoint {report.checkpoint_path}")
-    return 0
 
 
-def _cmd_extract(args, outputs):
+def _cmd_extract(args):
     model = training.load_checkpoint(args.checkpoint)
     token_texts = [t.text for t in corpus.tokenize(args.text)]
     if not token_texts:
@@ -206,10 +189,9 @@ def _cmd_extract(args, outputs):
         values = evaluation.extract(model, token_texts, attr)
         result[attr] = sorted(values)
     print(json.dumps(result, ensure_ascii=False, indent=2))
-    return 0
 
 
-def _cmd_eval(args, outputs):
+def _cmd_eval(args):
     model = training.load_checkpoint(args.checkpoint)
     examples = corpus.load_labeled(args.test)
     if not examples:
@@ -219,27 +201,22 @@ def _cmd_eval(args, outputs):
     if args.stratify is not None:
         if not args.train_counts:
             raise DataError("--stratify needs --train-counts")
-        try:
-            with open(args.train_counts, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read train counts {args.train_counts}: {e}")
-        counts = raw.get("per_attribute_examples", raw)
-        if not isinstance(counts, dict):
-            raise DataError(f"train counts {args.train_counts} must be a JSON object")
+        raw = files.read_json(args.train_counts, "train counts")
+        counts = raw.get("per_attribute_examples", raw) if isinstance(raw, dict) else raw
+        if not isinstance(counts, dict) or not all(
+                type(c) is int for c in counts.values()):
+            raise DataError(f"train counts {args.train_counts} must be a JSON object "
+                            f"of integer counts")
         evaluation.stratify(report, counts, args.stratify)
     if args.dump:
-        dump_path = Path(args.dump)
-        outputs.append(dump_path)
-        evaluation.dump_predictions(dump_path, results)
+        evaluation.dump_predictions(args.dump, results)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.to_table())
-    return 0
 
 
-def _cmd_param_count(args, outputs):
+def _cmd_param_count(args):
     if bool(args.checkpoint) == bool(args.config or args.variant):
         raise DataError("pass exactly one of --checkpoint or --config/--variant")
     if args.checkpoint:
@@ -256,19 +233,16 @@ def _cmd_param_count(args, outputs):
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.to_table())
-    return 0
 
 
-def _cmd_synth(args, outputs):
+def _cmd_synth(args):
     spec = synth.SynthSpec.load(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
     generated = synth.generate(spec)
-    paths = synth.write_corpus(generated, args.out_dir)
-    outputs.extend(paths.values())
+    synth.write_corpus(generated, args.out_dir)
     print(f"wrote {len(generated.products)} products across "
           f"{len(generated.vocab)} attributes to {args.out_dir}")
-    return 0
 
 
 _COMMANDS = {
@@ -284,49 +258,21 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    outputs: list[Path] = []
-    pre_existing = set()
     try:
-        handler = _COMMANDS[args.command]
-        return handler(args, _TrackedOutputs(outputs, pre_existing))
+        with files.transaction():
+            try:
+                _COMMANDS[args.command](args)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # Whoever read stdout has stopped; every output is written.
+                files.silence_stdout()
+        return 0
     except DataError as e:
-        _remove_partial(outputs, pre_existing)
         print(f"avex: data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:
-        _remove_partial(outputs, pre_existing)
         print(f"avex: numerical failure: {e}", file=sys.stderr)
         return 3
-
-
-class _TrackedOutputs(list):
-    """Records declared output paths; remembers which already existed."""
-
-    def __init__(self, backing, pre_existing):
-        super().__init__()
-        self._backing = backing
-        self._pre_existing = pre_existing
-
-    def append(self, path):
-        path = Path(path)
-        if path.exists():
-            self._pre_existing.add(path)
-        self._backing.append(path)
-        super().append(path)
-
-    def extend(self, paths):
-        for p in paths:
-            self.append(p)
-
-
-def _remove_partial(outputs, pre_existing):
-    for path in outputs:
-        if path in pre_existing:
-            continue
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import re
 import string
 from dataclasses import dataclass, field
 
+from . import files
 from .errors import DataError
 from .tagging import OUTSIDE, Span, tags_to_spans
 
@@ -97,11 +98,7 @@ class AttributeVocab:
 
     @classmethod
     def load(cls, path) -> "AttributeVocab":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read attribute vocabulary {path}: {e}")
+        raw = files.read_json(path, "attribute vocabulary")
         if not isinstance(raw, list):
             raise DataError(f"attribute vocabulary {path} must be a JSON list")
         entries = []
@@ -113,9 +110,7 @@ class AttributeVocab:
 
     def save(self, path):
         rows = [{"id": a, "phrase": p} for a, p in self._entries]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        files.write_json(path, rows, indent=2)
 
 
 def attribute_phrase(attr_id: str) -> str:
@@ -311,24 +306,17 @@ def load_products(path):
     products = []
     malformed = []
     seen_ids = set()
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read corpus {path}: {e}")
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                product = parse_product(json.loads(line))
-            except (json.JSONDecodeError, DataError) as e:
-                malformed.append((lineno, str(e)))
-                continue
-            if product.id in seen_ids:
-                malformed.append((lineno, f"duplicate product id {product.id!r}"))
-                continue
-            seen_ids.add(product.id)
-            products.append(product)
+    for lineno, line in files.read_lines(path, "corpus"):
+        try:
+            product = parse_product(json.loads(line))
+        except (json.JSONDecodeError, DataError) as e:
+            malformed.append((lineno, str(e)))
+            continue
+        if product.id in seen_ids:
+            malformed.append((lineno, f"duplicate product id {product.id!r}"))
+            continue
+        seen_ids.add(product.id)
+        products.append(product)
     return products, malformed
 
 
@@ -345,12 +333,8 @@ SPLITS = ("train", "dev", "test")
 
 
 def load_split_manifest(path) -> dict[str, list[str]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read split manifest {path}: {e}")
-    if not isinstance(raw, dict) or not all(k in raw for k in SPLITS):
+    raw = files.read_json(path, "split manifest")
+    if not isinstance(raw, dict) or not all(isinstance(raw.get(k), list) for k in SPLITS):
         raise DataError(f"split manifest {path} must map train/dev/test to id lists")
     manifest = {k: [str(i) for i in raw[k]] for k in SPLITS}
     all_ids = manifest["train"] + manifest["dev"] + manifest["test"]
@@ -377,7 +361,7 @@ def split_examples(examples, manifest) -> dict[str, list[LabeledExample]]:
 
 
 def save_labeled(path, examples):
-    with open(path, "w", encoding="utf-8") as fh:
+    with files.write(path) as fh:
         for ex in examples:
             row = {
                 "id": ex.product_id,
@@ -391,23 +375,16 @@ def save_labeled(path, examples):
 
 def load_labeled(path) -> list[LabeledExample]:
     examples = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read labeled file {path}: {e}")
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                tokens = tuple(Token(t, int(s), int(e)) for t, s, e in row["tokens"])
-                tags = tuple(row["tags"])
-                if len(tokens) != len(tags):
-                    raise DataError("token/tag length mismatch")
-                ex = LabeledExample(str(row["id"]), str(row["attribute"]),
-                                    tokens, tags, row.get("source_field", "title"))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError, DataError) as e:
-                raise DataError(f"{path}:{lineno}: bad labeled example: {e}")
-            examples.append(ex)
+    for lineno, line in files.read_lines(path, "labeled file"):
+        try:
+            row = json.loads(line)
+            tokens = tuple(Token(t, int(s), int(e)) for t, s, e in row["tokens"])
+            tags = tuple(row["tags"])
+            if len(tokens) != len(tags):
+                raise DataError("token/tag length mismatch")
+            ex = LabeledExample(str(row["id"]), str(row["attribute"]),
+                                tokens, tags, row.get("source_field", "title"))
+        except (KeyError, ValueError, TypeError, DataError) as e:
+            raise DataError(f"{path}:{lineno}: bad labeled example: {e}")
+        examples.append(ex)
     return examples

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .autodiff import Tensor, concat, matmul, sigmoid, stack_rows, tanh, row
 from .errors import DataError
 
@@ -23,27 +24,19 @@ def load_word_vectors(path) -> dict[str, np.ndarray]:
     """Read a text-format static vector file: token then floats, one per line."""
     vectors = {}
     dim = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read vector file {path}: {e}")
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip().split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise DataError(f"{path}:{lineno}: no vector components")
-            elif len(values) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(values)}")
-            try:
-                vectors[word] = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric vector component")
+    for lineno, line in files.read_lines(path, "vector file"):
+        word, *values = line.split()
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise DataError(f"{path}:{lineno}: no vector components")
+        elif len(values) != dim:
+            raise DataError(
+                f"{path}:{lineno}: expected {dim} components, got {len(values)}")
+        try:
+            vectors[word] = np.array(values, dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric vector component")
     if not vectors:
         raise DataError(f"vector file {path} is empty")
     return vectors

@@ -13,6 +13,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
+from . import files
 from .corpus import span_text
 from .errors import DataError
 from .tagging import tags_to_spans
@@ -192,7 +193,7 @@ def stratify(report: MetricsReport, train_counts: dict, threshold: int = 1000) -
 
 def dump_predictions(path, results):
     """Per-example JSONL dump for error analysis."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with files.write(path) as fh:
         for res in results:
             fh.write(json.dumps({
                 "id": res.example_id,

@@ -1,0 +1,119 @@
+"""Every file avex reads or writes goes through this module.
+
+A file that cannot be read (missing, not UTF-8, not JSON) or written is
+a DataError.  Output is staged beside its target and renamed into place.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import secrets
+import sys
+from contextlib import contextmanager, suppress
+from pathlib import Path
+
+from .errors import DataError
+
+_staged = None  # (temporary, target) pairs of the open transaction, or None
+
+
+@contextmanager
+def _failing_as(message, *errors):
+    """Re-raise ``errors`` as DataError; ValueError covers not UTF-8 and not JSON."""
+    try:
+        yield
+    except errors as e:
+        raise DataError(f"{message}: {getattr(e, 'strerror', None) or e}") from e
+
+
+def read_binary(path, what) -> bytes:
+    with _failing_as(f"cannot read {what} {path}", OSError), open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_json(path, what):
+    with _failing_as(f"cannot read {what} {path}", OSError, ValueError), \
+            open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_lines(path, what):
+    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 file."""
+    with _failing_as(f"cannot read {what} {path}", OSError, ValueError), \
+            open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                yield lineno, line
+
+
+@contextmanager
+def write(path, binary=False):
+    """A file handle whose contents replace ``path`` once the block succeeds.
+
+    The data is fsynced in a new file beside ``path`` (with the umask's
+    permissions) and renamed over it when the enclosing transaction, or
+    this call's own, commits.  If the block raises, ``path`` is untouched.
+    """
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"cannot write {path}: it is a directory")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    with transaction(), _failing_as(f"cannot write {path}", OSError):
+        fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8")
+        try:
+            with fh:
+                yield fh
+                fh.flush()
+                os.fsync(fh.fileno())
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+        _staged.append((tmp, path))
+
+
+def write_json(path, obj, **dump_args):
+    """Write ``obj`` as JSON followed by a newline."""
+    with write(path) as fh:
+        json.dump(obj, fh, **dump_args)
+        fh.write("\n")
+
+
+@contextmanager
+def transaction():
+    """Rename every file written in the scope, in order, once it exits cleanly.
+
+    If the scope raises, the files are removed and no target changes.  A
+    transaction opened inside another joins it.
+    """
+    global _staged
+    if _staged is not None:
+        yield
+        return
+    _staged = []
+    try:
+        yield
+        for tmp, path in _staged:
+            with _failing_as(f"cannot write {path}", OSError):
+                os.replace(tmp, path)
+        _staged.clear()
+    finally:  # after a failed rename, those renamed before it are already gone
+        for tmp, _path in _staged:
+            with suppress(OSError):
+                os.unlink(tmp)
+        _staged = None
+
+
+def make_dir(path):
+    """Create directory ``path`` and its parents; no transaction undoes this."""
+    with _failing_as(f"cannot create directory {path}", OSError):
+        Path(path).mkdir(parents=True, exist_ok=True)
+
+
+def silence_stdout():
+    """Point stdout's descriptor at the null device once its reader has gone,
+    so that Python's flush at exit does not fail a second time."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)

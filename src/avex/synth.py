@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .corpus import AttributeVocab, Product, attribute_phrase, tokenize
 from .errors import DataError
 
@@ -39,6 +40,8 @@ class SynthAttribute:
     train_value_limit: int | None = None
 
     def validate(self):
+        if not all(isinstance(s, str) for s in self.values + self.templates):
+            raise DataError(f"values and templates of {self.id!r} must be strings")
         if not self.values:
             raise DataError(f"attribute {self.id!r} has no values")
         if not self.templates:
@@ -48,7 +51,8 @@ class SynthAttribute:
                 raise DataError(
                     f"template {tpl!r} for {self.id!r} lacks a {VALUE_SLOT} slot")
         if self.train_value_limit is not None and not (
-                1 <= self.train_value_limit <= len(self.values)):
+                type(self.train_value_limit) is int
+                and 1 <= self.train_value_limit <= len(self.values)):
             raise DataError(
                 f"train_value_limit for {self.id!r} must be in 1..{len(self.values)}")
         return self
@@ -78,11 +82,7 @@ class SynthSpec:
 
     @classmethod
     def load(cls, path) -> "SynthSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read synth spec {path}: {e}")
+        return cls.from_json(files.read_json(path, "synth spec"))
 
 
 @dataclass
@@ -138,14 +138,14 @@ def generate(spec: SynthSpec) -> SynthCorpus:
 def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, Path]:
     """Write corpus.jsonl, vocab.json, splits.json, and vectors.txt."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    files.make_dir(out)
     paths = {
         "corpus": out / "corpus.jsonl",
         "vocab": out / "vocab.json",
         "splits": out / "splits.json",
         "vectors": out / "vectors.txt",
     }
-    with open(paths["corpus"], "w", encoding="utf-8") as fh:
+    with files.write(paths["corpus"]) as fh:
         for p in corpus.products:
             fh.write(json.dumps({
                 "id": p.id,
@@ -154,10 +154,8 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, Path]:
                 "attributes": {a: list(vs) for a, vs in p.gold_values.items()},
             }, ensure_ascii=False) + "\n")
     corpus.vocab.save(paths["vocab"])
-    with open(paths["splits"], "w", encoding="utf-8") as fh:
-        json.dump(corpus.manifest, fh, indent=2)
-        fh.write("\n")
-    with open(paths["vectors"], "w", encoding="utf-8") as fh:
+    files.write_json(paths["splits"], corpus.manifest, indent=2)
+    with files.write(paths["vectors"]) as fh:
         for word, vec in corpus.vectors.items():
             fh.write(word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
     return paths

@@ -19,6 +19,7 @@ from types import GenericAlias
 
 import numpy as np
 
+from . import files
 from .attribute_embeddings import AttributeEmbeddingTable
 from .autodiff import Tensor, concat, reshape
 from .corpus import AttributeVocab
@@ -84,42 +85,45 @@ class TrainConfig:
         return cls(**kwargs).validate()
 
 
+# What each annotated field type accepts after coercion; bool is not an int.
+_ACCEPTS = {"int": int, "float": (int, float), "str": str}
+
+
 def _coerce(key, raw, typ):
     if key == "attributes":
         if raw is None or raw == "":
             return None
         if isinstance(raw, str):
             return tuple(a.strip() for a in raw.split(",") if a.strip()) or None
-        return tuple(str(a) for a in raw)
+        if not isinstance(raw, (list, tuple)) or not all(isinstance(a, str) for a in raw):
+            raise DataError(f"config key 'attributes' must be a list of strings, "
+                            f"got {raw!r:.60}")
+        return tuple(raw)
     if isinstance(raw, str):
         raw = raw.strip()
         try:
-            if typ == "int" or typ is int:
-                return int(raw)
-            if typ == "float" or typ is float:
-                return float(raw)
+            if typ == "int":
+                raw = int(raw)
+            elif typ == "float":
+                raw = float(raw)
         except ValueError:
             raise DataError(f"config key {key!r}: cannot parse {raw!r}")
-        return raw
+    if isinstance(raw, bool) or not isinstance(raw, _ACCEPTS[typ]):
+        raise DataError(f"config key {key!r} must be {typ}, got {raw!r:.60}")
     return raw
 
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment."""
     out = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read config file {path}: {e}")
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = text.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in files.read_lines(path, "config file"):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = text.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -321,7 +325,10 @@ def _vocab_hash(items) -> str:
 
 
 def save_checkpoint(stem, model) -> Path:
-    """Write ``<stem>.json`` (manifest) and ``<stem>.bin`` (f32 payload)."""
+    """Write ``<stem>.json`` (manifest) and ``<stem>.bin`` (f32 payload).
+
+    Neither replaces an earlier checkpoint at ``stem`` until both are written.
+    """
     stem = Path(stem)
     manifest_path = stem.with_suffix(".json")
     payload_path = stem.with_suffix(".bin")
@@ -358,12 +365,11 @@ def save_checkpoint(stem, model) -> Path:
         "payload_bytes": offset,
         "tensors": tensors,
     }
-    with open(payload_path, "wb") as fh:
-        for blob in blobs:
-            fh.write(blob)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-        fh.write("\n")
+    with files.transaction():
+        with files.write(payload_path, binary=True) as fh:
+            for blob in blobs:
+                fh.write(blob)
+        files.write_json(manifest_path, manifest, sort_keys=True)
     return manifest_path
 
 
@@ -422,11 +428,7 @@ def load_checkpoint(stem):
     """Rebuild a model from a manifest/payload pair."""
     stem = Path(stem)
     manifest_path = stem if stem.suffix == ".json" else stem.with_suffix(".json")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read checkpoint manifest {manifest_path}: {e}")
+    manifest = files.read_json(manifest_path, "checkpoint manifest")
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
@@ -441,10 +443,7 @@ def load_checkpoint(stem):
                                manifest.get("attribute_embeddings"))
 
     payload_path = manifest_path.with_name(manifest["payload_file"])
-    try:
-        payload = payload_path.read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint payload {payload_path}: {e}")
+    payload = files.read_binary(payload_path, "checkpoint payload")
     if len(payload) != manifest["payload_bytes"]:
         raise DataError(
             f"checkpoint payload {payload_path} is {len(payload)} bytes, "

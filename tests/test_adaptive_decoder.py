@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avex import autodiff as ad
 from avex.autodiff import Tensor
@@ -170,6 +172,16 @@ def test_log_partition_matches_brute_force():
             got = log_partition(P, T).item()
             want = brute_log_partition(P, T)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.01, 3.0))
+def test_log_partition_bounds_viterbi_score(n, seed, scale):
+    # log Z sums the best path's exp-score with every other path's.  The
+    # slack covers rounding only: viterbi re-adds its path in another order.
+    P, T = random_chain(np.random.default_rng(seed), n)
+    _path, best = viterbi(P * scale, T * scale)
+    assert log_partition(P * scale, T * scale).item() >= best - 1e-12 * (1 + abs(best))
 
 
 def test_chain_score_matches_brute_force_bitwise():

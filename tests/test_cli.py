@@ -1,12 +1,14 @@
 """End-to-end checks of the command-line pipeline on a tiny generated corpus."""
 
 import json
+import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
-from avex import cli, training
+from avex import cli, files, training
 from avex.attribute_embeddings import AttributeEmbeddingTable
 from avex.errors import DataError, NumericError
 
@@ -231,7 +233,8 @@ BAD_MANIFESTS = (
        ("attribute embeddings without d_r", lambda m: {
            **m, "attribute_embeddings": _without(m["attribute_embeddings"], "d_r")}),
        ("attribute embedding id not a string", lambda m: {
-           **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": [["x"]]}})])
+           **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": [["x"]]}}),
+       ("config value mistyped", lambda m: {**m, "config": {**m["config"], "d_h": [8]}})])
 
 
 @pytest.mark.parametrize("case", BAD_MANIFESTS, ids=[c[0] for c in BAD_MANIFESTS])
@@ -303,9 +306,10 @@ def test_failure_removes_new_outputs_only(pipeline, tmp_path, monkeypatch, capsy
     stale.write_text("stale", encoding="utf-8")
 
     def doomed_train(config, vocab, train, dev, **kw):
-        # Simulate a crash after the checkpoint files hit disk.
-        stem.with_suffix(".json").write_text("junk", encoding="utf-8")
-        stem.with_suffix(".bin").write_bytes(b"junk")
+        # Crash after both checkpoint files have been written.
+        for suffix in (".bin", ".json"):
+            with files.write(stem.with_suffix(suffix)) as fh:
+                fh.write("junk")
         raise DataError("boom")
 
     monkeypatch.setattr(cli.training, "train", doomed_train)
@@ -314,6 +318,8 @@ def test_failure_removes_new_outputs_only(pipeline, tmp_path, monkeypatch, capsy
     assert cli.main(args) == 2
     assert not stem.with_suffix(".bin").exists()  # newly created: removed
     assert stale.exists()  # pre-existing path: left alone
+    assert stale.read_text(encoding="utf-8") == "stale"  # ... with its bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 def test_numeric_failure_exits_3(pipeline, tmp_path, monkeypatch, capsys):
@@ -325,3 +331,210 @@ def test_numeric_failure_exits_3(pipeline, tmp_path, monkeypatch, capsys):
     args[args.index("--out") + 1] = str(tmp_path / "m")
     assert cli.main(args) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, backed by descriptor ``fd``."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_keeps_outputs(pipeline, tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        out = tmp_path / "labeled.jsonl"
+        rc = cli.main(["label", "--corpus", str(pipeline["data"] / "corpus.jsonl"),
+                       "--vocab", str(pipeline["data"] / "vocab.json"),
+                       "--out", str(out)])  # the report goes to stdout
+        assert rc == 0
+        assert out.read_bytes() == pipeline["labeled"].read_bytes()
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+# -- every file input and output, broken ------------------------------------
+
+# Per command, an argv whose "{kind}" items are input files and whose
+# "@name" items are output paths under the case's out/ directory.
+FUZZ_COMMANDS = {
+    "label": ["label", "--corpus", "{corpus}", "--vocab", "{vocab}",
+              "--out", "@labeled.jsonl", "--report", "@report.json"],
+    "embed-uncontextualized": [
+        "embed", "--mode", "uncontextualized", "--labeled", "{labeled}",
+        "--vectors", "{vectors}", "--vocab", "{vocab}", "--out", "@table.jsonl"],
+    "embed-contextualized": ["embed", "--mode", "contextualized",
+                             "--instances", "{instances}", "--out", "@table.jsonl"],
+    "embed-random": ["embed", "--mode", "random", "--vocab", "{vocab}",
+                     "--out", "@table.jsonl"],
+    "train": ["train", "--corpus", "{corpus}", "--vocab", "{vocab}",
+              "--splits", "{splits}", "--vectors", "{vectors}",
+              "--embeddings", "{table}", "--config", "{config}",
+              "--out", "@model", "--report", "@train_report.json"],
+    "extract": ["extract", "--checkpoint", "{checkpoint}", "--attr", "Scent",
+                "--text", "rose scent"],
+    "eval": ["eval", "--checkpoint", "{checkpoint}", "--test", "{labeled}",
+             "--stratify", "10", "--train-counts", "{counts}",
+             "--dump", "@preds.jsonl"],
+    "param-count-checkpoint": ["param-count", "--checkpoint", "{checkpoint}"],
+    "param-count-config": ["param-count", "--config", "{config}"],
+    "synth": ["synth", "--spec", "{spec}", "--out-dir", "@data"],
+}
+# Outputs that exist before every case, some of them in the way.
+PRE_EXISTING = ("labeled.jsonl", "table.jsonl", "model.json", "preds.jsonl",
+                "data/corpus.jsonl", "adir/keep", "afile")
+WRONG_TYPE = {
+    "corpus": [b"[7]\n"],
+    "vocab": [b'{"id": "Scent"}', b"[7]", b'"Scent"'],
+    "splits": [b"[7]", b'{"train": 7, "dev": [], "test": []}'],
+    "vectors": [b"[7]\n"],
+    "labeled": [b"[7]\n", b'{"id": "p", "attribute": "Scent", "tokens": 7, "tags": []}\n'],
+    "table": [b"[7]\n", b'{"attribute": "Scent", "vec": "x"}\n'],
+    "instances": [b"[7]\n", b'{"attribute": "Scent", "name_vec": "x", "value_vec": [1]}\n'],
+    "config": [b"[7]\n", b"d_h = eight\n"],
+    "manifest": [b"[7]", b'"model.bin"'],
+    "payload": [],
+    "counts": [b"[7]", b'{"Scent": "many"}'],
+    "spec": [b"[7]", b'{"attributes": 7}',
+             b'{"attributes": [{"id": "A", "values": [1], "templates": ["<value> x"]}]}',
+             b'{"attributes": [{"id": "A", "values": ["v"], "templates": ["<value> x"],'
+             b' "train_value_limit": "1"}]}'],
+}
+# Contents the format accepts: label skips and reports malformed corpus
+# lines, an empty labeled file leaves every attribute's value half zero,
+# and an empty config file keeps every default.
+VALID_BY_DESIGN = {("label", "corpus", c) for c in ("empty", "truncated", "wrong type 0")} \
+    | {("embed-uncontextualized", "labeled", "empty")} \
+    | {(cmd, "config", "empty") for cmd in FUZZ_COMMANDS}
+
+
+def _corruptions(kind):
+    names = ["empty", "truncated"]
+    if kind != "payload":
+        names.append("not UTF-8")
+    return names + [f"wrong type {i}" for i in range(len(WRONG_TYPE[kind]))]
+
+
+def _kinds(argv):
+    for item in argv:
+        if item == "{checkpoint}":
+            yield from ("manifest", "payload")
+        elif item.startswith("{"):
+            yield item[1:-1]
+
+
+FUZZ_CASES = [(command, kind, corruption)
+              for command, argv in FUZZ_COMMANDS.items()
+              for kind in _kinds(argv)
+              for corruption in _corruptions(kind)
+              if (command, kind, corruption) not in VALID_BY_DESIGN]
+
+
+def _corrupt(valid, kind, corruption):
+    if corruption == "empty":
+        return b""
+    # Cut after the last space before the middle, so that the record cut
+    # short lacks whole fields.  The corpus is cut inside its first line,
+    # because label keeps every whole product line before a broken one.
+    middle = len(valid.split(b"\n")[0]) // 2 if kind == "corpus" else len(valid) // 2
+    cut = valid.rfind(b" ", 0, middle) + 1
+    if corruption == "truncated":
+        return valid[:cut]
+    if corruption == "not UTF-8":
+        return valid[:cut] + b"\xff" + valid[cut:]
+    return WRONG_TYPE[kind][int(corruption.rsplit(" ", 1)[1])]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(pipeline):
+    """A valid file of every kind the commands read."""
+    root, data = pipeline["root"], pipeline["data"]
+    instances = root / "instances.jsonl"
+    instances.write_text(
+        '{"attribute": "Scent", "name_vec": [1, 0], "value_vec": [0, 1]}\n'
+        '{"attribute": "Color", "name_vec": [0, 1], "value_vec": [1, 1]}\n',
+        encoding="utf-8")
+    counts = root / "counts.json"
+    counts.write_text('{"Scent": 20, "Color": 2}', encoding="utf-8")
+    return {"corpus": data / "corpus.jsonl", "vocab": data / "vocab.json",
+            "splits": data / "splits.json", "vectors": data / "vectors.txt",
+            "labeled": pipeline["labeled"], "table": pipeline["table"],
+            "instances": instances, "config": pipeline["config"],
+            "checkpoint": pipeline["stem"], "counts": counts, "spec": pipeline["spec"]}
+
+
+def _snapshot(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def _assert_fails_cleanly(argv, inputs, out, capsys):
+    """Run ``argv``; it must fail with a documented code and touch no output."""
+    for name in PRE_EXISTING:
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_bytes(b"old\n")
+    before = _snapshot(out)
+    argv = [str(inputs[a[1:-1]]) if a.startswith("{")
+            else str(out / a[1:]) if a.startswith("@") else a for a in argv]
+    rc = cli.main(argv)  # anything it raises fails the test
+    err = capsys.readouterr().err
+    assert rc in (1, 2, 3), err
+    assert "Traceback" not in err
+    assert _snapshot(out) == before
+    return rc, err
+
+
+@pytest.mark.parametrize("command,kind,corruption", FUZZ_CASES,
+                         ids=["-".join(c) for c in FUZZ_CASES])
+def test_broken_input_fails_cleanly(fuzz_inputs, tmp_path, capsys,
+                                    command, kind, corruption):
+    inputs = dict(fuzz_inputs)
+    if kind in ("manifest", "payload"):
+        stem = tmp_path / "in" / "model"
+        stem.parent.mkdir()
+        for suffix in (".json", ".bin"):
+            shutil.copy(inputs["checkpoint"].with_suffix(suffix), stem.with_suffix(suffix))
+        inputs["checkpoint"] = stem
+        broken = stem.with_suffix(".json" if kind == "manifest" else ".bin")
+        valid = broken.read_bytes()
+    else:
+        valid = inputs[kind].read_bytes()
+        broken = inputs[kind] = tmp_path / f"broken-{kind}"
+    broken.write_bytes(_corrupt(valid, kind, corruption))
+    rc, err = _assert_fails_cleanly(FUZZ_COMMANDS[command], inputs, tmp_path / "out",
+                                    capsys)
+    if corruption == "not UTF-8":
+        assert rc == 2 and "avex: data error" in err
+
+
+# (command, output item, replacement that cannot be written)
+UNWRITABLE = [
+    ("label", "@labeled.jsonl", "@missing/labeled.jsonl"),
+    ("label", "@report.json", "@adir"),
+    ("embed-random", "@table.jsonl", "@missing/table.jsonl"),
+    ("train", "@model", "@missing/model"),
+    ("train", "@train_report.json", "@adir"),
+    ("eval", "@preds.jsonl", "@adir"),
+    ("synth", "@data", "@afile/data"),
+]
+
+
+@pytest.mark.parametrize("command,item,replacement", UNWRITABLE,
+                         ids=[f"{c}-{r[1:]}" for c, _, r in UNWRITABLE])
+def test_unwritable_output_fails_cleanly(fuzz_inputs, tmp_path, capsys,
+                                         command, item, replacement):
+    argv = [replacement if a == item else a for a in FUZZ_COMMANDS[command]]
+    rc, err = _assert_fails_cleanly(argv, fuzz_inputs, tmp_path / "out", capsys)
+    assert rc == 2 and "cannot" in err

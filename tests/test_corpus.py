@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avex.corpus import (
     AttributeVocab,
@@ -50,6 +52,12 @@ def test_tokenize_interior_punctuation_stays_attached():
 
 def test_tokenize_all_punct_chunk():
     assert [t.text for t in tokenize("a // b")] == ["a", "/", "/", "b"]
+
+
+@given(st.text())
+def test_tokenize_offsets_index_the_source(text):
+    for t in tokenize(text):
+        assert text[t.start:t.end] == t.text
 
 
 def test_tokenize_empty_and_whitespace():

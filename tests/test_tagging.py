@@ -37,6 +37,19 @@ def test_single_token_value_is_lone_b():
     assert tags_to_spans(["O", "O", "O", "B", "O"]) == {Span(3, 3)}
 
 
+@given(layout=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), max_size=8),
+       tail=st.integers(0, 3))
+def test_spans_tags_round_trip(layout, tail):
+    # Each (gap, width) places one span ``gap`` tokens after the last.
+    spans, end = set(), 0
+    for gap, width in layout:
+        spans.add(Span(end + gap, end + gap + width - 1))
+        end += gap + width
+    tags = spans_to_tags(spans, end + tail)
+    assert is_valid(tags)
+    assert tags_to_spans(tags) == spans
+
+
 def test_spans_to_tags_rejects_overlap():
     with pytest.raises(ValueError):
         spans_to_tags({Span(0, 2), Span(2, 3)}, 6)

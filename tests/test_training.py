@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from avex import files
 from avex.autodiff import Tensor
 from avex.corpus import (
     AttributeVocab,
@@ -380,6 +381,27 @@ def test_checkpoint_save_load_idempotent(tmp_path):
     save_checkpoint(tmp_path / "two", loaded)
     assert (tmp_path / "one.bin").read_bytes() == \
         (tmp_path / "two.bin").read_bytes()
+
+
+def test_checkpoint_save_failure_keeps_earlier_pair(tmp_path, monkeypatch):
+    *_, model = run_micro_train()
+    stem = tmp_path / "model"
+    save_checkpoint(stem, model)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_write = files.write
+
+    def manifest_fails(path, binary=False):
+        if path.suffix == ".json":  # the payload is already staged
+            raise DataError("disk full")
+        return real_write(path, binary)
+
+    monkeypatch.setattr(files, "write", manifest_fails)
+    for _name, t in model.params.items():
+        t.data = t.data + 1.0
+    with pytest.raises(DataError, match="disk full"):
+        save_checkpoint(stem, model)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    load_checkpoint(stem)
 
 
 def test_checkpoint_truncated_payload_rejected(tmp_path):
