@@ -6,7 +6,8 @@ emission projection (W, b), and a softmax-gated mixture of expert
 matrices produces the transition table T.  Chain scoring itself has no
 start/stop states: a sequence's score is the sum of its transition and
 emission terms, and the partition function comes from the standard
-forward recursion in log space.
+forward recursion in log space.  The NLL is a single graph node whose
+gradient comes from forward-backward: marginals minus the path's counts.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from .autodiff import (
     Tensor,
     as_tensor,
-    col,
-    logsumexp,
+    fused,
     matmul,
     pick,
     reshape,
@@ -159,19 +159,71 @@ def chain_score(P, T, z) -> Tensor:
     return trans + emit
 
 
-def log_partition(P, T) -> Tensor:
-    """Log of the summed exponentiated scores over all tag paths."""
-    P, T, m = _check_chain(P, T)
-    n = P.data.shape[1]
-    alpha = col(P, 0)
+def _logsumexp(x, axis=None):
+    m = np.max(x, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
+
+
+def _forward(P, T):
+    """Forward variables alpha (n, m) in log space, and log Z."""
+    n = P.shape[1]
+    alpha = np.empty((n, P.shape[0]))
+    alpha[0] = P[:, 0]
     for i in range(1, n):
-        alpha = logsumexp(reshape(alpha, (m, 1)) + T, axis=0) + col(P, i)
-    return logsumexp(alpha)
+        alpha[i] = _logsumexp(alpha[i - 1][:, None] + T, axis=0) + P[:, i]
+    return alpha, _logsumexp(alpha[-1])
+
+
+def _marginals(P, T, alpha, log_z):
+    """Tag marginals (m, n) and expected transition counts (m, m).
+
+    The backward variables complete forward-backward; the pairwise
+    marginals of all positions are summed in one vectorized pass.
+    """
+    n, m = alpha.shape
+    beta = np.zeros((n, m))
+    for i in range(n - 2, -1, -1):
+        beta[i] = _logsumexp(T + (P[:, i + 1] + beta[i + 1]), axis=1)
+    unary = np.exp(alpha + beta - log_z).T
+    pair = np.exp(alpha[:-1, :, None] + T + (P.T[1:] + beta[1:])[:, None, :]
+                  - log_z).sum(axis=0)
+    return unary, pair
+
+
+def log_partition(P, T) -> Tensor:
+    """Log of the summed exponentiated scores over all tag paths.
+
+    One graph node; its gradient is the tag and transition marginals.
+    """
+    P, T, _ = _check_chain(P, T)
+    alpha, log_z = _forward(P.data, T.data)
+
+    def vjp(g):
+        return [g * part for part in _marginals(P.data, T.data, alpha, log_z)]
+
+    return fused(log_z, (P, T), vjp)
 
 
 def chain_nll(P, T, z) -> Tensor:
-    """Negative log-likelihood of a tag path (nonnegative up to rounding)."""
-    return log_partition(P, T) - chain_score(P, T, z)
+    """Negative log-likelihood of a tag path (nonnegative up to rounding).
+
+    One graph node: log Z minus the path's score.  Its gradient is the
+    marginals minus the path's one-hot tags for P, and the expected
+    minus the path's transition counts for T.
+    """
+    P, T, m = _check_chain(P, T)
+    n = P.data.shape[1]
+    z = _check_indices(z, m, n)
+    alpha, log_z = _forward(P.data, T.data)
+
+    def vjp(g):
+        unary, pair = _marginals(P.data, T.data, alpha, log_z)
+        unary[z, np.arange(n)] -= 1.0
+        np.subtract.at(pair, (z[:-1], z[1:]), 1.0)
+        return g * unary, g * pair
+
+    return fused(np.asarray(log_z - path_score(P.data, T.data, z)), (P, T), vjp)
 
 
 def path_score(P, T, z) -> float:

@@ -28,9 +28,8 @@ __all__ = [
     "softmax",
     "logsumexp",
     "row",
-    "col",
     "pick",
-    "stack_rows",
+    "fused",
     "grad_check",
     "GradCheckReport",
 ]
@@ -324,22 +323,21 @@ def transpose(t) -> Tensor:
     return out
 
 
-def stack_rows(vectors) -> Tensor:
-    """Stack equal-length vectors into a matrix, one vector per row."""
-    vs = [as_tensor(v) for v in vectors]
-    return concat([reshape(v, (1, v.data.shape[0])) for v in vs], axis=0)
-
-
 # -- indexing ----------------------------------------------------------------
 
 
-def row(t, index: int) -> Tensor:
-    """Select along the first axis (embedding row lookup)."""
+def row(t, index) -> Tensor:
+    """Select along the first axis (an embedding lookup).
+
+    An int picks one row; a sequence of ints stacks the picked rows.
+    Repeated indices are allowed; their gradients accumulate.
+    """
     t = as_tensor(t)
     n = t.data.shape[0]
-    if not 0 <= index < n:
+    idx = np.asarray(index, dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"row: index {index} out of range for first axis {n}")
-    data = np.asarray(t.data[index])
+    data = t.data[idx] if idx.ndim else np.asarray(t.data[int(idx)])
     out = _node(data, t)
     if out.requires_grad:
 
@@ -348,29 +346,7 @@ def row(t, index: int) -> Tensor:
                 return
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
-            t.grad[index] += g
-
-        out._backward = backward
-    return out
-
-
-def col(t, index: int) -> Tensor:
-    """Select one column of a matrix."""
-    t = as_tensor(t)
-    if t.data.ndim != 2:
-        raise ShapeError(f"col: expected a matrix, got shape {t.data.shape}")
-    n = t.data.shape[1]
-    if not 0 <= index < n:
-        raise ShapeError(f"col: index {index} out of range for second axis {n}")
-    out = _node(t.data[:, index].copy(), t)
-    if out.requires_grad:
-
-        def backward(g):
-            if not t.requires_grad:
-                return
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[:, index] += g
+            np.add.at(t.grad, idx, g)
 
         out._backward = backward
     return out
@@ -400,6 +376,26 @@ def pick(t, rows_index, cols_index) -> Tensor:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             np.add.at(t.grad, (r, c), g)
+
+        out._backward = backward
+    return out
+
+
+def fused(data, parents, vjp) -> Tensor:
+    """A node computed outside the engine, with a hand-written backward.
+
+    ``vjp(g)`` receives the output gradient and returns one gradient (or
+    None) per parent, in order.  It runs only during backward, so work
+    that only the gradient needs belongs inside it.
+    """
+    parents = tuple(parents)
+    out = _node(data, *parents)
+    if out.requires_grad:
+
+        def backward(g):
+            for p, gp in zip(parents, vjp(g)):
+                if gp is not None:
+                    _accum(p, gp)
 
         out._backward = backward
     return out

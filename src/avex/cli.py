@@ -117,14 +117,16 @@ def _cmd_label(args):
     vocab = corpus.AttributeVocab.load(args.vocab)
     examples, report = corpus.build_corpus_from_file(
         args.corpus, vocab, args.setting, args.include_negatives)
+    for lineno, reason in report.malformed_lines:
+        print(f"warning: {args.corpus}:{lineno}: {reason}", file=sys.stderr)
+    if not report.products:
+        raise DataError(f"corpus {args.corpus} holds no valid product line")
     corpus.save_labeled(args.out, examples)
     payload = report.to_json()
     if args.report:
         files.write_json(args.report, payload, indent=2)
     else:
         print(json.dumps(payload, indent=2))
-    for lineno, reason in report.malformed_lines:
-        print(f"warning: {args.corpus}:{lineno}: {reason}", file=sys.stderr)
 
 
 def _cmd_embed(args):

@@ -3,7 +3,9 @@
 The encoder turns a token sequence into one hidden vector per position:
 a trainable embedding lookup feeds two LSTM passes (left-to-right and
 right-to-left) whose states are concatenated, so the per-position size
-is the combined width of both directions.
+is the combined width of both directions.  Each pass is one autodiff
+node that runs the recurrence in numpy and backpropagates through time
+by hand.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import files
-from .autodiff import Tensor, concat, matmul, sigmoid, stack_rows, tanh, row
+from .autodiff import Tensor, as_tensor, concat, fused, row
 from .errors import DataError
 
 PAD = "<pad>"
@@ -95,8 +97,9 @@ class WordEmbeddingTable:
             i = self.stoi[UNK]
         return i
 
-    def embed(self, token_texts) -> list[Tensor]:
-        return [row(self.matrix, self.index(t)) for t in token_texts]
+    def embed(self, token_texts) -> Tensor:
+        """The tokens' rows as one (n, d_word) matrix."""
+        return row(self.matrix, [self.index(t) for t in token_texts])
 
 
 @dataclass
@@ -121,43 +124,75 @@ class LstmCell:
                 self.b_i, self.b_f, self.b_o, self.b_g]
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, cell: LstmCell):
-    """One recurrence step; returns the next (h, c)."""
-    xh = concat([x, h])
-    i = sigmoid(matmul(cell.w_i, xh) + cell.b_i)
-    f = sigmoid(matmul(cell.w_f, xh) + cell.b_f)
-    o = sigmoid(matmul(cell.w_o, xh) + cell.b_o)
-    g = tanh(matmul(cell.w_g, xh) + cell.b_g)
-    c_next = f * c + i * g
-    h_next = o * tanh(c_next)
-    return h_next, c_next
+def lstm_layer(X, cell: LstmCell, reverse: bool = False) -> Tensor:
+    """Hidden states (n, h) of one LSTM direction over the rows of X.
 
+    One graph node: the input projection of every position is a single
+    (n, d) @ (d, 4h) product, the recurrence is a numpy loop, and the
+    backward is backpropagation through time whose weight gradient is a
+    single (4h, n) @ (n, d + h) product.  The state starts at zero; with
+    ``reverse`` the rows are read from last to first, and the states
+    still come back in input order.
+    """
+    X = as_tensor(X)
+    n, d = X.data.shape
+    if n == 0:
+        raise ValueError("an LSTM layer needs a non-empty input sequence")
+    k = cell.hidden_size
+    weights = cell.tensors()
+    xs = X.data[::-1] if reverse else X.data
+    # sigmoid(a) = (tanh(a / 2) + 1) / 2: halving the i, f and o rows
+    # (exact in binary) lets one tanh produce all four gates per step.
+    scale = np.ones((4 * k, 1))
+    scale[:3 * k] = 0.5
+    W = np.concatenate([w.data for w in weights[:4]])
+    W_h = W[:, d:] * scale
+    gates = (xs @ W[:, :d].T + np.concatenate([b.data for b in weights[4:]])) * scale.T
+    C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
+    h, c = np.zeros(k), np.zeros(k)
+    for t in range(n):
+        a = gates[t]
+        a += W_h @ h
+        np.tanh(a, out=a)
+        a[:3 * k] *= 0.5
+        a[:3 * k] += 0.5
+        c = np.multiply(a[k:2 * k], c, out=C[t])
+        c += a[:k] * a[3 * k:]
+        np.tanh(c, out=TC[t])
+        h = np.multiply(a[2 * k:3 * k], TC[t], out=H[t])
 
-def run_lstm(xs, cell: LstmCell, reverse: bool = False) -> list[Tensor]:
-    """Hidden state at every position, starting from zero states."""
-    hidden = cell.hidden_size
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    states = []
-    for x in (reversed(xs) if reverse else xs):
-        h, c = lstm_step(x, h, c, cell)
-        states.append(h)
-    if reverse:
-        states.reverse()
-    return states
+    def vjp(g):
+        I, F, O, G = (gates[:, j * k:(j + 1) * k] for j in range(4))
+        C_prev = np.vstack([np.zeros((1, k)), C[:-1]])
+        H_prev = np.vstack([np.zeros((1, k)), H[:-1]])
+        # d(pre-activation) per gate = (dc, dc, dh, dc) * local[t].
+        local = np.hstack([G * I * (1 - I), C_prev * F * (1 - F),
+                           TC * O * (1 - O), I * (1 - G * G)])
+        dc_dh = O * (1 - TC * TC)
+        # Rebuilt here rather than captured: a batch's graph outlives the
+        # forward, and a per-call weight copy would stay alive with it.
+        W = np.concatenate([w.data for w in weights[:4]])
+        W_h = W[:, d:]
+        F_next = np.vstack([F[1:], np.zeros((1, k))])
+        gs = g[::-1] if reverse else g
+        dA = np.empty((n, 4 * k))
+        dh_next, dc = np.zeros(k), np.zeros(k)
+        for t in range(n - 1, -1, -1):
+            dh = gs[t] + dh_next
+            dc = dc * F_next[t] + dh * dc_dh[t]
+            np.multiply(local[t], np.concatenate((dc, dc, dh, dc)), out=dA[t])
+            dh_next = dA[t] @ W_h
+        dW = dA.T @ np.hstack([xs, H_prev])
+        dX = dA @ W[:, :d]
+        return ((dX[::-1] if reverse else dX),
+                *np.split(dW, 4), *np.split(dA.sum(axis=0), 4))
 
-
-def bilstm(xs, forward_cell: LstmCell, backward_cell: LstmCell) -> list[Tensor]:
-    """Concatenated forward/backward states, one per input position."""
-    if not xs:
-        raise ValueError("bilstm requires a non-empty input sequence")
-    fwd = run_lstm(xs, forward_cell)
-    bwd = run_lstm(xs, backward_cell, reverse=True)
-    return [concat([f, b]) for f, b in zip(fwd, bwd)]
+    return fused(H[::-1] if reverse else H, (X, *weights), vjp)
 
 
 def encode_matrix(token_texts, table: WordEmbeddingTable,
                   forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
-    """Stack the encoder states into an (n, d_h) matrix."""
-    xs = table.embed(token_texts)
-    return stack_rows(bilstm(xs, forward_cell, backward_cell))
+    """Encoder states as an (n, d_h) matrix: both directions side by side."""
+    X = table.embed(token_texts)
+    return concat([lstm_layer(X, forward_cell),
+                   lstm_layer(X, backward_cell, reverse=True)], axis=1)

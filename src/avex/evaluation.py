@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import files
 from .corpus import span_text
 from .errors import DataError
+from .models import decoder_scope
 from .tagging import tags_to_spans
 
 log = logging.getLogger(__name__)
@@ -117,11 +118,13 @@ def gold_value_strings(example) -> set[str]:
 
 
 def collect_results(model, examples) -> list[ExtractionResult]:
+    """Decode every example in one pass that generates each decoder once."""
     results = []
-    for ex in sorted(examples, key=lambda e: (e.product_id, e.attribute)):
-        predicted = extract(model, ex.token_texts(), ex.attribute)
-        results.append(ExtractionResult(
-            ex.product_id, ex.attribute, predicted, gold_value_strings(ex)))
+    with decoder_scope():
+        for ex in sorted(examples, key=lambda e: (e.product_id, e.attribute)):
+            predicted = extract(model, ex.token_texts(), ex.attribute)
+            results.append(ExtractionResult(
+                ex.product_id, ex.attribute, predicted, gold_value_strings(ex)))
     return results
 
 

@@ -6,8 +6,9 @@ parameters and fills in a resolver, attribute -> (word table, forward
 cell, backward cell, decoder):
 
   - "adatag": one shared encoder; each attribute's decoder is generated
-    from its frozen embedding on every call (a hypernetwork for the
-    emissions, a gated mixture of expert matrices for the transitions).
+    from its frozen embedding (a hypernetwork for the emissions, a gated
+    mixture of expert matrices for the transitions), once per
+    ``decoder_scope`` and otherwise on every call.
     "adatag_random_emb" swaps in a trainable random embedding table.
   - "bilstm_multicrf": the shared encoder and one explicit CRF per
     attribute.
@@ -27,10 +28,16 @@ resolve, encode and score emissions the same way and end in
 ``chain_nll`` or ``viterbi``.  A model also exposes ``params``, the
 registry that the optimizer and the checkpoint writer read, and
 ``prepare_examples``, the adaptor's view of the training set.
+
+A training batch and an evaluation pass each run inside one
+``decoder_scope``, so every example of an attribute shares one generated
+decoder: its graph nodes, and the hypernetwork product behind them, are
+built once per attribute rather than once per example.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +74,28 @@ VARIANTS = (
 )
 
 SHARED_SCOPE = "shared"
+
+# (model, attribute) -> generated decoder, while a decoder_scope is open.
+_scoped_decoders: dict | None = None
+
+
+@contextmanager
+def decoder_scope():
+    """Generate each attribute's decoder at most once inside the block.
+
+    Everything scored in the block shares those decoders' graph nodes, so
+    a scope must end before the parameters change: one batch's loss and
+    backward, or one evaluation pass.  A nested scope joins the outer one.
+    """
+    global _scoped_decoders
+    if _scoped_decoders is not None:
+        yield
+        return
+    _scoped_decoders = {}
+    try:
+        yield
+    finally:
+        _scoped_decoders = None
 
 
 class ModelParams:
@@ -229,7 +258,7 @@ class Model:
                                    add(f"{prefix}/T", _uniform(rng, (m, m), m), group))
 
         # attribute -> (word table, forward cell, backward cell, decoder);
-        # a None decoder is generated from the attribute embedding per call.
+        # a None decoder is generated from the attribute embedding.
         self._resolver: dict[str, tuple] = {}
         if config.variant == "per_attribute":
             for a in ids:
@@ -305,7 +334,12 @@ class Model:
         except KeyError:
             raise DataError(f"unknown attribute {attribute!r}")
         if dec is None:
-            dec = build_decoder(self.hyper, self.moe, self.attribute_vector(attribute))
+            key = (self, attribute)
+            scope = {} if _scoped_decoders is None else _scoped_decoders
+            if key not in scope:
+                scope[key] = build_decoder(self.hyper, self.moe,
+                                           self.attribute_vector(attribute))
+            dec = scope[key]
         H = encode_matrix(token_texts, table, fwd, bwd)
         return emissions(H, dec.W, dec.b), dec.T
 

@@ -1,10 +1,11 @@
 """Training loop, optimizer, checkpoints, and parameter accounting.
 
-Batches average per-example NLLs; examples always go through the model
-one at a time, so no padding enters the loss.  Early stopping watches
-dev macro-F1 with a patience counter, and the best epoch's parameters
-are what ends up in the checkpoint.  All arithmetic is float64; only
-serialization rounds to float32.
+Batches average per-example NLLs.  Each example is scored as its own
+chain, so no padding enters the loss, and the examples of a batch share
+one decoder scope, so each attribute's decoder is generated once per
+batch.  Early stopping watches dev macro-F1 with a patience counter, and
+the best epoch's parameters are what ends up in the checkpoint.  All
+arithmetic is float64; only serialization rounds to float32.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .autodiff import Tensor, concat, reshape
 from .corpus import AttributeVocab
 from .errors import DataError, NumericError
 from .evaluation import evaluate_model, macro
-from .models import SHARED_SCOPE, VARIANTS, build_variant, derive_word_itos
+from .models import (SHARED_SCOPE, VARIANTS, build_variant, decoder_scope,
+                     derive_word_itos)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -159,10 +161,11 @@ class Adam:
 
 
 def batch_loss(model, batch) -> Tensor:
-    """Mean NLL over a batch, each example processed individually."""
+    """Mean NLL over a batch; each attribute's decoder is generated once."""
     if not batch:
         raise DataError("empty batch")
-    losses = [reshape(model.loss(ex), (1,)) for ex in batch]
+    with decoder_scope():
+        losses = [reshape(model.loss(ex), (1,)) for ex in batch]
     return concat(losses).mean()
 
 

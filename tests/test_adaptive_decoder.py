@@ -27,8 +27,11 @@ from oracles import (
     all_path_scores,
     all_paths,
     brute_log_partition,
+    brute_marginals,
     brute_path_score,
     brute_viterbi,
+    path_counts,
+    recursive_log_partition,
 )
 
 
@@ -285,6 +288,80 @@ def test_chain_score_rejects_bad_paths():
 def test_check_chain_rejects_mismatched_transition():
     with pytest.raises(ValueError):
         log_partition(np.zeros((4, 2)), np.zeros((3, 3)))
+
+
+# -- the fused NLL and log-partition nodes -----------------------------------
+
+
+def _chain_grads(f, P, T):
+    P, T = Tensor(P, requires_grad=True), Tensor(T, requires_grad=True)
+    out = f(P, T)
+    out.backward()
+    return out, *(np.zeros_like(t.data) if t.grad is None else t.grad for t in (P, T))
+
+
+def test_chain_nll_is_one_graph_node():
+    rng = np.random.default_rng(13)
+    P, T = random_chain(rng, 5)
+    out, _, _ = _chain_grads(lambda P, T: chain_nll(P, T, [0, 1, 2, 3, 0]), P, T)
+    assert all(p._parents == () for p in out._parents)
+
+
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 10.0]))
+def test_chain_nll_gradient_is_marginals_minus_counts(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    P, T = random_chain(rng, n)
+    P, T = P * scale, T * scale
+    z = rng.integers(0, NUM_TAGS, size=n)
+    _, dP, dT = _chain_grads(lambda P, T: chain_nll(P, T, z), P, T)
+    unary, pair = brute_marginals(P, T)
+    onehot, counts = path_counts(z, NUM_TAGS)
+    np.testing.assert_allclose(dP, unary - onehot, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(dT, pair - counts, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_log_partition_gradient_is_marginals(n):
+    rng = np.random.default_rng(14 + n)
+    P, T = random_chain(rng, n)
+    _, dP, dT = _chain_grads(log_partition, P, T)
+    unary, pair = brute_marginals(P, T)
+    np.testing.assert_allclose(dP, unary, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dT, pair, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_log_partition_gradient_matches_recursion_reference(n):
+    rng = np.random.default_rng(16 + n)
+    P, T = random_chain(rng, n)
+    P, T = P * 3.0, T * 3.0
+    out, dP, dT = _chain_grads(log_partition, P, T)
+    ref, ref_dP, ref_dT = _chain_grads(recursive_log_partition, P, T)
+    assert out.item() == ref.item()
+    np.testing.assert_allclose(dP, ref_dP, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(dT, ref_dT, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_chain_nll_gradcheck(n):
+    rng = np.random.default_rng(20 + n)
+    P = Tensor(rng.normal(size=(NUM_TAGS, n)), requires_grad=True)
+    T = Tensor(rng.normal(size=(NUM_TAGS, NUM_TAGS)), requires_grad=True)
+    z = rng.integers(0, NUM_TAGS, size=n)
+    # A non-unit upstream gradient, so the op must scale by it.
+    report = ad.grad_check(lambda: chain_nll(P, T, z) * 1.7, {"P": P, "T": T},
+                           tolerance=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+def test_chain_nll_value_is_log_partition_minus_score():
+    rng = np.random.default_rng(15)
+    for n in (1, 3, 7):
+        P, T = random_chain(rng, n)
+        z = rng.integers(0, NUM_TAGS, size=n)
+        assert chain_nll(P, T, z).item() == \
+            log_partition(P, T).item() - chain_score(P, T, z).item()
 
 
 # -- gradients through the whole generated decoder ---------------------------

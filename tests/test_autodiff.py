@@ -51,14 +51,38 @@ def test_concat_reshape_transpose_grads():
     check(lambda: ad.mul(a.transpose(), a.transpose()).sum(), {"a": a})
 
 
-def test_stack_rows_row_col_grads():
+def test_row_grads():
     rng = np.random.default_rng(4)
-    a = leaf(rng.normal(size=(4,)))
-    b = leaf(rng.normal(size=(4,)))
     m = leaf(rng.normal(size=(3, 5)))
-    check(lambda: ad.stack_rows([a, b]).sum(), {"a": a, "b": b})
+    v = leaf(rng.normal(size=(4,)))
+    w = rng.normal(size=(4, 5))
     check(lambda: ad.row(m, 1).sum(), {"m": m})
-    check(lambda: ad.col(m, 3).sum(), {"m": m})
+    check(lambda: ad.mul(ad.row(v, 2), 3.0), {"v": v})
+    # A repeated row: its gradient must accumulate, not overwrite.
+    check(lambda: ad.mul(ad.row(m, [2, 0, 2, 1]), w).sum(), {"m": m})
+    m.grad = None
+    ad.row(m, [2, 0, 2]).sum().backward()
+    assert m.grad[:, 0].tolist() == [1.0, 0.0, 2.0]
+    with pytest.raises(ad.ShapeError):
+        ad.row(m, [0, 3])
+
+
+def test_fused_routes_vjp_gradients():
+    a = leaf([1.0, 2.0])
+    b = leaf([[3.0]])
+    c = Tensor([5.0])  # no gradient wanted: its slot is skipped
+
+    def vjp(g):
+        return g * 2 * b.data[0, 0] * a.data, g * np.full((1, 1), a.data @ a.data), None
+
+    out = ad.fused(np.asarray(a.data @ a.data * b.data[0, 0]), (a, b, c), vjp)
+    assert out._parents == (a, b, c)
+    ad.mul(out, 2.0).backward()
+    assert a.grad.tolist() == [12.0, 24.0]
+    assert b.grad.tolist() == [[10.0]]
+    assert c.grad is None
+    with ad.no_grad():
+        assert ad.fused(np.zeros(()), (a,), None)._parents == ()
 
 
 def test_pick_grad_with_duplicate_indices():

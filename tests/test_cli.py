@@ -100,6 +100,20 @@ def test_label_report_written(pipeline):
     assert report["dropped_pairs"] == 0
 
 
+def test_label_without_products_is_data_error(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('[7]\n{"id": "p"}\n', encoding="utf-8")
+    out = tmp_path / "lab.jsonl"
+    rc = cli.main(["label", "--corpus", str(bad),
+                   "--vocab", str(pipeline["data"] / "vocab.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{bad}:1: product row is not a JSON object" in err
+    assert f"{bad}:2: product row lacks 'title'" in err
+    assert "no valid product line" in err
+    assert not out.exists()
+
+
 def test_embed_table_loads(pipeline):
     table = AttributeEmbeddingTable.load(pipeline["table"])
     assert set(table.ids()) == {"Scent", "Color"}
@@ -412,11 +426,9 @@ WRONG_TYPE = {
              b'{"attributes": [{"id": "A", "values": ["v"], "templates": ["<value> x"],'
              b' "train_value_limit": "1"}]}'],
 }
-# Contents the format accepts: label skips and reports malformed corpus
-# lines, an empty labeled file leaves every attribute's value half zero,
-# and an empty config file keeps every default.
-VALID_BY_DESIGN = {("label", "corpus", c) for c in ("empty", "truncated", "wrong type 0")} \
-    | {("embed-uncontextualized", "labeled", "empty")} \
+# Contents the format accepts: an empty labeled file leaves every
+# attribute's value half zero, and an empty config file keeps every default.
+VALID_BY_DESIGN = {("embed-uncontextualized", "labeled", "empty")} \
     | {(cmd, "config", "empty") for cmd in FUZZ_COMMANDS}
 
 
@@ -515,7 +527,7 @@ def test_broken_input_fails_cleanly(fuzz_inputs, tmp_path, capsys,
     broken.write_bytes(_corrupt(valid, kind, corruption))
     rc, err = _assert_fails_cleanly(FUZZ_COMMANDS[command], inputs, tmp_path / "out",
                                     capsys)
-    if corruption == "not UTF-8":
+    if corruption == "not UTF-8" or (command, kind) == ("label", "corpus"):
         assert rc == 2 and "avex: data error" in err
 
 

@@ -8,14 +8,12 @@ from avex.encoder import (
     UNK,
     LstmCell,
     WordEmbeddingTable,
-    bilstm,
     encode_matrix,
     load_word_vectors,
-    lstm_step,
-    run_lstm,
+    lstm_layer,
 )
 from avex.errors import DataError
-from oracles import numeric_lstm_step
+from oracles import numeric_lstm_step, run_lstm
 
 
 def make_cell(rng, d_in, d_h, requires_grad=False):
@@ -107,85 +105,144 @@ def test_embedding_rejects_wrong_dim_vector():
 # -- LSTM recurrence ---------------------------------------------------------
 
 
-def test_lstm_step_matches_plain_numpy():
+def test_lstm_layer_matches_plain_numpy():
     rng = np.random.default_rng(1)
     cell = make_cell(rng, 3, 4)
-    x = Tensor(rng.normal(size=3))
-    h = Tensor(rng.normal(size=4))
-    c = Tensor(rng.normal(size=4))
-    h2, c2 = lstm_step(x, h, c, cell)
-    h_ref, c_ref = numeric_lstm_step(
-        x.data, h.data, c.data,
-        cell.w_i.data, cell.b_i.data, cell.w_f.data, cell.b_f.data,
-        cell.w_o.data, cell.b_o.data, cell.w_g.data, cell.b_g.data)
-    np.testing.assert_allclose(h2.data, h_ref, atol=1e-12)
-    np.testing.assert_allclose(c2.data, c_ref, atol=1e-12)
+    X = rng.normal(size=(5, 3))
+    H = lstm_layer(Tensor(X), cell).data
+    h, c = np.zeros(4), np.zeros(4)
+    for t in range(5):
+        h, c = numeric_lstm_step(
+            X[t], h, c,
+            cell.w_i.data, cell.b_i.data, cell.w_f.data, cell.b_f.data,
+            cell.w_o.data, cell.b_o.data, cell.w_g.data, cell.b_g.data)
+        np.testing.assert_allclose(H[t], h, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lstm_layer_matches_per_step_reference(n, reverse):
+    rng = np.random.default_rng(n)
+    cell = make_cell(rng, 3, 4)
+    X = rng.normal(size=(n, 3))
+    H = lstm_layer(Tensor(X), cell, reverse=reverse).data
+    ref = run_lstm([Tensor(x) for x in X], cell, reverse=reverse)
+    np.testing.assert_allclose(H, np.stack([r.data for r in ref]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_gradients_match_per_step_reference(reverse):
+    rng = np.random.default_rng(7)
+    cell = make_cell(rng, 3, 4, requires_grad=True)
+    X = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    weight = rng.normal(size=(6, 4))
+    leaves = [X, *cell.tensors()]
+
+    def grads(loss):
+        for t in leaves:
+            t.grad = None
+        loss.backward()
+        return [t.grad.copy() for t in leaves]
+
+    fused = grads((lstm_layer(X, cell, reverse=reverse) * weight).sum())
+    rows = [ad.row(X, i) for i in range(6)]
+    states = run_lstm(rows, cell, reverse=reverse)
+    ref = grads((ad.concat([ad.reshape(h, (1, 4)) for h in states]) * weight).sum())
+    for got, want in zip(fused, ref):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_gradients_check_out(reverse):
+    rng = np.random.default_rng(8)
+    cell = make_cell(rng, 3, 2, requires_grad=True)
+    X = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    weight = rng.normal(size=(4, 2))
+    params = {"X": X}
+    params.update({f"w{i}": t for i, t in enumerate(cell.tensors())})
+    report = ad.grad_check(
+        lambda: (lstm_layer(X, cell, reverse=reverse) * weight).sum(),
+        params, tolerance=1e-6)
+    assert report.passed, report.max_rel_error
 
 
 def test_lstm_zero_params_zero_input():
     zero = Tensor(np.zeros((2, 4)))
     zb = Tensor(np.zeros(2))
     cell = LstmCell(zero, zero, zero, zero, zb, zb, zb, zb)
-    h, c = lstm_step(Tensor(np.zeros(2)), Tensor(np.zeros(2)),
-                     Tensor(np.zeros(2)), cell)
-    np.testing.assert_array_equal(c.data, 0.0)
-    np.testing.assert_array_equal(h.data, 0.0)
+    H = lstm_layer(Tensor(np.zeros((3, 2))), cell)
+    np.testing.assert_array_equal(H.data, 0.0)
 
 
 def test_lstm_saturated_gates_carry_cell_state():
-    # Large forget / tiny input gate: the cell state should pass through
-    # essentially unchanged across steps.
+    # Open input and forget gates, then a closed input gate: the cell
+    # state written at the first step should pass through unchanged, so
+    # every later hidden state equals the first.
     d = 3
     big = 50.0
 
     def const(v, shape):
         return Tensor(np.full(shape, v))
 
+    w_i = np.zeros((d, 2 * d))
+    w_i[:, 0] = 2 * big  # input gate opens only while x[0] == 1
     cell = LstmCell(
-        w_i=const(0.0, (d, 2 * d)), w_f=const(0.0, (d, 2 * d)),
+        w_i=Tensor(w_i), w_f=const(0.0, (d, 2 * d)),
         w_o=const(0.0, (d, 2 * d)), w_g=const(0.0, (d, 2 * d)),
         b_i=const(-big, (d,)), b_f=const(big, (d,)),
-        b_o=const(0.0, (d,)), b_g=const(0.0, (d,)))
-    c0 = Tensor(np.array([0.3, -0.7, 1.1]))
-    h = Tensor(np.zeros(d))
-    c = c0
-    for _ in range(5):
-        h, c = lstm_step(Tensor(np.zeros(d)), h, c, cell)
-    np.testing.assert_allclose(c.data, c0.data, atol=1e-12)
+        b_o=const(0.0, (d,)), b_g=Tensor(np.array([0.3, -0.7, 1.1])))
+    X = np.zeros((6, d))
+    X[0, 0] = 1.0
+    H = lstm_layer(Tensor(X), cell).data
+    np.testing.assert_allclose(H[0], 0.5 * np.tanh(np.tanh([0.3, -0.7, 1.1])),
+                               atol=1e-12)
+    np.testing.assert_allclose(H[1:], np.broadcast_to(H[0], (5, d)), atol=1e-12)
 
 
-def test_run_lstm_reverse_processes_right_to_left():
+def test_lstm_layer_reverse_processes_right_to_left():
     rng = np.random.default_rng(2)
     cell = make_cell(rng, 2, 3)
-    xs = [Tensor(rng.normal(size=2)) for _ in range(4)]
-    fwd = run_lstm(xs, cell)
-    bwd = run_lstm(xs, cell, reverse=True)
-    rev = run_lstm(list(reversed(xs)), cell)
-    # Reverse pass over xs == forward pass over reversed xs, re-reversed.
-    for b, r in zip(bwd, reversed(rev)):
-        np.testing.assert_allclose(b.data, r.data, atol=1e-12)
-    assert len(fwd) == len(bwd) == 4
+    X = rng.normal(size=(4, 2))
+    bwd = lstm_layer(Tensor(X), cell, reverse=True).data
+    rev = lstm_layer(Tensor(X[::-1]), cell).data
+    # Reverse pass over X == forward pass over reversed X, re-reversed.
+    np.testing.assert_array_equal(bwd, rev[::-1])
+    assert bwd.shape == (4, 3)
 
 
 def test_bilstm_concatenates_directions():
     rng = np.random.default_rng(3)
+    table = WordEmbeddingTable.build(["red", "towel"], {}, 2, rng)
     f_cell = make_cell(rng, 2, 3)
     b_cell = make_cell(rng, 2, 3)
-    xs = [Tensor(rng.normal(size=2)) for _ in range(4)]
-    states = bilstm(xs, f_cell, b_cell)
-    fwd = run_lstm(xs, f_cell)
-    bwd = run_lstm(xs, b_cell, reverse=True)
-    for s, f, b in zip(states, fwd, bwd):
-        assert s.data.shape == (6,)
-        np.testing.assert_array_equal(s.data[:3], f.data)
-        np.testing.assert_array_equal(s.data[3:], b.data)
+    tokens = ["red", "towel", "set", "red"]
+    H = encode_matrix(tokens, table, f_cell, b_cell).data
+    X = table.embed(tokens)
+    assert H.shape == (4, 6)
+    np.testing.assert_array_equal(H[:, :3], lstm_layer(X, f_cell).data)
+    np.testing.assert_array_equal(H[:, 3:], lstm_layer(X, b_cell, reverse=True).data)
 
 
 def test_bilstm_rejects_empty_input():
     rng = np.random.default_rng(4)
+    table = WordEmbeddingTable.build(["red"], {}, 2, rng)
     cell = make_cell(rng, 2, 3)
     with pytest.raises(ValueError):
-        bilstm([], cell, cell)
+        encode_matrix([], table, cell, cell)
+
+
+def test_embed_gathers_rows_in_one_node():
+    rng = np.random.default_rng(9)
+    table = WordEmbeddingTable.build(["red", "towel"], {}, 3, rng)
+    X = table.embed(["towel", "red", "towel", "zebra"])
+    assert X.data.shape == (4, 3)
+    np.testing.assert_array_equal(
+        X.data, table.matrix.data[[table.stoi["towel"], table.stoi["red"],
+                                   table.stoi["towel"], table.stoi[UNK]]])
+    assert X._parents == (table.matrix,)
+    X.sum().backward()
+    assert table.matrix.grad[table.stoi["towel"]].tolist() == [2.0] * 3
+    assert table.matrix.grad[table.stoi[UNK]].tolist() == [1.0] * 3
 
 
 def test_encode_matrix_shape():

@@ -224,6 +224,72 @@ def test_batch_loss_empty_batch():
         batch_loss(ConstantLossModel([1.0]), [])
 
 
+def _adatag_batch():
+    corpus, by_split = micro_synth()
+    table = uncontextualized_table(corpus.vocab, by_split["train"], corpus.vectors)
+    cfg = micro_config()
+    itos = derive_word_itos(cfg.variant, by_split["train"])
+    model = build_variant(cfg, corpus.vocab, itos, attr_table=table,
+                          vectors=corpus.vectors)
+    train = by_split["train"]
+    return model, train[:6] + train[-6:], by_split["dev"]
+
+
+def _count_decoder_builds(monkeypatch) -> list:
+    from avex import models
+    calls = []
+    real = models.build_decoder
+    monkeypatch.setattr(models, "build_decoder",
+                        lambda hyper, moe, r: calls.append(r) or real(hyper, moe, r))
+    return calls
+
+
+def test_batch_loss_generates_each_decoder_once(monkeypatch):
+    model, batch, _ = _adatag_batch()
+    calls = _count_decoder_builds(monkeypatch)
+    attributes = {ex.attribute for ex in batch}
+    assert len(attributes) > 1 and len(batch) > len(attributes)
+    batch_loss(model, batch).backward()
+    assert len(calls) == len(attributes)
+    batch_loss(model, batch)
+    assert len(calls) == 2 * len(attributes)
+    model.loss(batch[0])  # outside a batch, each call generates its own
+    assert len(calls) == 2 * len(attributes) + 1
+
+
+def test_collect_results_generates_each_decoder_once(monkeypatch):
+    from avex.evaluation import collect_results
+    model, _, dev = _adatag_batch()
+    calls = _count_decoder_builds(monkeypatch)
+    results = collect_results(model, dev)
+    assert len(calls) == len({ex.attribute for ex in dev}) < len(results)
+    unshared = [model.predict_tags(ex.token_texts(), ex.attribute) for ex in dev[:3]]
+    assert len(calls) == len({ex.attribute for ex in dev}) + 3
+    assert all(len(tags) == len(ex.tokens) for tags, ex in zip(unshared, dev))
+
+
+def test_batch_gradient_is_sum_of_example_gradients():
+    model, batch, _ = _adatag_batch()
+    params = model.params.trainable()
+
+    def grads():
+        out = {name: t.grad.copy() for name, t in params.items()}
+        for t in params.values():
+            t.grad = None
+        return out
+
+    (batch_loss(model, batch) * len(batch)).backward()
+    together = grads()
+    summed = {name: np.zeros_like(t.data) for name, t in params.items()}
+    for ex in batch:
+        model.loss(ex).backward()
+        for name, g in grads().items():
+            summed[name] += g
+    for name in params:
+        np.testing.assert_allclose(together[name], summed[name], rtol=1e-12,
+                                   atol=1e-12, err_msg=name)
+
+
 def test_batch_loss_uniform_chain_value():
     # Untagged 2-token chain with all-zero parameters scores ln 16.
     import math
