@@ -20,13 +20,11 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "no_grad",
+    "grad_enabled",
     "as_tensor",
     "concat",
     "matmul",
-    "sigmoid",
-    "tanh",
     "softmax",
-    "logsumexp",
     "row",
     "pick",
     "fused",
@@ -57,23 +55,45 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph (False inside ``no_grad``)."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     """Dense float64 array plus an optional gradient slot.
 
     Leaves are built with the constructor (which copies its input, so a
     tensor never aliases caller-owned storage); interior nodes come out
-    of the ops below.  ``grad`` is lazily allocated during backward and
-    holds d(loss)/d(self) with the same shape as ``data``.
+    of the ops below.  ``grad`` is set during backward and holds
+    d(loss)/d(self) with the same shape as ``data``; it may share storage
+    with other gradients, so treat it as read-only.  ``version`` counts
+    assignments to ``data``, augmented ones such as ``t.data -= step``
+    included; caches built from a tensor compare it.  Writes into the
+    array (``t.data[...] = x``, numpy ``out=t.data``) do not bump it, so
+    those caches cannot see them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("_data", "version", "grad", "_owns_grad", "requires_grad",
+                 "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.array(data, dtype=np.float64)
+        self._data = np.array(data, dtype=np.float64)
+        self.version = 0
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+        self.version += 1
 
     @property
     def shape(self):
@@ -151,8 +171,10 @@ def as_tensor(value) -> Tensor:
 
 def _node(data, *parents) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = data
+    out._data = data
+    out.version = 0
     out.grad = None
+    out._owns_grad = False
     out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out._parents = tuple(parents) if out.requires_grad else ()
     out._backward = None
@@ -160,11 +182,25 @@ def _node(data, *parents) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    # The first gradient is stored as given when it has the layout that
+    # zeros_like(t.data) would have (a layout fixes the summation order of
+    # later reductions over it).  Closures may hand one array to several
+    # tensors, so a stored array is copied before anything is added to it.
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None and g.flags.c_contiguous and t.data.flags.c_contiguous:
+        t.grad, t._owns_grad = g, False
+    else:
+        _owned_grad(t)
+        t.grad += g
+
+
+def _owned_grad(t: Tensor) -> np.ndarray:
+    """``t.grad`` as an array ``t`` owns, for adding into in place."""
+    if t.grad is None or not t._owns_grad:
+        t.grad = np.zeros_like(t.data) if t.grad is None else t.grad.copy(order="K")
+        t._owns_grad = True
+    return t.grad
 
 
 def _topo_order(root: Tensor):
@@ -344,9 +380,7 @@ def row(t, index) -> Tensor:
         def backward(g):
             if not t.requires_grad:
                 return
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            np.add.at(t.grad, idx, g)
+            np.add.at(_owned_grad(t), idx, g)
 
         out._backward = backward
     return out
@@ -373,9 +407,7 @@ def pick(t, rows_index, cols_index) -> Tensor:
         def backward(g):
             if not t.requires_grad:
                 return
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            np.add.at(t.grad, (r, c), g)
+            np.add.at(_owned_grad(t), (r, c), g)
 
         out._backward = backward
     return out
@@ -404,37 +436,6 @@ def fused(data, parents, vjp) -> Tensor:
 # -- nonlinearities and reductions -------------------------------------------
 
 
-def sigmoid(t) -> Tensor:
-    t = as_tensor(t)
-    x = t.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
-    out = _node(data, t)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(t, g * data * (1.0 - data))
-
-        out._backward = backward
-    return out
-
-
-def tanh(t) -> Tensor:
-    t = as_tensor(t)
-    data = np.tanh(t.data)
-    out = _node(data, t)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(t, g * (1.0 - data * data))
-
-        out._backward = backward
-    return out
-
-
 def softmax(t) -> Tensor:
     """Softmax over a 1-d tensor (max-shifted for stability)."""
     t = as_tensor(t)
@@ -448,35 +449,6 @@ def softmax(t) -> Tensor:
 
         def backward(g):
             _accum(t, data * (g - np.dot(g, data)))
-
-        out._backward = backward
-    return out
-
-
-def logsumexp(t, axis: int | None = None) -> Tensor:
-    """log(sum(exp(t))) with the max-shift trick, over one axis or all."""
-    t = as_tensor(t)
-    x = t.data
-    if axis is None:
-        m = np.max(x)
-        data = np.asarray(m + np.log(np.sum(np.exp(x - m))))
-        out = _node(data, t)
-        if out.requires_grad:
-
-            def backward(g):
-                _accum(t, g * np.exp(x - data))
-
-            out._backward = backward
-        return out
-    m = np.max(x, axis=axis, keepdims=True)
-    kept = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    data = np.squeeze(kept, axis=axis)
-    out = _node(data, t)
-    if out.requires_grad:
-        weights = np.exp(x - kept)
-
-        def backward(g):
-            _accum(t, np.expand_dims(g, axis) * weights)
 
         out._backward = backward
     return out

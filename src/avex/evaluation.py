@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from . import files
 from .corpus import span_text
 from .errors import DataError
-from .models import decoder_scope
 from .tagging import tags_to_spans
 
 log = logging.getLogger(__name__)
@@ -118,13 +117,12 @@ def gold_value_strings(example) -> set[str]:
 
 
 def collect_results(model, examples) -> list[ExtractionResult]:
-    """Decode every example in one pass that generates each decoder once."""
+    """Decode every example, a product's attributes back to back."""
     results = []
-    with decoder_scope():
-        for ex in sorted(examples, key=lambda e: (e.product_id, e.attribute)):
-            predicted = extract(model, ex.token_texts(), ex.attribute)
-            results.append(ExtractionResult(
-                ex.product_id, ex.attribute, predicted, gold_value_strings(ex)))
+    for ex in sorted(examples, key=lambda e: (e.product_id, e.attribute)):
+        predicted = extract(model, ex.token_texts(), ex.attribute)
+        results.append(ExtractionResult(
+            ex.product_id, ex.attribute, predicted, gold_value_strings(ex)))
     return results
 
 

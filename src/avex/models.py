@@ -7,8 +7,7 @@ cell, backward cell, decoder):
 
   - "adatag": one shared encoder; each attribute's decoder is generated
     from its frozen embedding (a hypernetwork for the emissions, a gated
-    mixture of expert matrices for the transitions), once per
-    ``decoder_scope`` and otherwise on every call.
+    mixture of expert matrices for the transitions).
     "adatag_random_emb" swaps in a trainable random embedding table.
   - "bilstm_multicrf": the shared encoder and one explicit CRF per
     attribute.
@@ -29,10 +28,12 @@ resolve, encode and score emissions the same way and end in
 registry that the optimizer and the checkpoint writer read, and
 ``prepare_examples``, the adaptor's view of the training set.
 
-A training batch and an evaluation pass each run inside one
-``decoder_scope``, so every example of an attribute shares one generated
-decoder: its graph nodes, and the hypernetwork product behind them, are
-built once per attribute rather than once per example.
+A training batch runs inside one ``decoder_scope``, so every example of
+an attribute shares one generated decoder (its graph nodes and the
+hypernetwork product behind them).  Under ``no_grad`` the model keeps
+each generated decoder, and per encoder the states of the last text,
+until a parameter they read is written (``Tensor.version``).  Nothing is
+kept while gradients are on: ``grad_check`` perturbs parameters in place.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .adaptive_decoder import (
     viterbi,
 )
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
-from .autodiff import Tensor, no_grad, row
+from .autodiff import Tensor, grad_enabled, no_grad, row
 from .corpus import AttributeVocab, Token
 from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_matrix
 from .errors import DataError
@@ -236,6 +237,7 @@ class Model:
         self.adaptor = JointTags(vocab.ids()) if config.variant == "n_tag_sets" \
             else BioeTags()
         self._attr_info = None
+        self._cache: dict = {}  # key -> (stamp, value), see _reuse
         ids = vocab.ids()
         add = self.params.add
 
@@ -283,6 +285,10 @@ class Model:
                 self._make_generator(attr_table, rng)
                 decoders = dict.fromkeys(ids)
             self._resolver = {a: (*encoder, decoders[a]) for a in ids}
+        # attribute -> (key of its encoder in _cache, the tensors it reads)
+        self._encoder_reads = {
+            a: ((id(table), id(fwd), id(bwd)), (table.matrix, *fwd.tensors(), *bwd.tensors()))
+            for a, (table, fwd, bwd, _) in self._resolver.items()}
 
     def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
         """Attribute table, hypernetwork and transition mixture of adatag."""
@@ -310,6 +316,7 @@ class Model:
             add("moe/b_moe", _uniform(rng, (self.config.k,), d_r), "moe"),
             experts,
         )
+        self._generator_reads = (self.w_att, *self.hyper.tensors(), *self.moe.tensors())
 
     def word_vocabs(self):
         return {scope: list(t.itos) for scope, t in self.word_tables.items()}
@@ -327,6 +334,17 @@ class Model:
             raise DataError(f"unknown attribute {attribute!r}")
         return row(self.w_att, idx)
 
+    def _reuse(self, key, tensors, build, inputs=()):
+        """``build()``; under no_grad the result is kept for ``key`` until
+        one of ``tensors`` is written or ``inputs`` change."""
+        if grad_enabled():
+            return build()
+        stamp = (inputs, [t.version for t in tensors])
+        entry = self._cache.get(key)
+        if entry is None or entry[0] != stamp:
+            entry = self._cache[key] = (stamp, build())
+        return entry[1]
+
     def _scores(self, token_texts, attribute):
         """Emission matrix and transition table of one attribute's chain."""
         try:
@@ -337,10 +355,14 @@ class Model:
             key = (self, attribute)
             scope = {} if _scoped_decoders is None else _scoped_decoders
             if key not in scope:
-                scope[key] = build_decoder(self.hyper, self.moe,
-                                           self.attribute_vector(attribute))
+                scope[key] = self._reuse(
+                    attribute, self._generator_reads,
+                    lambda: build_decoder(self.hyper, self.moe,
+                                          self.attribute_vector(attribute)))
             dec = scope[key]
-        H = encode_matrix(token_texts, table, fwd, bwd)
+        H = self._reuse(*self._encoder_reads[attribute],
+                        lambda: encode_matrix(token_texts, table, fwd, bwd),
+                        tuple(token_texts))
         return emissions(H, dec.W, dec.b), dec.T
 
     def loss(self, example) -> Tensor:

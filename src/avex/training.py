@@ -150,14 +150,19 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, t in enumerate(self.tensors):
+        for t, m, v in zip(self.tensors, self._m, self._v):
             if t.grad is None:
                 continue
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * t.grad
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (t.grad ** 2)
-            m_hat = self._m[i] / b1t
-            v_hat = self._v[i] / b2t
-            t.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # The textbook update, in place and in its order of operations.
+            a, b = np.empty_like(t.data), np.empty_like(t.data)
+            np.multiply(m, self.beta1, out=m)
+            m += np.multiply(t.grad, 1.0 - self.beta1, out=a)
+            np.multiply(v, self.beta2, out=v)
+            v += np.multiply(np.square(t.grad, out=a), 1.0 - self.beta2, out=a)
+            np.sqrt(np.divide(v, b2t, out=b), out=b)
+            b += self.eps
+            np.multiply(np.divide(m, b1t, out=a), self.lr, out=a)
+            t.data -= np.divide(a, b, out=a)
 
 
 def batch_loss(model, batch) -> Tensor:

@@ -17,8 +17,8 @@ import itertools
 
 import numpy as np
 
-from avex.autodiff import Tensor, as_tensor, concat, logsumexp, matmul, reshape, \
-    row, sigmoid, tanh, transpose
+from avex.autodiff import Tensor, as_tensor, concat, fused, matmul, reshape, row, \
+    transpose
 
 
 def all_paths(m: int, n: int):
@@ -81,6 +81,38 @@ def path_counts(z, m: int):
     counts = np.zeros((m, m))
     np.add.at(counts, (z[:-1], z[1:]), 1.0)
     return onehot, counts
+
+
+def sigmoid(t) -> Tensor:
+    """Elementwise logistic function, stable for large |t|."""
+    t = as_tensor(t)
+    x = t.data
+    data = np.empty_like(x)
+    pos = x >= 0
+    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    data[~pos] = ex / (1.0 + ex)
+    return fused(data, (t,), lambda g: (g * data * (1.0 - data),))
+
+
+def tanh(t) -> Tensor:
+    t = as_tensor(t)
+    data = np.tanh(t.data)
+    return fused(data, (t,), lambda g: (g * (1.0 - data * data),))
+
+
+def logsumexp(t, axis: int | None = None) -> Tensor:
+    """log(sum(exp(t))) with the max-shift trick, over one axis or all."""
+    t = as_tensor(t)
+    x = t.data
+    if axis is None:
+        m = np.max(x)
+        data = np.asarray(m + np.log(np.sum(np.exp(x - m))))
+        return fused(data, (t,), lambda g: (g * np.exp(x - data),))
+    m = np.max(x, axis=axis, keepdims=True)
+    kept = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    return fused(np.squeeze(kept, axis=axis), (t,),
+                 lambda g: (np.expand_dims(g, axis) * np.exp(x - kept),))
 
 
 def recursive_log_partition(P, T):

@@ -165,6 +165,26 @@ def test_extract_prints_values(pipeline, capsys):
         assert values == sorted(values)
 
 
+def test_extract_encodes_the_text_once(pipeline, capsys, monkeypatch):
+    from avex import corpus, evaluation, models
+    text = "mango / rose scent teal towel"
+    tokens = [t.text for t in corpus.tokenize(text)]
+    expected = {}
+    for attr in ("Scent", "Color"):  # a fresh model each, so nothing is reused
+        fresh = training.load_checkpoint(pipeline["stem"])
+        expected[attr] = sorted(evaluation.extract(fresh, tokens, attr))
+    calls = []
+    real = models.encode_matrix
+    monkeypatch.setattr(models, "encode_matrix",
+                        lambda *args: calls.append(args) or real(*args))
+    rc = cli.main(["extract", "--checkpoint", str(pipeline["stem"]),
+                   "--attr", "Scent,Color", "--text", text])
+    assert rc == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == \
+        json.dumps(expected, ensure_ascii=False, indent=2) + "\n"
+
+
 def test_eval_table_and_json(pipeline, capsys):
     base = ["eval", "--checkpoint", str(pipeline["stem"]),
             "--test", str(pipeline["labeled"])]

@@ -1,7 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avex.autodiff import Tensor
+from avex.autodiff import Tensor, grad_check
 from avex.corpus import AttributeVocab, Product, build_corpus
 from avex.errors import DataError
 from avex.models import (
@@ -245,3 +250,122 @@ def test_same_seed_same_init():
     for (name_a, ta), (name_b, tb) in zip(a.params.items(), b.params.items()):
         assert name_a == name_b
         np.testing.assert_array_equal(ta.data, tb.data)
+
+
+# -- reuse of encoder states and decoders under no_grad ----------------------
+
+
+def _count_calls(monkeypatch, name) -> list:
+    from avex import models
+    calls = []
+    real = getattr(models, name)
+    monkeypatch.setattr(models, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _shift_emission_bias(model, shift):
+    """Rebind the hypernetwork's emission bias (tags B, I, O, E)."""
+    b = model.hyper.b_b
+    b.data = b.data + np.array(shift)
+
+
+@pytest.mark.parametrize("write", ["rebind", "adam_step"])
+def test_parameter_write_between_extracts_changes_result(write):
+    from avex.evaluation import extract
+    from avex.training import Adam
+    model, _, _ = build("adatag")
+    text = ["lavender", "rose", "scented", "wash"]
+    _shift_emission_bias(model, [100.0, 0.0, 0.0, 0.0])
+    assert len(extract(model, text, "Scent")) == 4  # every token tagged B
+    if write == "rebind":
+        _shift_emission_bias(model, [0.0, 0.0, 200.0, 0.0])
+    else:
+        b = model.hyper.b_b
+        b.grad = np.array([1.0, 1.0, -1.0, 1.0])
+        Adam([b], lr=200.0).step()  # O +200, every other tag -200
+    assert extract(model, text, "Scent") == set()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_encoder_states_shared_only_between_attributes_of_one_encoder(
+        variant, monkeypatch):
+    model, vocab, _ = build(variant)
+    calls = _count_calls(monkeypatch, "encode_matrix")
+    text = ["white", "cotton", "towel"]
+    for _ in range(2):
+        for a in vocab.ids():
+            model.predict_tags(text, a)
+    per_text = len(vocab.ids()) if variant in ("bilstm_crf_shared_emb",
+                                               "per_attribute") else 1
+    assert len(calls) == per_text
+    model.predict_tags(["white"], "Color")  # another text: encoded again
+    assert len(calls) == per_text + 1
+    for table in model.word_tables.values():
+        table.matrix.data = table.matrix.data * 1.0  # a write, same values
+    model.predict_tags(["white"], "Color")
+    assert len(calls) == per_text + 2
+
+
+def test_generated_decoders_built_once_per_parameter_state(monkeypatch):
+    model, vocab, _ = build("adatag")
+    calls = _count_calls(monkeypatch, "build_decoder")
+    for text in (["white"], ["rose", "wash"], ["white"]):
+        for a in vocab.ids():
+            model.predict_tags(text, a)
+    assert len(calls) == len(vocab.ids())
+    model.moe.experts[0].data = model.moe.experts[0].data + 0.0
+    model.predict_tags(["white"], "Color")
+    assert len(calls) == len(vocab.ids()) + 1
+
+
+def test_grad_check_after_predict_tags():
+    # Gradients on: nothing kept by predict_tags may be read, or the loss
+    # would stop depending on the encoder and decoder parameters.
+    model, vocab, examples = build("adatag")
+    ex = examples[0]
+    for a in vocab.ids():
+        model.predict_tags(ex.token_texts(), a)
+    params = model.params.trainable()
+    report = grad_check(lambda: model.loss(ex), params, tolerance=1e-6)
+    assert report.passed, report.max_rel_error
+    for name in ("encoder/lstm_fwd/w_i", "hyper/W_hyper_w"):
+        assert np.any(params[name].grad != 0), name
+
+
+def test_model_with_kept_states_is_freed():
+    model, vocab, _ = build("adatag")
+    for a in vocab.ids():
+        model.predict_tags(["white", "towel"], a)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+WORDS = ("white", "cotton", "towel", "lavender", "rose", "scented", "wash", "teal")
+STEP = st.one_of(
+    st.tuples(st.just("predict"), st.lists(st.sampled_from(WORDS), min_size=1,
+                                          max_size=4),
+              st.sampled_from(("Scent", "Color"))),
+    st.tuples(st.just("write"), st.integers(0, 10 ** 6),
+              st.floats(-3.0, 3.0, allow_nan=False)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), steps=st.lists(STEP, max_size=10))
+def test_interleaved_predictions_equal_a_fresh_model(variant, steps):
+    def write(model, index, delta):
+        _name, t = model.params.items()[index % len(model.params.items())]
+        t.data = t.data + delta
+
+    model, _, _ = build(variant)
+    writes = []
+    for kind, *args in steps:
+        if kind == "write":
+            write(model, *args)
+            writes.append(args)
+            continue
+        fresh, _, _ = build(variant)
+        for w in writes:
+            write(fresh, *w)
+        assert model.predict_tags(*args) == fresh.predict_tags(*args)

@@ -167,6 +167,35 @@ def test_adam_first_step_is_signed_lr():
     np.testing.assert_allclose(t.data, [0.99, -1.99, 0.5], atol=1e-9)
 
 
+def test_adam_step_is_bitwise_the_textbook_formula():
+    from avex.training import ADAM_BETA1 as b1, ADAM_BETA2 as b2, ADAM_EPS as eps
+    rng = np.random.default_rng(12)
+    shapes = [(8, 16), (5,), (2, 2)]
+    # Parameters start at zero, so the first update is the parameter itself
+    # and no rounding of the update is absorbed into a larger value.
+    tensors = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+    expected = [t.data.copy() for t in tensors]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = Adam(tensors, lr=0.01)
+    for step in range(1, 6):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 4, size=s)
+                 for s in shapes]
+        for t, g in zip(tensors, grads):
+            t.grad = g.copy()
+        versions = [t.version for t in tensors]
+        opt.step()
+        b1t, b2t = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * (g ** 2)
+            expected[i] -= 0.01 * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + eps)
+            np.testing.assert_array_equal(tensors[i].grad, g)  # read, not written
+        assert [t.version for t in tensors] == [n + 1 for n in versions]
+    for t, e in zip(tensors, expected):
+        np.testing.assert_array_equal(t.data, e)
+
+
 def test_adam_skips_missing_grads():
     t = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam([t], lr=0.1)
@@ -263,9 +292,13 @@ def test_collect_results_generates_each_decoder_once(monkeypatch):
     calls = _count_decoder_builds(monkeypatch)
     results = collect_results(model, dev)
     assert len(calls) == len({ex.attribute for ex in dev}) < len(results)
-    unshared = [model.predict_tags(ex.token_texts(), ex.attribute) for ex in dev[:3]]
-    assert len(calls) == len({ex.attribute for ex in dev}) + 3
-    assert all(len(tags) == len(ex.tokens) for tags, ex in zip(unshared, dev))
+    n_attributes = len({ex.attribute for ex in dev})
+    reused = [model.predict_tags(ex.token_texts(), ex.attribute) for ex in dev[:3]]
+    assert len(calls) == n_attributes  # parameters unchanged: nothing rebuilt
+    assert all(len(tags) == len(ex.tokens) for tags, ex in zip(reused, dev))
+    model.hyper.b_b.data = model.hyper.b_b.data + 1.0
+    collect_results(model, dev)
+    assert len(calls) == 2 * n_attributes
 
 
 def test_batch_gradient_is_sum_of_example_gradients():
@@ -288,6 +321,37 @@ def test_batch_gradient_is_sum_of_example_gradients():
     for name in params:
         np.testing.assert_allclose(together[name], summed[name], rtol=1e-12,
                                    atol=1e-12, err_msg=name)
+
+
+def test_batch_gradients_equal_zero_filled_accumulation(monkeypatch):
+    # The reference adds every gradient into a zero-filled array.  Storing
+    # the first gradient instead must not change a bit, which needs the
+    # stored array to keep that layout: on chains of 8 or more tokens
+    # numpy sums a C-ordered and an F-ordered emission gradient in
+    # different orders.
+    from avex import autodiff
+    model, batch, _ = _adatag_batch()
+    batch = [dataclasses.replace(ex, tokens=ex.tokens * 4, tags=ex.tags * 4)
+             for ex in batch]
+    params = model.params.trainable()
+
+    def grads():
+        for t in params.values():
+            t.grad = None
+        batch_loss(model, batch).backward()
+        return {name: t.grad.copy() for name, t in params.items()}
+
+    def zero_filled(t, g):
+        if t.requires_grad:
+            if t.grad is None:
+                t.grad, t._owns_grad = np.zeros_like(t.data), True
+            t.grad += g
+
+    stored = grads()
+    monkeypatch.setattr(autodiff, "_accum", zero_filled)
+    reference = grads()
+    for name in params:
+        np.testing.assert_array_equal(stored[name], reference[name], err_msg=name)
 
 
 def test_batch_loss_uniform_chain_value():
