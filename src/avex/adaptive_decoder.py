@@ -3,11 +3,14 @@
 Two generators turn a fixed attribute embedding r into the parameters
 of a linear-chain CRF over the BIOE tags: a hypernetwork produces the
 emission projection (W, b), and a softmax-gated mixture of expert
-matrices produces the transition table T.  Chain scoring itself has no
-start/stop states: a sequence's score is the sum of its transition and
-emission terms, and the partition function comes from the standard
-forward recursion in log space.  The NLL is a single graph node whose
-gradient comes from forward-backward: marginals minus the path's counts.
+matrices produces the transition table T.  Given a stack of embeddings
+they generate a stack of decoders with one product per parameter.
+Chain scoring itself has no start/stop states: a sequence's score is
+the sum of its transition and emission terms, and the partition
+function comes from the standard forward recursion in log space.  The
+mean NLL of a batch of chains is a single graph node that runs the
+recursions of all chains side by side; its gradient comes from
+forward-backward: marginals minus the path's counts.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from .autodiff import (
     Tensor,
     as_tensor,
     fused,
-    matmul,
+    linear,
+    packed_steps,
     pick,
     reshape,
-    row,
     softmax,
-    transpose,
 )
 from .errors import NumericError
 from .tagging import NUM_TAGS
@@ -78,51 +80,83 @@ class DecoderInstance:
 
 
 def generate_linear(hyper: HyperNetwork, r) -> tuple[Tensor, Tensor]:
-    """Emission parameters for one attribute embedding.
+    """Emission parameters for one attribute embedding, or for each row
+    of an (A, d_r) stack of them.
 
     The flat hypernetwork output is reshaped row-major into the
-    (NUM_TAGS, d_h) projection.
+    (NUM_TAGS, d_h) projection; a stack gives (A, NUM_TAGS, d_h) and
+    (A, NUM_TAGS).  Either way it is one product with the hypernetwork.
     """
     r = as_tensor(r)
-    if r.data.shape != (hyper.d_r,):
-        raise ValueError(
-            f"attribute embedding has shape {r.data.shape}, expected ({hyper.d_r},)")
-    flat = matmul(hyper.w_w, r) + hyper.b_w
-    W = reshape(flat, (NUM_TAGS, hyper.d_h))
-    b = matmul(hyper.w_b, r) + hyper.b_b
-    return W, b
+    if r.data.ndim not in (1, 2) or r.data.shape[-1] != hyper.d_r:
+        raise ValueError(f"attribute embedding has shape {r.data.shape}, "
+                         f"expected (..., {hyper.d_r})")
+    flat = linear(r, hyper.w_w, hyper.b_w)
+    W = reshape(flat, r.data.shape[:-1] + (NUM_TAGS, hyper.d_h))
+    return W, linear(r, hyper.w_b, hyper.b_b)
 
 
 def gate(moe: TransitionMoe, r) -> Tensor:
-    """Mixture weights for one attribute embedding (sums to 1)."""
-    r = as_tensor(r)
-    return softmax(matmul(moe.w_gate, r) + moe.b_gate)
+    """Mixture weights for one attribute embedding, or for each row of a
+    stack (each sums to 1)."""
+    return softmax(linear(r, moe.w_gate, moe.b_gate))
 
 
-def mix_transition(moe: TransitionMoe, weights: Tensor) -> Tensor:
-    """Convex combination of the expert transition matrices."""
-    total = None
-    for i, expert in enumerate(moe.experts):
-        term = row(weights, i) * expert
-        total = term if total is None else total + term
-    return total
+def mix_transition(moe: TransitionMoe, weights) -> Tensor:
+    """Convex combination of the expert transition matrices: (m, m) for
+    one weight vector, (A, m, m) for an (A, k) stack.  One node."""
+    weights = as_tensor(weights)
+    experts = np.stack([e.data for e in moe.experts])
+
+    def vjp(g):
+        dw = np.einsum("...ij,kij->...k", g, experts)
+        rows = weights.data.reshape(-1, len(experts))
+        return (dw, *np.einsum("ak,aij->kij", rows, g.reshape(len(rows), *g.shape[-2:])))
+
+    return fused(np.einsum("...k,kij->...ij", weights.data, experts),
+                 (weights, *moe.experts), vjp)
 
 
 def build_decoder(hyper: HyperNetwork, moe: TransitionMoe, r) -> DecoderInstance:
+    """The decoder of one attribute embedding, or the stacked decoders of
+    the rows of an (A, d_r) matrix."""
     W, b = generate_linear(hyper, r)
     T = mix_transition(moe, gate(moe, r))
     return DecoderInstance(W, b, T)
 
 
-def emissions(H, W, b) -> Tensor:
-    """Per-position tag scores: column j scores token j under every tag.
+def emissions(H, W, b, rows=None, decoders=None) -> Tensor:
+    """Tag scores of encoder rows: column j scores a token under every tag.
 
-    H is the (n, d_h) encoder output; the result is (num_tags, n).
+    H is (N_H, d_h); W and b are one decoder, (m, d_h) and (m,), or a
+    stack of A, (A, m, d_h) and (A, m).  Column j is decoder
+    ``decoders[j]`` (default 0) applied to row ``rows[j]`` of H (default
+    j), so the result is (m, N) for N = len(rows).  One node: the forward
+    and each gradient are one product of H with the decoders from the
+    lowest to the highest that a column uses.
     """
     H, W, b = as_tensor(H), as_tensor(W), as_tensor(b)
-    m = W.data.shape[0]
-    scores = matmul(W, transpose(H))
-    return scores + reshape(b, (m, 1))
+    n_h, d_h = H.data.shape
+    m = W.data.shape[-2]
+    # Only the decoders from the lowest to the highest a column uses take part.
+    lo, hi = (0, 1) if decoders is None else (min(decoders), max(decoders) + 1)
+    flat = W.data.reshape(-1, d_h)[lo * m:hi * m]
+    full = (H.data @ flat.T + b.data.reshape(-1)[lo * m:hi * m]).reshape(n_h, hi - lo, m)
+    one = hi - lo == 1  # one decoder: no gather by decoder
+    index = (slice(None) if rows is None and one else
+             np.arange(n_h) if rows is None else np.asarray(rows, dtype=int),
+             0 if one else np.asarray(decoders, dtype=int) - lo)
+
+    def vjp(g):
+        G = np.zeros_like(full)
+        np.add.at(G, index, g.T)
+        G = G.reshape(n_h, -1)
+        dW, db = np.zeros((W.data.size // d_h, d_h)), np.zeros(b.data.size)
+        dW[lo * m:hi * m], db[lo * m:hi * m] = G.T @ H.data, G.sum(axis=0)
+        return G @ flat, dW.reshape(W.data.shape), db.reshape(b.data.shape)
+
+    scores = full[index]
+    return fused(scores.T, (H, W, b), vjp)
 
 
 def _check_chain(P, T):
@@ -165,30 +199,65 @@ def _logsumexp(x, axis=None):
     return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
 
 
-def _forward(P, T):
-    """Forward variables alpha (n, m) in log space, and log Z."""
-    n = P.shape[1]
-    alpha = np.empty((n, P.shape[0]))
-    alpha[0] = P[:, 0]
-    for i in range(1, n):
-        alpha[i] = _logsumexp(alpha[i - 1][:, None] + T, axis=0) + P[:, i]
-    return alpha, _logsumexp(alpha[-1])
+def _chains(P, T, lengths, decoders):
+    """Check the layout of chains side by side in P's columns, and lay
+    them out step-major, longest first (see ``packed_steps``): emissions
+    (n, B, m) and transition tables (B, m, m)."""
+    P, T = as_tensor(P), as_tensor(T)
+    if P.data.ndim != 2 or T.data.ndim not in (2, 3) \
+            or T.data.shape[-2:] != (P.data.shape[0],) * 2:
+        raise ValueError(f"emission shape {P.data.shape} and transition shape "
+                         f"{T.data.shape} do not fit")
+    m, n_cols = P.data.shape
+    lengths = np.asarray([n_cols] if lengths is None else lengths, dtype=int)
+    pack = packed_steps(lengths)
+    if pack.starts[-1] != n_cols:
+        raise ValueError(f"chain lengths cover {pack.starts[-1]} positions, "
+                         f"emissions have {n_cols}")
+    tables = T.data.reshape(-1, m, m)
+    dec = np.zeros(lengths.size, dtype=int) if decoders is None \
+        else np.asarray(decoders, dtype=int)
+    if dec.shape != lengths.shape or dec.min() < 0 or dec.max() >= len(tables):
+        raise ValueError(f"need one decoder in 0..{len(tables) - 1} per chain, "
+                         f"got {dec.tolist()}")
+    P3 = np.zeros((pack.starts.size - 1, lengths.size, m))
+    P3[pack.step, pack.slot] = P.data.T[pack.rows]
+    return P, T, lengths, dec, pack, P3, tables[dec[pack.rank]]
 
 
-def _marginals(P, T, alpha, log_z):
-    """Tag marginals (m, n) and expected transition counts (m, m).
+def _forward(pack, P3, T3):
+    """Forward variables alpha (n, B, m) in log space, and log Z (B,), of
+    chains in rank order.  Step i advances the chains that reach
+    position i, a prefix of the ranking."""
+    alpha = np.zeros_like(P3)
+    alpha[0] = P3[0]
+    for i in range(1, len(P3)):
+        b = pack.starts[i + 1] - pack.starts[i]
+        alpha[i, :b] = _logsumexp(alpha[i - 1, :b, :, None] + T3[:b], axis=1) + P3[i, :b]
+    last = np.bincount(pack.slot) - 1
+    return alpha, _logsumexp(alpha[last, np.arange(len(last))], axis=1)
+
+
+def _marginals(pack, P3, T3, alpha, log_z):
+    """Tag marginals (N, m), in packed row order, and expected transition
+    counts (B, m, m) of chains in rank order.
 
     The backward variables complete forward-backward; the pairwise
     marginals of all positions are summed in one vectorized pass.
     """
-    n, m = alpha.shape
-    beta = np.zeros((n, m))
+    n, count, _ = alpha.shape
+    widths = np.diff(pack.starts)
+    beta = np.zeros_like(alpha)
     for i in range(n - 2, -1, -1):
-        beta[i] = _logsumexp(T + (P[:, i + 1] + beta[i + 1]), axis=1)
-    unary = np.exp(alpha + beta - log_z).T
-    pair = np.exp(alpha[:-1, :, None] + T + (P.T[1:] + beta[1:])[:, None, :]
-                  - log_z).sum(axis=0)
-    return unary, pair
+        b = widths[i + 1]
+        beta[i, :b] = _logsumexp(T3[:b] + (P3[i + 1, :b] + beta[i + 1, :b])[:, None, :],
+                                 axis=2)
+    s, j = pack.step, pack.slot
+    unary = np.exp(alpha[s, j] + beta[s, j] - log_z[j, None])
+    pair = (alpha[:-1, :, :, None] + T3 + (P3[1:] + beta[1:])[:, :, None, :]
+            - log_z[:, None, None])
+    pair[np.arange(count) >= widths[1:, None]] = -np.inf  # past a chain's end
+    return unary, np.exp(pair).sum(axis=0)
 
 
 def log_partition(P, T) -> Tensor:
@@ -196,34 +265,51 @@ def log_partition(P, T) -> Tensor:
 
     One graph node; its gradient is the tag and transition marginals.
     """
-    P, T, _ = _check_chain(P, T)
-    alpha, log_z = _forward(P.data, T.data)
+    P, T, _, _, pack, P3, T3 = _chains(P, T, None, None)
+    alpha, log_z = _forward(pack, P3, T3)
 
     def vjp(g):
-        return [g * part for part in _marginals(P.data, T.data, alpha, log_z)]
+        unary, pair = _marginals(pack, P3, T3, alpha, log_z)
+        return g * unary.T, g * pair[0]
 
-    return fused(log_z, (P, T), vjp)
+    return fused(np.asarray(log_z[0]), (P, T), vjp)
 
 
-def chain_nll(P, T, z) -> Tensor:
-    """Negative log-likelihood of a tag path (nonnegative up to rounding).
+def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
+    """Mean negative log-likelihood of tag paths (nonnegative up to rounding).
 
-    One graph node: log Z minus the path's score.  Its gradient is the
-    marginals minus the path's one-hot tags for P, and the expected
-    minus the path's transition counts for T.
+    P is (m, N): the emission columns of chains of ``lengths`` columns,
+    laid end to end (default: one chain).  T is one (m, m) transition
+    table, or a stack (A, m, m) of which chain c uses ``decoders[c]``.
+    z holds the N target tags.  One graph node: the mean over chains of
+    log Z minus the path's score.  Its gradient, per chain and divided by
+    the number of chains, is the marginals minus the path's one-hot tags
+    for P, and the expected minus the path's transition counts for the
+    chain's table.
     """
-    P, T, m = _check_chain(P, T)
-    n = P.data.shape[1]
-    z = _check_indices(z, m, n)
-    alpha, log_z = _forward(P.data, T.data)
+    P, T, lengths, dec, pack, P3, T3 = _chains(P, T, lengths, decoders)
+    m, n_cols = P.data.shape
+    z = _check_indices(z, m, n_cols)
+    alpha, log_z = _forward(pack, P3, T3)
+    ranked = np.argsort(pack.rank)  # each chain's place in the ranking
+    tables = T.data.reshape(-1, m, m)
+    nll = [log_z[ranked[c]] - path_score(P.data[:, e - n:e], tables[dec[c]], z[e - n:e])
+           for c, (e, n) in enumerate(zip(np.cumsum(lengths), lengths))]
 
     def vjp(g):
-        unary, pair = _marginals(P.data, T.data, alpha, log_z)
-        unary[z, np.arange(n)] -= 1.0
-        np.subtract.at(pair, (z[:-1], z[1:]), 1.0)
-        return g * unary, g * pair
+        unary, pair = _marginals(pack, P3, T3, alpha, log_z)
+        dP = np.empty((m, n_cols))
+        dP[:, pack.rows] = unary.T
+        dP[z, np.arange(n_cols)] -= 1.0
+        chain = np.repeat(ranked, lengths)
+        inner = np.flatnonzero(chain[1:] == chain[:-1])
+        np.subtract.at(pair, (chain[inner], z[inner], z[inner + 1]), 1.0)
+        dT = np.zeros_like(tables)
+        np.add.at(dT, dec[pack.rank], pair)
+        scale = g / lengths.size
+        return scale * dP, (scale * dT).reshape(T.data.shape)
 
-    return fused(np.asarray(log_z - path_score(P.data, T.data, z)), (P, T), vjp)
+    return fused(np.asarray(np.mean(nll)), (P, T), vjp)
 
 
 def path_score(P, T, z) -> float:

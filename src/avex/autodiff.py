@@ -13,6 +13,7 @@ that central finite differences stay a tight oracle for every gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +24,13 @@ __all__ = [
     "grad_enabled",
     "as_tensor",
     "concat",
-    "matmul",
     "softmax",
     "row",
     "pick",
+    "linear",
+    "stack",
     "fused",
+    "packed_steps",
     "grad_check",
     "GradCheckReport",
 ]
@@ -143,20 +146,11 @@ class Tensor:
             raise TypeError("tensor/tensor division is not supported")
         return mul(self, 1.0 / float(other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, shape):
         return reshape(self, shape)
 
-    def transpose(self):
-        return transpose(self)
-
     def sum(self):
         return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -274,32 +268,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product: (m,k)@(k,n) -> (m,n) or (m,k)@(k,) -> (m,)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: unsupported ranks {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-    out = _node(data, a, b)
-    if out.requires_grad:
-        if b.data.ndim == 1:
-
-            def backward(g):
-                _accum(a, np.outer(g, b.data))
-                _accum(b, a.data.T @ g)
-
-        else:
-
-            def backward(g):
-                _accum(a, g @ b.data.T)
-                _accum(b, a.data.T @ g)
-
-        out._backward = backward
-    return out
-
-
 # -- shape manipulation ------------------------------------------------------
 
 
@@ -340,20 +308,6 @@ def reshape(t, shape) -> Tensor:
 
         def backward(g):
             _accum(t, g.reshape(src))
-
-        out._backward = backward
-    return out
-
-
-def transpose(t) -> Tensor:
-    t = as_tensor(t)
-    if t.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {t.data.shape}")
-    out = _node(t.data.T, t)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(t, g.T)
 
         out._backward = backward
     return out
@@ -433,22 +387,81 @@ def fused(data, parents, vjp) -> Tensor:
     return out
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine map ``w @ x + b`` of a vector, or of every row of a matrix."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim == 1:
+        data = w.data @ x.data + b.data
+    else:
+        data = x.data @ w.data.T + b.data
+
+    def vjp(g):
+        dx = (w.data.T @ g if g.ndim == 1 else g @ w.data) if x.requires_grad else None
+        if g.ndim == 1:
+            return dx, np.outer(g, x.data), g
+        return dx, g.T @ x.data, g.sum(axis=0)
+
+    return fused(data, (x, w, b), vjp)
+
+
+def stack(tensors) -> Tensor:
+    """Tensors of one shape stacked along a new first axis."""
+    ts = [as_tensor(t) for t in tensors]
+    return fused(np.stack([t.data for t in ts]), ts, tuple)
+
+
+class Packing(NamedTuple):
+    """Step-major order of sequences whose rows are laid end to end.
+
+    Sequences are ranked longest first (ties keep their order), so the
+    ones still running at step t are a prefix of the ranking: step t owns
+    packed rows ``starts[t]:starts[t + 1]``, one per running sequence in
+    rank order.  Packed row i is input row ``rows[i]`` (``rows`` is a
+    slice for one sequence), at step ``step[i]`` of the sequence ranked
+    ``slot[i]``.
+    """
+
+    rank: np.ndarray
+    starts: np.ndarray
+    step: np.ndarray
+    slot: np.ndarray
+    rows: np.ndarray | slice
+
+
+def packed_steps(lengths, reverse: bool = False) -> Packing:
+    """The packing of sequences of ``lengths`` rows; with ``reverse``
+    every sequence is read from its last row to its first."""
+    if len(lengths) == 1 and lengths[0] >= 1:  # one text, as at inference
+        step = np.arange(lengths[0])
+        return Packing(np.zeros(1, dtype=int), np.arange(lengths[0] + 1), step,
+                       np.zeros_like(step), slice(None, None, -1 if reverse else 1))
+    lengths = np.asarray(lengths, dtype=int)
+    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+        raise ValueError(f"sequence lengths must be positive, got {lengths.tolist()}")
+    rank = np.argsort(-lengths, kind="stable")
+    widths = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    starts = np.concatenate(([0], np.cumsum(widths)))
+    step = np.repeat(np.arange(widths.size), widths)
+    slot = np.arange(step.size) - starts[step]
+    seq = rank[slot]
+    pos = lengths[seq] - 1 - step if reverse else step
+    return Packing(rank, starts, step, slot, np.cumsum(lengths)[seq] - lengths[seq] + pos)
+
+
 # -- nonlinearities and reductions -------------------------------------------
 
 
 def softmax(t) -> Tensor:
-    """Softmax over a 1-d tensor (max-shifted for stability)."""
+    """Softmax over the last axis (max-shifted for stability)."""
     t = as_tensor(t)
-    if t.data.ndim != 1:
-        raise ShapeError(f"softmax: expected a vector, got shape {t.data.shape}")
-    shifted = t.data - np.max(t.data)
+    shifted = t.data - np.max(t.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum()
+    data = e / e.sum(axis=-1, keepdims=True)
     out = _node(data, t)
     if out.requires_grad:
 
         def backward(g):
-            _accum(t, data * (g - np.dot(g, data)))
+            _accum(t, data * (g - (g * data).sum(axis=-1, keepdims=True)))
 
         out._backward = backward
     return out
@@ -461,21 +474,6 @@ def tensor_sum(t) -> Tensor:
 
         def backward(g):
             _accum(t, np.broadcast_to(g, t.data.shape).copy())
-
-        out._backward = backward
-    return out
-
-
-def tensor_mean(t) -> Tensor:
-    t = as_tensor(t)
-    size = t.data.size
-    if size == 0:
-        raise ShapeError("mean: empty tensor")
-    out = _node(np.asarray(t.data.mean()), t)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(t, np.broadcast_to(g / size, t.data.shape).copy())
 
         out._backward = backward
     return out

@@ -3,9 +3,11 @@
 The encoder turns a token sequence into one hidden vector per position:
 a trainable embedding lookup feeds two LSTM passes (left-to-right and
 right-to-left) whose states are concatenated, so the per-position size
-is the combined width of both directions.  Each pass is one autodiff
-node that runs the recurrence in numpy and backpropagates through time
-by hand.
+is the combined width of both directions.  ``encode_batch`` encodes many
+texts at once: their rows are stacked, and each pass is one autodiff
+node over all of them that runs the recurrence in numpy, the sequences
+still running at a step advancing together, and backpropagates through
+time by hand.  ``encode_matrix`` is the one-text case.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import files
-from .autodiff import Tensor, as_tensor, concat, fused, row
+from .autodiff import Tensor, as_tensor, concat, fused, packed_steps, row
 from .errors import DataError
 
 PAD = "<pad>"
@@ -124,47 +126,63 @@ class LstmCell:
                 self.b_i, self.b_f, self.b_o, self.b_g]
 
 
-def lstm_layer(X, cell: LstmCell, reverse: bool = False) -> Tensor:
-    """Hidden states (n, h) of one LSTM direction over the rows of X.
+def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor:
+    """Hidden states (N, h) of one LSTM direction over packed sequences.
 
-    One graph node: the input projection of every position is a single
-    (n, d) @ (d, 4h) product, the recurrence is a numpy loop, and the
-    backward is backpropagation through time whose weight gradient is a
-    single (4h, n) @ (n, d + h) product.  The state starts at zero; with
-    ``reverse`` the rows are read from last to first, and the states
-    still come back in input order.
+    The rows of X are sequences of ``lengths`` rows laid end to end (by
+    default one sequence); each starts from a zero state, and with
+    ``reverse`` each is read from its last row to its first.  The states
+    come back in the rows of X.  One graph node: the input projection of
+    every row is a single (N, d) @ (d, 4h) product; with the sequences
+    ranked longest first, step t advances the b_t still running with one
+    (b_t, h) @ (h, 4h) product and the gate math, and backpropagation
+    through time runs the same steps in reverse, ending in a single
+    (4h, N) @ (N, d + h) weight gradient.
     """
     X = as_tensor(X)
     n, d = X.data.shape
-    if n == 0:
-        raise ValueError("an LSTM layer needs a non-empty input sequence")
+    pack = packed_steps([n] if lengths is None else lengths, reverse)
+    if pack.starts[-1] != n:
+        raise ValueError(f"sequence lengths cover {pack.starts[-1]} rows, input has {n}")
     k = cell.hidden_size
     weights = cell.tensors()
-    xs = X.data[::-1] if reverse else X.data
-    # sigmoid(a) = (tanh(a / 2) + 1) / 2: halving the i, f and o rows
-    # (exact in binary) lets one tanh produce all four gates per step.
-    scale = np.ones((4 * k, 1))
+    starts = pack.starts.tolist()
+    # Step t's rows, and the rows of step t - 1 that carry on into it; a
+    # step of one sequence takes a 1-d row, which numpy runs faster.
+    steps = [s if e - s == 1 else slice(s, e) for s, e in zip(starts, starts[1:])]
+    carried = [None] + [s if e - t == 1 else slice(s, s + e - t)
+                        for s, t, e in zip(starts, starts[1:], starts[2:])]
+    # sigmoid(a) = (tanh(a / 2) + 1) / 2: halving the i, f and o
+    # pre-activations (exact in binary) lets one tanh give all four gates.
+    scale = np.ones(4 * k)
     scale[:3 * k] = 0.5
     W = np.concatenate([w.data for w in weights[:4]])
-    W_h = W[:, d:] * scale
-    gates = (xs @ W[:, :d].T + np.concatenate([b.data for b in weights[4:]])) * scale.T
+    W_h = W[:, d:].T
+    xs = X.data[pack.rows]
+    gates = xs @ W[:, :d].T + np.concatenate([b.data for b in weights[4:]])
     C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
-    h, c = np.zeros(k), np.zeros(k)
-    for t in range(n):
-        a = gates[t]
-        a += W_h @ h
+    sigmoids, I, F, O, G = (gates[:, :3 * k], *(gates[:, j * k:(j + 1) * k] for j in range(4)))
+    for now, before in zip(steps, carried):
+        a = gates[now]
+        if before is not None:
+            a += H[before] @ W_h
+        a *= scale
         np.tanh(a, out=a)
-        a[:3 * k] *= 0.5
-        a[:3 * k] += 0.5
-        c = np.multiply(a[k:2 * k], c, out=C[t])
-        c += a[:k] * a[3 * k:]
-        np.tanh(c, out=TC[t])
-        h = np.multiply(a[2 * k:3 * k], TC[t], out=H[t])
+        sig = sigmoids[now]
+        sig *= 0.5
+        sig += 0.5
+        c = np.multiply(I[now], G[now], out=C[now])
+        if before is not None:
+            c += F[now] * C[before]
+        np.tanh(c, out=TC[now])
+        np.multiply(O[now], TC[now], out=H[now])
 
     def vjp(g):
-        I, F, O, G = (gates[:, j * k:(j + 1) * k] for j in range(4))
-        C_prev = np.vstack([np.zeros((1, k)), C[:-1]])
-        H_prev = np.vstack([np.zeros((1, k)), H[:-1]])
+        # Each packed row's state one step earlier (zero at step 0).
+        later = slice(starts[1], n)
+        prev = pack.starts[pack.step[later] - 1] + pack.slot[later]
+        C_prev, H_prev = np.zeros((n, k)), np.zeros((n, k))
+        C_prev[later], H_prev[later] = C[prev], H[prev]
         # d(pre-activation) per gate = (dc, dc, dh, dc) * local[t].
         local = np.hstack([G * I * (1 - I), C_prev * F * (1 - F),
                            TC * O * (1 - O), I * (1 - G * G)])
@@ -173,26 +191,39 @@ def lstm_layer(X, cell: LstmCell, reverse: bool = False) -> Tensor:
         # forward, and a per-call weight copy would stay alive with it.
         W = np.concatenate([w.data for w in weights[:4]])
         W_h = W[:, d:]
-        F_next = np.vstack([F[1:], np.zeros((1, k))])
-        gs = g[::-1] if reverse else g
+        gs = g[pack.rows]
         dA = np.empty((n, 4 * k))
-        dh_next, dc = np.zeros(k), np.zeros(k)
-        for t in range(n - 1, -1, -1):
-            dh = gs[t] + dh_next
-            dc = dc * F_next[t] + dh * dc_dh[t]
-            np.multiply(local[t], np.concatenate((dc, dc, dh, dc)), out=dA[t])
-            dh_next = dA[t] @ W_h
+        dh_next = dc_next = np.zeros((0, k))
+        for s, e in zip(starts[-2::-1], starts[:0:-1]):
+            # Sequences running at the next step are a prefix of this one's.
+            b = len(dh_next)
+            dh = gs[s:e]
+            dh[:b] += dh_next
+            dc = dh * dc_dh[s:e]
+            dc[:b] += dc_next * F[e:e + b]
+            np.multiply(local[s:e], np.hstack((dc, dc, dh, dc)), out=dA[s:e])
+            dh_next, dc_next = dA[s:e] @ W_h, dc
         dW = dA.T @ np.hstack([xs, H_prev])
-        dX = dA @ W[:, :d]
-        return ((dX[::-1] if reverse else dX),
-                *np.split(dW, 4), *np.split(dA.sum(axis=0), 4))
+        dX = np.empty((n, d))
+        dX[pack.rows] = dA @ W[:, :d]
+        return (dX, *np.split(dW, 4), *np.split(dA.sum(axis=0), 4))
 
-    return fused(H[::-1] if reverse else H, (X, *weights), vjp)
+    out = np.empty((n, k))
+    out[pack.rows] = H
+    return fused(out, (X, *weights), vjp)
+
+
+def encode_batch(texts, table: WordEmbeddingTable,
+                 forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
+    """Encoder states of several texts, their rows stacked in text order:
+    both directions side by side, one packed node per direction."""
+    lengths = [len(tokens) for tokens in texts]
+    X = table.embed([token for tokens in texts for token in tokens])
+    return concat([lstm_layer(X, forward_cell, lengths),
+                   lstm_layer(X, backward_cell, lengths, reverse=True)], axis=1)
 
 
 def encode_matrix(token_texts, table: WordEmbeddingTable,
                   forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
-    """Encoder states as an (n, d_h) matrix: both directions side by side."""
-    X = table.embed(token_texts)
-    return concat([lstm_layer(X, forward_cell),
-                   lstm_layer(X, backward_cell, reverse=True)], axis=1)
+    """Encoder states of one text as an (n, d_h) matrix."""
+    return encode_batch([token_texts], table, forward_cell, backward_cell)

@@ -105,9 +105,12 @@ def _scores(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 def extract(model, token_texts, attribute) -> set[str]:
     """Decode one sequence and return its normalized value strings."""
+    return _values(token_texts, model.predict_tags(token_texts, attribute))
+
+
+def _values(token_texts, tags) -> set[str]:
     from .corpus import Token  # tokens here only carry text
 
-    tags = model.predict_tags(token_texts, attribute)
     tokens = [Token(t, 0, 0) for t in token_texts]
     return {span_text(tokens, s) for s in tags_to_spans(tags)}
 
@@ -117,12 +120,18 @@ def gold_value_strings(example) -> set[str]:
 
 
 def collect_results(model, examples) -> list[ExtractionResult]:
-    """Decode every example, a product's attributes back to back."""
+    """Decode every example, a product's attributes back to back, one
+    batch of the model's batch size at a time."""
+    ordered = sorted(examples, key=lambda e: (e.product_id, e.attribute))
+    size = model.config.batch_size
     results = []
-    for ex in sorted(examples, key=lambda e: (e.product_id, e.attribute)):
-        predicted = extract(model, ex.token_texts(), ex.attribute)
-        results.append(ExtractionResult(
-            ex.product_id, ex.attribute, predicted, gold_value_strings(ex)))
+    for start in range(0, len(ordered), size):
+        batch = ordered[start:start + size]
+        tags = model.predict_batch([(ex.token_texts(), ex.attribute) for ex in batch])
+        results.extend(
+            ExtractionResult(ex.product_id, ex.attribute, _values(ex.token_texts(), t),
+                             gold_value_strings(ex))
+            for ex, t in zip(batch, tags))
     return results
 
 

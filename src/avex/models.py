@@ -22,23 +22,26 @@ A tagset adaptor connects chains to tags.  For the BIOE variants an
 example's tags are its targets and a Viterbi path maps straight to BIOE
 tags.  For "n_tag_sets" the training set is first merged into one joint
 sequence per product, and a path is projected onto the requested
-attribute.  Everything else is shared: ``loss`` and ``predict_tags``
-resolve, encode and score emissions the same way and end in
-``chain_nll`` or ``viterbi``.  A model also exposes ``params``, the
-registry that the optimizer and the checkpoint writer read, and
+attribute.  Everything else is shared: ``loss`` (training) and
+``predict_batch`` (evaluation; ``predict_tags`` is a batch of one) score
+a batch with the same forward and end in one ``chain_nll`` node or in
+``viterbi`` per chain.  A model also exposes ``params``, the registry
+that the optimizer and the checkpoint writer read, and
 ``prepare_examples``, the adaptor's view of the training set.
 
-A training batch runs inside one ``decoder_scope``, so every example of
-an attribute shares one generated decoder (its graph nodes and the
-hypernetwork product behind them).  Under ``no_grad`` the model keeps
-each generated decoder, and per encoder the states of the last text,
-until a parameter they read is written (``Tensor.version``).  Nothing is
-kept while gradients are on: ``grad_check`` perturbs parameters in place.
+The forward groups a batch's chains by the resolver's encoder and
+decoder.  Each encoder runs once, as one packed node per direction, over
+the distinct texts of its chains, so the attributes of one product share
+encoder states; the batch's decoders are generated (or stacked) in one
+go; one emissions node scores every chain.  Under ``no_grad`` the model
+builds every decoder at once and keeps them, and per encoder the states
+of the last texts, until a parameter they read is written
+(``Tensor.version``).  Nothing is kept while gradients are on:
+``grad_check`` perturbs parameters in place.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +56,9 @@ from .adaptive_decoder import (
     viterbi,
 )
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
-from .autodiff import Tensor, grad_enabled, no_grad, row
+from .autodiff import Tensor, concat, grad_enabled, no_grad, row, stack
 from .corpus import AttributeVocab, Token
-from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_matrix
+from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch, encode_matrix
 from .errors import DataError
 from .tagging import (
     NUM_TAGS,
@@ -75,29 +78,6 @@ VARIANTS = (
 )
 
 SHARED_SCOPE = "shared"
-
-# (model, attribute) -> generated decoder, while a decoder_scope is open.
-_scoped_decoders: dict | None = None
-
-
-@contextmanager
-def decoder_scope():
-    """Generate each attribute's decoder at most once inside the block.
-
-    Everything scored in the block shares those decoders' graph nodes, so
-    a scope must end before the parameters change: one batch's loss and
-    backward, or one evaluation pass.  A nested scope joins the outer one.
-    """
-    global _scoped_decoders
-    if _scoped_decoders is not None:
-        yield
-        return
-    _scoped_decoders = {}
-    try:
-        yield
-    finally:
-        _scoped_decoders = None
-
 
 class ModelParams:
     """Named parameter registry with group labels and trainability flags."""
@@ -289,6 +269,16 @@ class Model:
         self._encoder_reads = {
             a: ((id(table), id(fwd), id(bwd)), (table.matrix, *fwd.tensors(), *bwd.tensors()))
             for a, (table, fwd, bwd, _) in self._resolver.items()}
+        # attribute -> its decoder's slot: a row of w_att for a generated
+        # decoder, else a place in _decoders.
+        if self._attr_info is not None:
+            self._decoder_slot = self._attr_index
+        else:
+            self._decoders = list({id(d): d for *_, d in self._resolver.values()}.values())
+            index = {id(d): i for i, d in enumerate(self._decoders)}
+            self._decoder_slot = {a: index[id(d)] for a, (*_, d) in self._resolver.items()}
+            self._decoder_reads = tuple(t for d in self._decoders for t in (d.W, d.b, d.T))
+        self._all_slots = sorted(set(self._decoder_slot.values()))
 
     def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
         """Attribute table, hypernetwork and transition mixture of adatag."""
@@ -316,7 +306,7 @@ class Model:
             add("moe/b_moe", _uniform(rng, (self.config.k,), d_r), "moe"),
             experts,
         )
-        self._generator_reads = (self.w_att, *self.hyper.tensors(), *self.moe.tensors())
+        self._decoder_reads = (self.w_att, *self.hyper.tensors(), *self.moe.tensors())
 
     def word_vocabs(self):
         return {scope: list(t.itos) for scope, t in self.word_tables.items()}
@@ -326,13 +316,6 @@ class Model:
 
     def prepare_examples(self, examples):
         return self.adaptor.prepare(examples)
-
-    def attribute_vector(self, attribute: str) -> Tensor:
-        try:
-            idx = self._attr_index[attribute]
-        except KeyError:
-            raise DataError(f"unknown attribute {attribute!r}")
-        return row(self.w_att, idx)
 
     def _reuse(self, key, tensors, build, inputs=()):
         """``build()``; under no_grad the result is kept for ``key`` until
@@ -345,36 +328,96 @@ class Model:
             entry = self._cache[key] = (stamp, build())
         return entry[1]
 
-    def _scores(self, token_texts, attribute):
-        """Emission matrix and transition table of one attribute's chain."""
-        try:
-            table, fwd, bwd, dec = self._resolver[attribute]
-        except KeyError:
-            raise DataError(f"unknown attribute {attribute!r}")
-        if dec is None:
-            key = (self, attribute)
-            scope = {} if _scoped_decoders is None else _scoped_decoders
-            if key not in scope:
-                scope[key] = self._reuse(
-                    attribute, self._generator_reads,
-                    lambda: build_decoder(self.hyper, self.moe,
-                                          self.attribute_vector(attribute)))
-            dec = scope[key]
-        H = self._reuse(*self._encoder_reads[attribute],
-                        lambda: encode_matrix(token_texts, table, fwd, bwd),
-                        tuple(token_texts))
-        return emissions(H, dec.W, dec.b), dec.T
+    def _stacked_decoders(self, slots) -> DecoderInstance:
+        """The decoders in ``slots``, stacked along a new first axis."""
+        if self._attr_info is not None:
+            return build_decoder(self.hyper, self.moe, row(self.w_att, slots))
+        decs = [self._decoders[i] for i in slots]
+        return DecoderInstance(*(stack([getattr(d, part) for d in decs])
+                                 for part in ("W", "b", "T")))
 
-    def loss(self, example) -> Tensor:
-        attribute, target = self.adaptor.chain(example)
-        P, T = self._scores(example.token_texts(), attribute)
-        return chain_nll(P, T, target)
+    def _scores(self, chains):
+        """Emission columns (m, N) and stacked transition tables of
+        (token_texts, attribute) chains, with each chain's length and table.
+
+        Chains group by the resolver's encoder and decoder.  Each encoder
+        runs once over the distinct texts of its chains, and the batch's
+        decoders are generated together, in the order they first appear;
+        with gradients off every decoder of the model is built, and kept.
+        """
+        # encoder key -> [an attribute resolving to it, {distinct text: its
+        # first row in the encoder's states}, rows so far]
+        groups, placed, lengths, slots = {}, [], [], []
+        for tokens, attribute in chains:
+            try:
+                key, slot = self._encoder_reads[attribute][0], self._decoder_slot[attribute]
+            except KeyError:
+                raise DataError(f"unknown attribute {attribute!r}") from None
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [attribute, {}, 0]
+            text = tuple(tokens)
+            first = group[1].get(text)
+            if first is None:
+                first = group[1][text] = group[2]
+                group[2] += len(text)
+            placed.append((key, first))
+            lengths.append(len(text))
+            slots.append(slot)
+        states, offset, total = [], {}, 0
+        for key, (attribute, texts, size) in groups.items():
+            table, fwd, bwd, _ = self._resolver[attribute]
+            offset[key], total = total, total + size
+            texts = tuple(texts)
+            # One text (a single request) goes through encode_matrix, the
+            # one-text entry point that extraction has always called.
+            states.append(self._reuse(
+                key, self._encoder_reads[attribute][1],
+                lambda: encode_matrix(list(texts[0]), table, fwd, bwd) if len(texts) == 1
+                else encode_batch(texts, table, fwd, bwd), texts))
+        if grad_enabled():
+            used = list(dict.fromkeys(slots))
+            slots = [used.index(s) for s in slots]
+        else:
+            used = self._all_slots
+        dec = self._reuse("decoders", self._decoder_reads,
+                          lambda: self._stacked_decoders(used))
+        # Each column's row of the encoder states (in order when every
+        # chain has a text of its own and one encoder) and decoder.
+        rows = None
+        if total != sum(lengths) or len(groups) > 1:
+            rows = [r for (key, first), n in zip(placed, lengths)
+                    for r in range(offset[key] + first, offset[key] + first + n)]
+        columns = [slot for slot, n in zip(slots, lengths) for _ in range(n)]
+        P = emissions(states[0] if len(states) == 1 else concat(states),
+                      dec.W, dec.b, rows, columns)
+        return P, dec.T, lengths, slots
+
+    def loss(self, batch) -> Tensor:
+        """Mean NLL of a batch of examples, scored as one graph."""
+        chains, targets = [], []
+        for example in batch:
+            attribute, target = self.adaptor.chain(example)
+            chains.append((example.token_texts(), attribute))
+            targets.extend(target)
+        P, T, lengths, decoders = self._scores(chains)
+        return chain_nll(P, T, targets, lengths, decoders)
+
+    def predict_batch(self, chains) -> list[list[str]]:
+        """Tags of (token_texts, attribute) chains: one forward under
+        no_grad, then Viterbi on each chain."""
+        with no_grad():
+            P, T, lengths, decoders = self._scores(chains)
+        P, T = P.data, T.data
+        tags, end = [], 0
+        for (_, attribute), n, d in zip(chains, lengths, decoders):
+            path, _ = viterbi(P[:, end:end + n], T[d])
+            tags.append(self.adaptor.tags(path, attribute))
+            end += n
+        return tags
 
     def predict_tags(self, token_texts, attribute) -> list[str]:
-        with no_grad():
-            P, T = self._scores(token_texts, attribute)
-            path, _ = viterbi(P, T)
-        return self.adaptor.tags(path, attribute)
+        return self.predict_batch([(token_texts, attribute)])[0]
 
 
 def derive_word_itos(variant: str, examples) -> dict[str, list[str]]:

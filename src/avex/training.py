@@ -1,11 +1,12 @@
 """Training loop, optimizer, checkpoints, and parameter accounting.
 
-Batches average per-example NLLs.  Each example is scored as its own
-chain, so no padding enters the loss, and the examples of a batch share
-one decoder scope, so each attribute's decoder is generated once per
-batch.  Early stopping watches dev macro-F1 with a patience counter, and
-the best epoch's parameters are what ends up in the checkpoint.  All
-arithmetic is float64; only serialization rounds to float32.
+Batches average per-example NLLs.  A batch is scored as one graph
+(``Model.loss``): one packed LSTM node per direction, one generation of
+the batch's decoders, one emissions node and one CRF node, with every
+example still its own chain, so no padding enters the loss.  Early
+stopping watches dev macro-F1 with a patience counter, and the best
+epoch's parameters are what ends up in the checkpoint.  All arithmetic
+is float64; only serialization rounds to float32.
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ import numpy as np
 
 from . import files
 from .attribute_embeddings import AttributeEmbeddingTable
-from .autodiff import Tensor, concat, reshape
+from .autodiff import Tensor
 from .corpus import AttributeVocab
 from .errors import DataError, NumericError
 from .evaluation import evaluate_model, macro
-from .models import (SHARED_SCOPE, VARIANTS, build_variant, decoder_scope,
-                     derive_word_itos)
+from .models import SHARED_SCOPE, VARIANTS, build_variant, derive_word_itos
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 15  # elements updated at a time
 
 
 @dataclass
@@ -150,28 +151,32 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for t, m, v in zip(self.tensors, self._m, self._v):
+        for t, m_all, v_all in zip(self.tensors, self._m, self._v):
             if t.grad is None:
                 continue
-            # The textbook update, in place and in its order of operations.
-            a, b = np.empty_like(t.data), np.empty_like(t.data)
-            np.multiply(m, self.beta1, out=m)
-            m += np.multiply(t.grad, 1.0 - self.beta1, out=a)
-            np.multiply(v, self.beta2, out=v)
-            v += np.multiply(np.square(t.grad, out=a), 1.0 - self.beta2, out=a)
-            np.sqrt(np.divide(v, b2t, out=b), out=b)
-            b += self.eps
-            np.multiply(np.divide(m, b1t, out=a), self.lr, out=a)
-            t.data -= np.divide(a, b, out=a)
+            # The textbook update, in place and in its order of operations,
+            # a block of rows at a time so that its temporaries stay small.
+            rows = max(1, ADAM_BLOCK // (t.data.size // len(t.data)))
+            for i in range(0, len(t.data), rows):
+                block = slice(i, i + rows)
+                grad, m, v, data = t.grad[block], m_all[block], v_all[block], t.data[block]
+                a, b = np.empty_like(data), np.empty_like(data)
+                np.multiply(m, self.beta1, out=m)
+                m += np.multiply(grad, 1.0 - self.beta1, out=a)
+                np.multiply(v, self.beta2, out=v)
+                v += np.multiply(np.square(grad, out=a), 1.0 - self.beta2, out=a)
+                np.sqrt(np.divide(v, b2t, out=b), out=b)
+                b += self.eps
+                np.multiply(np.divide(m, b1t, out=a), self.lr, out=a)
+                data -= np.divide(a, b, out=a)
+            t.version += 1  # written in place, block by block
 
 
 def batch_loss(model, batch) -> Tensor:
-    """Mean NLL over a batch; each attribute's decoder is generated once."""
+    """Mean NLL over a batch, scored as one graph."""
     if not batch:
         raise DataError("empty batch")
-    with decoder_scope():
-        losses = [reshape(model.loss(ex), (1,)) for ex in batch]
-    return concat(losses).mean()
+    return model.loss(batch)
 
 
 @dataclass

@@ -17,8 +17,7 @@ import itertools
 
 import numpy as np
 
-from avex.autodiff import Tensor, as_tensor, concat, fused, matmul, reshape, row, \
-    transpose
+from avex.autodiff import Tensor, as_tensor, concat, fused, reshape, row
 
 
 def all_paths(m: int, n: int):
@@ -81,6 +80,27 @@ def path_counts(z, m: int):
     counts = np.zeros((m, m))
     np.add.at(counts, (z[:-1], z[1:]), 1.0)
     return onehot, counts
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product (m, k) @ (k, n) or (m, k) @ (k,)."""
+    a, b = as_tensor(a), as_tensor(b)
+    if b.data.ndim == 1:
+        return fused(a.data @ b.data, (a, b),
+                     lambda g: (np.outer(g, b.data), a.data.T @ g))
+    return fused(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def transpose(t) -> Tensor:
+    t = as_tensor(t)
+    return fused(t.data.T, (t,), lambda g: (g.T,))
+
+
+def mean(t) -> Tensor:
+    t = as_tensor(t)
+    size = t.data.size
+    return fused(np.asarray(t.data.mean()), (t,),
+                 lambda g: (np.broadcast_to(g / size, t.data.shape).copy(),))
 
 
 def sigmoid(t) -> Tensor:
@@ -163,3 +183,96 @@ def numeric_lstm_step(x, h, c, w_i, b_i, w_f, b_f, w_o, b_o, w_g, b_g):
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new
+
+
+def per_sequence_lstm_layer(X, cell, reverse=False):
+    """One LSTM direction over the rows of X as a single sequence: the
+    fused per-sequence node that the packed ``lstm_layer`` replaced, kept
+    as its reference."""
+    X = as_tensor(X)
+    n, d = X.data.shape
+    k = cell.hidden_size
+    weights = cell.tensors()
+    xs = X.data[::-1] if reverse else X.data
+    scale = np.ones((4 * k, 1))
+    scale[:3 * k] = 0.5
+    W = np.concatenate([w.data for w in weights[:4]])
+    W_h = W[:, d:] * scale
+    gates = (xs @ W[:, :d].T + np.concatenate([b.data for b in weights[4:]])) * scale.T
+    C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
+    h, c = np.zeros(k), np.zeros(k)
+    for t in range(n):
+        a = gates[t]
+        a += W_h @ h
+        np.tanh(a, out=a)
+        a[:3 * k] *= 0.5
+        a[:3 * k] += 0.5
+        c = np.multiply(a[k:2 * k], c, out=C[t])
+        c += a[:k] * a[3 * k:]
+        np.tanh(c, out=TC[t])
+        h = np.multiply(a[2 * k:3 * k], TC[t], out=H[t])
+
+    def vjp(g):
+        I, F, O, G = (gates[:, j * k:(j + 1) * k] for j in range(4))
+        C_prev = np.vstack([np.zeros((1, k)), C[:-1]])
+        H_prev = np.vstack([np.zeros((1, k)), H[:-1]])
+        local = np.hstack([G * I * (1 - I), C_prev * F * (1 - F),
+                           TC * O * (1 - O), I * (1 - G * G)])
+        dc_dh = O * (1 - TC * TC)
+        F_next = np.vstack([F[1:], np.zeros((1, k))])
+        gs = g[::-1] if reverse else g
+        dA = np.empty((n, 4 * k))
+        dh_next, dc = np.zeros(k), np.zeros(k)
+        for t in range(n - 1, -1, -1):
+            dh = gs[t] + dh_next
+            dc = dc * F_next[t] + dh * dc_dh[t]
+            np.multiply(local[t], np.concatenate((dc, dc, dh, dc)), out=dA[t])
+            dh_next = dA[t] @ W[:, d:]
+        dW = dA.T @ np.hstack([xs, H_prev])
+        dX = dA @ W[:, :d]
+        return ((dX[::-1] if reverse else dX),
+                *np.split(dW, 4), *np.split(dA.sum(axis=0), 4))
+
+    return fused(H[::-1] if reverse else H, (X, *weights), vjp)
+
+
+def _np_logsumexp(x, axis=None):
+    m = np.max(x, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
+
+
+def per_chain_nll(P, T, z):
+    """NLL of one tag path as the fused one-chain node that the batched
+    ``chain_nll`` replaced, kept as its reference: alpha and beta
+    recursions over (n, m) arrays, gradient marginals minus counts."""
+    P, T = as_tensor(P), as_tensor(T)
+    Pd, Td = P.data, T.data
+    m, n = Pd.shape
+    z = np.asarray(z, dtype=int)
+    alpha = np.empty((n, m))
+    alpha[0] = Pd[:, 0]
+    for i in range(1, n):
+        alpha[i] = _np_logsumexp(alpha[i - 1][:, None] + Td, axis=0) + Pd[:, i]
+    log_z = _np_logsumexp(alpha[-1])
+
+    def vjp(g):
+        beta = np.zeros((n, m))
+        for i in range(n - 2, -1, -1):
+            beta[i] = _np_logsumexp(Td + (Pd[:, i + 1] + beta[i + 1]), axis=1)
+        unary = np.exp(alpha + beta - log_z).T
+        pair = np.exp(alpha[:-1, :, None] + Td + (Pd.T[1:] + beta[1:])[:, None, :]
+                      - log_z).sum(axis=0)
+        unary[z, np.arange(n)] -= 1.0
+        np.subtract.at(pair, (z[:-1], z[1:]), 1.0)
+        return g * unary, g * pair
+
+    score = brute_path_score(Pd, Td, z)
+    return fused(np.asarray(log_z - score), (P, T), vjp)
+
+
+def per_chain_emissions(H, W, b):
+    """One decoder's (m, n) tag scores of one chain's encoder rows, in
+    per-step autodiff ops: W @ H.T + b."""
+    W, b = as_tensor(W), as_tensor(b)
+    return matmul(W, transpose(H)) + reshape(b, (W.data.shape[0], 1))

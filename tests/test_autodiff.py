@@ -3,7 +3,7 @@ import pytest
 
 from avex import autodiff as ad
 from avex.autodiff import Tensor
-from oracles import logsumexp, sigmoid, tanh
+from oracles import logsumexp, matmul, mean, sigmoid, tanh, transpose
 
 
 def leaf(data):
@@ -39,8 +39,8 @@ def test_matmul_grads():
     a = leaf(rng.normal(size=(3, 4)))
     b = leaf(rng.normal(size=(4, 2)))
     v = leaf(rng.normal(size=(4,)))
-    check(lambda: (a @ b).sum(), {"a": a, "b": b})
-    check(lambda: (a @ v).sum(), {"a": a, "v": v})
+    check(lambda: matmul(a, b).sum(), {"a": a, "b": b})
+    check(lambda: matmul(a, v).sum(), {"a": a, "v": v})
 
 
 def test_concat_reshape_transpose_grads():
@@ -49,7 +49,7 @@ def test_concat_reshape_transpose_grads():
     b = leaf(rng.normal(size=(1, 3)))
     check(lambda: ad.concat([a, b], axis=0).sum(), {"a": a, "b": b})
     check(lambda: a.reshape((3, 2)).sum(), {"a": a})
-    check(lambda: ad.mul(a.transpose(), a.transpose()).sum(), {"a": a})
+    check(lambda: ad.mul(transpose(a), transpose(a)).sum(), {"a": a})
 
 
 def test_row_grads():
@@ -119,7 +119,7 @@ def test_logsumexp_grads():
 def test_mean_and_sum_grads():
     rng = np.random.default_rng(8)
     a = leaf(rng.normal(size=(6,)))
-    check(lambda: a.mean(), {"a": a})
+    check(lambda: mean(a), {"a": a})
     check(lambda: a.sum(), {"a": a})
 
 
@@ -130,7 +130,7 @@ def test_composite_expression_grad():
     b = leaf(rng.normal(size=(3,)))
 
     def f():
-        return logsumexp(tanh(w @ x) + b)
+        return logsumexp(tanh(matmul(w, x)) + b)
 
     check(f, {"w": w, "x": x, "b": b})
 

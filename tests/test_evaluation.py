@@ -1,5 +1,6 @@
 import json
 import logging
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,11 +24,16 @@ from avex.evaluation import (
 class FixedModel:
     """predict_tags returns canned tag sequences keyed by attribute."""
 
+    config = SimpleNamespace(batch_size=2)
+
     def __init__(self, answers):
         self.answers = answers
 
     def predict_tags(self, token_texts, attribute):
         return self.answers.get(attribute, ["O"] * len(token_texts))
+
+    def predict_batch(self, chains):
+        return [self.predict_tags(tokens, attribute) for tokens, attribute in chains]
 
 
 def metrics(tp, fp, fn):

@@ -142,10 +142,9 @@ def test_adatag_attribute_vector_rows():
     model, vocab, _ = build("adatag")
     table = embedding_table(vocab)
     for i, a in enumerate(vocab.ids()):
-        np.testing.assert_array_equal(model.attribute_vector(a).data,
-                                      table.get(a))
+        np.testing.assert_array_equal(model.w_att.data[i], table.get(a))
     with pytest.raises(DataError):
-        model.attribute_vector("Nope")
+        model.predict_tags(["white"], "Nope")
 
 
 def test_adatag_random_emb_is_trainable():
@@ -157,7 +156,7 @@ def test_adatag_random_emb_is_trainable():
 
 def test_adatag_loss_and_predict_shapes():
     model, vocab, examples = build("adatag")
-    loss = model.loss(examples[0])
+    loss = model.loss([examples[0]])
     assert loss.data.shape == ()
     assert np.isfinite(loss.item())
     tags = model.predict_tags(["white", "towel"], "Color")
@@ -238,7 +237,7 @@ def test_odd_hidden_size_rejected():
 def test_every_variant_trains_one_example(variant):
     model, vocab, examples = build(variant)
     prepared = model.prepare_examples(examples)
-    loss = model.loss(prepared[0])
+    loss = model.loss([prepared[0]])
     loss.backward()
     grads = [t.grad for _, t in model.params.items() if t.requires_grad]
     assert any(g is not None and np.any(g != 0) for g in grads)
@@ -312,10 +311,12 @@ def test_generated_decoders_built_once_per_parameter_state(monkeypatch):
     for text in (["white"], ["rose", "wash"], ["white"]):
         for a in vocab.ids():
             model.predict_tags(text, a)
-    assert len(calls) == len(vocab.ids())
+    # One generation covers every attribute of the model.
+    assert len(calls) == 1
+    assert calls[0][2].data.shape == (len(vocab.ids()), 5)
     model.moe.experts[0].data = model.moe.experts[0].data + 0.0
     model.predict_tags(["white"], "Color")
-    assert len(calls) == len(vocab.ids()) + 1
+    assert len(calls) == 2
 
 
 def test_grad_check_after_predict_tags():
@@ -326,7 +327,7 @@ def test_grad_check_after_predict_tags():
     for a in vocab.ids():
         model.predict_tags(ex.token_texts(), a)
     params = model.params.trainable()
-    report = grad_check(lambda: model.loss(ex), params, tolerance=1e-6)
+    report = grad_check(lambda: model.loss([ex]), params, tolerance=1e-6)
     assert report.passed, report.max_rel_error
     for name in ("encoder/lstm_fwd/w_i", "hyper/W_hyper_w"):
         assert np.any(params[name].grad != 0), name
@@ -369,3 +370,35 @@ def test_interleaved_predictions_equal_a_fresh_model(variant, steps):
         for w in writes:
             write(fresh, *w)
         assert model.predict_tags(*args) == fresh.predict_tags(*args)
+
+
+def test_batch_encodes_each_text_of_a_product_once(monkeypatch):
+    # Three attributes of one product share the encoder states of its one
+    # text; the batch gradient equals the sum of per-example gradients.
+    vocab = AttributeVocab([("Scent", None), ("Color", None), ("Size", None)])
+    products = [Product("p1", "large white rose towel", [], None,
+                        {"Scent": ["rose"], "Color": ["white"], "Size": ["large"]})]
+    examples, _ = build_corpus(products, vocab)
+    assert len(examples) == 3 and len({tuple(ex.token_texts()) for ex in examples}) == 1
+    config = tiny_config("adatag_random_emb")
+    model = build_variant(config, vocab, derive_word_itos(config.variant, examples))
+    single = _count_calls(monkeypatch, "encode_matrix")
+    batched = _count_calls(monkeypatch, "encode_batch")
+    params = model.params.trainable()
+
+    def grads(loss):
+        for t in params.values():
+            t.grad = None
+        loss.backward()
+        return {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                for name, t in params.items()}
+
+    together = grads(model.loss(examples) * len(examples))
+    assert len(single) == 1 and not batched
+    summed = {name: np.zeros_like(t.data) for name, t in params.items()}
+    for ex in examples:
+        for name, g in grads(model.loss([ex])).items():
+            summed[name] += g
+    for name in params:
+        np.testing.assert_allclose(together[name], summed[name], rtol=1e-12,
+                                   atol=1e-12 * np.abs(summed[name]).max(), err_msg=name)
