@@ -25,7 +25,6 @@ from .autodiff import (
     fused,
     linear,
     packed_steps,
-    pick,
     reshape,
     softmax,
 )
@@ -179,18 +178,6 @@ def _check_indices(z, m, n):
     if z.size and (z.min() < 0 or z.max() >= m):
         raise ValueError(f"tag index out of range 0..{m - 1}: {z.tolist()}")
     return z
-
-
-def chain_score(P, T, z) -> Tensor:
-    """Unnormalized score of one tag path: transitions plus emissions."""
-    P, T, m = _check_chain(P, T)
-    n = P.data.shape[1]
-    z = _check_indices(z, m, n)
-    emit = pick(P, z, np.arange(n)).sum()
-    if n == 1:
-        return emit
-    trans = pick(T, z[:-1], z[1:]).sum()
-    return trans + emit
 
 
 def _logsumexp(x, axis=None):

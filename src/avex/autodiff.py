@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A small define-by-run engine: every operation produces a new node that
-remembers its input nodes and a closure routing the output gradient back
-to them.  Calling ``backward()`` on a scalar node walks the recorded
-graph once in reverse topological order and accumulates gradients into
-every tensor reachable from it that has ``requires_grad`` set.
+A small define-by-run engine: every op is a ``fused`` node, which holds
+its result, its input nodes and a vjp returning one gradient per input.
+``row`` is the one exception: it scatters into its parent's gradient in
+place, so that repeated lookups of one table keep their summation order.
+Calling ``backward()`` on a scalar node walks the recorded graph once in
+reverse topological order and accumulates gradients into every tensor
+reachable from it that has ``requires_grad`` set.
 
 All arithmetic is float64 on purpose: the whole stack is small enough
 that central finite differences stay a tight oracle for every gradient.
@@ -26,7 +28,6 @@ __all__ = [
     "concat",
     "softmax",
     "row",
-    "pick",
     "linear",
     "stack",
     "fused",
@@ -37,7 +38,7 @@ __all__ = [
 
 
 class ShapeError(ValueError):
-    """Operand shapes incompatible with the requested operation."""
+    """An index or shape the requested operation cannot take."""
 
 
 _GRAD_ENABLED = True
@@ -132,20 +133,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), mul(self, -1.0))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return mul(self, 1.0 / float(other))
-
     def reshape(self, shape):
         return reshape(self, shape)
 
@@ -178,8 +165,8 @@ def _node(data, *parents) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray):
     # The first gradient is stored as given when it has the layout that
     # zeros_like(t.data) would have (a layout fixes the summation order of
-    # later reductions over it).  Closures may hand one array to several
-    # tensors, so a stored array is copied before anything is added to it.
+    # later reductions over it).  A vjp may hand one array to several
+    # parents, so a stored array is copied before anything is added to it.
     if not t.requires_grad:
         return
     if t.grad is None and g.flags.c_contiguous and t.data.flags.c_contiguous:
@@ -231,89 +218,54 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-# -- arithmetic --------------------------------------------------------------
+# -- ops ---------------------------------------------------------------------
+
+
+def fused(data, parents, vjp) -> Tensor:
+    """A node computed outside the engine, with a hand-written backward.
+
+    ``vjp(g)`` receives the output gradient and returns one gradient (or
+    None) per parent, in order.  It runs only during backward, so work
+    that only the gradient needs belongs inside it.
+    """
+    parents = tuple(parents)
+    out = _node(data, *parents)
+    if out.requires_grad:
+
+        def backward(g):
+            for p, gp in zip(parents, vjp(g)):
+                if gp is not None:
+                    _accum(p, gp)
+
+        out._backward = backward
+    return out
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = _node(data, a, b)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-        out._backward = backward
-    return out
+    return fused(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = _node(data, a, b)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-        out._backward = backward
-    return out
-
-
-# -- shape manipulation ------------------------------------------------------
+    return fused(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                            _unbroadcast(g * a.data, b.data.shape)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat: need at least one tensor")
-    try:
-        data = np.concatenate([t.data for t in ts], axis=axis)
-    except ValueError:
-        shapes = [t.data.shape for t in ts]
-        raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}")
-    out = _node(data, *ts)
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in ts]
 
-        def backward(g):
-            offset = 0
-            for t, size in zip(ts, sizes):
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + size)
-                _accum(t, g[tuple(index)])
-                offset += size
+    def vjp(g):
+        return np.split(g, np.cumsum([t.data.shape[axis] for t in ts[:-1]]), axis=axis)
 
-        out._backward = backward
-    return out
+    return fused(np.concatenate([t.data for t in ts], axis=axis), ts, vjp)
 
 
 def reshape(t, shape) -> Tensor:
     t = as_tensor(t)
-    try:
-        data = t.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"reshape: cannot view shape {t.data.shape} as {shape}")
-    out = _node(data, t)
-    if out.requires_grad:
-        src = t.data.shape
-
-        def backward(g):
-            _accum(t, g.reshape(src))
-
-        out._backward = backward
-    return out
-
-
-# -- indexing ----------------------------------------------------------------
+    return fused(t.data.reshape(shape), (t,), lambda g: (g.reshape(t.data.shape),))
 
 
 def row(t, index) -> Tensor:
@@ -340,53 +292,6 @@ def row(t, index) -> Tensor:
     return out
 
 
-def pick(t, rows_index, cols_index) -> Tensor:
-    """Gather matrix entries t[rows_index[i], cols_index[i]] into a vector.
-
-    Repeated (row, col) pairs are allowed; their gradients accumulate.
-    """
-    t = as_tensor(t)
-    if t.data.ndim != 2:
-        raise ShapeError(f"pick: expected a matrix, got shape {t.data.shape}")
-    r = np.asarray(rows_index, dtype=int)
-    c = np.asarray(cols_index, dtype=int)
-    if r.shape != c.shape or r.ndim != 1:
-        raise ShapeError(f"pick: index shapes {r.shape} and {c.shape} must match (1-d)")
-    m, n = t.data.shape
-    if r.size and (r.min() < 0 or r.max() >= m or c.min() < 0 or c.max() >= n):
-        raise ShapeError(f"pick: indices out of range for shape {t.data.shape}")
-    out = _node(t.data[r, c], t)
-    if out.requires_grad:
-
-        def backward(g):
-            if not t.requires_grad:
-                return
-            np.add.at(_owned_grad(t), (r, c), g)
-
-        out._backward = backward
-    return out
-
-
-def fused(data, parents, vjp) -> Tensor:
-    """A node computed outside the engine, with a hand-written backward.
-
-    ``vjp(g)`` receives the output gradient and returns one gradient (or
-    None) per parent, in order.  It runs only during backward, so work
-    that only the gradient needs belongs inside it.
-    """
-    parents = tuple(parents)
-    out = _node(data, *parents)
-    if out.requires_grad:
-
-        def backward(g):
-            for p, gp in zip(parents, vjp(g)):
-                if gp is not None:
-                    _accum(p, gp)
-
-        out._backward = backward
-    return out
-
-
 def linear(x, w, b) -> Tensor:
     """Affine map ``w @ x + b`` of a vector, or of every row of a matrix."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -408,6 +313,21 @@ def stack(tensors) -> Tensor:
     """Tensors of one shape stacked along a new first axis."""
     ts = [as_tensor(t) for t in tensors]
     return fused(np.stack([t.data for t in ts]), ts, tuple)
+
+
+def softmax(t) -> Tensor:
+    """Softmax over the last axis (max-shifted for stability)."""
+    t = as_tensor(t)
+    e = np.exp(t.data - np.max(t.data, axis=-1, keepdims=True))
+    data = e / e.sum(axis=-1, keepdims=True)
+    return fused(data, (t,),
+                 lambda g: (data * (g - (g * data).sum(axis=-1, keepdims=True)),))
+
+
+def tensor_sum(t) -> Tensor:
+    t = as_tensor(t)
+    return fused(np.asarray(t.data.sum()), (t,),
+                 lambda g: (np.broadcast_to(g, t.data.shape).copy(),))
 
 
 class Packing(NamedTuple):
@@ -446,37 +366,6 @@ def packed_steps(lengths, reverse: bool = False) -> Packing:
     seq = rank[slot]
     pos = lengths[seq] - 1 - step if reverse else step
     return Packing(rank, starts, step, slot, np.cumsum(lengths)[seq] - lengths[seq] + pos)
-
-
-# -- nonlinearities and reductions -------------------------------------------
-
-
-def softmax(t) -> Tensor:
-    """Softmax over the last axis (max-shifted for stability)."""
-    t = as_tensor(t)
-    shifted = t.data - np.max(t.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-    out = _node(data, t)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(t, data * (g - (g * data).sum(axis=-1, keepdims=True)))
-
-        out._backward = backward
-    return out
-
-
-def tensor_sum(t) -> Tensor:
-    t = as_tensor(t)
-    out = _node(np.asarray(t.data.sum()), t)
-    if out.requires_grad:
-
-        def backward(g):
-            _accum(t, np.broadcast_to(g, t.data.shape).copy())
-
-        out._backward = backward
-    return out
 
 
 # -- gradient checking -------------------------------------------------------

@@ -12,6 +12,7 @@ command leaves every output path as it was.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -61,12 +62,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--report")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--include-negatives", action="store_true")
-    for flag, kind in (("--variant", str), ("--d-h", int), ("--d-word", int),
-                       ("--d-r", int), ("--k", int), ("--batch-size", int),
-                       ("--learning-rate", float), ("--patience", int),
-                       ("--max-epochs", int), ("--seed", int), ("--setting", str),
-                       ("--attributes", str)):
-        p.add_argument(flag, type=kind)
+    for f in dataclasses.fields(training.TrainConfig):  # each overrides --config
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       type={"int": int, "float": float}.get(f.type, str))
 
     p = sub.add_parser("extract", help="extract values from raw text")
     p.add_argument("--checkpoint", required=True)
@@ -102,14 +100,9 @@ def _resolved_config(args) -> training.TrainConfig:
     mapping = {}
     if args.config:
         mapping.update(training.parse_config_file(args.config))
-    overrides = {
-        "variant": args.variant, "d_h": args.d_h, "d_word": args.d_word,
-        "d_r": args.d_r, "k": args.k, "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate, "patience": args.patience,
-        "max_epochs": args.max_epochs, "seed": args.seed, "setting": args.setting,
-        "attributes": args.attributes,
-    }
-    mapping.update({k: v for k, v in overrides.items() if v is not None})
+    for f in dataclasses.fields(training.TrainConfig):
+        if getattr(args, f.name) is not None:
+            mapping[f.name] = getattr(args, f.name)
     return training.TrainConfig.from_mapping(mapping)
 
 

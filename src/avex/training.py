@@ -133,12 +133,9 @@ def parse_config_file(path) -> dict:
 class Adam:
     """Standard Adam with bias correction; state per parameter tensor."""
 
-    def __init__(self, tensors, lr: float,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, tensors, lr: float):
         self.tensors = list(tensors)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(t.data) for t in self.tensors]
         self._v = [np.zeros_like(t.data) for t in self.tensors]
@@ -149,8 +146,8 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for t, m_all, v_all in zip(self.tensors, self._m, self._v):
             if t.grad is None:
                 continue
@@ -161,12 +158,12 @@ class Adam:
                 block = slice(i, i + rows)
                 grad, m, v, data = t.grad[block], m_all[block], v_all[block], t.data[block]
                 a, b = np.empty_like(data), np.empty_like(data)
-                np.multiply(m, self.beta1, out=m)
-                m += np.multiply(grad, 1.0 - self.beta1, out=a)
-                np.multiply(v, self.beta2, out=v)
-                v += np.multiply(np.square(grad, out=a), 1.0 - self.beta2, out=a)
+                np.multiply(m, ADAM_BETA1, out=m)
+                m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+                np.multiply(v, ADAM_BETA2, out=v)
+                v += np.multiply(np.square(grad, out=a), 1.0 - ADAM_BETA2, out=a)
                 np.sqrt(np.divide(v, b2t, out=b), out=b)
-                b += self.eps
+                b += ADAM_EPS
                 np.multiply(np.divide(m, b1t, out=a), self.lr, out=a)
                 data -= np.divide(a, b, out=a)
             t.version += 1  # written in place, block by block

@@ -12,7 +12,6 @@ from avex.adaptive_decoder import (
     TransitionMoe,
     build_decoder,
     chain_nll,
-    chain_score,
     emissions,
     gate,
     generate_linear,
@@ -192,8 +191,7 @@ def test_chain_score_matches_brute_force_bitwise():
     for n in range(1, 7):
         P, T = random_chain(rng, n)
         for z in all_paths(NUM_TAGS, n):
-            assert path_score(P, T, z) == pytest.approx(
-                chain_score(P, T, list(z)).item(), abs=1e-12)
+            assert path_score(P, T, z) == brute_path_score(P, T, z)
 
 
 def test_viterbi_matches_brute_force():
@@ -257,7 +255,7 @@ def test_score_order_viterbi_partition():
     for _ in range(25):
         P, T = random_chain(rng, 4)
         z = rng.integers(0, NUM_TAGS, size=4)
-        s = chain_score(P, T, z).item()
+        s = path_score(P, T, z)
         _, v = viterbi(P, T)
         logz = log_partition(P, T).item()
         assert s <= v + 1e-12
@@ -280,9 +278,9 @@ def test_chain_score_rejects_bad_paths():
     P = np.zeros((NUM_TAGS, 3))
     T = np.zeros((NUM_TAGS, NUM_TAGS))
     with pytest.raises(ValueError):
-        chain_score(P, T, [0, 1])  # wrong length
+        chain_nll(P, T, [0, 1])  # wrong length
     with pytest.raises(ValueError):
-        chain_score(P, T, [0, 1, 7])  # out of range
+        chain_nll(P, T, [0, 1, 7])  # out of range
 
 
 def test_check_chain_rejects_mismatched_transition():
@@ -361,7 +359,7 @@ def test_chain_nll_value_is_log_partition_minus_score():
         P, T = random_chain(rng, n)
         z = rng.integers(0, NUM_TAGS, size=n)
         assert chain_nll(P, T, z).item() == \
-            log_partition(P, T).item() - chain_score(P, T, z).item()
+            log_partition(P, T).item() - path_score(P, T, z)
 
 
 # -- gradients through the whole generated decoder ---------------------------
