@@ -12,27 +12,18 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import files
-from .corpus import span_text, tokenize
+from .corpus import tokenize
+from .encoder import lookup_word
 from .errors import DataError
-from .tagging import tags_to_spans
+from .tagging import span_text, tags_to_spans
 
 log = logging.getLogger(__name__)
 
 PROVENANCES = ("uncontextualized", "contextualized", "random")
-
-
-@dataclass(frozen=True)
-class AttributeInstance:
-    """One labeled value occurrence: attribute phrase, value string, context."""
-
-    phrase: str
-    value: str
-    token_texts: tuple[str, ...]
 
 
 class AttributeEmbeddingTable:
@@ -103,28 +94,16 @@ class AttributeEmbeddingTable:
         return cls(vectors, provenance)
 
 
-def collect_instances(examples, attr_id: str, phrase: str) -> list[AttributeInstance]:
-    """One instance per labeled value span of the attribute."""
-    instances = []
-    for ex in examples:
-        if ex.attribute != attr_id:
-            continue
-        for span in sorted(tags_to_spans(ex.tags)):
-            instances.append(AttributeInstance(
-                phrase, span_text(ex.tokens, span),
-                tuple(t.text for t in ex.tokens)))
-    return instances
+def collect_instances(examples, attr_id: str) -> list[str]:
+    """The value string of every labeled span of the attribute."""
+    return [span_text(ex.token_texts(), span) for ex in examples if ex.attribute == attr_id
+            for span in sorted(tags_to_spans(ex.tags))]
 
 
 def static_phrase_embedding(phrase: str, vectors: dict, dim: int) -> np.ndarray:
     """Mean of the static vectors of a phrase's tokens; OOV tokens skipped."""
-    hits = []
-    for token in tokenize(phrase):
-        vec = vectors.get(token.text)
-        if vec is None:
-            vec = vectors.get(token.text.lower())
-        if vec is not None:
-            hits.append(vec)
+    hits = [vec for vec in (lookup_word(vectors, t.text) for t in tokenize(phrase))
+            if vec is not None]
     if not hits:
         return np.zeros(dim)
     return np.mean(hits, axis=0)
@@ -139,12 +118,11 @@ def uncontextualized_embedding(attr_id: str, phrase: str, examples,
     occurrences the value half is zero and the attribute is flagged.
     Returns (embedding of size 2*dim, flagged).
     """
-    instances = collect_instances(examples, attr_id, phrase)
+    values = collect_instances(examples, attr_id)
     name_part = static_phrase_embedding(phrase, vectors, dim)
-    if instances:
+    if values:
         value_part = np.mean(
-            [static_phrase_embedding(inst.value, vectors, dim) for inst in instances],
-            axis=0)
+            [static_phrase_embedding(v, vectors, dim) for v in values], axis=0)
         flagged = False
     else:
         value_part = np.zeros(dim)

@@ -16,10 +16,11 @@ import json
 import re
 import string
 from dataclasses import dataclass, field
+from itertools import compress
 
 from . import files
 from .errors import DataError
-from .tagging import OUTSIDE, Span, tags_to_spans
+from .tagging import OUTSIDE, Span, first_fit, spans_to_tags, value_strings
 
 SETTINGS = ("title", "title_plus_bullets")
 FIELD_SEPARATOR = "."
@@ -155,46 +156,21 @@ def distant_label(tokens, values) -> list[str]:
     """
     n = len(tokens)
     lowered = [t.text.lower() for t in tokens]
-    candidates = []
-    for value in sorted(set(values)):
+    spans = []
+    for value in set(values):
         vtoks = _value_token_texts(value)
         width = len(vtoks)
-        if width == 0:
-            continue
-        for s in range(n - width + 1):
-            if lowered[s : s + width] == vtoks:
-                candidates.append((width, s, value))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-
-    tags = [OUTSIDE] * n
-    taken = [False] * n
-    for width, s, _value in candidates:
-        if any(taken[i] for i in range(s, s + width)):
-            continue
-        for i in range(s, s + width):
-            taken[i] = True
-        tags[s] = "B"
-        if width > 1:
-            tags[s + width - 1] = "E"
-            for i in range(s + 1, s + width - 1):
-                tags[i] = "I"
-    return tags
-
-
-def span_text(tokens, span: Span) -> str:
-    """Canonical value string: token texts joined by single spaces."""
-    return " ".join(tokens[i].text for i in range(span.start, span.end + 1))
+        for s in range(n - width + 1 if width else 0):
+            if lowered[s:s + width] == vtoks:
+                spans.append(Span(s, s + width - 1))
+    spans.sort(key=lambda span: (span.start - span.end, span.start))
+    return spans_to_tags(compress(spans, first_fit(spans, n)), n)
 
 
 def matched_values(tokens, tags, values) -> set[str]:
     """Which catalog values are realized by the labeled spans."""
-    realized = {span_text(tokens, s).lower() for s in tags_to_spans(tags)}
-    out = set()
-    for value in values:
-        norm = " ".join(_value_token_texts(value))
-        if norm in realized:
-            out.add(value)
-    return out
+    realized = {v.lower() for v in value_strings([t.text for t in tokens], tags)}
+    return {v for v in values if " ".join(_value_token_texts(v)) in realized}
 
 
 @dataclass

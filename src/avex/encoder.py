@@ -46,6 +46,13 @@ def load_word_vectors(path) -> dict[str, np.ndarray]:
     return vectors
 
 
+def lookup_word(table: dict, word: str):
+    """``table``'s entry for the exact form of ``word``, else for its
+    lowercase form, else None."""
+    found = table.get(word)
+    return table.get(word.lower()) if found is None else found
+
+
 class WordEmbeddingTable:
     """Token-to-row mapping over a trainable embedding matrix.
 
@@ -66,38 +73,32 @@ class WordEmbeddingTable:
         return self.matrix.data.shape[1]
 
     @classmethod
-    def from_itos(cls, itos, vectors, d_word: int, rng: np.random.Generator,
-                  trainable: bool = True) -> "WordEmbeddingTable":
+    def from_itos(cls, itos, vectors, d_word: int,
+                  rng: np.random.Generator) -> "WordEmbeddingTable":
         mat = rng.uniform(-0.1, 0.1, size=(len(itos), d_word))
         mat[0] = 0.0  # padding row
         if vectors:
             for i, word in enumerate(itos):
                 if i == 0:
                     continue
-                vec = vectors.get(word)
-                if vec is None:
-                    vec = vectors.get(word.lower())
+                vec = lookup_word(vectors, word)
                 if vec is not None:
                     if vec.shape != (d_word,):
                         raise DataError(
                             f"vector for {word!r} has dim {vec.shape[0]}, "
                             f"expected {d_word}")
                     mat[i] = vec
-        return cls(list(itos), Tensor(mat, requires_grad=trainable))
+        return cls(list(itos), Tensor(mat, requires_grad=True))
 
     @classmethod
-    def build(cls, corpus_tokens, vectors, d_word: int, rng: np.random.Generator,
-              trainable: bool = True) -> "WordEmbeddingTable":
+    def build(cls, corpus_tokens, vectors, d_word: int,
+              rng: np.random.Generator) -> "WordEmbeddingTable":
         itos = [PAD, UNK] + sorted(set(corpus_tokens))
-        return cls.from_itos(itos, vectors, d_word, rng, trainable)
+        return cls.from_itos(itos, vectors, d_word, rng)
 
     def index(self, token: str) -> int:
-        i = self.stoi.get(token)
-        if i is None:
-            i = self.stoi.get(token.lower())
-        if i is None:
-            i = self.stoi[UNK]
-        return i
+        i = lookup_word(self.stoi, token)
+        return self.stoi[UNK] if i is None else i
 
     def embed(self, token_texts) -> Tensor:
         """The tokens' rows as one (n, d_word) matrix."""

@@ -14,9 +14,8 @@ import logging
 from dataclasses import dataclass, field
 
 from . import files
-from .corpus import span_text
 from .errors import DataError
-from .tagging import tags_to_spans
+from .tagging import value_strings
 
 log = logging.getLogger(__name__)
 
@@ -105,18 +104,11 @@ def _scores(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 def extract(model, token_texts, attribute) -> set[str]:
     """Decode one sequence and return its normalized value strings."""
-    return _values(token_texts, model.predict_tags(token_texts, attribute))
-
-
-def _values(token_texts, tags) -> set[str]:
-    from .corpus import Token  # tokens here only carry text
-
-    tokens = [Token(t, 0, 0) for t in token_texts]
-    return {span_text(tokens, s) for s in tags_to_spans(tags)}
+    return value_strings(token_texts, model.predict_tags(token_texts, attribute))
 
 
 def gold_value_strings(example) -> set[str]:
-    return {span_text(example.tokens, s) for s in tags_to_spans(example.tags)}
+    return value_strings(example.token_texts(), example.tags)
 
 
 def collect_results(model, examples) -> list[ExtractionResult]:
@@ -129,7 +121,7 @@ def collect_results(model, examples) -> list[ExtractionResult]:
         batch = ordered[start:start + size]
         tags = model.predict_batch([(ex.token_texts(), ex.attribute) for ex in batch])
         results.extend(
-            ExtractionResult(ex.product_id, ex.attribute, _values(ex.token_texts(), t),
+            ExtractionResult(ex.product_id, ex.attribute, value_strings(ex.token_texts(), t),
                              gold_value_strings(ex))
             for ex, t in zip(batch, tags))
     return results

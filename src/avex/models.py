@@ -2,8 +2,8 @@
 
 The variants differ only in how each attribute gets its word table, its
 BiLSTM and its CRF decoder.  The constructor registers the variant's
-parameters and fills in a resolver, attribute -> (word table, forward
-cell, backward cell, decoder):
+parameters and fills in a route, attribute -> (encoder, decoder slot),
+where an encoder is a word table with a forward and a backward cell:
 
   - "adatag": one shared encoder; each attribute's decoder is generated
     from its frozen embedding (a hypernetwork for the emissions, a gated
@@ -12,7 +12,7 @@ cell, backward cell, decoder):
   - "bilstm_multicrf": the shared encoder and one explicit CRF per
     attribute.
   - "n_tag_sets": the shared encoder and one CRF over the joint 3N+1
-    tagset, resolved for every attribute.
+    tagset, shared by every attribute.
   - "bilstm_crf_shared_emb": a shared word table, and a BiLSTM and a CRF
     per attribute.
   - "per_attribute": a word table, a BiLSTM and a CRF per attribute,
@@ -29,7 +29,7 @@ a batch with the same forward and end in one ``chain_nll`` node or in
 that the optimizer and the checkpoint writer read, and
 ``prepare_examples``, the adaptor's view of the training set.
 
-The forward groups a batch's chains by the resolver's encoder and
+The forward groups a batch's chains by the route's encoder and
 decoder.  Each encoder runs once, as one packed node per direction, over
 the distinct texts of its chains, so the attributes of one product share
 encoder states; the batch's decoders are generated (or stacked) in one
@@ -198,7 +198,7 @@ class JointTags:
         return merged
 
     def chain(self, example: MergedExample):
-        # Every attribute resolves to the one joint decoder.
+        # Every attribute routes to the one joint decoder.
         return self.tagset.attributes[0], list(example.tag_ids)
 
     def tags(self, path, attribute) -> list[str]:
@@ -228,57 +228,52 @@ class Model:
             self.word_tables[scope] = table
             return table
 
-        def cells(prefix, group):
-            return tuple(_make_cell(self.params, f"{prefix}/lstm_{d}", group,
-                                    config.d_word, config.d_h // 2, rng)
-                         for d in ("fwd", "bwd"))
+        def encoder(table, prefix, group):
+            fwd, bwd = (_make_cell(self.params, f"{prefix}/lstm_{d}", group,
+                                   config.d_word, config.d_h // 2, rng)
+                        for d in ("fwd", "bwd"))
+            self._encoders.append(((table, fwd, bwd),
+                                   (table.matrix, *fwd.tensors(), *bwd.tensors())))
+            return len(self._encoders) - 1
 
         def crf(prefix, group):
             m, d_h = self.adaptor.num_tags, config.d_h
-            return DecoderInstance(add(f"{prefix}/W", _uniform(rng, (m, d_h), d_h), group),
-                                   add(f"{prefix}/b", _uniform(rng, (m,), d_h), group),
-                                   add(f"{prefix}/T", _uniform(rng, (m, m), m), group))
+            self._decoders.append(DecoderInstance(
+                add(f"{prefix}/W", _uniform(rng, (m, d_h), d_h), group),
+                add(f"{prefix}/b", _uniform(rng, (m,), d_h), group),
+                add(f"{prefix}/T", _uniform(rng, (m, m), m), group)))
+            return len(self._decoders) - 1
 
-        # attribute -> (word table, forward cell, backward cell, decoder);
-        # a None decoder is generated from the attribute embedding.
-        self._resolver: dict[str, tuple] = {}
+        # attribute -> (its encoder in _encoders, its decoder's slot: a row
+        # of w_att for a generated decoder, else a place in _decoders)
+        self._route: dict[str, tuple[int, int]] = {}
+        self._encoders: list[tuple] = []  # ((table, fwd, bwd), the tensors read)
+        self._decoders: list[DecoderInstance] = []
         if config.variant == "per_attribute":
             for a in ids:
                 if a not in word_itos:
                     raise DataError(f"no word vocabulary for attribute {a!r}")
-                table = word_table(a, f"per_attr/{a}/encoder", a)
-                self._resolver[a] = (table, *cells(f"per_attr/{a}/encoder", a),
-                                   crf(f"per_attr/{a}/decoder", a))
+                prefix = f"per_attr/{a}/encoder"
+                self._route[a] = (encoder(word_table(a, prefix, a), prefix, a),
+                                  crf(f"per_attr/{a}/decoder", a))
         elif config.variant == "bilstm_crf_shared_emb":
             table = word_table(SHARED_SCOPE, "embedding", "embedding")
             for a in ids:
-                self._resolver[a] = (table, *cells(f"encoder/{a}", "encoder"),
-                                   crf(f"decoder/{a}", "decoder"))
+                self._route[a] = (encoder(table, f"encoder/{a}", "encoder"),
+                                  crf(f"decoder/{a}", "decoder"))
         else:
-            encoder = (word_table(SHARED_SCOPE, "encoder", "encoder"),
-                       *cells("encoder", "encoder"))
+            shared = encoder(word_table(SHARED_SCOPE, "encoder", "encoder"),
+                             "encoder", "encoder")
             if config.variant == "bilstm_multicrf":
-                decoders = {a: crf(f"decoder/{a}", "decoder") for a in ids}
+                slots = [crf(f"decoder/{a}", "decoder") for a in ids]
             elif config.variant == "n_tag_sets":
-                decoders = dict.fromkeys(ids, crf("decoder", "decoder"))
+                slots = [crf("decoder", "decoder")] * len(ids)
             else:
                 self._make_generator(attr_table, rng)
-                decoders = dict.fromkeys(ids)
-            self._resolver = {a: (*encoder, decoders[a]) for a in ids}
-        # attribute -> (key of its encoder in _cache, the tensors it reads)
-        self._encoder_reads = {
-            a: ((id(table), id(fwd), id(bwd)), (table.matrix, *fwd.tensors(), *bwd.tensors()))
-            for a, (table, fwd, bwd, _) in self._resolver.items()}
-        # attribute -> its decoder's slot: a row of w_att for a generated
-        # decoder, else a place in _decoders.
-        if self._attr_info is not None:
-            self._decoder_slot = self._attr_index
-        else:
-            self._decoders = list({id(d): d for *_, d in self._resolver.values()}.values())
-            index = {id(d): i for i, d in enumerate(self._decoders)}
-            self._decoder_slot = {a: index[id(d)] for a, (*_, d) in self._resolver.items()}
+                slots = range(len(ids))
+            self._route = {a: (shared, slot) for a, slot in zip(ids, slots)}
+        if self._attr_info is None:
             self._decoder_reads = tuple(t for d in self._decoders for t in (d.W, d.b, d.T))
-        self._all_slots = sorted(set(self._decoder_slot.values()))
 
     def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
         """Attribute table, hypernetwork and transition mixture of adatag."""
@@ -287,7 +282,6 @@ class Model:
         self._attr_info = {"ids": ids, "d_r": d_r,
                            "provenance": attr_table.provenance,
                            "frozen": attr_table.frozen}
-        self._attr_index = {a: i for i, a in enumerate(ids)}
         add = self.params.add
         self.w_att = add("att_emb/W_att", attr_table.as_matrix(ids), "att_emb",
                          trainable=not attr_table.frozen)
@@ -340,54 +334,53 @@ class Model:
         """Emission columns (m, N) and stacked transition tables of
         (token_texts, attribute) chains, with each chain's length and table.
 
-        Chains group by the resolver's encoder and decoder.  Each encoder
+        Chains group by the route's encoder and decoder.  Each encoder
         runs once over the distinct texts of its chains, and the batch's
         decoders are generated together, in the order they first appear;
         with gradients off every decoder of the model is built, and kept.
         """
-        # encoder key -> [an attribute resolving to it, {distinct text: its
-        # first row in the encoder's states}, rows so far]
-        groups, placed, lengths, slots = {}, [], [], []
+        # encoder -> {distinct text: its first row in the encoder's states},
+        # and the rows so far
+        texts, size, placed, lengths, slots = {}, {}, [], [], []
         for tokens, attribute in chains:
             try:
-                key, slot = self._encoder_reads[attribute][0], self._decoder_slot[attribute]
+                enc, slot = self._route[attribute]
             except KeyError:
                 raise DataError(f"unknown attribute {attribute!r}") from None
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = [attribute, {}, 0]
             text = tuple(tokens)
-            first = group[1].get(text)
+            seen = texts.setdefault(enc, {})
+            first = seen.get(text)
             if first is None:
-                first = group[1][text] = group[2]
-                group[2] += len(text)
-            placed.append((key, first))
+                first = seen[text] = size.get(enc, 0)
+                size[enc] = first + len(text)
+            placed.append((enc, first))
             lengths.append(len(text))
             slots.append(slot)
         states, offset, total = [], {}, 0
-        for key, (attribute, texts, size) in groups.items():
-            table, fwd, bwd, _ = self._resolver[attribute]
-            offset[key], total = total, total + size
-            texts = tuple(texts)
+        for enc, seen in texts.items():
+            (table, fwd, bwd), reads = self._encoders[enc]
+            offset[enc], total = total, total + size[enc]
+            distinct = tuple(seen)
             # One text (a single request) goes through encode_matrix, the
             # one-text entry point that extraction has always called.
             states.append(self._reuse(
-                key, self._encoder_reads[attribute][1],
-                lambda: encode_matrix(list(texts[0]), table, fwd, bwd) if len(texts) == 1
-                else encode_batch(texts, table, fwd, bwd), texts))
+                enc, reads,
+                lambda: encode_matrix(list(distinct[0]), table, fwd, bwd)
+                if len(distinct) == 1 else encode_batch(distinct, table, fwd, bwd),
+                distinct))
         if grad_enabled():
             used = list(dict.fromkeys(slots))
             slots = [used.index(s) for s in slots]
         else:
-            used = self._all_slots
+            used = sorted({slot for _, slot in self._route.values()})
         dec = self._reuse("decoders", self._decoder_reads,
                           lambda: self._stacked_decoders(used))
         # Each column's row of the encoder states (in order when every
         # chain has a text of its own and one encoder) and decoder.
         rows = None
-        if total != sum(lengths) or len(groups) > 1:
-            rows = [r for (key, first), n in zip(placed, lengths)
-                    for r in range(offset[key] + first, offset[key] + first + n)]
+        if total != sum(lengths) or len(texts) > 1:
+            rows = [r for (enc, first), n in zip(placed, lengths)
+                    for r in range(offset[enc] + first, offset[enc] + first + n)]
         columns = [slot for slot, n in zip(slots, lengths) for _ in range(n)]
         P = emissions(states[0] if len(states) == 1 else concat(states),
                       dec.W, dec.b, rows, columns)

@@ -1,13 +1,14 @@
-"""BIOE tag scheme: span/tag conversions and the expanded joint tagset.
+"""BIOE tag scheme: span/tag conversions, value strings and the joint tagset.
 
 Values are marked with B (begin), I (inside), E (end); everything else
 is O.  A single-token value is a lone B.  Spans are inclusive token
-index ranges.
+index ranges.  This is the only module that writes tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 TAGS = ("B", "I", "O", "E")
 TAG_TO_INDEX = {t: i for i, t in enumerate(TAGS)}
@@ -40,24 +41,36 @@ def tags_from_indices(indices) -> list[str]:
     return out
 
 
+def first_fit(spans, length: int) -> list[bool]:
+    """Which spans to keep, in order: each one unless it overlaps a span
+    already kept.  Every span must lie inside ``length`` tokens."""
+    taken = [False] * length
+    keep = []
+    for span in spans:
+        start, stop = span.start, span.end + 1
+        if not 0 <= start < stop <= length:
+            raise ValueError(f"span {span} out of range for length {length}")
+        fits = not any(taken[start:stop])
+        if fits:
+            taken[start:stop] = [True] * (stop - start)
+        keep.append(fits)
+    return keep
+
+
 def spans_to_tags(spans, length: int) -> list[str]:
     """Encode disjoint spans over a sequence of ``length`` tokens.
 
     Spans must lie inside the sequence and must not overlap.
     """
+    spans = list(spans)
+    if not all(first_fit(spans, length)):
+        raise ValueError(f"overlapping spans in {spans}")
     tags = [OUTSIDE] * length
-    for span in sorted(spans):
-        if not (0 <= span.start <= span.end < length):
-            raise ValueError(f"span {span} out of range for length {length}")
-        if any(tags[i] != OUTSIDE for i in range(span.start, span.end + 1)):
-            raise ValueError(f"span {span} overlaps a previous span")
-        if span.start == span.end:
-            tags[span.start] = "B"
-        else:
-            tags[span.start] = "B"
+    for span in spans:
+        tags[span.start] = "B"
+        if span.end > span.start:
+            tags[span.start + 1:span.end] = ["I"] * (span.end - span.start - 1)
             tags[span.end] = "E"
-            for i in range(span.start + 1, span.end):
-                tags[i] = "I"
     return tags
 
 
@@ -83,6 +96,16 @@ def tags_to_spans(tags) -> set[Span]:
         spans.add(Span(i, j))
         i = j + 1
     return spans
+
+
+def span_text(token_texts, span: Span) -> str:
+    """Canonical value string: token texts joined by single spaces."""
+    return " ".join(token_texts[span.start:span.end + 1])
+
+
+def value_strings(token_texts, tags) -> set[str]:
+    """The value strings of the spans a tag sequence decodes to."""
+    return {span_text(token_texts, s) for s in tags_to_spans(tags)}
 
 
 def is_valid(tags) -> bool:
@@ -153,20 +176,15 @@ class ExpandedTagset:
         positions already claimed by an earlier attribute is dropped.
         Returns (joint tag indices, number of dropped spans).
         """
-        outside = self.index(OUTSIDE)
-        tag_ids = [outside] * length
-        dropped = 0
-        for a in self.attributes:
-            for span in sorted(spans_by_attribute.get(a, ())):
-                if not (0 <= span.start <= span.end < length):
-                    raise ValueError(f"span {span} out of range for length {length}")
-                if any(tag_ids[i] != outside for i in range(span.start, span.end + 1)):
-                    dropped += 1
-                    continue
-                base = spans_to_tags([span], length)
-                for i in range(span.start, span.end + 1):
-                    tag_ids[i] = self.index(f"{base[i]}-{a}")
-        return tag_ids, dropped
+        owned = [(a, span) for a in self.attributes
+                 for span in sorted(spans_by_attribute.get(a, ()))]
+        kept = list(compress(owned, first_fit([span for _, span in owned], length)))
+        tags = spans_to_tags([span for _, span in kept], length)
+        tag_ids = [self.index(OUTSIDE)] * length
+        for a, span in kept:
+            for i in range(span.start, span.end + 1):
+                tag_ids[i] = self.index(f"{tags[i]}-{a}")
+        return tag_ids, len(owned) - len(kept)
 
 
 def expand_tagset(attribute_ids) -> ExpandedTagset:

@@ -195,17 +195,9 @@ class TrainReport:
     per_attribute: dict | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "config": self.config,
-            "epochs": [dataclasses.asdict(e) for e in self.epochs],
-            "best_epoch": self.best_epoch,
-            "best_dev_f1": self.best_dev_f1,
-            "stopped_epoch": self.stopped_epoch,
-            "checkpoint_path": self.checkpoint_path,
-        }
-        if self.per_attribute is not None:
-            out["per_attribute"] = self.per_attribute
+        out = dataclasses.asdict(self)
+        if out["per_attribute"] is None:
+            del out["per_attribute"]
         return out
 
 
@@ -329,9 +321,13 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
 # -- checkpoints -------------------------------------------------------------
 
 
-def _vocab_hash(items) -> str:
-    payload = json.dumps(list(items), ensure_ascii=False).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+def _vocab_hashes(attribute_ids, word_vocabs) -> dict:
+    """SHA-256 of each vocabulary, so that a reordered one does not load."""
+    def digest(items):
+        return hashlib.sha256(json.dumps(list(items), ensure_ascii=False)
+                              .encode("utf-8")).hexdigest()
+    return {"attributes": digest(attribute_ids),
+            "words": {scope: digest(itos) for scope, itos in word_vocabs.items()}}
 
 
 def save_checkpoint(stem, model) -> Path:
@@ -366,10 +362,7 @@ def save_checkpoint(stem, model) -> Path:
             for a in model.attr_vocab.ids()
         ],
         "word_vocabs": word_vocabs,
-        "vocab_hashes": {
-            "attributes": _vocab_hash(model.attr_vocab.ids()),
-            "words": {scope: _vocab_hash(itos) for scope, itos in word_vocabs.items()},
-        },
+        "vocab_hashes": _vocab_hashes(model.attr_vocab.ids(), word_vocabs),
         "attribute_embeddings": model.attribute_info(),
         "payload_file": payload_path.name,
         "payload_bytes": offset,
@@ -408,11 +401,16 @@ def _check_fields(obj, where, **fields):
 def _check_manifest(manifest):
     """The keys and types ``load_checkpoint`` reads, before it reads them."""
     _check_fields(manifest, "manifest", config=dict, attribute_vocab=list,
-                  word_vocabs=dict, payload_file=str, payload_bytes=int, tensors=list)
+                  word_vocabs=dict, vocab_hashes=dict, payload_file=str,
+                  payload_bytes=int, tensors=list)
     for i, entry in enumerate(manifest["attribute_vocab"]):
         _check_fields(entry, f"attribute_vocab[{i}]", id=str)
     words = manifest["word_vocabs"]
     _check_fields(words, "word_vocabs", **dict.fromkeys(words, list[str]))
+    hashes = manifest["vocab_hashes"]
+    _check_fields(hashes, "vocab_hashes", attributes=str, words=dict)
+    _check_fields(hashes["words"], "vocab_hashes words",
+                  **dict.fromkeys(hashes["words"], str))
     for i, entry in enumerate(manifest["tensors"]):
         _check_fields(entry, f"tensors[{i}]", name=str, shape=list[int], byte_offset=int)
     if manifest.get("attribute_embeddings") is not None:
@@ -449,6 +447,9 @@ def load_checkpoint(stem):
     vocab = AttributeVocab(
         [(row["id"], row.get("phrase")) for row in manifest["attribute_vocab"]])
     word_itos = {scope: list(itos) for scope, itos in manifest["word_vocabs"].items()}
+    if manifest["vocab_hashes"] != _vocab_hashes(vocab.ids(), word_itos):
+        raise DataError(f"checkpoint manifest {manifest_path}: the attribute or word "
+                        "vocabularies do not match their hashes")
     model = _placeholder_model(config, vocab, word_itos,
                                manifest.get("attribute_embeddings"))
 
@@ -495,13 +496,7 @@ class ParamCountReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "tensors": self.tensors,
-            "groups": self.groups,
-            "total": self.total,
-            "trainable_total": self.trainable_total,
-            "notes": list(self.notes),
-        }
+        return dataclasses.asdict(self)
 
     def to_table(self) -> str:
         lines = []

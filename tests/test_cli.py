@@ -243,8 +243,8 @@ def _first_tensor(manifest, entry):
     return {**manifest, "tensors": [entry] + manifest["tensors"][1:]}
 
 
-MANIFEST_KEYS = ("config", "attribute_vocab", "word_vocabs", "payload_file",
-                 "payload_bytes", "tensors")
+MANIFEST_KEYS = ("config", "attribute_vocab", "word_vocabs", "vocab_hashes",
+                 "payload_file", "payload_bytes", "tensors")
 TENSOR_KEYS = ("name", "shape", "byte_offset")
 BAD_MANIFESTS = (
     [("empty", lambda m: {"format_version": 1}), ("not an object", lambda m: [1])]
@@ -264,6 +264,8 @@ BAD_MANIFESTS = (
        ("attribute row without id", lambda m: {**m, "attribute_vocab": [{}]}),
        ("word vocabulary not a list", lambda m: {**m, "word_vocabs": {"shared": "a"}}),
        ("word not a string", lambda m: {**m, "word_vocabs": {"shared": [["x"]]}}),
+       ("word vocabulary hash not a string", lambda m: {
+           **m, "vocab_hashes": {**m["vocab_hashes"], "words": {"shared": 7}}}),
        ("attribute embeddings without d_r", lambda m: {
            **m, "attribute_embeddings": _without(m["attribute_embeddings"], "d_r")}),
        ("attribute embedding id not a string", lambda m: {
@@ -281,6 +283,17 @@ def test_malformed_manifest_is_data_error(pipeline, tmp_path, capsys, case, comm
     err = capsys.readouterr().err
     assert rc == 2
     assert "data error" in err and "Traceback" not in err
+
+
+def test_reordered_word_vocabulary_is_data_error(pipeline, tmp_path, capsys):
+    # Same length, two words swapped: every row would map to the wrong word.
+    stem, manifest = _copy_checkpoint(pipeline, tmp_path)
+    words = manifest["word_vocabs"]["shared"]
+    words[2], words[3] = words[3], words[2]
+    stem.with_suffix(".json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert _run_on_checkpoint(pipeline, "extract", stem) == 2
+    err = capsys.readouterr().err
+    assert "do not match their hashes" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ("extract", "eval"))

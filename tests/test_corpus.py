@@ -18,12 +18,11 @@ from avex.corpus import (
     matched_values,
     save_labeled,
     source_text,
-    span_text,
     split_examples,
     tokenize,
 )
 from avex.errors import DataError
-from avex.tagging import Span
+from avex.tagging import Span, span_text
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_matched_values_and_span_text():
     tags = distant_label(tokens, values)
     assert matched_values(tokens, tags, values) == {
         "orchid", "cherry pie", "mango ice cream"}
-    assert span_text(tokens, Span(2, 3)) == "cherry pie"
+    assert span_text([t.text for t in tokens], Span(2, 3)) == "cherry pie"
 
 
 # -- corpus construction -----------------------------------------------------

@@ -402,3 +402,28 @@ def test_batch_encodes_each_text_of_a_product_once(monkeypatch):
     for name in params:
         np.testing.assert_allclose(together[name], summed[name], rtol=1e-12,
                                    atol=1e-12 * np.abs(summed[name]).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chains_of_different_encoders_interleaved_in_one_batch(variant):
+    # Scent, Color, Scent: where encoders are per attribute, the third
+    # chain's rows come after the second chain's in the batch but sit
+    # right after the first chain's in its own encoder's states.
+    vocab = AttributeVocab([("Scent", None), ("Color", None)])
+    products = [
+        Product("p1", "lavender / rose scented wash", [], None, {"Scent": ["rose"]}),
+        Product("p2", "white cotton bath towel", [], None, {"Color": ["white"]}),
+        Product("p3", "mint soap", [], None, {"Scent": ["mint"]}),
+    ]
+    examples, _ = build_corpus(products, vocab)
+    assert [ex.attribute for ex in examples] == ["Scent", "Color", "Scent"]
+    config = tiny_config(variant)
+    table = embedding_table(vocab) if variant == "adatag" else None
+    model = build_variant(config, vocab, derive_word_itos(variant, examples),
+                          attr_table=table)
+    chains = [(ex.token_texts(), ex.attribute) for ex in examples]
+    assert model.predict_batch(chains) == [model.predict_tags(*c) for c in chains]
+    prepared = model.prepare_examples(examples)
+    assert len(prepared) == 3
+    singles = [model.loss([ex]).item() for ex in prepared]
+    assert model.loss(prepared).item() == pytest.approx(np.mean(singles), rel=1e-12)

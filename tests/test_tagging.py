@@ -198,3 +198,12 @@ def test_expand_merge_conflict_keeps_earlier_attribute():
     assert ts.project(merged, "Scent") == ["B", "O"]
     assert ts.project(merged, "Color") == ["O", "O"]
     assert dropped == 1
+
+
+def test_merge_rejects_out_of_range_span_after_a_conflict():
+    # Color's span would be dropped for overlapping Scent's, yet it still
+    # lies outside the sequence: that is an error, not a dropped span.
+    ts = expand_tagset(["Scent", "Color"])
+    with pytest.raises(ValueError, match="out of range"):
+        ts.merge({"Scent": {Span(0, 1)}, "Color": {Span(1, 4)}}, length=3)
+
