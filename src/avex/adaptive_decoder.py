@@ -158,19 +158,6 @@ def emissions(H, W, b, rows=None, decoders=None) -> Tensor:
     return fused(scores.T, (H, W, b), vjp)
 
 
-def _check_chain(P, T):
-    P, T = as_tensor(P), as_tensor(T)
-    if P.data.ndim != 2:
-        raise ValueError(f"emission matrix must be 2-d, got shape {P.data.shape}")
-    m = P.data.shape[0]
-    if T.data.shape != (m, m):
-        raise ValueError(
-            f"transition matrix shape {T.data.shape} does not match {m} tags")
-    if P.data.shape[1] < 1:
-        raise ValueError("chain needs at least one position")
-    return P, T, m
-
-
 def _check_indices(z, m, n):
     z = np.asarray(z, dtype=int)
     if z.ndim != 1 or z.size != n:
@@ -180,16 +167,16 @@ def _check_indices(z, m, n):
     return z
 
 
-def _logsumexp(x, axis=None):
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
+def _logsumexp(x, axis):
+    m = x.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _chains(P, T, lengths, decoders):
     """Check the layout of chains side by side in P's columns, and lay
     them out step-major, longest first (see ``packed_steps``): emissions
-    (n, B, m) and transition tables (B, m, m)."""
+    (n, B, m) and transition tables (B, m, m).  One chain gets views of
+    P and of its table, with nothing copied."""
     P, T = as_tensor(P), as_tensor(T)
     if P.data.ndim != 2 or T.data.ndim not in (2, 3) \
             or T.data.shape[-2:] != (P.data.shape[0],) * 2:
@@ -204,12 +191,24 @@ def _chains(P, T, lengths, decoders):
     tables = T.data.reshape(-1, m, m)
     dec = np.zeros(lengths.size, dtype=int) if decoders is None \
         else np.asarray(decoders, dtype=int)
-    if dec.shape != lengths.shape or dec.min() < 0 or dec.max() >= len(tables):
+    chosen = dec.tolist()  # plain ints: cheaper than numpy's for a few chains
+    if dec.shape != lengths.shape or min(chosen) < 0 or max(chosen) >= len(tables):
         raise ValueError(f"need one decoder in 0..{len(tables) - 1} per chain, "
-                         f"got {dec.tolist()}")
+                         f"got {chosen}")
+    if lengths.size == 1:
+        return P, T, lengths, dec, pack, P.data.T[:, None], tables[chosen[0]:chosen[0] + 1]
     P3 = np.zeros((pack.starts.size - 1, lengths.size, m))
     P3[pack.step, pack.slot] = P.data.T[pack.rows]
     return P, T, lengths, dec, pack, P3, tables[dec[pack.rank]]
+
+
+def _running(pack) -> list:
+    """Per step, the index of the chains still running, in rank order:
+    a prefix slice, or 0 when one chain runs, so that its rows are 1-d,
+    which numpy runs faster."""
+    if pack.rank.size == 1:
+        return [0] * (pack.starts.size - 1)
+    return [0 if b == 1 else slice(0, b) for b in np.diff(pack.starts).tolist()]
 
 
 def _forward(pack, P3, T3):
@@ -218,9 +217,10 @@ def _forward(pack, P3, T3):
     position i, a prefix of the ranking."""
     alpha = np.zeros_like(P3)
     alpha[0] = P3[0]
+    running = _running(pack)
     for i in range(1, len(P3)):
-        b = pack.starts[i + 1] - pack.starts[i]
-        alpha[i, :b] = _logsumexp(alpha[i - 1, :b, :, None] + T3[:b], axis=1) + P3[i, :b]
+        b = running[i]
+        alpha[i, b] = _logsumexp(alpha[i - 1, b, :, None] + T3[b], axis=-2) + P3[i, b]
     last = np.bincount(pack.slot) - 1
     return alpha, _logsumexp(alpha[last, np.arange(len(last))], axis=1)
 
@@ -234,11 +234,12 @@ def _marginals(pack, P3, T3, alpha, log_z):
     """
     n, count, _ = alpha.shape
     widths = np.diff(pack.starts)
+    running = _running(pack)
     beta = np.zeros_like(alpha)
     for i in range(n - 2, -1, -1):
-        b = widths[i + 1]
-        beta[i, :b] = _logsumexp(T3[:b] + (P3[i + 1, :b] + beta[i + 1, :b])[:, None, :],
-                                 axis=2)
+        b = running[i + 1]
+        beta[i, b] = _logsumexp(T3[b] + (P3[i + 1, b] + beta[i + 1, b])[..., None, :],
+                                axis=-1)
     s, j = pack.step, pack.slot
     unary = np.exp(alpha[s, j] + beta[s, j] - log_z[j, None])
     pair = (alpha[:-1, :, :, None] + T3 + (P3[1:] + beta[1:])[:, :, None, :]
@@ -296,7 +297,7 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
         scale = g / lengths.size
         return scale * dP, (scale * dT).reshape(T.data.shape)
 
-    return fused(np.asarray(np.mean(nll)), (P, T), vjp)
+    return fused(np.asarray(nll[0] if len(nll) == 1 else np.mean(nll)), (P, T), vjp)
 
 
 def path_score(P, T, z) -> float:
@@ -305,33 +306,75 @@ def path_score(P, T, z) -> float:
     T = T.data if isinstance(T, Tensor) else np.asarray(T, dtype=np.float64)
     z = np.asarray(z, dtype=int)
     n = z.size
-    total = float(np.sum(T[z[:-1], z[1:]])) if n > 1 else 0.0
-    return total + float(np.sum(P[z, np.arange(n)]))
+    total = float(T[z[:-1], z[1:]].sum()) if n > 1 else 0.0
+    return total + float(P[z, np.arange(n)].sum())
+
+
+def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
+    """Best tag path of each chain, from one max-product recursion over
+    all of them.
+
+    The layout is ``chain_nll``'s: P is (m, N), the emission columns of
+    chains of ``lengths`` columns laid end to end (default: one chain),
+    and T is one (m, m) transition table, or a stack (A, m, m) of which
+    chain c uses ``decoders[c]``.  Step i advances the chains that reach
+    position i, a prefix of the longest-first ranking, and keeps their
+    backpointers in one (n, B, m) array; the backtrack walks all chains
+    at once.  Ties are broken toward the smallest tag index both at each
+    backpointer and at a chain's last position.  A chain whose emission
+    columns or table hold a non-finite score raises NumericError; tables
+    that no chain uses are not read.
+    """
+    P, T, lengths, dec, pack, P3, T3 = _chains(P, T, lengths, decoders)
+    if not (np.isfinite(P.data).all() and np.isfinite(T3).all()):
+        tables = T.data.reshape(-1, *T.data.shape[-2:])
+        ends = np.cumsum(lengths)
+        bad = next(c for c, (e, n) in enumerate(zip(ends, lengths))
+                   if not (np.isfinite(P.data[:, e - n:e]).all()
+                           and np.isfinite(tables[dec[c]]).all()))
+        raise NumericError(f"best_paths: chain {bad} has emission or transition "
+                           f"scores that are not finite")
+    n, count, m = P3.shape
+    running = _running(pack)
+    score = P3[0].copy()  # (B, m); a chain's row stays put after its last step
+    back = np.empty((n, count, m), dtype=int)
+    for i in range(1, n):
+        b = running[i]
+        candidates = score[b, :, None] + T3[b]
+        back[i, b] = candidates.argmax(axis=-2)
+        score[b] = candidates.max(axis=-2) + P3[i, b]
+    starts = pack.starts.tolist()
+    tag = score.argmax(axis=1)  # each chain's tag at the step being walked
+    packed = np.empty(starts[-1], dtype=int)
+    # The walk back starts with the steps where only the longest chain
+    # runs; those are walked in plain ints, cheaper than numpy scalars.
+    solo = n
+    while solo > 1 and running[solo - 1] == 0:
+        solo -= 1
+    t, walked = int(tag[0]), []
+    for row in back[n - 1:solo - 1:-1, 0].tolist():
+        walked.append(t)
+        t = row[t]
+    tag[0] = t
+    packed[starts[solo]:] = walked[::-1]
+    chains = np.arange(count)
+    for i in range(solo - 1, 0, -1):
+        b = running[i]
+        packed[starts[i]:starts[i + 1]] = tag[b]
+        tag[b] = back[i, chains[b], tag[b]]
+    packed[:starts[1]] = tag
+    path = np.empty_like(packed)
+    path[pack.rows] = packed
+    path, end = path.tolist(), 0
+    return [path[end:(end := end + size)] for size in lengths.tolist()]
 
 
 def viterbi(P, T) -> tuple[list[int], float]:
-    """Best tag path and its score.
+    """Best tag path of one chain and its score.
 
-    Ties are broken toward the smallest tag index both at each backtrack
-    cell and at the final position.  The returned score is the decoded
-    path's score, recomputed so it is directly comparable with exhaustive
-    enumeration.  Non-finite scores raise NumericError.
+    ``best_paths`` on one chain; the score is the path's, recomputed by
+    ``path_score`` so that it is directly comparable with exhaustive
+    enumeration.
     """
-    Pt, Tt, m = _check_chain(P, T)
-    Pd, Td = Pt.data, Tt.data
-    if not (np.isfinite(Pd).all() and np.isfinite(Td).all()):
-        raise NumericError("viterbi: emission or transition scores are not finite")
-    n = Pd.shape[1]
-    score = Pd[:, 0].copy()
-    back = np.zeros((n, m), dtype=int)
-    for i in range(1, n):
-        candidates = score[:, None] + Td
-        back[i] = np.argmax(candidates, axis=0)
-        score = candidates[back[i], np.arange(m)] + Pd[:, i]
-    best = int(np.argmax(score))
-    path = [best]
-    for i in range(n - 1, 0, -1):
-        best = int(back[i][best])
-        path.append(best)
-    path.reverse()
-    return path, path_score(Pd, Td, path)
+    (path,) = best_paths(P, T)
+    return path, path_score(P, T, path)

@@ -352,9 +352,9 @@ def packed_steps(lengths, reverse: bool = False) -> Packing:
     """The packing of sequences of ``lengths`` rows; with ``reverse``
     every sequence is read from its last row to its first."""
     if len(lengths) == 1 and lengths[0] >= 1:  # one text, as at inference
-        step = np.arange(lengths[0])
-        return Packing(np.zeros(1, dtype=int), np.arange(lengths[0] + 1), step,
-                       np.zeros_like(step), slice(None, None, -1 if reverse else 1))
+        n = int(lengths[0])
+        return Packing(np.zeros(1, dtype=int), np.arange(n + 1), np.arange(n),
+                       np.zeros(n, dtype=int), slice(None, None, -1 if reverse else 1))
     lengths = np.asarray(lengths, dtype=int)
     if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
         raise ValueError(f"sequence lengths must be positive, got {lengths.tolist()}")

@@ -143,8 +143,9 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _value_token_texts(value: str) -> list[str]:
-    return [t.text.lower() for t in tokenize(value)]
+def value_tokens(values) -> dict[str, list[str]]:
+    """Each distinct catalog value's lowercased token texts."""
+    return {v: [t.text.lower() for t in tokenize(v)] for v in values}
 
 
 def distant_label(tokens, values) -> list[str]:
@@ -152,13 +153,15 @@ def distant_label(tokens, values) -> list[str]:
 
     Matching is case-insensitive and token-boundary aligned; longer
     matches win, ties go left to right, and accepted matches never
-    overlap.
+    overlap.  ``values`` is a collection of value strings, or their
+    ``value_tokens`` so that a caller tokenizes them only once.
     """
+    if not isinstance(values, dict):
+        values = value_tokens(values)
     n = len(tokens)
     lowered = [t.text.lower() for t in tokens]
     spans = []
-    for value in set(values):
-        vtoks = _value_token_texts(value)
+    for vtoks in values.values():
         width = len(vtoks)
         for s in range(n - width + 1 if width else 0):
             if lowered[s:s + width] == vtoks:
@@ -168,9 +171,12 @@ def distant_label(tokens, values) -> list[str]:
 
 
 def matched_values(tokens, tags, values) -> set[str]:
-    """Which catalog values are realized by the labeled spans."""
+    """Which catalog values are realized by the labeled spans.  ``values``
+    is as in ``distant_label``."""
+    if not isinstance(values, dict):
+        values = value_tokens(values)
     realized = {v.lower() for v in value_strings([t.text for t in tokens], tags)}
-    return {v for v in values if " ".join(_value_token_texts(v)) in realized}
+    return {v for v, vtoks in values.items() if " ".join(vtoks) in realized}
 
 
 @dataclass
@@ -233,9 +239,10 @@ def build_corpus(products, vocab: AttributeVocab, setting: str = "title",
             values = [v for v in product.gold_values[attr_id] if v and v.strip()]
             if not values:
                 continue
-            report.values_seen += len(set(values))
+            values = value_tokens(values)  # tokenized once for both steps
+            report.values_seen += len(values)
             tags = distant_label(tokens, values)
-            hit = matched_values(tokens, tags, set(values))
+            hit = matched_values(tokens, tags, values)
             report.values_matched += len(hit)
             if hit:
                 examples.append(LabeledExample(

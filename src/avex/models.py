@@ -25,9 +25,9 @@ sequence per product, and a path is projected onto the requested
 attribute.  Everything else is shared: ``loss`` (training) and
 ``predict_batch`` (evaluation; ``predict_tags`` is a batch of one) score
 a batch with the same forward and end in one ``chain_nll`` node or in
-``viterbi`` per chain.  A model also exposes ``params``, the registry
-that the optimizer and the checkpoint writer read, and
-``prepare_examples``, the adaptor's view of the training set.
+one ``best_paths`` recursion over all its chains.  A model also exposes
+``params``, the registry that the optimizer and the checkpoint writer
+read, and ``prepare_examples``, the adaptor's view of the training set.
 
 The forward groups a batch's chains by the route's encoder and
 decoder.  Each encoder runs once, as one packed node per direction, over
@@ -50,10 +50,10 @@ from .adaptive_decoder import (
     DecoderInstance,
     HyperNetwork,
     TransitionMoe,
+    best_paths,
     build_decoder,
     chain_nll,
     emissions,
-    viterbi,
 )
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
 from .autodiff import Tensor, concat, grad_enabled, no_grad, row, stack
@@ -398,16 +398,12 @@ class Model:
 
     def predict_batch(self, chains) -> list[list[str]]:
         """Tags of (token_texts, attribute) chains: one forward under
-        no_grad, then Viterbi on each chain."""
+        no_grad, then one Viterbi recursion over all the chains."""
         with no_grad():
             P, T, lengths, decoders = self._scores(chains)
-        P, T = P.data, T.data
-        tags, end = [], 0
-        for (_, attribute), n, d in zip(chains, lengths, decoders):
-            path, _ = viterbi(P[:, end:end + n], T[d])
-            tags.append(self.adaptor.tags(path, attribute))
-            end += n
-        return tags
+        paths = best_paths(P, T, lengths, decoders)
+        return [self.adaptor.tags(path, attribute)
+                for path, (_, attribute) in zip(paths, chains)]
 
     def predict_tags(self, token_texts, attribute) -> list[str]:
         return self.predict_batch([(token_texts, attribute)])[0]

@@ -52,9 +52,20 @@ def brute_log_partition(P: np.ndarray, T: np.ndarray) -> float:
 
 def brute_viterbi(P: np.ndarray, T: np.ndarray):
     Z, scores = all_path_scores(P, T)
-    # argmax returns the first maximizer; rows are in lexicographic order,
-    # matching the smallest-index tie-break of the production decoder.
+    # argmax returns the first maximizer; rows are in lexicographic order.
+    # The production decoder breaks ties from the last position back (see
+    # brute_viterbi_last_first); the two agree when one path is best.
     best = int(np.argmax(scores))
+    return Z[best].tolist(), float(scores[best])
+
+
+def brute_viterbi_last_first(P: np.ndarray, T: np.ndarray):
+    """``brute_viterbi`` with the decoder's tie-break: of the best paths,
+    the one with the smallest last tag, then the smallest tag before it,
+    and so on back to the first."""
+    Z, scores = all_path_scores(P, T)
+    order = np.lexsort(Z.T)  # the last position is the primary key
+    best = order[int(np.argmax(scores[order]))]
     return Z[best].tolist(), float(scores[best])
 
 

@@ -10,6 +10,7 @@ from avex.autodiff import Tensor
 from avex.adaptive_decoder import (
     HyperNetwork,
     TransitionMoe,
+    best_paths,
     build_decoder,
     chain_nll,
     emissions,
@@ -248,6 +249,35 @@ def test_viterbi_refuses_non_finite_scores(bad):
     T[1, 2] = bad
     with pytest.raises(NumericError):
         viterbi(np.zeros((NUM_TAGS, 3)), T)
+
+
+def batch_of_three(rng):
+    """Chains of 2, 3 and 1 positions over three tables."""
+    return (rng.normal(size=(NUM_TAGS, 6)), rng.normal(size=(3, NUM_TAGS, NUM_TAGS)),
+            [2, 3, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_best_paths_refuses_the_chain_with_non_finite_scores(bad):
+    P, T, lengths = batch_of_three(np.random.default_rng(14))
+    P_bad = P.copy()
+    P_bad[1, 3] = bad  # the second position of chain 1
+    with pytest.raises(NumericError, match="chain 1"):
+        best_paths(P_bad, T, lengths, [0, 2, 1])
+    T_bad = T.copy()
+    T_bad[2, 0, 3] = bad  # the table of chain 1 only
+    with pytest.raises(NumericError, match="chain 1"):
+        best_paths(P, T_bad, lengths, [0, 2, 1])
+
+
+def test_best_paths_ignores_non_finite_tables_no_chain_uses():
+    P, T, lengths = batch_of_three(np.random.default_rng(15))
+    T_bad = T.copy()
+    T_bad[1] = np.nan  # decoder 1: no chain below uses it
+    got = best_paths(P, T_bad, lengths, [0, 2, 0])
+    assert got == best_paths(P, T, lengths, [0, 2, 0])
+    assert got == [viterbi(P[:, :2], T[0])[0], viterbi(P[:, 2:5], T[2])[0],
+                   viterbi(P[:, 5:], T[0])[0]]
 
 
 def test_score_order_viterbi_partition():

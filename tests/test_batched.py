@@ -18,6 +18,7 @@ from avex import autodiff as ad
 from avex.adaptive_decoder import (
     HyperNetwork,
     TransitionMoe,
+    best_paths,
     build_decoder,
     chain_nll,
     emissions,
@@ -27,7 +28,8 @@ from avex.adaptive_decoder import (
 )
 from avex.autodiff import Tensor
 from avex.encoder import LstmCell, lstm_layer
-from avex.tagging import NUM_TAGS
+from avex.tagging import NUM_TAGS, expand_tagset
+from oracles import brute_viterbi, brute_viterbi_last_first
 from oracles import mean as oracle_mean
 from oracles import per_chain_emissions, per_chain_nll, per_sequence_lstm_layer
 
@@ -125,6 +127,38 @@ def test_batched_emissions_and_nll_match_per_chain_references(lengths, long, dec
     assert_close(loss.data, mean.data, "mean NLL")
     for name, g, w in zip("HWbT", got, want):
         assert_close(g, w, name)
+
+
+JOINT_TAGS = len(expand_tagset(["Scent", "Color"]))  # n_tag_sets' m for two attributes
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 4), min_size=1, max_size=5), long=st.booleans(),
+       decoders=st.integers(1, 3), joint=st.booleans(), integer=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_best_paths_match_brute_force_per_chain(lengths, long, decoders, joint, integer,
+                                                seed):
+    # Enumeration bounds the sizes: m**n paths per chain.
+    m = JOINT_TAGS if joint else NUM_TAGS
+    if long:  # one chain longer than all the others
+        lengths = lengths + [max(lengths) + 1]
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    if integer:  # few distinct values, so best paths tie
+        P = rng.integers(-1, 2, size=(m, n)).astype(float)
+        T = rng.integers(-1, 2, size=(decoders, m, m)).astype(float)
+    else:
+        P, T = rng.normal(size=(m, n)), rng.normal(size=(decoders, m, m))
+    chain_decoder = rng.integers(0, decoders, size=len(lengths))
+
+    paths = best_paths(P, T, lengths, chain_decoder)
+
+    assert len(paths) == len(lengths)
+    for path, a, e, size in zip(paths, chain_decoder, np.cumsum(lengths), lengths):
+        Pc = P[:, e - size:e]
+        assert path == brute_viterbi_last_first(Pc, T[a])[0]
+        if not integer:
+            assert path == brute_viterbi(Pc, T[a])[0]
 
 
 def test_emissions_rows_gather_repeated_encoder_rows():

@@ -427,3 +427,17 @@ def test_chains_of_different_encoders_interleaved_in_one_batch(variant):
     assert len(prepared) == 3
     singles = [model.loss([ex]).item() for ex in prepared]
     assert model.loss(prepared).item() == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+def test_predict_batch_decodes_once_and_scores_no_path(monkeypatch):
+    from avex import adaptive_decoder
+    model, _, examples = build("adatag")
+    decodes = _count_calls(monkeypatch, "best_paths")
+
+    def no_path_score(*args):
+        raise AssertionError("path_score called while predicting")
+
+    monkeypatch.setattr(adaptive_decoder, "path_score", no_path_score)
+    tags = model.predict_batch([(ex.token_texts(), ex.attribute) for ex in examples])
+    assert len(decodes) == 1
+    assert [len(t) for t in tags] == [len(ex.tokens) for ex in examples]
