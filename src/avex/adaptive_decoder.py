@@ -281,23 +281,34 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
     alpha, log_z = _forward(pack, P3, T3)
     ranked = np.argsort(pack.rank)  # each chain's place in the ranking
     tables = T.data.reshape(-1, m, m)
-    nll = [log_z[ranked[c]] - path_score(P.data[:, e - n:e], tables[dec[c]], z[e - n:e])
-           for c, (e, n) in enumerate(zip(np.cumsum(lengths), lengths))]
+    count = lengths.size
+    owner = np.repeat(np.arange(count), lengths)  # each column's chain
+    inner = np.flatnonzero(owner[1:] == owner[:-1])  # columns with a successor
+    # Path scores: per chain its transition terms plus its emission terms,
+    # each a segment of one gather.  reduceat need not add a segment in the
+    # order that path_score's sum does, so the last bits may differ.
+    starts = np.cumsum(lengths) - lengths
+    moved = np.zeros(count)
+    if inner.size:
+        multi = lengths > 1  # a chain of one column has no transition
+        moved[multi] = np.add.reduceat(tables[dec[owner[inner]], z[inner], z[inner + 1]],
+                                       (starts - np.arange(count))[multi])
+    emitted = np.add.reduceat(P.data[z, np.arange(n_cols)], starts)
+    nll = log_z[ranked] - (moved + emitted)
 
     def vjp(g):
         unary, pair = _marginals(pack, P3, T3, alpha, log_z)
         dP = np.empty((m, n_cols))
         dP[:, pack.rows] = unary.T
         dP[z, np.arange(n_cols)] -= 1.0
-        chain = np.repeat(ranked, lengths)
-        inner = np.flatnonzero(chain[1:] == chain[:-1])
-        np.subtract.at(pair, (chain[inner], z[inner], z[inner + 1]), 1.0)
+        chain = ranked[owner[inner]]
+        np.subtract.at(pair, (chain, z[inner], z[inner + 1]), 1.0)
         dT = np.zeros_like(tables)
         np.add.at(dT, dec[pack.rank], pair)
-        scale = g / lengths.size
+        scale = g / count
         return scale * dP, (scale * dT).reshape(T.data.shape)
 
-    return fused(np.asarray(nll[0] if len(nll) == 1 else np.mean(nll)), (P, T), vjp)
+    return fused(np.asarray(nll[0] if count == 1 else np.mean(nll)), (P, T), vjp)
 
 
 def path_score(P, T, z) -> float:

@@ -29,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _attribute_ids(text) -> list[str]:
+    ids = [a.strip() for a in text.split(",") if a.strip()]
+    if not ids:
+        raise argparse.ArgumentTypeError(f"no attribute id in {text!r}")
+    return ids
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="avex", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,7 +75,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract values from raw text")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--attr", required=True, help="attribute id(s), comma-separated")
+    p.add_argument("--attr", required=True, type=_attribute_ids,
+                   help="attribute id(s), comma-separated")
     p.add_argument("--text", required=True)
 
     p = sub.add_parser("eval", help="score a labeled test file")
@@ -147,6 +155,10 @@ def _cmd_embed(args):
 
 def _cmd_train(args):
     config = _resolved_config(args)
+    attr_table = None
+    if args.embeddings:
+        attr_table = attribute_embeddings.AttributeEmbeddingTable.load(args.embeddings)
+    config = training.model_config(config, attr_table)
     print(f"resolved config: {json.dumps(config.to_json(), sort_keys=True)}",
           file=sys.stderr)
     vocab = corpus.AttributeVocab.load(args.vocab)
@@ -157,9 +169,6 @@ def _cmd_train(args):
     vectors = None
     if args.vectors:
         vectors = load_word_vectors(args.vectors)
-    attr_table = None
-    if args.embeddings:
-        attr_table = attribute_embeddings.AttributeEmbeddingTable.load(args.embeddings)
     report, _model = training.train(
         config, vocab, by_split["train"], by_split["dev"],
         attr_table=attr_table, vectors=vectors, checkpoint_stem=args.out)
@@ -177,12 +186,8 @@ def _cmd_extract(args):
     token_texts = [t.text for t in corpus.tokenize(args.text)]
     if not token_texts:
         raise DataError("no tokens in --text")
-    result = {}
-    for attr in (a.strip() for a in args.attr.split(",")):
-        if not attr:
-            continue
-        values = evaluation.extract(model, token_texts, attr)
-        result[attr] = sorted(values)
+    result = {attr: sorted(evaluation.extract(model, token_texts, attr))
+              for attr in args.attr}
     print(json.dumps(result, ensure_ascii=False, indent=2))
 
 

@@ -16,6 +16,7 @@ import json
 import re
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 from . import files
@@ -61,6 +62,11 @@ class LabeledExample:
 
     def token_texts(self) -> list[str]:
         return [t.text for t in self.tokens]
+
+    @cached_property
+    def gold_value_strings(self) -> frozenset[str]:
+        """The normalized value strings its tags mark, worked out once."""
+        return frozenset(value_strings(self.token_texts(), self.tags))
 
 
 class AttributeVocab:

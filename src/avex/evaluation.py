@@ -27,7 +27,7 @@ class ExtractionResult:
     example_id: str
     attribute: str
     predicted: set[str]
-    gold: set[str]
+    gold: frozenset[str]
 
 
 @dataclass
@@ -107,10 +107,6 @@ def extract(model, token_texts, attribute) -> set[str]:
     return value_strings(token_texts, model.predict_tags(token_texts, attribute))
 
 
-def gold_value_strings(example) -> set[str]:
-    return value_strings(example.token_texts(), example.tags)
-
-
 def collect_results(model, examples) -> list[ExtractionResult]:
     """Decode every example, a product's attributes back to back, one
     batch of the model's batch size at a time."""
@@ -122,7 +118,7 @@ def collect_results(model, examples) -> list[ExtractionResult]:
         tags = model.predict_batch([(ex.token_texts(), ex.attribute) for ex in batch])
         results.extend(
             ExtractionResult(ex.product_id, ex.attribute, value_strings(ex.token_texts(), t),
-                             gold_value_strings(ex))
+                             ex.gold_value_strings)
             for ex, t in zip(batch, tags))
     return results
 

@@ -131,42 +131,92 @@ def parse_config_file(path) -> dict:
 
 
 class Adam:
-    """Standard Adam with bias correction; state per parameter tensor."""
+    """Standard Adam with bias correction.
+
+    Each run of consecutive tensors smaller than ``ADAM_BLOCK`` elements
+    that all have gradients is updated as one flat slice: their moments
+    are slices of one flat array each, their gradients are copied into a
+    staging buffer, the step is computed there, and each tensor subtracts
+    its part.  A larger tensor keeps its own moments and is updated in
+    place, a block of rows at a time, so that its temporaries stay small.
+    Every element gets the textbook update in its order of operations, so
+    the packing does not change the result.  A tensor without a gradient
+    is left as it is, moments included.
+    """
 
     def __init__(self, tensors, lr: float):
         self.tensors = list(tensors)
         self.lr = lr
         self.t = 0
-        self._m = [np.zeros_like(t.data) for t in self.tensors]
-        self._v = [np.zeros_like(t.data) for t in self.tensors]
+        staged = sum(t.data.size for t in self.tensors if t.data.size < ADAM_BLOCK)
+        self._m, self._v = np.zeros(staged), np.zeros(staged)
+        self._grad, self._step = np.empty(staged), np.empty(staged)
+        # Per tensor (part, grad, step, m, v): a small tensor's slice of the
+        # flat arrays and views of the staging buffers in its shape, or a
+        # large tensor's own moments.
+        self._layout = []
+        at = 0
+        for t in self.tensors:
+            n = t.data.size
+            if n < ADAM_BLOCK:
+                part = slice(at, at + n)
+                self._layout.append((part, self._grad[part].reshape(t.data.shape),
+                                     self._step[part].reshape(t.data.shape), None, None))
+                at += n
+            else:
+                self._layout.append((None, None, None,
+                                     np.zeros_like(t.data), np.zeros_like(t.data)))
 
     def zero_grad(self):
         for t in self.tensors:
             t.grad = None
 
+    def _moments(self, m, v, grad, a, b, b1t, b2t):
+        """The textbook update of the moments m and v, in place; returns
+        the step to subtract, in ``a``.  ``b`` is scratch and may be
+        ``grad``, which is read before ``b`` is written."""
+        np.multiply(m, ADAM_BETA1, out=m)
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+        np.multiply(v, ADAM_BETA2, out=v)
+        v += np.multiply(np.square(grad, out=a), 1.0 - ADAM_BETA2, out=a)
+        np.sqrt(np.divide(v, b2t, out=b), out=b)
+        b += ADAM_EPS
+        np.multiply(np.divide(m, b1t, out=a), self.lr, out=a)
+        return np.divide(a, b, out=a)
+
     def step(self):
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for t, m_all, v_all in zip(self.tensors, self._m, self._v):
+        run = []  # consecutive small tensors with gradients, staged
+        for t, (part, grad, step, m_all, v_all) in zip(self.tensors, self._layout):
+            if t.grad is not None and part is not None:
+                np.copyto(grad, t.grad)
+                run.append((t, part, step))
+                continue
+            self._update_run(run, b1t, b2t)
+            run = []
             if t.grad is None:
                 continue
-            # The textbook update, in place and in its order of operations,
-            # a block of rows at a time so that its temporaries stay small.
             rows = max(1, ADAM_BLOCK // (t.data.size // len(t.data)))
             for i in range(0, len(t.data), rows):
                 block = slice(i, i + rows)
-                grad, m, v, data = t.grad[block], m_all[block], v_all[block], t.data[block]
+                data = t.data[block]
                 a, b = np.empty_like(data), np.empty_like(data)
-                np.multiply(m, ADAM_BETA1, out=m)
-                m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
-                np.multiply(v, ADAM_BETA2, out=v)
-                v += np.multiply(np.square(grad, out=a), 1.0 - ADAM_BETA2, out=a)
-                np.sqrt(np.divide(v, b2t, out=b), out=b)
-                b += ADAM_EPS
-                np.multiply(np.divide(m, b1t, out=a), self.lr, out=a)
-                data -= np.divide(a, b, out=a)
+                data -= self._moments(m_all[block], v_all[block], t.grad[block],
+                                      a, b, b1t, b2t)
             t.version += 1  # written in place, block by block
+        self._update_run(run, b1t, b2t)
+
+    def _update_run(self, run, b1t, b2t):
+        """One flat update of a run of consecutive staged tensors."""
+        if not run:
+            return
+        flat = slice(run[0][1].start, run[-1][1].stop)
+        grad = self._grad[flat]
+        self._moments(self._m[flat], self._v[flat], grad, self._step[flat], grad, b1t, b2t)
+        for t, _, step in run:
+            t.data -= step  # in place; the assignment bumps its version
 
 
 def batch_loss(model, batch) -> Tensor:
@@ -257,6 +307,15 @@ def _fit(model, optimizer, train_set, dev_examples, config, rng, label=""):
     return history, best_epoch, best_f1, stopped
 
 
+def model_config(config: TrainConfig,
+                 attr_table: AttributeEmbeddingTable | None = None) -> TrainConfig:
+    """The configuration a model is built with: adatag takes d_r from its
+    attribute table."""
+    if attr_table is not None and config.variant == "adatag":
+        return dataclasses.replace(config, d_r=attr_table.d_r)
+    return config
+
+
 def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_examples,
           attr_table: AttributeEmbeddingTable | None = None,
           vectors: dict | None = None,
@@ -272,8 +331,7 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
         raise DataError("training split is empty")
     if not dev_examples:
         raise DataError("dev split is empty")
-    if attr_table is not None and config.variant == "adatag":
-        config = dataclasses.replace(config, d_r=attr_table.d_r)
+    config = model_config(config, attr_table)
 
     rng = np.random.default_rng(config.seed)
     word_itos = derive_word_itos(config.variant, train_examples)

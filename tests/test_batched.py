@@ -24,7 +24,9 @@ from avex.adaptive_decoder import (
     emissions,
     gate,
     generate_linear,
+    log_partition,
     mix_transition,
+    path_score,
 )
 from avex.autodiff import Tensor
 from avex.encoder import LstmCell, lstm_layer
@@ -127,6 +129,34 @@ def test_batched_emissions_and_nll_match_per_chain_references(lengths, long, dec
     assert_close(loss.data, mean.data, "mean NLL")
     for name, g, w in zip("HWbT", got, want):
         assert_close(g, w, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       longest=st.integers(8, 40), alone=st.booleans(), decoders=st.integers(1, 3),
+       scale=st.sampled_from([0.1, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+def test_batched_nll_is_mean_of_log_partition_minus_path_score(lengths, longest, alone,
+                                                               decoders, scale, seed):
+    # One chain of 1 to 12 columns, or a batch with a 1-column chain and
+    # one of 8 or more.  chain_nll sums each chain's path terms in its own
+    # order, so it agrees with path_score up to rounding: within 1e-12 of
+    # the magnitudes summed (log Z and the absolute path terms).
+    lengths = lengths[:1] if alone else lengths + [1, longest]
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    P = rng.normal(scale=scale, size=(NUM_TAGS, n))
+    T = rng.normal(scale=scale, size=(decoders, NUM_TAGS, NUM_TAGS))
+    z = rng.integers(0, NUM_TAGS, size=n)
+    chain_decoder = rng.integers(0, decoders, size=len(lengths))
+
+    want, magnitude = [], []
+    for a, e, size in zip(chain_decoder, np.cumsum(lengths), lengths):
+        Pc, Tc, zc = P[:, e - size:e], T[a], z[e - size:e]
+        log_z = log_partition(Pc, Tc).item()
+        want.append(log_z - path_score(Pc, Tc, zc))
+        magnitude.append(abs(log_z) + path_score(abs(Pc), abs(Tc), zc))
+    got = chain_nll(P, T, z, lengths, chain_decoder).item()
+    assert abs(got - np.mean(want)) <= 1e-12 * np.mean(magnitude)
 
 
 JOINT_TAGS = len(expand_tagset(["Scent", "Color"]))  # n_tag_sets' m for two attributes

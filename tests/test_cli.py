@@ -150,8 +150,12 @@ def test_train_logs_resolved_config(pipeline, tmp_path, capsys):
     assert resolved["seed"] == 3
     assert resolved["max_epochs"] == 1
     assert resolved["d_h"] == 8
-    assert stem.with_suffix(".json").exists()
     assert stem.with_suffix(".bin").exists()
+    # The logged config is the one the model is built with: adatag's d_r
+    # comes from the 24-d attribute table, not the default.
+    manifest = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
+    assert resolved["d_r"] == manifest["config"]["d_r"] == 24
+    assert resolved == manifest["config"]
 
 
 def test_extract_prints_values(pipeline, capsys):
@@ -337,6 +341,10 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         cli.main(["label", "--corpus", "x.jsonl"])  # missing required flags
     assert exc.value.code == 1
+    for attr in ("", ",", " , "):  # no attribute id to extract
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["extract", "--checkpoint", "m", "--attr", attr, "--text", "x"])
+        assert exc.value.code == 1
 
 
 def test_missing_input_file_exits_2(pipeline, tmp_path, capsys):

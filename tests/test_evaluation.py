@@ -14,7 +14,6 @@ from avex.evaluation import (
     dump_predictions,
     evaluate_model,
     extract,
-    gold_value_strings,
     macro,
     prf1,
     stratify,
@@ -178,7 +177,25 @@ def test_collect_results_sorted_and_gold():
     assert [r.example_id for r in results] == ["p1", "p2"]
     assert results[0].gold == {"mint"}
     assert results[0].predicted == {"mint"}
-    assert gold_value_strings(examples[0]) == {"mint"}
+    assert examples[0].gold_value_strings == {"mint"}
+
+
+def test_gold_value_strings_are_worked_out_once(monkeypatch):
+    # train() evaluates the dev split every epoch; its gold values are fixed.
+    from avex import corpus
+    vocab = AttributeVocab([("Scent", None)])
+    products = [Product("p1", "rose soap", [], None, {"Scent": ["rose"]}),
+                Product("p2", "mint bar", [], None, {"Scent": ["mint"]})]
+    examples, _ = build_corpus(products, vocab)
+    calls = []
+    real = corpus.value_strings
+    monkeypatch.setattr(corpus, "value_strings",
+                        lambda *args: calls.append(args) or real(*args))
+    model = FixedModel({"Scent": ["B", "O"]})
+    first = collect_results(model, examples)
+    second = collect_results(model, examples)
+    assert len(calls) == len(examples)
+    assert [r.gold for r in first] == [r.gold for r in second] == [{"rose"}, {"mint"}]
 
 
 def test_evaluate_model_end_to_end():

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avex import files
 from avex.autodiff import Tensor
@@ -19,6 +21,10 @@ from avex.evaluation import evaluate_model
 from avex.models import VARIANTS, build_variant, derive_word_itos
 from avex.synth import SynthAttribute, SynthSpec, generate
 from avex.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
+    ADAM_EPS,
     Adam,
     TrainConfig,
     batch_loss,
@@ -196,6 +202,57 @@ def test_adam_step_is_bitwise_the_textbook_formula():
         assert [t.version for t in tensors] == [n + 1 for n in versions]
     for t, e in zip(tensors, expected):
         np.testing.assert_array_equal(t.data, e)
+
+
+# A small tensor has fewer than ADAM_BLOCK elements and is updated in a
+# packed run with its small neighbours; a large one is updated on its own.
+ADAM_SHAPES = {"small": [(1,), (3,), (2, 5), (4, 1, 3)],
+               "large": [(ADAM_BLOCK,), (3, ADAM_BLOCK // 2 + 1)]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(kinds=st.lists(st.tuples(st.sampled_from(sorted(ADAM_SHAPES)), st.integers(0, 3)),
+                      min_size=1, max_size=7),
+       live=st.lists(st.lists(st.booleans(), min_size=7, max_size=7), min_size=4,
+                     max_size=4))
+# Two runs of small tensors around a large one; over the steps a gradient
+# is missing at the start, in the middle and at the end of a run, and on
+# the large tensor.
+@example(kinds=[("small", 0), ("small", 1), ("small", 2), ("large", 1), ("small", 3),
+                ("small", 2), ("small", 0)],
+         live=[[False, True, True, True, True, True, False],
+               [True, True, False, True, False, True, True],
+               [True, True, True, True, True, True, True],
+               [False, False, True, False, True, False, True]])
+def test_packed_adam_is_bitwise_the_per_tensor_update(kinds, live):
+    shapes = [ADAM_SHAPES[kind][i % len(ADAM_SHAPES[kind])] for kind, i in kinds]
+    rng = np.random.default_rng(len(shapes))
+    # Parameters start at zero, so that no rounding of an update is
+    # absorbed into a larger value.
+    tensors = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+    expected = [np.zeros(s) for s in shapes]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = Adam(tensors, lr=0.01)
+    for step, on in enumerate(live, start=1):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 4, size=s) if has else None
+                 for s, has in zip(shapes, on)]
+        for t, g in zip(tensors, grads):
+            t.grad = None if g is None else g.copy()
+        versions = [t.version for t in tensors]
+        opt.step()
+        b1t, b2t = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
+        for i, g in enumerate(grads):
+            if g is None:  # untouched; its moments show in its next update
+                assert tensors[i].version == versions[i]
+                np.testing.assert_array_equal(tensors[i].data, expected[i])
+                continue
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * (g ** 2)
+            expected[i] -= 0.01 * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + ADAM_EPS)
+            np.testing.assert_array_equal(tensors[i].grad, g)  # read, not written
+            assert tensors[i].version == versions[i] + 1
+            np.testing.assert_array_equal(tensors[i].data, expected[i])
 
 
 def test_adam_skips_missing_grads():
