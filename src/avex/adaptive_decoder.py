@@ -321,6 +321,38 @@ def path_score(P, T, z) -> float:
     return total + float(P[z, np.arange(n)].sum())
 
 
+def _one_path(P, T) -> list[int]:
+    """Best tag path of one chain, P (m, n) under table T (m, m), by the
+    max-product recursion over Python floats.
+
+    For a handful of tags this beats numpy calls on (m, m) arrays.  The
+    additions and their order are those of the numpy recursion, and the
+    first maximum wins with strict ``>`` as in ``argmax``, so the path is
+    the same, ties included.
+    """
+    rows, columns = P.T.tolist(), T.T.tolist()  # per position, per next tag
+    others = range(1, len(columns))
+    score, back = rows[0], []
+    for emitted in rows[1:]:
+        pointers, new = [], []
+        for column, e in zip(columns, emitted):
+            best_i, best = 0, score[0] + column[0]
+            for i in others:
+                s = score[i] + column[i]
+                if s > best:
+                    best_i, best = i, s
+            pointers.append(best_i)
+            new.append(best + e)
+        back.append(pointers)
+        score = new
+    tag = score.index(max(score))
+    path = [tag]
+    for pointers in reversed(back):
+        tag = pointers[tag]
+        path.append(tag)
+    return path[::-1]
+
+
 def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     """Best tag path of each chain, from one max-product recursion over
     all of them.
@@ -335,6 +367,12 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     backpointer and at a chain's last position.  A chain whose emission
     columns or table hold a non-finite score raises NumericError; tables
     that no chain uses are not read.
+
+    One chain over at most ``NUM_TAGS`` tags (a single ``extract``
+    request) runs the same recursion over Python floats instead
+    (``_one_path``), which is cheaper on such small arrays; several
+    chains, or a larger tag set such as the joint tags of "n_tag_sets",
+    keep the numpy recursion.
     """
     P, T, lengths, dec, pack, P3, T3 = _chains(P, T, lengths, decoders)
     if not (np.isfinite(P.data).all() and np.isfinite(T3).all()):
@@ -346,6 +384,8 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
         raise NumericError(f"best_paths: chain {bad} has emission or transition "
                            f"scores that are not finite")
     n, count, m = P3.shape
+    if count == 1 and m <= NUM_TAGS:
+        return [_one_path(P.data, T3[0])]
     running = _running(pack)
     score = P3[0].copy()  # (B, m); a chain's row stays put after its last step
     back = np.empty((n, count, m), dtype=int)

@@ -24,6 +24,7 @@ __all__ = [
     "ShapeError",
     "no_grad",
     "grad_enabled",
+    "reuse",
     "as_tensor",
     "concat",
     "softmax",
@@ -62,6 +63,20 @@ class no_grad:
 def grad_enabled() -> bool:
     """Whether ops record a graph (False inside ``no_grad``)."""
     return _GRAD_ENABLED
+
+
+def reuse(cache: dict, key, tensors, build, inputs=()):
+    """``build()``; under no_grad the result is kept in ``cache`` for
+    ``key`` until one of ``tensors`` is assigned (``Tensor.version``) or
+    ``inputs`` change.  Nothing is kept while gradients are on:
+    ``grad_check`` perturbs parameters in place."""
+    if _GRAD_ENABLED:
+        return build()
+    stamp = (inputs, [t.version for t in tensors])
+    entry = cache.get(key)
+    if entry is None or entry[0] != stamp:
+        entry = cache[key] = (stamp, build())
+    return entry[1]
 
 
 class Tensor:

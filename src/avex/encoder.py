@@ -12,12 +12,12 @@ time by hand.  ``encode_matrix`` is the one-text case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import files
-from .autodiff import Tensor, as_tensor, concat, fused, packed_steps, row
+from .autodiff import Tensor, as_tensor, concat, fused, packed_steps, reuse, row
 from .errors import DataError
 
 PAD = "<pad>"
@@ -117,6 +117,7 @@ class LstmCell:
     b_f: Tensor
     b_o: Tensor
     b_g: Tensor
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hidden_size(self) -> int:
@@ -125,6 +126,26 @@ class LstmCell:
     def tensors(self):
         return [self.w_i, self.w_f, self.w_o, self.w_g,
                 self.b_i, self.b_f, self.b_o, self.b_g]
+
+    def gate_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gate matrices and biases stacked in i, f, o, g order,
+        (4h, d + h) and (4h,), with the i, f and o rows halved.
+
+        sigmoid(a) = (tanh(a / 2) + 1) / 2, and halving is exact in
+        binary, so one tanh over a step's pre-activations gives all four
+        gates.  Under no_grad the stack is kept until one of the cell's
+        tensors is assigned (see ``autodiff.reuse``).
+        """
+        return reuse(self._kept, "gates", self.tensors(), self._stack)
+
+    def _stack(self):
+        weights = self.tensors()
+        W = np.concatenate([w.data for w in weights[:4]])
+        bias = np.concatenate([b.data for b in weights[4:]])
+        k = self.hidden_size
+        W[:3 * k] *= 0.5
+        bias[:3 * k] *= 0.5
+        return W, bias
 
 
 def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor:
@@ -138,7 +159,10 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     ranked longest first, step t advances the b_t still running with one
     (b_t, h) @ (h, 4h) product and the gate math, and backpropagation
     through time runs the same steps in reverse, ending in a single
-    (4h, N) @ (N, d + h) weight gradient.
+    (4h, N) @ (N, d + h) weight gradient.  The forward reads the cell's
+    ``gate_stack``, which under no_grad is built once per parameter
+    state rather than on every call; the backward stacks the unscaled
+    weights itself.
     """
     X = as_tensor(X)
     n, d = X.data.shape
@@ -153,21 +177,18 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     steps = [s if e - s == 1 else slice(s, e) for s, e in zip(starts, starts[1:])]
     carried = [None] + [s if e - t == 1 else slice(s, s + e - t)
                         for s, t, e in zip(starts, starts[1:], starts[2:])]
-    # sigmoid(a) = (tanh(a / 2) + 1) / 2: halving the i, f and o
-    # pre-activations (exact in binary) lets one tanh give all four gates.
-    scale = np.ones(4 * k)
-    scale[:3 * k] = 0.5
-    W = np.concatenate([w.data for w in weights[:4]])
+    # Pre-activations with the i, f and o rows already halved, so that
+    # one tanh gives all four gates (see LstmCell.gate_stack).
+    W, bias = cell.gate_stack()
     W_h = W[:, d:].T
     xs = X.data[pack.rows]
-    gates = xs @ W[:, :d].T + np.concatenate([b.data for b in weights[4:]])
+    gates = xs @ W[:, :d].T + bias
     C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     sigmoids, I, F, O, G = (gates[:, :3 * k], *(gates[:, j * k:(j + 1) * k] for j in range(4)))
     for now, before in zip(steps, carried):
         a = gates[now]
         if before is not None:
             a += H[before] @ W_h
-        a *= scale
         np.tanh(a, out=a)
         sig = sigmoids[now]
         sig *= 0.5

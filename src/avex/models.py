@@ -56,7 +56,7 @@ from .adaptive_decoder import (
     emissions,
 )
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
-from .autodiff import Tensor, concat, grad_enabled, no_grad, row, stack
+from .autodiff import Tensor, concat, grad_enabled, no_grad, reuse, row, stack
 from .corpus import AttributeVocab, Token
 from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch, encode_matrix
 from .errors import DataError
@@ -217,7 +217,7 @@ class Model:
         self.adaptor = JointTags(vocab.ids()) if config.variant == "n_tag_sets" \
             else BioeTags()
         self._attr_info = None
-        self._cache: dict = {}  # key -> (stamp, value), see _reuse
+        self._cache: dict = {}  # key -> (stamp, value), see autodiff.reuse
         ids = vocab.ids()
         add = self.params.add
 
@@ -311,17 +311,6 @@ class Model:
     def prepare_examples(self, examples):
         return self.adaptor.prepare(examples)
 
-    def _reuse(self, key, tensors, build, inputs=()):
-        """``build()``; under no_grad the result is kept for ``key`` until
-        one of ``tensors`` is written or ``inputs`` change."""
-        if grad_enabled():
-            return build()
-        stamp = (inputs, [t.version for t in tensors])
-        entry = self._cache.get(key)
-        if entry is None or entry[0] != stamp:
-            entry = self._cache[key] = (stamp, build())
-        return entry[1]
-
     def _stacked_decoders(self, slots) -> DecoderInstance:
         """The decoders in ``slots``, stacked along a new first axis."""
         if self._attr_info is not None:
@@ -363,8 +352,8 @@ class Model:
             distinct = tuple(seen)
             # One text (a single request) goes through encode_matrix, the
             # one-text entry point that extraction has always called.
-            states.append(self._reuse(
-                enc, reads,
+            states.append(reuse(
+                self._cache, enc, reads,
                 lambda: encode_matrix(list(distinct[0]), table, fwd, bwd)
                 if len(distinct) == 1 else encode_batch(distinct, table, fwd, bwd),
                 distinct))
@@ -373,8 +362,8 @@ class Model:
             slots = [used.index(s) for s in slots]
         else:
             used = sorted({slot for _, slot in self._route.values()})
-        dec = self._reuse("decoders", self._decoder_reads,
-                          lambda: self._stacked_decoders(used))
+        dec = reuse(self._cache, "decoders", self._decoder_reads,
+                    lambda: self._stacked_decoders(used))
         # Each column's row of the encoder states (in order when every
         # chain has a text of its own and one encoder) and decoder.
         rows = None

@@ -295,12 +295,17 @@ def _fit(model, optimizer, train_set, dev_examples, config, rng, label=""):
         if f1 > best_f1:
             best_f1 = f1
             best_epoch = epoch
-            best_state = [t.data.copy() for t in trainable]
+            # After the last allowed epoch the parameters in place are
+            # the best: no copy to take, and none to restore.
+            best_state = None if epoch == config.max_epochs \
+                else [t.data.copy() for t in trainable]
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
+    # The last batch's gradients, as large as the parameters, have no reader.
+    optimizer.zero_grad()
     if best_state is not None:
         for t, saved in zip(trainable, best_state):
             t.data = saved

@@ -30,6 +30,7 @@ from avex.adaptive_decoder import (
 )
 from avex.autodiff import Tensor
 from avex.encoder import LstmCell, lstm_layer
+from avex.errors import NumericError
 from avex.tagging import NUM_TAGS, expand_tagset
 from oracles import brute_viterbi, brute_viterbi_last_first
 from oracles import mean as oracle_mean
@@ -189,6 +190,44 @@ def test_best_paths_match_brute_force_per_chain(lengths, long, decoders, joint, 
         assert path == brute_viterbi_last_first(Pc, T[a])[0]
         if not integer:
             assert path == brute_viterbi(Pc, T[a])[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, NUM_TAGS), n=st.integers(1, 8), other=st.integers(1, 8),
+       first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_one_chain_paths_equal_the_batched_recursion(m, n, other, first, seed):
+    # Integer scores and signed zeros, so that paths tie and ±0.0 meet.
+    rng = np.random.default_rng(seed)
+    def scores(shape):
+        values = rng.integers(-1, 2, size=shape).astype(float)
+        return np.where(rng.random(shape) < 0.5, -values, values)  # -0.0 too
+    P, T = scores((m, n)), scores((m, m))
+    (alone,) = best_paths(P, T)
+    # Beside a second chain the same chain takes the numpy recursion.
+    P2, T2 = scores((m, other)), scores((m, m))
+    if first:
+        paths = best_paths(np.hstack([P, P2]), np.stack([T, T2]), [n, other], [0, 1])
+    else:
+        paths = best_paths(np.hstack([P2, P]), np.stack([T2, T]), [other, n], [0, 1])[::-1]
+    assert alone == paths[0]
+    bad = P.copy()
+    bad[rng.integers(m), rng.integers(n)] = np.nan
+    with pytest.raises(NumericError, match="chain 0"):
+        best_paths(bad, T)
+
+
+def test_only_one_chain_over_bioe_tags_takes_the_float_recursion(monkeypatch):
+    from avex import adaptive_decoder
+    rng = np.random.default_rng(16)
+    calls = []
+    real = adaptive_decoder._one_path
+    monkeypatch.setattr(adaptive_decoder, "_one_path",
+                        lambda *a: calls.append(a) or real(*a))
+    best_paths(rng.normal(size=(NUM_TAGS, 3)), rng.normal(size=(NUM_TAGS, NUM_TAGS)))
+    assert len(calls) == 1
+    best_paths(rng.normal(size=(NUM_TAGS, 5)), rng.normal(size=(NUM_TAGS, NUM_TAGS)), [2, 3])
+    best_paths(rng.normal(size=(JOINT_TAGS, 3)), rng.normal(size=(JOINT_TAGS, JOINT_TAGS)))
+    assert len(calls) == 1
 
 
 def test_emissions_rows_gather_repeated_encoder_rows():

@@ -269,3 +269,57 @@ def test_bilstm_gradients_check_out():
     params.update({f"b{i}": t for i, t in enumerate(b_cell.tensors())})
     report = ad.grad_check(f, params, tolerance=1e-6)
     assert report.passed, report.max_rel_error
+
+
+# -- the stacked gate matrix, kept under no_grad -----------------------------
+
+
+GATE_NAMES = ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_gate_stack_follows_an_assigned_tensor(name):
+    rng = np.random.default_rng(10)
+    cell = make_cell(rng, 3, 4)
+    X = Tensor(rng.normal(size=(5, 3)))
+    with ad.no_grad():
+        before = lstm_layer(X, cell).data
+        t = getattr(cell, name)
+        t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
+        after = lstm_layer(X, cell, [2, 3]).data
+        fresh = LstmCell(*(Tensor(p.data) for p in cell.tensors()))
+        np.testing.assert_array_equal(after, lstm_layer(X, fresh, [2, 3]).data)
+    assert not np.array_equal(before, lstm_layer(X, fresh).data)
+
+
+def test_gate_stack_built_once_per_parameter_state(monkeypatch):
+    rng = np.random.default_rng(11)
+    cell = make_cell(rng, 3, 2)
+    X = Tensor(rng.normal(size=(4, 3)))
+    built = []
+    real = LstmCell._stack
+    monkeypatch.setattr(LstmCell, "_stack", lambda self: built.append(1) or real(self))
+    with ad.no_grad():
+        first = lstm_layer(X, cell).data
+        for reverse in (False, True, False):
+            lstm_layer(X, cell, reverse=reverse)
+        assert len(built) == 1
+        np.testing.assert_array_equal(lstm_layer(X, cell).data, first)
+        cell.b_g.data = cell.b_g.data * 1.0  # an assignment, same values
+        lstm_layer(X, cell)
+        assert len(built) == 2
+    # Gradients on: rebuilt on every call (grad_check writes in place).
+    lstm_layer(X, cell)
+    lstm_layer(X, cell)
+    assert len(built) == 4
+
+
+def test_gate_stack_halves_the_sigmoid_gates():
+    rng = np.random.default_rng(12)
+    cell = make_cell(rng, 2, 3)
+    W, bias = cell.gate_stack()
+    weights = cell.tensors()
+    np.testing.assert_array_equal(
+        W, np.concatenate([0.5 * w.data for w in weights[:3]] + [weights[3].data]))
+    np.testing.assert_array_equal(
+        bias, np.concatenate([0.5 * b.data for b in weights[4:7]] + [weights[7].data]))

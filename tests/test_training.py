@@ -470,6 +470,52 @@ def test_train_restores_best_epoch_params():
     assert final.macro_f1 == report.best_dev_f1
 
 
+def _scripted_dev_f1(monkeypatch, f1s):
+    """Make the epoch loop see dev macro-F1 ``f1s`` in turn; returns the
+    trainable parameters' values at each dev evaluation."""
+    from avex import training
+    seen = []
+
+    def evaluate(model, examples):
+        seen.append({n: t.data.copy() for n, t in model.params.trainable().items()})
+        return dataclasses.replace(evaluate_model(model, examples),
+                                   macro_f1=f1s[len(seen) - 1])
+
+    monkeypatch.setattr(training, "evaluate_model", evaluate)
+    return seen
+
+
+def test_worse_final_epoch_restores_the_earlier_best(monkeypatch):
+    seen = _scripted_dev_f1(monkeypatch, [0.2, 0.9, 0.5])
+    *_, report, model = run_micro_train(max_epochs=3, patience=5)
+    assert (report.best_epoch, report.best_dev_f1, report.stopped_epoch) == (2, 0.9, 3)
+    for name, t in model.params.trainable().items():
+        np.testing.assert_array_equal(t.data, seen[1][name])
+    assert any(not np.array_equal(t.data, seen[2][name])
+               for name, t in model.params.trainable().items())
+
+
+def test_best_last_epoch_keeps_its_parameters(monkeypatch):
+    seen = _scripted_dev_f1(monkeypatch, [0.2, 0.5, 0.9])
+    *_, report, model = run_micro_train(max_epochs=3, patience=5)
+    assert report.best_epoch == 3
+    for name, t in model.params.trainable().items():
+        np.testing.assert_array_equal(t.data, seen[2][name])
+
+
+def test_one_epoch_leaves_versions_at_the_adam_step_count():
+    # No snapshot taken and none restored: every assignment is an Adam step.
+    _, by_split, _, report, model = run_micro_train(max_epochs=1)
+    steps = -(-len(by_split["train"]) // micro_config().batch_size)
+    assert report.best_epoch == 1
+    assert {t.version for t in model.params.trainable().values()} == {steps}
+
+
+def test_train_releases_the_last_gradients():
+    *_, model = run_micro_train(max_epochs=2)
+    assert all(t.grad is None for t in model.params.trainable().values())
+
+
 def test_train_adatag_adopts_table_dim():
     corpus, by_split, table, report, model = run_micro_train()
     assert report.config["d_r"] == table.d_r
