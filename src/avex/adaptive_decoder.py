@@ -59,14 +59,10 @@ class TransitionMoe:
 
     w_gate: Tensor  # (k, d_r)
     b_gate: Tensor  # (k,)
-    experts: tuple  # k tensors of shape (NUM_TAGS, NUM_TAGS)
-
-    @property
-    def k(self) -> int:
-        return len(self.experts)
+    experts: Tensor  # (k, NUM_TAGS, NUM_TAGS)
 
     def tensors(self):
-        return [self.w_gate, self.b_gate, *self.experts]
+        return [self.w_gate, self.b_gate, self.experts]
 
 
 @dataclass
@@ -105,15 +101,15 @@ def mix_transition(moe: TransitionMoe, weights) -> Tensor:
     """Convex combination of the expert transition matrices: (m, m) for
     one weight vector, (A, m, m) for an (A, k) stack.  One node."""
     weights = as_tensor(weights)
-    experts = np.stack([e.data for e in moe.experts])
+    experts = moe.experts.data
 
     def vjp(g):
         dw = np.einsum("...ij,kij->...k", g, experts)
         rows = weights.data.reshape(-1, len(experts))
-        return (dw, *np.einsum("ak,aij->kij", rows, g.reshape(len(rows), *g.shape[-2:])))
+        return dw, np.einsum("ak,aij->kij", rows, g.reshape(len(rows), *g.shape[-2:]))
 
     return fused(np.einsum("...k,kij->...ij", weights.data, experts),
-                 (weights, *moe.experts), vjp)
+                 (weights, moe.experts), vjp)
 
 
 def build_decoder(hyper: HyperNetwork, moe: TransitionMoe, r) -> DecoderInstance:

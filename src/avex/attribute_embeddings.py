@@ -40,6 +40,9 @@ class AttributeEmbeddingTable:
         if len(dims) != 1 or len(next(iter(dims))) != 1:
             raise DataError(f"inconsistent embedding dimensions: {sorted(dims)}")
         self.vectors = {a: np.asarray(v, dtype=np.float64) for a, v in vectors.items()}
+        bad = sorted(a for a, v in self.vectors.items() if not np.isfinite(v).all())
+        if bad:
+            raise DataError(f"embeddings of {bad} have non-finite components")
         self.provenance = provenance
         self.frozen = frozen
 
@@ -84,6 +87,8 @@ class AttributeEmbeddingTable:
                 raise DataError(f"{path}:{lineno}: duplicate attribute {attr!r}")
             if vec.ndim != 1:
                 raise DataError(f"{path}:{lineno}: vector must be flat")
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
             vectors[attr] = vec
             if "provenance" in row:
                 provenances.add(row["provenance"])
@@ -168,6 +173,8 @@ def ingest_contextualized(path) -> AttributeEmbeddingTable:
                 or name_vec.shape != value_vec.shape:
             raise DataError(
                 f"{path}:{lineno}: name/value vectors must be flat and equal-sized")
+        if not (np.isfinite(name_vec).all() and np.isfinite(value_vec).all()):
+            raise DataError(f"{path}:{lineno}: non-finite vector component")
         if dim is None:
             dim = name_vec.shape[0]
         elif name_vec.shape[0] != dim:

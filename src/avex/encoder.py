@@ -41,6 +41,8 @@ def load_word_vectors(path) -> dict[str, np.ndarray]:
             vectors[word] = np.array(values, dtype=np.float64)
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric vector component")
+        if not np.isfinite(vectors[word]).all():
+            raise DataError(f"{path}:{lineno}: non-finite vector component")
     if not vectors:
         raise DataError(f"vector file {path} is empty")
     return vectors
@@ -107,41 +109,33 @@ class WordEmbeddingTable:
 
 @dataclass
 class LstmCell:
-    """Gate parameters of one LSTM direction, acting on [x; h]."""
+    """Parameters of one LSTM direction, acting on [x; h]: the gate
+    matrix W (4h, d + h) and bias b (4h,), their rows in i, f, o, g
+    order."""
 
-    w_i: Tensor
-    w_f: Tensor
-    w_o: Tensor
-    w_g: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_g: Tensor
+    W: Tensor
+    b: Tensor
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_i.data.shape[0]
+        return self.b.data.shape[0] // 4
 
     def tensors(self):
-        return [self.w_i, self.w_f, self.w_o, self.w_g,
-                self.b_i, self.b_f, self.b_o, self.b_g]
+        return [self.W, self.b]
 
     def gate_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gate matrices and biases stacked in i, f, o, g order,
-        (4h, d + h) and (4h,), with the i, f and o rows halved.
+        """Copies of W and b with the i, f and o rows halved.
 
         sigmoid(a) = (tanh(a / 2) + 1) / 2, and halving is exact in
         binary, so one tanh over a step's pre-activations gives all four
-        gates.  Under no_grad the stack is kept until one of the cell's
-        tensors is assigned (see ``autodiff.reuse``).
+        gates.  Under no_grad the copies are kept until W or b is
+        assigned (see ``autodiff.reuse``).
         """
         return reuse(self._kept, "gates", self.tensors(), self._stack)
 
     def _stack(self):
-        weights = self.tensors()
-        W = np.concatenate([w.data for w in weights[:4]])
-        bias = np.concatenate([b.data for b in weights[4:]])
+        W, bias = self.W.data.copy(), self.b.data.copy()
         k = self.hidden_size
         W[:3 * k] *= 0.5
         bias[:3 * k] *= 0.5
@@ -161,8 +155,7 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     through time runs the same steps in reverse, ending in a single
     (4h, N) @ (N, d + h) weight gradient.  The forward reads the cell's
     ``gate_stack``, which under no_grad is built once per parameter
-    state rather than on every call; the backward stacks the unscaled
-    weights itself.
+    state rather than on every call; the backward reads the cell's W.
     """
     X = as_tensor(X)
     n, d = X.data.shape
@@ -170,7 +163,6 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     if pack.starts[-1] != n:
         raise ValueError(f"sequence lengths cover {pack.starts[-1]} rows, input has {n}")
     k = cell.hidden_size
-    weights = cell.tensors()
     starts = pack.starts.tolist()
     # Step t's rows, and the rows of step t - 1 that carry on into it; a
     # step of one sequence takes a 1-d row, which numpy runs faster.
@@ -209,9 +201,7 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
         local = np.hstack([G * I * (1 - I), C_prev * F * (1 - F),
                            TC * O * (1 - O), I * (1 - G * G)])
         dc_dh = O * (1 - TC * TC)
-        # Rebuilt here rather than captured: a batch's graph outlives the
-        # forward, and a per-call weight copy would stay alive with it.
-        W = np.concatenate([w.data for w in weights[:4]])
+        W = cell.W.data
         W_h = W[:, d:]
         gs = g[pack.rows]
         dA = np.empty((n, 4 * k))
@@ -228,11 +218,11 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
         dW = dA.T @ np.hstack([xs, H_prev])
         dX = np.empty((n, d))
         dX[pack.rows] = dA @ W[:, :d]
-        return (dX, *np.split(dW, 4), *np.split(dA.sum(axis=0), 4))
+        return dX, dW, dA.sum(axis=0)
 
     out = np.empty((n, k))
     out[pack.rows] = H
-    return fused(out, (X, *weights), vjp)
+    return fused(out, (X, cell.W, cell.b), vjp)
 
 
 def encode_batch(texts, table: WordEmbeddingTable,

@@ -104,9 +104,6 @@ class ModelParams:
     def items(self):
         return list(self._tensors.items())
 
-    def names(self):
-        return list(self._tensors)
-
     def group_of(self, name: str) -> str:
         return self._groups[name]
 
@@ -133,12 +130,9 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 def _make_cell(params: ModelParams, prefix: str, group: str,
                input_size: int, hidden: int, rng) -> LstmCell:
     fan = input_size + hidden
-    def w(name):
-        return params.add(f"{prefix}/{name}", _uniform(rng, (hidden, fan), fan), group)
-    def b(name):
-        return params.add(f"{prefix}/{name}", _uniform(rng, (hidden,), fan), group)
-    return LstmCell(w("w_i"), w("w_f"), w("w_o"), w("w_g"),
-                    b("b_i"), b("b_f"), b("b_o"), b("b_g"))
+    return LstmCell(
+        params.add(f"{prefix}/W", _uniform(rng, (4 * hidden, fan), fan), group),
+        params.add(f"{prefix}/b", _uniform(rng, (4 * hidden,), fan), group))
 
 
 @dataclass(frozen=True)
@@ -148,6 +142,7 @@ class MergedExample:
     product_id: str
     tokens: tuple[Token, ...]
     tag_ids: tuple[int, ...]
+    dropped_spans: int  # spans the merge dropped for overlapping others
 
     def token_texts(self):
         return [t.text for t in self.tokens]
@@ -180,7 +175,8 @@ class JointTags:
         """Merge per-attribute examples of each product into one sequence.
 
         Cross-attribute span conflicts are resolved in attribute-vocabulary
-        order (earlier attribute keeps the tokens).
+        order (earlier attribute keeps the tokens); each merged example
+        counts the spans it lost.
         """
         by_product: dict[str, dict] = {}
         for ex in examples:
@@ -193,8 +189,8 @@ class JointTags:
         merged = []
         for pid in sorted(by_product):
             slot = by_product[pid]
-            tag_ids, _dropped = self.tagset.merge(slot["spans"], len(slot["tokens"]))
-            merged.append(MergedExample(pid, slot["tokens"], tuple(tag_ids)))
+            tag_ids, dropped = self.tagset.merge(slot["spans"], len(slot["tokens"]))
+            merged.append(MergedExample(pid, slot["tokens"], tuple(tag_ids), dropped))
         return merged
 
     def chain(self, example: MergedExample):
@@ -292,12 +288,11 @@ class Model:
             add("hyper/W_hyper_b", _uniform(rng, (NUM_TAGS, d_r), d_r), "hyper"),
             add("hyper/b_hyper_b", _uniform(rng, (NUM_TAGS,), d_r), "hyper"),
         )
-        experts = tuple(
-            add(f"moe/expert_{i}", _uniform(rng, (NUM_TAGS, NUM_TAGS), NUM_TAGS), "moe")
-            for i in range(self.config.k))
+        k = self.config.k
+        experts = add("moe/experts", _uniform(rng, (k, NUM_TAGS, NUM_TAGS), NUM_TAGS), "moe")
         self.moe = TransitionMoe(
-            add("moe/W_moe", _uniform(rng, (self.config.k, d_r), d_r), "moe"),
-            add("moe/b_moe", _uniform(rng, (self.config.k,), d_r), "moe"),
+            add("moe/W_moe", _uniform(rng, (k, d_r), d_r), "moe"),
+            add("moe/b_moe", _uniform(rng, (k,), d_r), "moe"),
             experts,
         )
         self._decoder_reads = (self.w_att, *self.hyper.tensors(), *self.moe.tensors())

@@ -29,7 +29,7 @@ from .errors import DataError, NumericError
 from .evaluation import evaluate_model, macro
 from .models import SHARED_SCOPE, VARIANTS, build_variant, derive_word_itos
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -65,8 +65,9 @@ class TrainConfig:
             raise DataError(f"d_h must be even, got {self.d_h}")
         if not 1 <= self.k <= 8:
             raise DataError(f"k must be in 1..8, got {self.k}")
-        if self.learning_rate <= 0:
-            raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # also refuses nan
+            raise DataError(f"learning_rate must be positive and finite, "
+                            f"got {self.learning_rate}")
         if self.setting not in ("title", "title_plus_bullets"):
             raise DataError(f"unknown setting {self.setting!r}")
         return self
@@ -243,11 +244,13 @@ class TrainReport:
     stopped_epoch: int = 0
     checkpoint_path: str | None = None
     per_attribute: dict | None = None
+    dropped_spans: int | None = None  # n_tag_sets: spans the joint tags lost
 
     def to_json(self) -> dict:
         out = dataclasses.asdict(self)
-        if out["per_attribute"] is None:
-            del out["per_attribute"]
+        for key in ("per_attribute", "dropped_spans"):
+            if out[key] is None:
+                del out[key]
         return out
 
 
@@ -375,6 +378,8 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
         report.best_epoch = best_epoch
         report.best_dev_f1 = best_f1
         report.stopped_epoch = stopped
+        if config.variant == "n_tag_sets":
+            report.dropped_spans = sum(ex.dropped_spans for ex in train_set)
 
     if checkpoint_stem is not None:
         report.checkpoint_path = str(save_checkpoint(checkpoint_stem, model))

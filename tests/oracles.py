@@ -159,12 +159,15 @@ def recursive_log_partition(P, T):
 
 
 def lstm_step(x, h, c, cell):
-    """One LSTM step as per-gate autodiff ops: the reference recurrence."""
+    """One LSTM step as per-gate autodiff ops: the reference recurrence.
+
+    Each gate reads its rows of the cell's W and b through ``row``, so
+    gradients reach both through the gate that used them."""
+    k = cell.hidden_size
     xh = concat([x, h])
-    i = sigmoid(matmul(cell.w_i, xh) + cell.b_i)
-    f = sigmoid(matmul(cell.w_f, xh) + cell.b_f)
-    o = sigmoid(matmul(cell.w_o, xh) + cell.b_o)
-    g = tanh(matmul(cell.w_g, xh) + cell.b_g)
+    i, f, o, g = (matmul(row(cell.W, range(j * k, (j + 1) * k)), xh)
+                  + row(cell.b, range(j * k, (j + 1) * k)) for j in range(4))
+    i, f, o, g = sigmoid(i), sigmoid(f), sigmoid(o), tanh(g)
     c_next = f * c + i * g
     h_next = o * tanh(c_next)
     return h_next, c_next
@@ -184,13 +187,13 @@ def run_lstm(xs, cell, reverse=False):
     return states
 
 
-def numeric_lstm_step(x, h, c, w_i, b_i, w_f, b_f, w_o, b_o, w_g, b_g):
-    """One LSTM step written with plain numpy, no autodiff involved."""
+def numeric_lstm_step(x, h, c, W, b):
+    """One LSTM step written with plain numpy, no autodiff involved; W
+    and b hold the i, f, o and g rows in that order."""
     xh = np.concatenate([x, h])
-    i = 1.0 / (1.0 + np.exp(-(w_i @ xh + b_i)))
-    f = 1.0 / (1.0 + np.exp(-(w_f @ xh + b_f)))
-    o = 1.0 / (1.0 + np.exp(-(w_o @ xh + b_o)))
-    g = np.tanh(w_g @ xh + b_g)
+    i, f, o, g = np.split(W @ xh + b, 4)
+    i, f, o = (1.0 / (1.0 + np.exp(-a)) for a in (i, f, o))
+    g = np.tanh(g)
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new
@@ -203,13 +206,12 @@ def per_sequence_lstm_layer(X, cell, reverse=False):
     X = as_tensor(X)
     n, d = X.data.shape
     k = cell.hidden_size
-    weights = cell.tensors()
     xs = X.data[::-1] if reverse else X.data
     scale = np.ones((4 * k, 1))
     scale[:3 * k] = 0.5
-    W = np.concatenate([w.data for w in weights[:4]])
+    W = cell.W.data
     W_h = W[:, d:] * scale
-    gates = (xs @ W[:, :d].T + np.concatenate([b.data for b in weights[4:]])) * scale.T
+    gates = (xs @ W[:, :d].T + cell.b.data) * scale.T
     C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     h, c = np.zeros(k), np.zeros(k)
     for t in range(n):
@@ -241,10 +243,9 @@ def per_sequence_lstm_layer(X, cell, reverse=False):
             dh_next = dA[t] @ W[:, d:]
         dW = dA.T @ np.hstack([xs, H_prev])
         dX = dA @ W[:, :d]
-        return ((dX[::-1] if reverse else dX),
-                *np.split(dW, 4), *np.split(dA.sum(axis=0), 4))
+        return (dX[::-1] if reverse else dX), dW, dA.sum(axis=0)
 
-    return fused(H[::-1] if reverse else H, (X, *weights), vjp)
+    return fused(H[::-1] if reverse else H, (X, cell.W, cell.b), vjp)
 
 
 def _np_logsumexp(x, axis=None):

@@ -143,8 +143,7 @@ def test_criterion_05_hypernetwork_and_gate_algebra():
         return TransitionMoe(
             ad.Tensor(rng.normal(size=(k, d_r))),
             ad.Tensor(rng.normal(size=(k,))),
-            tuple(ad.Tensor(rng.normal(size=(NUM_TAGS, NUM_TAGS)))
-                  for _ in range(k)))
+            ad.Tensor(rng.normal(size=(k, NUM_TAGS, NUM_TAGS))))
 
     moe3 = moe_with(3)
     worst_gate = max(abs(float(ad.tensor_sum(gate(moe3, rng.normal(size=d_r))).data) - 1.0)
@@ -155,7 +154,7 @@ def test_criterion_05_hypernetwork_and_gate_algebra():
     moe1 = moe_with(1)
     for _ in range(50):
         T = mix_transition(moe1, gate(moe1, rng.normal(size=d_r)))
-        if not np.array_equal(T.data, moe1.experts[0].data):
+        if not np.array_equal(T.data, moe1.experts.data[0]):
             failures.append("k=1 mixture is not the lone expert bitwise")
             break
 

@@ -48,8 +48,7 @@ def make_moe(rng, k, d_r, requires_grad=False):
         return Tensor(rng.normal(scale=0.3, size=shape),
                       requires_grad=requires_grad)
     return TransitionMoe(w_gate=t((k, d_r)), b_gate=t((k,)),
-                         experts=tuple(t((NUM_TAGS, NUM_TAGS))
-                                       for _ in range(k)))
+                         experts=t((k, NUM_TAGS, NUM_TAGS)))
 
 
 def random_chain(rng, n):
@@ -103,8 +102,8 @@ def test_gate_hand_value():
     moe = TransitionMoe(
         w_gate=Tensor(np.zeros((2, 1))),
         b_gate=Tensor(np.array([math.log(3.0), 0.0])),
-        experts=(Tensor(np.zeros((NUM_TAGS, NUM_TAGS))),
-                 Tensor(np.ones((NUM_TAGS, NUM_TAGS)))))
+        experts=Tensor(np.stack([np.zeros((NUM_TAGS, NUM_TAGS)),
+                                 np.ones((NUM_TAGS, NUM_TAGS))])))
     lam = gate(moe, np.zeros(1))
     np.testing.assert_allclose(lam.data, [0.75, 0.25], atol=1e-12)
     mixed = mix_transition(moe, lam)
@@ -116,14 +115,14 @@ def test_single_expert_mixture_is_identity():
     moe = make_moe(rng, k=1, d_r=5)
     for _ in range(10):
         dec_T = mix_transition(moe, gate(moe, rng.normal(size=5)))
-        np.testing.assert_array_equal(dec_T.data, moe.experts[0].data)
+        np.testing.assert_array_equal(dec_T.data, moe.experts.data[0])
 
 
 def test_equal_gate_mixes_halves():
     moe = TransitionMoe(
         w_gate=Tensor(np.zeros((2, 1))), b_gate=Tensor(np.zeros(2)),
-        experts=(Tensor(np.zeros((NUM_TAGS, NUM_TAGS))),
-                 Tensor(np.ones((NUM_TAGS, NUM_TAGS)))))
+        experts=Tensor(np.stack([np.zeros((NUM_TAGS, NUM_TAGS)),
+                                 np.ones((NUM_TAGS, NUM_TAGS))])))
     T = mix_transition(moe, gate(moe, np.zeros(1)))
     np.testing.assert_allclose(T.data, 0.5, atol=1e-15)
 

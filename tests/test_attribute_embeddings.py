@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ def test_table_rejects_empty():
         AttributeEmbeddingTable({}, "random")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_rejects_non_finite_components(bad):
+    with pytest.raises(DataError, match="'b'"):
+        AttributeEmbeddingTable({"a": np.zeros(2), "b": np.array([0.0, bad])}, "random")
+
+
 def test_table_get_unknown_attribute():
     table = AttributeEmbeddingTable({"a": np.zeros(3)}, "random")
     with pytest.raises(DataError):
@@ -161,6 +168,15 @@ def test_table_load_rejects_duplicate_attribute(tmp_path):
         AttributeEmbeddingTable.load(path)
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+def test_table_load_rejects_non_finite_components(tmp_path, bad):
+    path = tmp_path / "table.jsonl"
+    path.write_text(f'{{"attribute": "a", "vec": [0.0]}}\n'
+                    f'{{"attribute": "b", "vec": [{bad}]}}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite")):
+        AttributeEmbeddingTable.load(path)
+
+
 # -- contextualized ingestion ------------------------------------------------
 
 
@@ -200,6 +216,15 @@ def test_ingest_rejects_unequal_name_value(tmp_path):
         {"attribute": "a", "name_vec": [1.0, 0.0], "value_vec": [0.0]},
     ])
     with pytest.raises(DataError):
+        ingest_contextualized(path)
+
+
+@pytest.mark.parametrize("side", ["name_vec", "value_vec"])
+def test_ingest_rejects_non_finite_components(tmp_path, side):
+    path = tmp_path / "inst.jsonl"
+    row = {"attribute": "a", "name_vec": [1.0, 0.0], "value_vec": [0.0, 2.0]}
+    write_instances(path, [row, {**row, side: [1.0, float("inf")]}])
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite")):
         ingest_contextualized(path)
 
 

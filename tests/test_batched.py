@@ -49,8 +49,7 @@ def leaf(rng, shape, scale=1.0):
 
 
 def make_cell(rng, d, h):
-    return LstmCell(*(leaf(rng, (h, d + h), 0.4) for _ in range(4)),
-                    *(leaf(rng, (h,), 0.4) for _ in range(4)))
+    return LstmCell(leaf(rng, (4 * h, d + h), 0.4), leaf(rng, (4 * h,), 0.4))
 
 
 def gradients(loss, leaves):
@@ -298,7 +297,7 @@ def small_generators(rng, d_h=3, d_r=4, k=3):
     hyper = HyperNetwork(leaf(rng, (NUM_TAGS * d_h, d_r)), leaf(rng, (NUM_TAGS * d_h,)),
                          leaf(rng, (NUM_TAGS, d_r)), leaf(rng, (NUM_TAGS,)))
     moe = TransitionMoe(leaf(rng, (k, d_r)), leaf(rng, (k,)),
-                        tuple(leaf(rng, (NUM_TAGS, NUM_TAGS)) for _ in range(k)))
+                        leaf(rng, (k, NUM_TAGS, NUM_TAGS)))
     return hyper, moe
 
 

@@ -251,7 +251,8 @@ MANIFEST_KEYS = ("config", "attribute_vocab", "word_vocabs", "vocab_hashes",
                  "payload_file", "payload_bytes", "tensors")
 TENSOR_KEYS = ("name", "shape", "byte_offset")
 BAD_MANIFESTS = (
-    [("empty", lambda m: {"format_version": 1}), ("not an object", lambda m: [1])]
+    [("empty", lambda m: {"format_version": training.CHECKPOINT_FORMAT_VERSION}),
+     ("not an object", lambda m: [1])]
     + [(f"no {k}", lambda m, k=k: _without(m, k)) for k in MANIFEST_KEYS]
     + [(f"{k} mistyped", lambda m, k=k: {**m, k: "7" if k == "payload_bytes" else 7})
        for k in MANIFEST_KEYS]
@@ -287,6 +288,17 @@ def test_malformed_manifest_is_data_error(pipeline, tmp_path, capsys, case, comm
     err = capsys.readouterr().err
     assert rc == 2
     assert "data error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("extract", "eval", "param-count"))
+def test_format_1_checkpoint_is_data_error(pipeline, tmp_path, capsys, command):
+    # Format 1 kept eight tensors per LSTM direction and one per expert.
+    stem, manifest = _copy_checkpoint(pipeline, tmp_path)
+    stem.with_suffix(".json").write_text(json.dumps({**manifest, "format_version": 1}),
+                                         encoding="utf-8")
+    assert _run_on_checkpoint(pipeline, command, stem) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint format version 1 unsupported" in err and "Traceback" not in err
 
 
 def test_reordered_word_vocabulary_is_data_error(pipeline, tmp_path, capsys):
@@ -467,6 +479,13 @@ WRONG_TYPE = {
              b'{"attributes": [{"id": "A", "values": ["v"], "templates": ["<value> x"],'
              b' "train_value_limit": "1"}]}'],
 }
+# Contents with a number that is not finite, which every reader refuses.
+NON_FINITE = {
+    "config": b"learning_rate = nan\n",
+    "vectors": b"the 0.5 nan\n",
+    "table": b'{"attribute": "Scent", "vec": [0.5, NaN]}\n',
+    "instances": b'{"attribute": "Scent", "name_vec": [Infinity], "value_vec": [1]}\n',
+}
 # Contents the format accepts: an empty labeled file leaves every
 # attribute's value half zero, and an empty config file keeps every default.
 VALID_BY_DESIGN = {("embed-uncontextualized", "labeled", "empty")} \
@@ -477,6 +496,8 @@ def _corruptions(kind):
     names = ["empty", "truncated"]
     if kind != "payload":
         names.append("not UTF-8")
+    if kind in NON_FINITE:
+        names.append("non-finite")
     return names + [f"wrong type {i}" for i in range(len(WRONG_TYPE[kind]))]
 
 
@@ -505,6 +526,8 @@ def _corrupt(valid, kind, corruption):
     cut = valid.rfind(b" ", 0, middle) + 1
     if corruption == "truncated":
         return valid[:cut]
+    if corruption == "non-finite":
+        return NON_FINITE[kind]
     if corruption == "not UTF-8":
         return valid[:cut] + b"\xff" + valid[cut:]
     return WRONG_TYPE[kind][int(corruption.rsplit(" ", 1)[1])]
@@ -570,6 +593,16 @@ def test_broken_input_fails_cleanly(fuzz_inputs, tmp_path, capsys,
                                     capsys)
     if corruption == "not UTF-8" or (command, kind) == ("label", "corpus"):
         assert rc == 2 and "avex: data error" in err
+    if corruption == "non-finite":
+        assert rc == 2 and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_fails_before_training(fuzz_inputs, tmp_path, capsys,
+                                                        value):
+    argv = FUZZ_COMMANDS["train"] + ["--learning-rate", value]
+    rc, err = _assert_fails_cleanly(argv, fuzz_inputs, tmp_path / "out", capsys)
+    assert rc == 2 and "learning_rate must be positive and finite" in err
 
 
 # (command, output item, replacement that cannot be written)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,7 @@ def make_cell(rng, d_in, d_h, requires_grad=False):
     def t(shape):
         return Tensor(rng.normal(scale=0.4, size=shape),
                       requires_grad=requires_grad)
-    return LstmCell(w_i=t((d_h, d_in + d_h)), w_f=t((d_h, d_in + d_h)),
-                    w_o=t((d_h, d_in + d_h)), w_g=t((d_h, d_in + d_h)),
-                    b_i=t((d_h,)), b_f=t((d_h,)), b_o=t((d_h,)), b_g=t((d_h,)))
+    return LstmCell(W=t((4 * d_h, d_in + d_h)), b=t((4 * d_h,)))
 
 
 # -- vector file loading -----------------------------------------------------
@@ -47,6 +47,14 @@ def test_load_word_vectors_rejects_non_numeric(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("the 0.1 oops\n", encoding="utf-8")
     with pytest.raises(DataError):
+        load_word_vectors(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_load_word_vectors_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"the 0.1 0.2\ncat 1 {bad}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite")):
         load_word_vectors(path)
 
 
@@ -112,10 +120,7 @@ def test_lstm_layer_matches_plain_numpy():
     H = lstm_layer(Tensor(X), cell).data
     h, c = np.zeros(4), np.zeros(4)
     for t in range(5):
-        h, c = numeric_lstm_step(
-            X[t], h, c,
-            cell.w_i.data, cell.b_i.data, cell.w_f.data, cell.b_f.data,
-            cell.w_o.data, cell.b_o.data, cell.w_g.data, cell.b_g.data)
+        h, c = numeric_lstm_step(X[t], h, c, cell.W.data, cell.b.data)
         np.testing.assert_allclose(H[t], h, atol=1e-12)
 
 
@@ -167,9 +172,7 @@ def test_lstm_layer_gradients_check_out(reverse):
 
 
 def test_lstm_zero_params_zero_input():
-    zero = Tensor(np.zeros((2, 4)))
-    zb = Tensor(np.zeros(2))
-    cell = LstmCell(zero, zero, zero, zero, zb, zb, zb, zb)
+    cell = LstmCell(Tensor(np.zeros((8, 4))), Tensor(np.zeros(8)))
     H = lstm_layer(Tensor(np.zeros((3, 2))), cell)
     np.testing.assert_array_equal(H.data, 0.0)
 
@@ -181,16 +184,11 @@ def test_lstm_saturated_gates_carry_cell_state():
     d = 3
     big = 50.0
 
-    def const(v, shape):
-        return Tensor(np.full(shape, v))
-
-    w_i = np.zeros((d, 2 * d))
-    w_i[:, 0] = 2 * big  # input gate opens only while x[0] == 1
-    cell = LstmCell(
-        w_i=Tensor(w_i), w_f=const(0.0, (d, 2 * d)),
-        w_o=const(0.0, (d, 2 * d)), w_g=const(0.0, (d, 2 * d)),
-        b_i=const(-big, (d,)), b_f=const(big, (d,)),
-        b_o=const(0.0, (d,)), b_g=Tensor(np.array([0.3, -0.7, 1.1])))
+    W = np.zeros((4 * d, 2 * d))
+    W[:d, 0] = 2 * big  # input gate opens only while x[0] == 1
+    # Gate rows in i, f, o, g order.
+    b = np.concatenate([np.full(d, -big), np.full(d, big), np.zeros(d), [0.3, -0.7, 1.1]])
+    cell = LstmCell(W=Tensor(W), b=Tensor(b))
     X = np.zeros((6, d))
     X[0, 0] = 1.0
     H = lstm_layer(Tensor(X), cell).data
@@ -274,18 +272,23 @@ def test_bilstm_gradients_check_out():
 # -- the stacked gate matrix, kept under no_grad -----------------------------
 
 
-GATE_NAMES = ("w_i", "w_f", "w_o", "w_g", "b_i", "b_f", "b_o", "b_g")
+GATES = "ifog"  # the order of the rows of W and b
 
 
-@pytest.mark.parametrize("name", GATE_NAMES)
+@pytest.mark.parametrize("name", [f"{part}_{gate}" for part in "wb" for gate in GATES])
 def test_gate_stack_follows_an_assigned_tensor(name):
+    # W or b is assigned, with new values in one gate's rows only.
+    part, gate = name.split("_")
     rng = np.random.default_rng(10)
     cell = make_cell(rng, 3, 4)
     X = Tensor(rng.normal(size=(5, 3)))
     with ad.no_grad():
         before = lstm_layer(X, cell).data
-        t = getattr(cell, name)
-        t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
+        t = cell.W if part == "w" else cell.b
+        k, j = cell.hidden_size, GATES.index(gate)
+        changed = t.data.copy()
+        changed[j * k:(j + 1) * k] += rng.normal(scale=0.3, size=changed[:k].shape)
+        t.data = changed
         after = lstm_layer(X, cell, [2, 3]).data
         fresh = LstmCell(*(Tensor(p.data) for p in cell.tensors()))
         np.testing.assert_array_equal(after, lstm_layer(X, fresh, [2, 3]).data)
@@ -305,7 +308,7 @@ def test_gate_stack_built_once_per_parameter_state(monkeypatch):
             lstm_layer(X, cell, reverse=reverse)
         assert len(built) == 1
         np.testing.assert_array_equal(lstm_layer(X, cell).data, first)
-        cell.b_g.data = cell.b_g.data * 1.0  # an assignment, same values
+        cell.b.data = cell.b.data * 1.0  # an assignment, same values
         lstm_layer(X, cell)
         assert len(built) == 2
     # Gradients on: rebuilt on every call (grad_check writes in place).
@@ -318,8 +321,7 @@ def test_gate_stack_halves_the_sigmoid_gates():
     rng = np.random.default_rng(12)
     cell = make_cell(rng, 2, 3)
     W, bias = cell.gate_stack()
-    weights = cell.tensors()
-    np.testing.assert_array_equal(
-        W, np.concatenate([0.5 * w.data for w in weights[:3]] + [weights[3].data]))
-    np.testing.assert_array_equal(
-        bias, np.concatenate([0.5 * b.data for b in weights[4:7]] + [weights[7].data]))
+    scale = np.repeat([0.5, 0.5, 0.5, 1.0], 3)  # i, f, o halved; g kept
+    np.testing.assert_array_equal(W, cell.W.data * scale[:, None])
+    np.testing.assert_array_equal(bias, cell.b.data * scale)
+    assert W is not cell.W.data and bias is not cell.b.data

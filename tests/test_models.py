@@ -120,7 +120,7 @@ def test_adatag_group_partition():
     assert set(hyper) == {"hyper/W_hyper_w", "hyper/b_hyper_w",
                           "hyper/W_hyper_b", "hyper/b_hyper_b"}
     moe = model.params.in_group("moe")
-    assert set(moe) == {"moe/W_moe", "moe/b_moe", "moe/expert_0", "moe/expert_1"}
+    assert set(moe) == {"moe/W_moe", "moe/b_moe", "moe/experts"}
 
 
 def test_adatag_hyper_shapes():
@@ -129,7 +129,7 @@ def test_adatag_hyper_shapes():
     assert model.params["hyper/W_hyper_w"].data.shape == (NUM_TAGS * d_h, d_r)
     assert model.params["hyper/W_hyper_b"].data.shape == (NUM_TAGS, d_r)
     assert model.params["moe/W_moe"].data.shape == (2, d_r)
-    assert model.params["moe/expert_0"].data.shape == (NUM_TAGS, NUM_TAGS)
+    assert model.params["moe/experts"].data.shape == (2, NUM_TAGS, NUM_TAGS)
 
 
 def test_adatag_frozen_embeddings_not_trainable():
@@ -205,8 +205,8 @@ def test_shared_emb_variant_groups():
     model, vocab, _ = build("bilstm_crf_shared_emb")
     assert set(model.params.groups()) == {"embedding", "encoder", "decoder"}
     # One LSTM pair per attribute, all sharing the single embedding matrix.
-    assert "encoder/Scent/lstm_fwd/w_i" in model.params
-    assert "encoder/Color/lstm_bwd/b_g" in model.params
+    assert "encoder/Scent/lstm_fwd/W" in model.params
+    assert "encoder/Color/lstm_bwd/b" in model.params
     assert "embedding/W_word" in model.params
 
 
@@ -314,7 +314,7 @@ def test_generated_decoders_built_once_per_parameter_state(monkeypatch):
     # One generation covers every attribute of the model.
     assert len(calls) == 1
     assert calls[0][2].data.shape == (len(vocab.ids()), 5)
-    model.moe.experts[0].data = model.moe.experts[0].data + 0.0
+    model.moe.experts.data = model.moe.experts.data + 0.0
     model.predict_tags(["white"], "Color")
     assert len(calls) == 2
 
@@ -329,7 +329,7 @@ def test_grad_check_after_predict_tags():
     params = model.params.trainable()
     report = grad_check(lambda: model.loss([ex]), params, tolerance=1e-6)
     assert report.passed, report.max_rel_error
-    for name in ("encoder/lstm_fwd/w_i", "hyper/W_hyper_w"):
+    for name in ("encoder/lstm_fwd/W", "hyper/W_hyper_w"):
         assert np.any(params[name].grad != 0), name
 
 

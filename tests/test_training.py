@@ -11,6 +11,7 @@ from avex.autodiff import Tensor
 from avex.corpus import (
     AttributeVocab,
     LabeledExample,
+    Product,
     Token,
     build_corpus,
     split_examples,
@@ -112,6 +113,8 @@ def test_config_defaults():
     {"learning_rate": 0.0},
     {"patience": 0},
     {"setting": "description"},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
 ])
 def test_config_validate_rejects(kw):
     with pytest.raises(DataError):
@@ -135,6 +138,12 @@ def test_config_from_mapping_rejects_unknown_key():
 def test_config_from_mapping_rejects_bad_number():
     with pytest.raises(DataError):
         TrainConfig.from_mapping({"d_h": "sixteen"})
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", float("nan")])
+def test_config_from_mapping_rejects_non_finite_learning_rate(raw):
+    with pytest.raises(DataError, match="learning_rate must be positive and finite"):
+        TrainConfig.from_mapping({"learning_rate": raw})
 
 
 def test_parse_config_file(tmp_path):
@@ -554,6 +563,23 @@ def test_train_per_attribute_variant_reports_each():
         assert stats["stopped_epoch"] >= 1
 
 
+def test_n_tag_sets_report_counts_the_spans_the_merge_drops():
+    # p1's Color value "rose red" overlaps its Scent value "rose"; Scent
+    # comes first in the vocabulary, so the joint tags keep "rose" only.
+    vocab = AttributeVocab([("Scent", None), ("Color", None)])
+    products = [
+        Product("p1", "rose red towel", [], None, {"Scent": ["rose"], "Color": ["rose red"]}),
+        Product("p2", "teal mango towel", [], None, {"Scent": ["mango"], "Color": ["teal"]}),
+    ]
+    examples, _ = build_corpus(products, vocab)
+    reports = {}
+    for variant in ("n_tag_sets", "bilstm_multicrf"):
+        config = TrainConfig(variant=variant, d_h=4, d_word=3, max_epochs=1, seed=0)
+        reports[variant] = train(config, vocab, examples, examples)[0].to_json()
+    assert reports["n_tag_sets"]["dropped_spans"] == 1
+    assert "dropped_spans" not in reports["bilstm_multicrf"]
+
+
 def test_non_finite_loss_raises_numeric_error():
     corpus, by_split = micro_synth()
 
@@ -690,9 +716,7 @@ def test_param_count_hypernetwork_at_default_scale():
     assert report.tensors["hyper/W_hyper_w"] == 4 * 200 * 1536 == 1_228_800
     assert report.tensors["hyper/b_hyper_w"] == 800
     assert report.tensors["moe/W_moe"] == 3 * 1536
-    experts = sum(v for k, v in report.tensors.items()
-                  if k.startswith("moe/expert_"))
-    assert experts == 3 * 16 == 48
+    assert report.tensors["moe/experts"] == 3 * 16 == 48
 
 
 def test_param_count_expanded_tagset():
