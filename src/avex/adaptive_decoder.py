@@ -202,8 +202,6 @@ def _running(pack) -> list:
     """Per step, the index of the chains still running, in rank order:
     a prefix slice, or 0 when one chain runs, so that its rows are 1-d,
     which numpy runs faster."""
-    if pack.rank.size == 1:
-        return [0] * (pack.starts.size - 1)
     return [0 if b == 1 else slice(0, b) for b in np.diff(pack.starts).tolist()]
 
 
@@ -266,10 +264,10 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
     laid end to end (default: one chain).  T is one (m, m) transition
     table, or a stack (A, m, m) of which chain c uses ``decoders[c]``.
     z holds the N target tags.  One graph node: the mean over chains of
-    log Z minus the path's score.  Its gradient, per chain and divided by
-    the number of chains, is the marginals minus the path's one-hot tags
-    for P, and the expected minus the path's transition counts for the
-    chain's table.
+    log Z minus the path's score (its terms summed in column order).
+    Its gradient, per chain and divided by the number of chains, is the
+    marginals minus the path's one-hot tags for P, and the expected
+    minus the path's transition counts for the chain's table.
     """
     P, T, lengths, dec, pack, P3, T3 = _chains(P, T, lengths, decoders)
     m, n_cols = P.data.shape
@@ -280,16 +278,10 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
     count = lengths.size
     owner = np.repeat(np.arange(count), lengths)  # each column's chain
     inner = np.flatnonzero(owner[1:] == owner[:-1])  # columns with a successor
-    # Path scores: per chain its transition terms plus its emission terms,
-    # each a segment of one gather.  reduceat need not add a segment in the
-    # order that path_score's sum does, so the last bits may differ.
-    starts = np.cumsum(lengths) - lengths
-    moved = np.zeros(count)
-    if inner.size:
-        multi = lengths > 1  # a chain of one column has no transition
-        moved[multi] = np.add.reduceat(tables[dec[owner[inner]], z[inner], z[inner + 1]],
-                                       (starts - np.arange(count))[multi])
-    emitted = np.add.reduceat(P.data[z, np.arange(n_cols)], starts)
+    # Path scores per chain; path_score's sums may differ in the last bits.
+    moved = np.bincount(owner[inner], tables[dec[owner[inner]], z[inner], z[inner + 1]],
+                        minlength=count)
+    emitted = np.bincount(owner, P.data[z, np.arange(n_cols)], minlength=count)
     nll = log_z[ranked] - (moved + emitted)
 
     def vjp(g):
@@ -304,7 +296,7 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
         scale = g / count
         return scale * dP, (scale * dT).reshape(T.data.shape)
 
-    return fused(np.asarray(nll[0] if count == 1 else np.mean(nll)), (P, T), vjp)
+    return fused(np.asarray(np.mean(nll)), (P, T), vjp)
 
 
 def path_score(P, T, z) -> float:
@@ -359,10 +351,10 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     chain c uses ``decoders[c]``.  Step i advances the chains that reach
     position i, a prefix of the longest-first ranking, and keeps their
     backpointers in one (n, B, m) array; the backtrack walks all chains
-    at once.  Ties are broken toward the smallest tag index both at each
-    backpointer and at a chain's last position.  A chain whose emission
-    columns or table hold a non-finite score raises NumericError; tables
-    that no chain uses are not read.
+    at once, step by step.  Ties are broken toward the smallest tag index
+    both at each backpointer and at a chain's last position.  A chain
+    whose emission columns or table hold a non-finite score raises
+    NumericError; tables that no chain uses are not read.
 
     One chain over at most ``NUM_TAGS`` tags (a single ``extract``
     request) runs the same recursion over Python floats instead
@@ -393,19 +385,8 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     starts = pack.starts.tolist()
     tag = score.argmax(axis=1)  # each chain's tag at the step being walked
     packed = np.empty(starts[-1], dtype=int)
-    # The walk back starts with the steps where only the longest chain
-    # runs; those are walked in plain ints, cheaper than numpy scalars.
-    solo = n
-    while solo > 1 and running[solo - 1] == 0:
-        solo -= 1
-    t, walked = int(tag[0]), []
-    for row in back[n - 1:solo - 1:-1, 0].tolist():
-        walked.append(t)
-        t = row[t]
-    tag[0] = t
-    packed[starts[solo]:] = walked[::-1]
     chains = np.arange(count)
-    for i in range(solo - 1, 0, -1):
+    for i in range(n - 1, 0, -1):
         b = running[i]
         packed[starts[i]:starts[i + 1]] = tag[b]
         tag[b] = back[i, chains[b], tag[b]]

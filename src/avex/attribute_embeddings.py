@@ -26,6 +26,18 @@ log = logging.getLogger(__name__)
 PROVENANCES = ("uncontextualized", "contextualized", "random")
 
 
+def _json_vector(value, where) -> np.ndarray:
+    """A JSON array of finite numbers as a float vector; a string, bool,
+    null or nested array in it is refused rather than converted."""
+    if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
+        raise DataError(f"{where}: a vector must be an array of JSON numbers, "
+                        f"got {json.dumps(value):.60}")
+    vec = np.array(value, dtype=np.float64)  # OverflowError past the float range
+    if not np.isfinite(vec).all():
+        raise DataError(f"{where}: non-finite vector component")
+    return vec
+
+
 class AttributeEmbeddingTable:
     """Embedding vector per attribute id, with uniform dimension."""
 
@@ -80,15 +92,11 @@ class AttributeEmbeddingTable:
         for lineno, line in files.read_lines(path, "embedding table"):
             try:
                 row = json.loads(line)
-                attr, vec = str(row["attribute"]), np.asarray(row["vec"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as e:
+                attr, vec = str(row["attribute"]), _json_vector(row["vec"], f"{path}:{lineno}")
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise DataError(f"{path}:{lineno}: bad table row: {e}")
             if attr in vectors:
                 raise DataError(f"{path}:{lineno}: duplicate attribute {attr!r}")
-            if vec.ndim != 1:
-                raise DataError(f"{path}:{lineno}: vector must be flat")
-            if not np.isfinite(vec).all():
-                raise DataError(f"{path}:{lineno}: non-finite vector component")
             vectors[attr] = vec
             if "provenance" in row:
                 provenances.add(row["provenance"])
@@ -165,16 +173,12 @@ def ingest_contextualized(path) -> AttributeEmbeddingTable:
         try:
             row = json.loads(line)
             attr = str(row["attribute"])
-            name_vec = np.asarray(row["name_vec"], dtype=np.float64)
-            value_vec = np.asarray(row["value_vec"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as e:
+            name_vec = _json_vector(row["name_vec"], f"{path}:{lineno}")
+            value_vec = _json_vector(row["value_vec"], f"{path}:{lineno}")
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"{path}:{lineno}: bad instance row: {e}")
-        if name_vec.ndim != 1 or value_vec.ndim != 1 \
-                or name_vec.shape != value_vec.shape:
-            raise DataError(
-                f"{path}:{lineno}: name/value vectors must be flat and equal-sized")
-        if not (np.isfinite(name_vec).all() and np.isfinite(value_vec).all()):
-            raise DataError(f"{path}:{lineno}: non-finite vector component")
+        if name_vec.shape != value_vec.shape:
+            raise DataError(f"{path}:{lineno}: name/value vectors must be equal-sized")
         if dim is None:
             dim = name_vec.shape[0]
         elif name_vec.shape[0] != dim:

@@ -78,6 +78,8 @@ class AttributeVocab:
         for attr_id, phrase in entries:
             if attr_id in seen:
                 raise DataError(f"duplicate attribute id {attr_id!r}")
+            if phrase is not None and not isinstance(phrase, str):
+                raise DataError(f"phrase of attribute {attr_id!r} is not a string")
             seen.add(attr_id)
             self._entries.append((attr_id, phrase or attribute_phrase(attr_id)))
 

@@ -3,11 +3,11 @@
 The encoder turns a token sequence into one hidden vector per position:
 a trainable embedding lookup feeds two LSTM passes (left-to-right and
 right-to-left) whose states are concatenated, so the per-position size
-is the combined width of both directions.  ``encode_batch`` encodes many
-texts at once: their rows are stacked, and each pass is one autodiff
+is the combined width of both directions.  ``encode_batch`` encodes one
+or many texts: their rows are stacked, and each pass is one autodiff
 node over all of them that runs the recurrence in numpy, the sequences
 still running at a step advancing together, and backpropagates through
-time by hand.  ``encode_matrix`` is the one-text case.
+time by hand.
 """
 
 from __future__ import annotations
@@ -227,15 +227,9 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
 
 def encode_batch(texts, table: WordEmbeddingTable,
                  forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
-    """Encoder states of several texts, their rows stacked in text order:
+    """Encoder states of one or more texts, their rows stacked in text order:
     both directions side by side, one packed node per direction."""
     lengths = [len(tokens) for tokens in texts]
     X = table.embed([token for tokens in texts for token in tokens])
     return concat([lstm_layer(X, forward_cell, lengths),
                    lstm_layer(X, backward_cell, lengths, reverse=True)], axis=1)
-
-
-def encode_matrix(token_texts, table: WordEmbeddingTable,
-                  forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
-    """Encoder states of one text as an (n, d_h) matrix."""
-    return encode_batch([token_texts], table, forward_cell, backward_cell)

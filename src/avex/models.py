@@ -58,7 +58,7 @@ from .adaptive_decoder import (
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
 from .autodiff import Tensor, concat, grad_enabled, no_grad, reuse, row, stack
 from .corpus import AttributeVocab, Token
-from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch, encode_matrix
+from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch
 from .errors import DataError
 from .tagging import (
     NUM_TAGS,
@@ -322,36 +322,27 @@ class Model:
         runs once over the distinct texts of its chains, and the batch's
         decoders are generated together, in the order they first appear;
         with gradients off every decoder of the model is built, and kept.
+        The encoders' states are stacked in the order the encoders first
+        appear, and one map gives each (encoder, text) its first row.
         """
-        # encoder -> {distinct text: its first row in the encoder's states},
-        # and the rows so far
-        texts, size, placed, lengths, slots = {}, {}, [], [], []
+        keys, lengths, slots = [], [], []
         for tokens, attribute in chains:
             try:
                 enc, slot = self._route[attribute]
             except KeyError:
                 raise DataError(f"unknown attribute {attribute!r}") from None
-            text = tuple(tokens)
-            seen = texts.setdefault(enc, {})
-            first = seen.get(text)
-            if first is None:
-                first = seen[text] = size.get(enc, 0)
-                size[enc] = first + len(text)
-            placed.append((enc, first))
-            lengths.append(len(text))
+            keys.append((enc, tuple(tokens)))
+            lengths.append(len(tokens))
             slots.append(slot)
-        states, offset, total = [], {}, 0
-        for enc, seen in texts.items():
+        first = dict.fromkeys(keys)  # (encoder, text) -> its first row
+        states, total = [], 0
+        for enc in dict.fromkeys(enc for enc, _ in keys):
+            distinct = tuple(text for e, text in first if e == enc)
+            for text in distinct:
+                first[enc, text], total = total, total + len(text)
             (table, fwd, bwd), reads = self._encoders[enc]
-            offset[enc], total = total, total + size[enc]
-            distinct = tuple(seen)
-            # One text (a single request) goes through encode_matrix, the
-            # one-text entry point that extraction has always called.
-            states.append(reuse(
-                self._cache, enc, reads,
-                lambda: encode_matrix(list(distinct[0]), table, fwd, bwd)
-                if len(distinct) == 1 else encode_batch(distinct, table, fwd, bwd),
-                distinct))
+            states.append(reuse(self._cache, enc, reads,
+                                lambda: encode_batch(distinct, table, fwd, bwd), distinct))
         if grad_enabled():
             used = list(dict.fromkeys(slots))
             slots = [used.index(s) for s in slots]
@@ -362,9 +353,9 @@ class Model:
         # Each column's row of the encoder states (in order when every
         # chain has a text of its own and one encoder) and decoder.
         rows = None
-        if total != sum(lengths) or len(texts) > 1:
-            rows = [r for (enc, first), n in zip(placed, lengths)
-                    for r in range(offset[enc] + first, offset[enc] + first + n)]
+        if total != sum(lengths) or len(states) > 1:
+            rows = [r for key, n in zip(keys, lengths)
+                    for r in range(first[key], first[key] + n)]
         columns = [slot for slot, n in zip(slots, lengths) for _ in range(n)]
         P = emissions(states[0] if len(states) == 1 else concat(states),
                       dec.W, dec.b, rows, columns)

@@ -168,12 +168,33 @@ def test_table_load_rejects_duplicate_attribute(tmp_path):
         AttributeEmbeddingTable.load(path)
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_table_load_rejects_non_finite_components(tmp_path, bad):
     path = tmp_path / "table.jsonl"
     path.write_text(f'{{"attribute": "a", "vec": [0.0]}}\n'
                     f'{{"attribute": "b", "vec": [{bad}]}}\n', encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite")):
+        AttributeEmbeddingTable.load(path)
+
+
+def test_table_load_rejects_an_integer_beyond_the_float_range(tmp_path):
+    path = tmp_path / "table.jsonl"
+    path.write_text('{"attribute": "a", "vec": [1' + "0" * 400 + "]}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:1: bad table row")):
+        AttributeEmbeddingTable.load(path)
+
+
+# JSON values that are not numbers, though numpy would convert most of them.
+NOT_NUMBERS = ['"nan"', '"0.5"', "true", "null", "[0.5]"]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_table_load_rejects_non_number_components(tmp_path, bad):
+    path = tmp_path / "table.jsonl"
+    path.write_text(f'{{"attribute": "a", "vec": [0.0]}}\n'
+                    f'{{"attribute": "b", "vec": [{bad}]}}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: a vector must be an array "
+                                                  "of JSON numbers")):
         AttributeEmbeddingTable.load(path)
 
 
@@ -225,6 +246,17 @@ def test_ingest_rejects_non_finite_components(tmp_path, side):
     row = {"attribute": "a", "name_vec": [1.0, 0.0], "value_vec": [0.0, 2.0]}
     write_instances(path, [row, {**row, side: [1.0, float("inf")]}])
     with pytest.raises(DataError, match=re.escape(f"{path}:2: non-finite")):
+        ingest_contextualized(path)
+
+
+@pytest.mark.parametrize("side", ["name_vec", "value_vec"])
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_ingest_rejects_non_number_components(tmp_path, side, bad):
+    path = tmp_path / "inst.jsonl"
+    row = {"attribute": "a", "name_vec": [1.0], "value_vec": [2.0]}
+    write_instances(path, [row, {**row, side: [json.loads(bad)]}])
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: a vector must be an array "
+                                                  "of JSON numbers")):
         ingest_contextualized(path)
 
 

@@ -178,8 +178,8 @@ def test_extract_encodes_the_text_once(pipeline, capsys, monkeypatch):
         fresh = training.load_checkpoint(pipeline["stem"])
         expected[attr] = sorted(evaluation.extract(fresh, tokens, attr))
     calls = []
-    real = models.encode_matrix
-    monkeypatch.setattr(models, "encode_matrix",
+    real = models.encode_batch
+    monkeypatch.setattr(models, "encode_batch",
                         lambda *args: calls.append(args) or real(*args))
     rc = cli.main(["extract", "--checkpoint", str(pipeline["stem"]),
                    "--attr", "Scent,Color", "--text", text])
@@ -603,6 +603,30 @@ def test_non_finite_learning_rate_fails_before_training(fuzz_inputs, tmp_path, c
     argv = FUZZ_COMMANDS["train"] + ["--learning-rate", value]
     rc, err = _assert_fails_cleanly(argv, fuzz_inputs, tmp_path / "out", capsys)
     assert rc == 2 and "learning_rate must be positive and finite" in err
+
+
+# (command, input kind, contents with one field of the wrong JSON type,
+# what the error says, with {} for the broken file)
+WRONG_FIELD = [
+    ("embed-uncontextualized", "vocab", b'[{"id": "Scent", "phrase": 5}, {"id": "Color"}]',
+     "phrase of attribute 'Scent' is not a string"),
+    ("embed-contextualized", "instances",
+     b'{"attribute": "Scent", "name_vec": ["1", 0], "value_vec": [0, 1]}\n',
+     "{}:1: a vector must be an array of JSON numbers"),
+    ("train", "table", b'{"attribute": "Scent", "vec": ["0.5", true]}\n',
+     "{}:1: a vector must be an array of JSON numbers"),
+]
+
+
+@pytest.mark.parametrize("command,kind,contents,message", WRONG_FIELD,
+                         ids=[f"{c[0]}-{c[1]}" for c in WRONG_FIELD])
+def test_field_of_wrong_type_is_data_error(fuzz_inputs, tmp_path, capsys,
+                                           command, kind, contents, message):
+    broken = tmp_path / f"broken-{kind}"
+    broken.write_bytes(contents)
+    rc, err = _assert_fails_cleanly(FUZZ_COMMANDS[command], {**fuzz_inputs, kind: broken},
+                                    tmp_path / "out", capsys)
+    assert rc == 2 and "avex: data error" in err and message.format(broken) in err
 
 
 # (command, output item, replacement that cannot be written)

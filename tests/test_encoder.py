@@ -10,7 +10,7 @@ from avex.encoder import (
     UNK,
     LstmCell,
     WordEmbeddingTable,
-    encode_matrix,
+    encode_batch,
     load_word_vectors,
     lstm_layer,
 )
@@ -214,7 +214,7 @@ def test_bilstm_concatenates_directions():
     f_cell = make_cell(rng, 2, 3)
     b_cell = make_cell(rng, 2, 3)
     tokens = ["red", "towel", "set", "red"]
-    H = encode_matrix(tokens, table, f_cell, b_cell).data
+    H = encode_batch([tokens], table, f_cell, b_cell).data
     X = table.embed(tokens)
     assert H.shape == (4, 6)
     np.testing.assert_array_equal(H[:, :3], lstm_layer(X, f_cell).data)
@@ -226,7 +226,7 @@ def test_bilstm_rejects_empty_input():
     table = WordEmbeddingTable.build(["red"], {}, 2, rng)
     cell = make_cell(rng, 2, 3)
     with pytest.raises(ValueError):
-        encode_matrix([], table, cell, cell)
+        encode_batch([[]], table, cell, cell)
 
 
 def test_embed_gathers_rows_in_one_node():
@@ -243,12 +243,12 @@ def test_embed_gathers_rows_in_one_node():
     assert table.matrix.grad[table.stoi[UNK]].tolist() == [1.0] * 3
 
 
-def test_encode_matrix_shape():
+def test_encode_batch_shape():
     rng = np.random.default_rng(5)
     table = WordEmbeddingTable.build(["red", "towel"], {}, 4, rng)
     f_cell = make_cell(rng, 4, 3)
     b_cell = make_cell(rng, 4, 3)
-    H = encode_matrix(["red", "towel", "set"], table, f_cell, b_cell)
+    H = encode_batch([["red", "towel", "set"]], table, f_cell, b_cell)
     assert H.data.shape == (3, 6)
 
 
@@ -259,7 +259,7 @@ def test_bilstm_gradients_check_out():
     b_cell = make_cell(rng, 3, 2, requires_grad=True)
 
     def f():
-        H = encode_matrix(["a", "b", "a"], table, f_cell, b_cell)
+        H = encode_batch([["a", "b", "a"]], table, f_cell, b_cell)
         return tanh(H).sum()
 
     params = {"emb": table.matrix}

@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 
@@ -289,7 +290,7 @@ def test_parameter_write_between_extracts_changes_result(write):
 def test_encoder_states_shared_only_between_attributes_of_one_encoder(
         variant, monkeypatch):
     model, vocab, _ = build(variant)
-    calls = _count_calls(monkeypatch, "encode_matrix")
+    calls = _count_calls(monkeypatch, "encode_batch")
     text = ["white", "cotton", "towel"]
     for _ in range(2):
         for a in vocab.ids():
@@ -382,7 +383,6 @@ def test_batch_encodes_each_text_of_a_product_once(monkeypatch):
     assert len(examples) == 3 and len({tuple(ex.token_texts()) for ex in examples}) == 1
     config = tiny_config("adatag_random_emb")
     model = build_variant(config, vocab, derive_word_itos(config.variant, examples))
-    single = _count_calls(monkeypatch, "encode_matrix")
     batched = _count_calls(monkeypatch, "encode_batch")
     params = model.params.trainable()
 
@@ -394,7 +394,7 @@ def test_batch_encodes_each_text_of_a_product_once(monkeypatch):
                 for name, t in params.items()}
 
     together = grads(model.loss(examples) * len(examples))
-    assert len(single) == 1 and not batched
+    assert len(batched) == 1 and len(batched[0][0]) == 1  # one call, one text
     summed = {name: np.zeros_like(t.data) for name, t in params.items()}
     for ex in examples:
         for name, g in grads(model.loss([ex])).items():
@@ -427,6 +427,40 @@ def test_chains_of_different_encoders_interleaved_in_one_batch(variant):
     assert len(prepared) == 3
     singles = [model.loss([ex]).item() for ex in prepared]
     assert model.loss(prepared).item() == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def repeated_texts_case(variant):
+    """A model, its (text, attribute) chains and its prepared examples,
+    over a corpus whose first text is labelled for both attributes."""
+    vocab = AttributeVocab([("Scent", None), ("Color", None)])
+    products = [
+        Product("p1", "lavender / rose scented white wash", [], None,
+                {"Scent": ["lavender", "rose"], "Color": ["white"]}),
+        Product("p2", "white cotton towel", [], None, {"Color": ["white"]}),
+        Product("p3", "rose soap", [], None, {"Scent": ["rose"]}),
+    ]
+    examples, _ = build_corpus(products, vocab)
+    table = embedding_table(vocab) if variant == "adatag" else None
+    model = build_variant(tiny_config(variant), vocab,
+                          derive_word_itos(variant, examples), attr_table=table)
+    texts = dict.fromkeys(tuple(ex.token_texts()) for ex in examples)
+    chains = [(list(text), a) for text in texts for a in vocab.ids()]
+    return model, chains, model.prepare_examples(examples)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batches_with_repeated_texts_score_as_their_chains_alone(variant, data):
+    # Drawn with replacement, a batch repeats texts within an encoder and,
+    # where attributes have encoders of their own, across encoders.
+    model, chains, examples = repeated_texts_case(variant)
+    picked = data.draw(st.lists(st.sampled_from(chains), min_size=1, max_size=6))
+    assert model.predict_batch(picked) == [model.predict_tags(*c) for c in picked]
+    batch = data.draw(st.lists(st.sampled_from(examples), min_size=1, max_size=6))
+    singles = [model.loss([ex]).item() for ex in batch]
+    assert model.loss(batch).item() == pytest.approx(np.mean(singles), rel=1e-12, abs=0)
 
 
 def test_predict_batch_decodes_once_and_scores_no_path(monkeypatch):
