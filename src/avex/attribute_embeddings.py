@@ -90,21 +90,21 @@ class AttributeEmbeddingTable:
         vectors = {}
         provenances = set()
         for lineno, line in files.read_lines(path, "embedding table"):
+            where = f"{path}:{lineno}"
             try:
-                row = json.loads(line)
-                attr, vec = str(row["attribute"]), _json_vector(row["vec"], f"{path}:{lineno}")
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise DataError(f"{path}:{lineno}: bad table row: {e}")
-            if attr in vectors:
-                raise DataError(f"{path}:{lineno}: duplicate attribute {attr!r}")
-            vectors[attr] = vec
-            if "provenance" in row:
+                row = files.check(json.loads(line), where, attribute=str, vec=list,
+                                  provenance=str | None)
+                vec = _json_vector(row["vec"], where)
+            except (ValueError, OverflowError) as e:  # not JSON, or past the float range
+                raise DataError(f"{where}: bad table row: {e}")
+            if row["attribute"] in vectors:
+                raise DataError(f"{where}: duplicate attribute {row['attribute']!r}")
+            vectors[row["attribute"]] = vec
+            if row.get("provenance") is not None:
                 provenances.add(row["provenance"])
         if len(provenances) > 1:
-            raise DataError(
-                f"{path} mixes provenances {sorted(provenances)} in one table")
-        provenance = provenances.pop() if provenances else "contextualized"
-        return cls(vectors, provenance)
+            raise DataError(f"{path} mixes provenances {sorted(provenances)} in one table")
+        return cls(vectors, provenances.pop() if provenances else "contextualized")
 
 
 def collect_instances(examples, attr_id: str) -> list[str]:
@@ -165,39 +165,29 @@ def ingest_contextualized(path) -> AttributeEmbeddingTable:
     Input rows: {"attribute": id, "name_vec": [...], "value_vec": [...]}.
     Per attribute, both sides are mean-pooled and concatenated.
     """
-    name_sums: dict[str, np.ndarray] = {}
-    value_sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
+    rows: dict[str, list[np.ndarray]] = {}  # each instance's name and value vectors
     dim = None
     for lineno, line in files.read_lines(path, "instance file"):
+        where = f"{path}:{lineno}"
         try:
-            row = json.loads(line)
-            attr = str(row["attribute"])
-            name_vec = _json_vector(row["name_vec"], f"{path}:{lineno}")
-            value_vec = _json_vector(row["value_vec"], f"{path}:{lineno}")
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise DataError(f"{path}:{lineno}: bad instance row: {e}")
+            row = files.check(json.loads(line), where, attribute=str, name_vec=list,
+                              value_vec=list)
+            name_vec = _json_vector(row["name_vec"], where)
+            value_vec = _json_vector(row["value_vec"], where)
+        except (ValueError, OverflowError) as e:  # not JSON, or past the float range
+            raise DataError(f"{where}: bad instance row: {e}")
         if name_vec.shape != value_vec.shape:
-            raise DataError(f"{path}:{lineno}: name/value vectors must be equal-sized")
+            raise DataError(f"{where}: name/value vectors must be equal-sized")
         if dim is None:
             dim = name_vec.shape[0]
         elif name_vec.shape[0] != dim:
-            raise DataError(
-                f"{path}:{lineno}: vector dim {name_vec.shape[0]} differs "
-                f"from earlier rows ({dim})")
-        if attr not in counts:
-            name_sums[attr] = np.zeros(dim)
-            value_sums[attr] = np.zeros(dim)
-            counts[attr] = 0
-        name_sums[attr] += name_vec
-        value_sums[attr] += value_vec
-        counts[attr] += 1
-    if not counts:
+            raise DataError(f"{where}: vector dim {name_vec.shape[0]} differs "
+                            f"from earlier rows ({dim})")
+        rows.setdefault(row["attribute"], []).append(
+            np.concatenate([name_vec, value_vec]))
+    if not rows:
         raise DataError(f"instance file {path} is empty")
-    table = {
-        a: np.concatenate([name_sums[a] / counts[a], value_sums[a] / counts[a]])
-        for a in counts
-    }
+    table = {a: sum(vecs) / len(vecs) for a, vecs in rows.items()}
     return AttributeEmbeddingTable(table, "contextualized")
 
 
@@ -205,6 +195,8 @@ def random_table(attr_ids, d_r: int, seed: int) -> AttributeEmbeddingTable:
     """Trainable random table, uniform in (-0.1, 0.1)."""
     if d_r < 1:
         raise DataError(f"d_r must be positive, got {d_r}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     vectors = {a: rng.uniform(-0.1, 0.1, size=d_r) for a in attr_ids}
     return AttributeEmbeddingTable(vectors, "random", frozen=False)

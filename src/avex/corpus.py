@@ -110,12 +110,9 @@ class AttributeVocab:
         raw = files.read_json(path, "attribute vocabulary")
         if not isinstance(raw, list):
             raise DataError(f"attribute vocabulary {path} must be a JSON list")
-        entries = []
         for i, row in enumerate(raw):
-            if not isinstance(row, dict) or "id" not in row:
-                raise DataError(f"attribute vocabulary entry {i} lacks an 'id'")
-            entries.append((str(row["id"]), row.get("phrase")))
-        return cls(entries)
+            files.check(row, f"attribute vocabulary {path}: entry {i}", id=str)
+        return cls([(row["id"], row.get("phrase")) for row in raw])
 
     def save(self, path):
         rows = [{"id": a, "phrase": p} for a, p in self._entries]
@@ -270,45 +267,27 @@ def build_corpus(products, vocab: AttributeVocab, setting: str = "title",
 
 
 def parse_product(obj) -> Product:
-    if not isinstance(obj, dict):
-        raise DataError("product row is not a JSON object")
-    for key in ("id", "title"):
-        if key not in obj:
-            raise DataError(f"product row lacks {key!r}")
-    bullets = obj.get("bullets", [])
-    if not isinstance(bullets, list) or not all(isinstance(b, str) for b in bullets):
-        raise DataError("'bullets' must be a list of strings")
-    attrs = obj.get("attributes", {})
-    if not isinstance(attrs, dict):
-        raise DataError("'attributes' must be an object")
-    gold = {}
-    for a, vals in attrs.items():
-        if not isinstance(vals, list) or not all(isinstance(v, str) for v in vals):
-            raise DataError(f"values for attribute {a!r} must be a list of strings")
-        gold[str(a)] = list(vals)
-    description = obj.get("description")
-    if description is not None and not isinstance(description, str):
-        raise DataError("'description' must be a string")
-    return Product(str(obj["id"]), str(obj["title"]), list(bullets), description, gold)
+    files.check(obj, "product row", id=str, title=str, bullets=list[str] | None,
+                attributes=dict[str, list[str]] | None, description=str | None)
+    return Product(obj["id"], obj["title"], obj.get("bullets") or [],
+                   obj.get("description"), obj.get("attributes") or {})
 
 
 def load_products(path):
     """Read a product JSONL file, skipping and reporting malformed lines."""
-    products = []
+    products = {}  # by id, in file order
     malformed = []
-    seen_ids = set()
     for lineno, line in files.read_lines(path, "corpus"):
         try:
             product = parse_product(json.loads(line))
         except (json.JSONDecodeError, DataError) as e:
             malformed.append((lineno, str(e)))
             continue
-        if product.id in seen_ids:
+        if product.id in products:
             malformed.append((lineno, f"duplicate product id {product.id!r}"))
             continue
-        seen_ids.add(product.id)
-        products.append(product)
-    return products, malformed
+        products[product.id] = product
+    return list(products.values()), malformed
 
 
 def build_corpus_from_file(path, vocab, setting="title", include_negatives=False):
@@ -324,14 +303,12 @@ SPLITS = ("train", "dev", "test")
 
 
 def load_split_manifest(path) -> dict[str, list[str]]:
-    raw = files.read_json(path, "split manifest")
-    if not isinstance(raw, dict) or not all(isinstance(raw.get(k), list) for k in SPLITS):
-        raise DataError(f"split manifest {path} must map train/dev/test to id lists")
-    manifest = {k: [str(i) for i in raw[k]] for k in SPLITS}
-    all_ids = manifest["train"] + manifest["dev"] + manifest["test"]
+    raw = files.check(files.read_json(path, "split manifest"), f"split manifest {path}",
+                      **dict.fromkeys(SPLITS, list[str]))
+    all_ids = [i for k in SPLITS for i in raw[k]]
     if len(set(all_ids)) != len(all_ids):
         raise DataError(f"split manifest {path} assigns some id to multiple splits")
-    return manifest
+    return {k: raw[k] for k in SPLITS}
 
 
 def split_examples(examples, manifest) -> dict[str, list[LabeledExample]]:
@@ -367,15 +344,19 @@ def save_labeled(path, examples):
 def load_labeled(path) -> list[LabeledExample]:
     examples = []
     for lineno, line in files.read_lines(path, "labeled file"):
+        where = f"{path}:{lineno}"
         try:
-            row = json.loads(line)
-            tokens = tuple(Token(t, int(s), int(e)) for t, s, e in row["tokens"])
-            tags = tuple(row["tags"])
-            if len(tokens) != len(tags):
-                raise DataError("token/tag length mismatch")
-            ex = LabeledExample(str(row["id"]), str(row["attribute"]),
-                                tokens, tags, row.get("source_field", "title"))
-        except (KeyError, ValueError, TypeError, DataError) as e:
-            raise DataError(f"{path}:{lineno}: bad labeled example: {e}")
-        examples.append(ex)
+            row = files.check(json.loads(line), where, id=str, attribute=str,
+                              tokens=list[list], tags=list[str], source_field=str | None)
+            tokens = tuple(Token(*t) for t in row["tokens"])
+        except (ValueError, TypeError) as e:  # not JSON, or not [text, start, end]
+            raise DataError(f"{where}: bad labeled example: {e}")
+        for i, token in enumerate(tokens):
+            files.check(vars(token), f"{where}: token {i}", text=str, start=int, end=int)
+        if len(tokens) != len(row["tags"]):
+            raise DataError(f"{where}: token/tag length mismatch")
+        source = row.get("source_field")
+        examples.append(LabeledExample(
+            row["id"], row["attribute"], tokens, tuple(row["tags"]),
+            "title" if source is None else source))
     return examples

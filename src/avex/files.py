@@ -1,17 +1,20 @@
 """Every file avex reads or writes goes through this module.
 
 A file that cannot be read (missing, not UTF-8, not JSON) or written is
-a DataError.  Output is staged beside its target and renamed into place.
+a DataError, and so is a JSON record of the wrong shape (``check``).
+Output is staged beside its target and renamed into place.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import secrets
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from types import GenericAlias, UnionType
 
 from .errors import DataError
 
@@ -36,6 +39,37 @@ def read_json(path, what):
     with _failing_as(f"cannot read {what} {path}", OSError, ValueError), \
             open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _is(value, typ) -> bool:
+    """isinstance, where an int is a size, list[T] and dict[str, T] check
+    each item, and T | None also accepts null."""
+    if typ is int:  # bool is an int subclass, and no size is negative
+        return type(value) is int and value >= 0
+    if isinstance(typ, UnionType):
+        return any(_is(value, t) for t in typ.__args__)
+    if isinstance(typ, GenericAlias):
+        items = value.values() if isinstance(value, dict) else value
+        return isinstance(value, typ.__origin__) and all(
+            _is(v, typ.__args__[-1]) for v in items)
+    return isinstance(value, typ)
+
+
+def check(obj, where, **fields):
+    """Return ``obj``, unconverted, if it is a JSON object that maps each key
+    to a value of its type, else raise a DataError that names ``where``
+    and the key.  A key typed ``T | None`` may be missing or null."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where} is not a JSON object")
+    for key, typ in fields.items():
+        if key not in obj and not _is(None, typ):
+            raise DataError(f"{where} lacks {key!r}")
+        if not _is(obj.get(key), typ):
+            name = re.sub(r"\bint\b", "non-negative int",
+                          typ.__name__ if isinstance(typ, type) else str(typ))
+            raise DataError(f"{where} {key!r} must be {name}, "
+                            f"got {json.dumps(obj[key]):.60}")
+    return obj
 
 
 def read_lines(path, what):

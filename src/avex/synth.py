@@ -10,6 +10,7 @@ generated vocabulary, which makes the full pipeline runnable offline.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,15 +33,15 @@ class SynthAttribute:
     """
 
     id: str
-    values: tuple[str, ...]
-    templates: tuple[str, ...]
+    values: Sequence[str]
+    templates: Sequence[str]
     train: int = 0
     dev: int = 0
     test: int = 0
     train_value_limit: int | None = None
 
     def validate(self):
-        if not all(isinstance(s, str) for s in self.values + self.templates):
+        if not all(isinstance(s, str) for s in (*self.values, *self.templates)):
             raise DataError(f"values and templates of {self.id!r} must be strings")
         if not self.values:
             raise DataError(f"attribute {self.id!r} has no values")
@@ -60,29 +61,33 @@ class SynthAttribute:
 
 @dataclass
 class SynthSpec:
-    seed: int
-    attributes: list[SynthAttribute]
+    seed: int = 0
+    attributes: list[SynthAttribute] = field(default_factory=list)
     vector_dim: int = 50
 
     @classmethod
-    def from_json(cls, obj) -> "SynthSpec":
-        try:
-            attrs = [SynthAttribute(
-                id=str(a["id"]),
-                values=tuple(a["values"]),
-                templates=tuple(a["templates"]),
-                train=int(a.get("train", 0)),
-                dev=int(a.get("dev", 0)),
-                test=int(a.get("test", 0)),
-                train_value_limit=a.get("train_value_limit"),
-            ) for a in obj["attributes"]]
-            return cls(int(obj.get("seed", 0)), attrs, int(obj.get("vector_dim", 50)))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"bad synth spec: {e}")
+    def from_json(cls, obj, where="synth spec") -> "SynthSpec":
+        """A spec from its JSON object; a missing or null key takes its default."""
+        files.check(obj, where, seed=int | None, vector_dim=int | None, attributes=list)
+        for i, a in enumerate(obj["attributes"]):
+            files.check(a, f"{where}: attributes[{i}]", **_ATTRIBUTE_KEYS)
+        return cls(attributes=[SynthAttribute(**_given(a, _ATTRIBUTE_KEYS))
+                               for a in obj["attributes"]],
+                   **_given(obj, ("seed", "vector_dim")))
 
     @classmethod
     def load(cls, path) -> "SynthSpec":
-        return cls.from_json(files.read_json(path, "synth spec"))
+        return cls.from_json(files.read_json(path, "synth spec"), f"synth spec {path}")
+
+
+# The keys of a spec attribute, with their JSON types.
+_ATTRIBUTE_KEYS = dict(id=str, values=list[str], templates=list[str], train=int | None,
+                       dev=int | None, test=int | None, train_value_limit=int | None)
+
+
+def _given(obj, keys) -> dict:
+    """The items of ``obj`` under ``keys`` that are not null."""
+    return {k: obj[k] for k in keys if obj.get(k) is not None}
 
 
 @dataclass
@@ -96,6 +101,8 @@ class SynthCorpus:
 
 def generate(spec: SynthSpec) -> SynthCorpus:
     """Deterministic corpus for a spec: same seed, same corpus."""
+    if spec.seed < 0:
+        raise DataError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     products = []
     manifest = {"train": [], "dev": [], "test": []}

@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import GenericAlias
 
 import numpy as np
 
@@ -61,6 +60,8 @@ class TrainConfig:
         for name in ("d_h", "d_word", "d_r", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.d_h % 2:
             raise DataError(f"d_h must be even, got {self.d_h}")
         if not 1 <= self.k <= 8:
@@ -444,46 +445,21 @@ def save_checkpoint(stem, model) -> Path:
     return manifest_path
 
 
-def _is(value, typ) -> bool:
-    """isinstance, where an int is a size and list[T] checks each item."""
-    if typ is int:  # bool is an int subclass, and no size is negative
-        return type(value) is int and value >= 0
-    if isinstance(typ, GenericAlias):
-        return isinstance(value, list) and all(_is(v, typ.__args__[0]) for v in value)
-    return isinstance(value, typ)
-
-
-def _check_fields(obj, where, **fields):
-    """Raise DataError unless ``obj`` maps each key to a value of its type."""
-    if not isinstance(obj, dict):
-        raise DataError(f"checkpoint manifest: {where} must be an object")
-    for key, typ in fields.items():
-        if key not in obj:
-            raise DataError(f"checkpoint manifest: {where} lacks {key!r}")
-        if not _is(obj[key], typ):
-            raise DataError(f"checkpoint manifest: {where} {key!r} must be "
-                            f"{typ if isinstance(typ, GenericAlias) else typ.__name__}, "
-                            f"got {obj[key]!r:.60}")
-
-
-def _check_manifest(manifest):
+def _check_manifest(manifest, where):
     """The keys and types ``load_checkpoint`` reads, before it reads them."""
-    _check_fields(manifest, "manifest", config=dict, attribute_vocab=list,
-                  word_vocabs=dict, vocab_hashes=dict, payload_file=str,
-                  payload_bytes=int, tensors=list)
+    files.check(manifest, where, config=dict, attribute_vocab=list,
+                word_vocabs=dict[str, list[str]], vocab_hashes=dict, payload_file=str,
+                payload_bytes=int, tensors=list, attribute_embeddings=dict | None)
     for i, entry in enumerate(manifest["attribute_vocab"]):
-        _check_fields(entry, f"attribute_vocab[{i}]", id=str)
-    words = manifest["word_vocabs"]
-    _check_fields(words, "word_vocabs", **dict.fromkeys(words, list[str]))
-    hashes = manifest["vocab_hashes"]
-    _check_fields(hashes, "vocab_hashes", attributes=str, words=dict)
-    _check_fields(hashes["words"], "vocab_hashes words",
-                  **dict.fromkeys(hashes["words"], str))
+        files.check(entry, f"{where}: attribute_vocab[{i}]", id=str)
+    files.check(manifest["vocab_hashes"], f"{where}: vocab_hashes",
+                attributes=str, words=dict[str, str])
     for i, entry in enumerate(manifest["tensors"]):
-        _check_fields(entry, f"tensors[{i}]", name=str, shape=list[int], byte_offset=int)
+        files.check(entry, f"{where}: tensors[{i}]", name=str, shape=list[int],
+                    byte_offset=int)
     if manifest.get("attribute_embeddings") is not None:
-        _check_fields(manifest["attribute_embeddings"], "attribute_embeddings",
-                      ids=list[str], d_r=int, provenance=str, frozen=bool)
+        files.check(manifest["attribute_embeddings"], f"{where}: attribute_embeddings",
+                    ids=list[str], d_r=int, provenance=str, frozen=bool)
 
 
 def _placeholder_model(config, vocab, word_itos, attr_info=None):
@@ -510,11 +486,11 @@ def load_checkpoint(stem):
         raise DataError(
             f"checkpoint format version {version!r} unsupported "
             f"(expected {CHECKPOINT_FORMAT_VERSION})")
-    _check_manifest(manifest)
+    _check_manifest(manifest, f"checkpoint manifest {manifest_path}")
     config = TrainConfig.from_mapping(manifest["config"])
     vocab = AttributeVocab(
         [(row["id"], row.get("phrase")) for row in manifest["attribute_vocab"]])
-    word_itos = {scope: list(itos) for scope, itos in manifest["word_vocabs"].items()}
+    word_itos = manifest["word_vocabs"]
     if manifest["vocab_hashes"] != _vocab_hashes(vocab.ids(), word_itos):
         raise DataError(f"checkpoint manifest {manifest_path}: the attribute or word "
                         "vocabularies do not match their hashes")
@@ -527,13 +503,12 @@ def load_checkpoint(stem):
         raise DataError(
             f"checkpoint payload {payload_path} is {len(payload)} bytes, "
             f"manifest expects {manifest['payload_bytes']} (truncated?)")
-    expected = {name: t for name, t in model.params.items()}
+    expected = dict(model.params.items())
     listed = {entry["name"] for entry in manifest["tensors"]}
-    if listed != set(expected):
-        missing = sorted(set(expected) - listed)
-        extra = sorted(listed - set(expected))
-        raise DataError(
-            f"checkpoint tensors do not match model: missing {missing}, extra {extra}")
+    if listed != expected.keys():
+        raise DataError(f"checkpoint tensors do not match model: "
+                        f"missing {sorted(expected.keys() - listed)}, "
+                        f"extra {sorted(listed - expected.keys())}")
     for entry in manifest["tensors"]:
         name = entry["name"]
         shape = tuple(entry["shape"])

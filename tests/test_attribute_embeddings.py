@@ -292,3 +292,8 @@ def test_random_table_seeded():
     t3 = random_table(["a"], 4, seed=6)
     np.testing.assert_array_equal(t1.get("a"), t2.get("a"))
     assert not np.array_equal(t1.get("a"), t3.get("a"))
+
+
+def test_random_table_refuses_a_negative_seed():
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+        random_table(["a"], 4, seed=-1)

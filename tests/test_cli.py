@@ -275,7 +275,8 @@ BAD_MANIFESTS = (
            **m, "attribute_embeddings": _without(m["attribute_embeddings"], "d_r")}),
        ("attribute embedding id not a string", lambda m: {
            **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": [["x"]]}}),
-       ("config value mistyped", lambda m: {**m, "config": {**m["config"], "d_h": [8]}})])
+       ("config value mistyped", lambda m: {**m, "config": {**m["config"], "d_h": [8]}}),
+       ("config seed negative", lambda m: {**m, "config": {**m["config"], "seed": -1}})])
 
 
 @pytest.mark.parametrize("case", BAD_MANIFESTS, ids=[c[0] for c in BAD_MANIFESTS])
@@ -556,8 +557,9 @@ def _snapshot(root):
             for p in sorted(root.rglob("*"))}
 
 
-def _assert_fails_cleanly(argv, inputs, out, capsys):
-    """Run ``argv``; it must fail with a documented code and touch no output."""
+def _run(argv, inputs, out, capsys):
+    """Run ``argv`` over the PRE_EXISTING outputs; return its exit code, its
+    stderr, which must hold no traceback, and whether no output changed."""
     for name in PRE_EXISTING:
         (out / name).parent.mkdir(parents=True, exist_ok=True)
         (out / name).write_bytes(b"old\n")
@@ -566,9 +568,15 @@ def _assert_fails_cleanly(argv, inputs, out, capsys):
             else str(out / a[1:]) if a.startswith("@") else a for a in argv]
     rc = cli.main(argv)  # anything it raises fails the test
     err = capsys.readouterr().err
-    assert rc in (1, 2, 3), err
     assert "Traceback" not in err
-    assert _snapshot(out) == before
+    return rc, err, _snapshot(out) == before
+
+
+def _assert_fails_cleanly(argv, inputs, out, capsys):
+    """Run ``argv``; it must fail with a documented code and touch no output."""
+    rc, err, untouched = _run(argv, inputs, out, capsys)
+    assert rc in (1, 2, 3), err
+    assert untouched
     return rc, err
 
 
@@ -605,21 +613,54 @@ def test_non_finite_learning_rate_fails_before_training(fuzz_inputs, tmp_path, c
     assert rc == 2 and "learning_rate must be positive and finite" in err
 
 
-# (command, input kind, contents with one field of the wrong JSON type,
-# what the error says, with {} for the broken file)
-WRONG_FIELD = [
-    ("embed-uncontextualized", "vocab", b'[{"id": "Scent", "phrase": 5}, {"id": "Color"}]',
-     "phrase of attribute 'Scent' is not a string"),
-    ("embed-contextualized", "instances",
-     b'{"attribute": "Scent", "name_vec": ["1", 0], "value_vec": [0, 1]}\n',
-     "{}:1: a vector must be an array of JSON numbers"),
-    ("train", "table", b'{"attribute": "Scent", "vec": ["0.5", true]}\n',
-     "{}:1: a vector must be an array of JSON numbers"),
-]
+def _spec(attribute=b"", top=b""):
+    """A one-attribute synth spec with extra keys for the attribute and the spec."""
+    return (b'{%s"attributes": [{"id": "A", "values": ["v", "w"], '
+            b'"templates": ["<value> x"]%s}]}' % (top, attribute))
 
 
-@pytest.mark.parametrize("command,kind,contents,message", WRONG_FIELD,
-                         ids=[f"{c[0]}-{c[1]}" for c in WRONG_FIELD])
+# Per case: (command, input kind, contents with one field of the wrong
+# JSON type, what the error says, with {} for the broken file)
+WRONG_FIELD = {
+    "embed-uncontextualized-vocab": (
+        "embed-uncontextualized", "vocab",
+        b'[{"id": "Scent", "phrase": 5}, {"id": "Color"}]',
+        "phrase of attribute 'Scent' is not a string"),
+    "embed-contextualized-instances": (
+        "embed-contextualized", "instances",
+        b'{"attribute": "Scent", "name_vec": ["1", 0], "value_vec": [0, 1]}\n',
+        "{}:1: a vector must be an array of JSON numbers"),
+    "train-table": (
+        "train", "table", b'{"attribute": "Scent", "vec": ["0.5", true]}\n',
+        "{}:1: a vector must be an array of JSON numbers"),
+    "synth-spec-negative-seed": (
+        "synth", "spec", _spec(top=b'"seed": -1, '),
+        "synth spec {} 'seed' must be non-negative int | None, got -1"),
+    "synth-spec-negative-vector-dim": (
+        "synth", "spec", _spec(top=b'"vector_dim": -1, '),
+        "synth spec {} 'vector_dim' must be non-negative int | None, got -1"),
+    "synth-spec-count-past-float-range": (
+        "synth", "spec", _spec(b', "train": 1e400'),
+        "synth spec {}: attributes[0] 'train' must be non-negative int | None, "
+        "got Infinity"),
+    "synth-spec-values-a-string": (
+        "synth", "spec", _spec(b', "values": "vw"'),
+        "synth spec {}: attributes[0] 'values' must be list[str], got \"vw\""),
+    "synth-spec-null-id-fractional-count": (
+        "synth", "spec", _spec(b', "id": null, "train": 2.9'),
+        "synth spec {}: attributes[0] 'id' must be str, got null"),
+    "train-table-provenance-a-list": (
+        "train", "table", b'{"attribute": "Scent", "vec": [0.5], "provenance": ["x"]}\n'
+                          b'{"attribute": "Color", "vec": [0.5]}\n',
+        "{}:1 'provenance' must be str | None, got [\"x\"]"),
+    "embed-random-vocab-ids-not-strings": (
+        "embed-random", "vocab", b'[{"id": null}, {"id": 5}, {"id": ["a"]}]',
+        "attribute vocabulary {}: entry 0 'id' must be str, got null"),
+}
+
+
+@pytest.mark.parametrize("command,kind,contents,message", WRONG_FIELD.values(),
+                         ids=list(WRONG_FIELD))
 def test_field_of_wrong_type_is_data_error(fuzz_inputs, tmp_path, capsys,
                                            command, kind, contents, message):
     broken = tmp_path / f"broken-{kind}"
@@ -627,6 +668,59 @@ def test_field_of_wrong_type_is_data_error(fuzz_inputs, tmp_path, capsys,
     rc, err = _assert_fails_cleanly(FUZZ_COMMANDS[command], {**fuzz_inputs, kind: broken},
                                     tmp_path / "out", capsys)
     assert rc == 2 and "avex: data error" in err and message.format(broken) in err
+
+
+@pytest.mark.parametrize("command", ("synth", "embed-random", "train"))
+def test_negative_seed_flag_is_data_error(fuzz_inputs, tmp_path, capsys, command):
+    argv = FUZZ_COMMANDS[command] + ["--seed", "-1"]
+    rc, err = _assert_fails_cleanly(argv, fuzz_inputs, tmp_path / "out", capsys)
+    assert rc == 2 and "seed must be >= 0, got -1" in err
+
+
+# A command that reads each JSON input kind, and the values that each
+# top-level key of the kind's first record takes in turn.
+FIELD_READERS = {"corpus": "label", "vocab": "embed-random", "splits": "train",
+                 "labeled": "embed-uncontextualized", "table": "train",
+                 "instances": "embed-contextualized", "counts": "eval", "spec": "synth",
+                 "manifest": "extract"}
+JSON_LINES = ("corpus", "labeled", "table", "instances")
+DELETED = object()
+FIELD_VALUES = (None, True, 1.5, -1, "x", [], {}, DELETED)
+
+
+def _first_record(text, kind):
+    """The parsed document, its first record, and the lines after the first."""
+    first, rest = text.split("\n", 1) if kind in JSON_LINES else (text, "")
+    doc = json.loads(first)
+    return doc, doc[0] if kind == "vocab" else doc, rest
+
+
+@pytest.mark.parametrize("kind", FIELD_READERS)
+def test_any_value_of_a_top_level_key_passes_or_fails_cleanly(pipeline, fuzz_inputs,
+                                                              tmp_path, capsys, kind):
+    inputs = dict(fuzz_inputs)
+    if kind == "manifest":
+        stem, _ = _copy_checkpoint(pipeline, tmp_path)
+        inputs["checkpoint"], edited = stem, stem.with_suffix(".json")
+    else:
+        edited = inputs[kind] = tmp_path / f"edited-{kind}"
+        shutil.copy(fuzz_inputs[kind], edited)
+    text = edited.read_text(encoding="utf-8")
+    argv = FUZZ_COMMANDS[FIELD_READERS[kind]]
+    if "train" in argv:
+        argv = argv + ["--max-epochs", "1"]
+    keys = list(_first_record(text, kind)[1])
+    assert keys
+    for key in keys:
+        for i, value in enumerate(FIELD_VALUES):
+            doc, record, rest = _first_record(text, kind)
+            if value is DELETED:
+                del record[key]
+            else:
+                record[key] = value
+            edited.write_text(json.dumps(doc) + "\n" + rest, encoding="utf-8")
+            rc, err, untouched = _run(argv, inputs, tmp_path / f"out-{key}-{i}", capsys)
+            assert rc == 0 or (rc == 2 and untouched), (key, value, rc, err)
 
 
 # (command, output item, replacement that cannot be written)

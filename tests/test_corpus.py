@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from avex.corpus import (
     load_products,
     load_split_manifest,
     matched_values,
+    parse_product,
     save_labeled,
     source_text,
     split_examples,
@@ -94,6 +96,19 @@ def test_vocab_subset_preserves_order():
     assert vocab.subset({"C", "A"}).ids() == ["A", "C"]
     with pytest.raises(DataError):
         vocab.subset({"Z"})
+
+
+@pytest.mark.parametrize("text,message", [
+    ('[{"id": null}, {"id": 5}, {"id": ["a"]}]', "entry 0 'id' must be str, got null"),
+    ('[{"id": "A"}, {"id": 5}]', "entry 1 'id' must be str, got 5"),
+    ('[{"id": "A"}, {"phrase": "b"}]', "entry 1 lacks 'id'"),
+    ('[7]', "entry 0 is not a JSON object"),
+])
+def test_vocab_load_refuses_an_id_that_is_not_a_string(tmp_path, text, message):
+    path = tmp_path / "vocab.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"attribute vocabulary {path}: {message}")):
+        AttributeVocab.load(path)
 
 
 # -- distant supervision -----------------------------------------------------
@@ -243,6 +258,23 @@ def test_load_products_reports_malformed_and_duplicates(tmp_path):
     assert [lineno for lineno, _ in malformed] == [2, 3, 4]
 
 
+def test_parse_product_takes_null_as_missing():
+    product = parse_product({"id": "a", "title": "t", "bullets": None,
+                             "attributes": None, "description": None})
+    assert (product.bullets, product.gold_values, product.description) == ([], {}, None)
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"id": 7, "title": "t"}, "product row 'id' must be str, got 7"),
+    ({"id": "a", "title": "t", "attributes": {"Scent": "rose"}},
+     "product row 'attributes' must be dict[str, list[str]] | None"),
+    ({"id": "a", "title": "t", "bullets": "one"}, "product row 'bullets' must be list[str]"),
+])
+def test_parse_product_converts_nothing(row, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_product(row)
+
+
 def test_build_corpus_from_file_missing(tmp_path):
     with pytest.raises(DataError):
         build_corpus_from_file(tmp_path / "nope.jsonl",
@@ -272,6 +304,15 @@ def test_split_manifest_rejects_overlap(tmp_path):
         load_split_manifest(path)
 
 
+def test_split_manifest_refuses_a_numeric_id(tmp_path):
+    path = tmp_path / "splits.json"
+    path.write_text(json.dumps({"train": ["p1", 2], "dev": [], "test": []}),
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            f"split manifest {path} 'train' must be list[str], got [\"p1\", 2]")):
+        load_split_manifest(path)
+
+
 def test_labeled_round_trip(tmp_path):
     vocab = AttributeVocab([("Scent", None)])
     examples, _ = build_corpus([make_product()], vocab)
@@ -279,6 +320,19 @@ def test_labeled_round_trip(tmp_path):
     save_labeled(path, examples)
     loaded = load_labeled(path)
     assert loaded == examples
+
+
+@pytest.mark.parametrize("tokens,message", [
+    ([["a", "0", 1]], ":1: token 0 'start' must be non-negative int, got \"0\""),
+    ([["a", 0, 1.0]], ":1: token 0 'end' must be non-negative int, got 1.0"),
+    ([["a", 0]], ":1: bad labeled example"),
+])
+def test_load_labeled_converts_no_token_offset(tmp_path, tokens, message):
+    path = tmp_path / "bad.jsonl"
+    row = {"id": "p", "attribute": "Scent", "tokens": tokens, "tags": ["B"]}
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}{message}")):
+        load_labeled(path)
 
 
 def test_load_labeled_rejects_length_mismatch(tmp_path):

@@ -1,6 +1,10 @@
+import copy
 import os
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avex import files
 from avex.errors import DataError
@@ -45,3 +49,48 @@ def test_non_utf8_line_is_a_data_error(tmp_path):
     assert next(lines) == (1, "one\n")
     with pytest.raises(DataError, match="cannot read line file"):
         list(lines)
+
+
+# Any JSON value: what a reader may find under a key.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8)
+FIELD_SPECS = [dict(a=int), dict(a=str, b=list[str]), dict(a=int | None, b=bool),
+               dict(a=dict[str, list[int]] | None), dict(a=list, b=dict, c=float)]
+
+
+@given(st.dictionaries(st.sampled_from("abc"), JSON) | JSON, st.sampled_from(FIELD_SPECS))
+def test_check_returns_its_input_unconverted_or_raises_a_data_error(obj, fields):
+    before = copy.deepcopy(obj)
+    try:
+        out = files.check(obj, "record", **fields)
+    except DataError as e:
+        assert str(e).startswith("record ")
+        return
+    assert out is obj and out == before
+    if fields.get("a") is int:  # a size
+        assert type(obj["a"]) is int and obj["a"] >= 0
+
+
+@pytest.mark.parametrize("typ", [int, list[int], dict[str, int], int | None])
+def test_a_bool_is_never_an_int(typ):
+    for value in (True, False, [True], {"x": False}):
+        with pytest.raises(DataError, match="'a' must be"):
+            files.check({"a": value}, "record", a=typ)
+
+
+def test_an_optional_key_may_be_missing_or_null_and_nothing_else():
+    for obj in ({}, {"a": None}, {"a": 0}):
+        assert files.check(obj, "record", a=int | None) is obj
+    with pytest.raises(DataError, match="record lacks 'a'"):
+        files.check({}, "record", a=int)
+    with pytest.raises(DataError, match="record 'a' must be non-negative int, got null"):
+        files.check({"a": None}, "record", a=int)
+    with pytest.raises(DataError,
+                       match=re.escape("'a' must be non-negative int | None, got -1")):
+        files.check({"a": -1}, "record", a=int | None)
+    with pytest.raises(DataError, match="record is not a JSON object"):
+        files.check([{"a": 0}], "record", a=int)

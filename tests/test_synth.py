@@ -148,3 +148,17 @@ def test_write_corpus_files_feed_the_pipeline(tmp_path):
     assert len(by_split["train"]) == 10
     vectors = load_word_vectors(paths["vectors"])
     assert set(vectors) == set(corpus.vectors)
+
+
+def test_spec_from_json_takes_null_as_missing_and_keeps_zero():
+    s = SynthSpec.from_json({"seed": None, "vector_dim": 0, "attributes": [
+        {"id": "A", "values": ["v"], "templates": ["<value>"], "train": None,
+         "train_value_limit": None}]})
+    assert (s.seed, s.vector_dim) == (0, 0)
+    assert (s.attributes[0].train, s.attributes[0].train_value_limit) == (0, None)
+    assert SynthSpec.from_json({"attributes": []}).vector_dim == 50
+
+
+def test_generate_refuses_a_negative_seed():
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+        generate(spec(seed=-1))

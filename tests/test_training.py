@@ -115,10 +115,18 @@ def test_config_defaults():
     {"setting": "description"},
     {"learning_rate": float("nan")},
     {"learning_rate": float("inf")},
+    {"seed": -1},
 ])
 def test_config_validate_rejects(kw):
     with pytest.raises(DataError):
         TrainConfig(**kw).validate()
+
+
+def test_config_file_with_negative_seed_is_data_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = -1\n", encoding="utf-8")
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+        TrainConfig.from_mapping(parse_config_file(path))
 
 
 def test_config_from_mapping_coerces_strings():
