@@ -19,6 +19,7 @@ import sys
 from . import attribute_embeddings, corpus, evaluation, files, synth, training
 from .encoder import load_word_vectors
 from .errors import DataError, NumericError
+from .tagging import value_strings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,8 +187,9 @@ def _cmd_extract(args):
     token_texts = [t.text for t in corpus.tokenize(args.text)]
     if not token_texts:
         raise DataError("no tokens in --text")
-    result = {attr: sorted(evaluation.extract(model, token_texts, attr))
-              for attr in args.attr}
+    paths = model.predict_batch([(token_texts, attr) for attr in args.attr])
+    result = {attr: sorted(value_strings(token_texts, tags))
+              for attr, tags in zip(args.attr, paths)}
     print(json.dumps(result, ensure_ascii=False, indent=2))
 
 

@@ -21,7 +21,7 @@ from itertools import compress
 
 from . import files
 from .errors import DataError
-from .tagging import OUTSIDE, Span, first_fit, spans_to_tags, value_strings
+from .tagging import OUTSIDE, Span, first_fit, spans_to_tags, tag_indices, value_strings
 
 SETTINGS = ("title", "title_plus_bullets")
 FIELD_SEPARATOR = "."
@@ -349,7 +349,8 @@ def load_labeled(path) -> list[LabeledExample]:
             row = files.check(json.loads(line), where, id=str, attribute=str,
                               tokens=list[list], tags=list[str], source_field=str | None)
             tokens = tuple(Token(*t) for t in row["tokens"])
-        except (ValueError, TypeError) as e:  # not JSON, or not [text, start, end]
+            tag_indices(row["tags"])
+        except (ValueError, TypeError) as e:  # not JSON, not [text, start, end], or not a tag
             raise DataError(f"{where}: bad labeled example: {e}")
         for i, token in enumerate(tokens):
             files.check(vars(token), f"{where}: token {i}", text=str, start=int, end=int)

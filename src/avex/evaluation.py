@@ -19,6 +19,12 @@ from .tagging import value_strings
 
 log = logging.getLogger(__name__)
 
+# Tokens per inference batch.  Larger batches spend less time in the
+# per-step Python of the LSTM and Viterbi loops, but a no-grad encoder pass
+# holds ~6.8 KB per token per direction at d_h=200, and the dev pass sets
+# the peak RSS of paper-scale training (README: "At inference").
+INFERENCE_TOKENS = 1024
+
 
 @dataclass
 class ExtractionResult:
@@ -103,18 +109,25 @@ def _scores(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 
 def extract(model, token_texts, attribute) -> set[str]:
-    """Decode one sequence and return its normalized value strings."""
+    """Decode one sequence and return its normalized value strings (one
+    attribute per call; ``avex extract`` batches a text's attributes)."""
     return value_strings(token_texts, model.predict_tags(token_texts, attribute))
 
 
 def collect_results(model, examples) -> list[ExtractionResult]:
-    """Decode every example, a product's attributes back to back, one
-    batch of the model's batch size at a time."""
+    """Decode every example, a product's attributes back to back, in
+    batches that end where the next example would pass ``INFERENCE_TOKENS``
+    tokens (an example longer than that is decoded alone)."""
     ordered = sorted(examples, key=lambda e: (e.product_id, e.attribute))
-    size = model.config.batch_size
+    batches, used = [], 0
+    for ex in ordered:
+        if not batches or used + len(ex.tokens) > INFERENCE_TOKENS:
+            batches.append([])
+            used = 0
+        batches[-1].append(ex)
+        used += len(ex.tokens)
     results = []
-    for start in range(0, len(ordered), size):
-        batch = ordered[start:start + size]
+    for batch in batches:
         tags = model.predict_batch([(ex.token_texts(), ex.attribute) for ex in batch])
         results.extend(
             ExtractionResult(ex.product_id, ex.attribute, value_strings(ex.token_texts(), t),

@@ -35,9 +35,9 @@ the distinct texts of its chains, so the attributes of one product share
 encoder states; the batch's decoders are generated (or stacked) in one
 go; one emissions node scores every chain.  Under ``no_grad`` the model
 builds every decoder at once and keeps them, and per encoder the states
-of the last texts, until a parameter they read is written
-(``Tensor.version``).  Nothing is kept while gradients are on:
-``grad_check`` perturbs parameters in place.
+of the last single text (a batch of many is encoded each time), until a
+parameter they read is written (``Tensor.version``).  Nothing is kept
+while gradients are on: ``grad_check`` perturbs parameters in place.
 """
 
 from __future__ import annotations
@@ -321,7 +321,8 @@ class Model:
         Chains group by the route's encoder and decoder.  Each encoder
         runs once over the distinct texts of its chains, and the batch's
         decoders are generated together, in the order they first appear;
-        with gradients off every decoder of the model is built, and kept.
+        with gradients off every decoder of the model is built, and kept,
+        as are the states of the last single text.
         The encoders' states are stacked in the order the encoders first
         appear, and one map gives each (encoder, text) its first row.
         """
@@ -341,8 +342,9 @@ class Model:
             for text in distinct:
                 first[enc, text], total = total, total + len(text)
             (table, fwd, bwd), reads = self._encoders[enc]
-            states.append(reuse(self._cache, enc, reads,
-                                lambda: encode_batch(distinct, table, fwd, bwd), distinct))
+            build = lambda: encode_batch(distinct, table, fwd, bwd)
+            states.append(reuse(self._cache, enc, reads, build, distinct)
+                          if len(distinct) == 1 else build())
         if grad_enabled():
             used = list(dict.fromkeys(slots))
             slots = [used.index(s) for s in slots]

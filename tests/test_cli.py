@@ -620,7 +620,7 @@ def _spec(attribute=b"", top=b""):
 
 
 # Per case: (command, input kind, contents with one field of the wrong
-# JSON type, what the error says, with {} for the broken file)
+# JSON type or value, what the error says, with {} for the broken file)
 WRONG_FIELD = {
     "embed-uncontextualized-vocab": (
         "embed-uncontextualized", "vocab",
@@ -656,6 +656,10 @@ WRONG_FIELD = {
     "embed-random-vocab-ids-not-strings": (
         "embed-random", "vocab", b'[{"id": null}, {"id": 5}, {"id": ["a"]}]',
         "attribute vocabulary {}: entry 0 'id' must be str, got null"),
+    "eval-labeled-unknown-tag": (
+        "eval", "labeled",
+        b'{"id": "p", "attribute": "Scent", "tokens": [["rose", 0, 4]], "tags": ["Q"]}\n',
+        "{}:1: bad labeled example: unknown tag 'Q'"),
 }
 
 

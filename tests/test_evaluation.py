@@ -1,6 +1,5 @@
 import json
 import logging
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,8 +21,6 @@ from avex.evaluation import (
 
 class FixedModel:
     """predict_tags returns canned tag sequences keyed by attribute."""
-
-    config = SimpleNamespace(batch_size=2)
 
     def __init__(self, answers):
         self.answers = answers

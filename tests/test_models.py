@@ -306,6 +306,64 @@ def test_encoder_states_shared_only_between_attributes_of_one_encoder(
     assert len(calls) == per_text + 2
 
 
+def _split_of_many_texts(vocab):
+    """Both attributes of products whose titles run from 1 to 9 tokens."""
+    words = ["white", "rose", "cotton", "towel", "lavender", "wash", "teal", "soap",
+             "mango"]
+    products = [Product(f"p{i}", " ".join(words[:n]), [], None,
+                        {"Scent": ["rose"], "Color": ["white"]})
+                for i, n in enumerate((3, 1, 9, 2, 5, 4, 7))]
+    examples, _ = build_corpus(products, vocab)
+    return examples
+
+
+def test_repeated_eval_passes_encode_again(monkeypatch):
+    from avex.evaluation import collect_results
+    model, vocab, _ = build("adatag")
+    split = _split_of_many_texts(vocab)
+    calls = _count_calls(monkeypatch, "encode_batch")
+    first = collect_results(model, split)
+    assert len(calls) == 1  # the whole split is one batch
+    assert collect_results(model, split) == first
+    assert len(calls) == 2  # many texts: their states are not kept
+
+
+@pytest.mark.parametrize("variant", ["adatag", "n_tag_sets"])
+def test_results_do_not_depend_on_the_token_budget(variant):
+    from avex import evaluation
+    model, vocab, _ = build(variant)
+    split = _split_of_many_texts(vocab)
+    ordered = sorted(split, key=lambda e: (e.product_id, e.attribute))
+    total = sum(len(ex.tokens) for ex in split)
+    expected = evaluation.collect_results(model, split)
+    real = model.predict_batch
+    batches = []
+
+    def spy(chains):
+        batches.append([len(tokens) for tokens, _ in chains])
+        return real(chains)
+
+    @settings(max_examples=40, deadline=None)
+    @given(budget=st.integers(1, total + 3))
+    def check(budget):
+        batches.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "INFERENCE_TOKENS", budget)
+            mp.setattr(model, "predict_batch", spy)
+            assert evaluation.collect_results(model, split) == expected
+        # In order, each batch within the budget unless it is one example
+        # longer than it, and a batch ends only where the next example
+        # would not fit.
+        assert [n for sizes in batches for n in sizes] == \
+            [len(ex.tokens) for ex in ordered]
+        for sizes, after in zip(batches, batches[1:] + [None]):
+            assert sum(sizes) <= budget or len(sizes) == 1
+            assert after is None or sum(sizes) + after[0] > budget
+        assert len(batches) == 1 or budget < total
+
+    check()
+
+
 def test_generated_decoders_built_once_per_parameter_state(monkeypatch):
     model, vocab, _ = build("adatag")
     calls = _count_calls(monkeypatch, "build_decoder")
