@@ -169,10 +169,10 @@ def _logsumexp(x, axis):
 
 
 def _chains(P, T, lengths, decoders):
-    """Check the layout of chains side by side in P's columns, and lay
-    them out step-major, longest first (see ``packed_steps``): emissions
-    (n, B, m) and transition tables (B, m, m).  One chain gets views of
-    P and of its table, with nothing copied."""
+    """Check the layout of chains side by side in P's columns, and pack
+    them (see ``packed_steps``): emission rows (N, m) in packed order,
+    a view of P for one chain, and the chains' transition tables
+    (B, m, m) in rank order."""
     P, T = as_tensor(P), as_tensor(T)
     if P.data.ndim != 2 or T.data.ndim not in (2, 3) \
             or T.data.shape[-2:] != (P.data.shape[0],) * 2:
@@ -191,55 +191,41 @@ def _chains(P, T, lengths, decoders):
     if dec.shape != lengths.shape or min(chosen) < 0 or max(chosen) >= len(tables):
         raise ValueError(f"need one decoder in 0..{len(tables) - 1} per chain, "
                          f"got {chosen}")
-    if lengths.size == 1:
-        return P, T, lengths, dec, pack, P.data.T[:, None], tables[chosen[0]:chosen[0] + 1]
-    P3 = np.zeros((pack.starts.size - 1, lengths.size, m))
-    P3[pack.step, pack.slot] = P.data.T[pack.rows]
-    return P, T, lengths, dec, pack, P3, tables[dec[pack.rank]]
+    return P, T, lengths, dec, pack, P.data.T[pack.rows], tables.take(dec[pack.rank], axis=0)
 
 
-def _running(pack) -> list:
-    """Per step, the index of the chains still running, in rank order:
-    a prefix slice, or 0 when one chain runs, so that its rows are 1-d,
-    which numpy runs faster."""
-    return [0 if b == 1 else slice(0, b) for b in np.diff(pack.starts).tolist()]
+def _ends(pack) -> np.ndarray:
+    """The packed row of each chain's last position, in rank order."""
+    return pack.starts[np.bincount(pack.slot) - 1] + np.arange(len(pack.rank))
 
 
-def _forward(pack, P3, T3):
-    """Forward variables alpha (n, B, m) in log space, and log Z (B,), of
-    chains in rank order.  Step i advances the chains that reach
-    position i, a prefix of the ranking."""
-    alpha = np.zeros_like(P3)
-    alpha[0] = P3[0]
-    running = _running(pack)
-    for i in range(1, len(P3)):
-        b = running[i]
-        alpha[i, b] = _logsumexp(alpha[i - 1, b, :, None] + T3[b], axis=-2) + P3[i, b]
-    last = np.bincount(pack.slot) - 1
-    return alpha, _logsumexp(alpha[last, np.arange(len(last))], axis=1)
+def _forward(pack, E, T3):
+    """Forward variables alpha (N, m) in log space, in packed row order,
+    and log Z (B,) of chains in rank order, from emission rows E (N, m)
+    and tables T3 (B, m, m) laid out by ``_chains``."""
+    alpha = E.copy()
+    for now, before, b in pack.plan[1:]:
+        alpha[now] = _logsumexp(alpha[before, :, None] + T3[b], axis=-2) + E[now]
+    return alpha, _logsumexp(alpha[_ends(pack)], axis=1)
 
 
-def _marginals(pack, P3, T3, alpha, log_z):
+def _marginals(pack, E, T3, alpha, log_z):
     """Tag marginals (N, m), in packed row order, and expected transition
     counts (B, m, m) of chains in rank order.
 
-    The backward variables complete forward-backward; the pairwise
-    marginals of all positions are summed in one vectorized pass.
+    The backward variables complete forward-backward; then each step
+    adds its pairwise marginals to the chains it advances, in step order.
     """
-    n, count, _ = alpha.shape
-    widths = np.diff(pack.starts)
-    running = _running(pack)
     beta = np.zeros_like(alpha)
-    for i in range(n - 2, -1, -1):
-        b = running[i + 1]
-        beta[i, b] = _logsumexp(T3[b] + (P3[i + 1, b] + beta[i + 1, b])[..., None, :],
-                                axis=-1)
-    s, j = pack.step, pack.slot
-    unary = np.exp(alpha[s, j] + beta[s, j] - log_z[j, None])
-    pair = (alpha[:-1, :, :, None] + T3 + (P3[1:] + beta[1:])[:, :, None, :]
-            - log_z[:, None, None])
-    pair[np.arange(count) >= widths[1:, None]] = -np.inf  # past a chain's end
-    return unary, np.exp(pair).sum(axis=0)
+    for now, before, b in pack.plan[:0:-1]:
+        beta[before] = _logsumexp(T3[b] + (E[now] + beta[now])[..., None, :], axis=-1)
+    unary = np.exp(alpha + beta - log_z[pack.slot, None])
+    ahead = E + beta
+    pair = np.zeros_like(T3)
+    for now, before, b in pack.plan[1:]:
+        pair[b] += np.exp(alpha[before, :, None] + T3[b] + ahead[now, None]
+                          - log_z[b, None, None])
+    return unary, pair
 
 
 def log_partition(P, T) -> Tensor:
@@ -247,11 +233,11 @@ def log_partition(P, T) -> Tensor:
 
     One graph node; its gradient is the tag and transition marginals.
     """
-    P, T, _, _, pack, P3, T3 = _chains(P, T, None, None)
-    alpha, log_z = _forward(pack, P3, T3)
+    P, T, _, _, pack, E, T3 = _chains(P, T, None, None)
+    alpha, log_z = _forward(pack, E, T3)
 
     def vjp(g):
-        unary, pair = _marginals(pack, P3, T3, alpha, log_z)
+        unary, pair = _marginals(pack, E, T3, alpha, log_z)
         return g * unary.T, g * pair[0]
 
     return fused(np.asarray(log_z[0]), (P, T), vjp)
@@ -269,10 +255,10 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
     marginals minus the path's one-hot tags for P, and the expected
     minus the path's transition counts for the chain's table.
     """
-    P, T, lengths, dec, pack, P3, T3 = _chains(P, T, lengths, decoders)
+    P, T, lengths, dec, pack, E, T3 = _chains(P, T, lengths, decoders)
     m, n_cols = P.data.shape
     z = _check_indices(z, m, n_cols)
-    alpha, log_z = _forward(pack, P3, T3)
+    alpha, log_z = _forward(pack, E, T3)
     ranked = np.argsort(pack.rank)  # each chain's place in the ranking
     tables = T.data.reshape(-1, m, m)
     count = lengths.size
@@ -285,7 +271,7 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
     nll = log_z[ranked] - (moved + emitted)
 
     def vjp(g):
-        unary, pair = _marginals(pack, P3, T3, alpha, log_z)
+        unary, pair = _marginals(pack, E, T3, alpha, log_z)
         dP = np.empty((m, n_cols))
         dP[:, pack.rows] = unary.T
         dP[z, np.arange(n_cols)] -= 1.0
@@ -348,9 +334,10 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     The layout is ``chain_nll``'s: P is (m, N), the emission columns of
     chains of ``lengths`` columns laid end to end (default: one chain),
     and T is one (m, m) transition table, or a stack (A, m, m) of which
-    chain c uses ``decoders[c]``.  Step i advances the chains that reach
-    position i, a prefix of the longest-first ranking, and keeps their
-    backpointers in one (n, B, m) array; the backtrack walks all chains
+    chain c uses ``decoders[c]``.  The recursion walks the packed rows
+    of ``_chains``: step i advances the chains that reach position i, a
+    prefix of the longest-first ranking, and keeps one row of
+    backpointers (N, m) per packed row; the backtrack walks all chains
     at once, step by step.  Ties are broken toward the smallest tag index
     both at each backpointer and at a chain's last position.  A chain
     whose emission columns or table hold a non-finite score raises
@@ -362,7 +349,7 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     chains, or a larger tag set such as the joint tags of "n_tag_sets",
     keep the numpy recursion.
     """
-    P, T, lengths, dec, pack, P3, T3 = _chains(P, T, lengths, decoders)
+    P, T, lengths, dec, pack, E, T3 = _chains(P, T, lengths, decoders)
     if not (np.isfinite(P.data).all() and np.isfinite(T3).all()):
         tables = T.data.reshape(-1, *T.data.shape[-2:])
         ends = np.cumsum(lengths)
@@ -371,26 +358,21 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
                            and np.isfinite(tables[dec[c]]).all()))
         raise NumericError(f"best_paths: chain {bad} has emission or transition "
                            f"scores that are not finite")
-    n, count, m = P3.shape
+    count, m = lengths.size, E.shape[1]
     if count == 1 and m <= NUM_TAGS:
         return [_one_path(P.data, T3[0])]
-    running = _running(pack)
-    score = P3[0].copy()  # (B, m); a chain's row stays put after its last step
-    back = np.empty((n, count, m), dtype=int)
-    for i in range(1, n):
-        b = running[i]
-        candidates = score[b, :, None] + T3[b]
-        back[i, b] = candidates.argmax(axis=-2)
-        score[b] = candidates.max(axis=-2) + P3[i, b]
-    starts = pack.starts.tolist()
-    tag = score.argmax(axis=1)  # each chain's tag at the step being walked
-    packed = np.empty(starts[-1], dtype=int)
-    chains = np.arange(count)
-    for i in range(n - 1, 0, -1):
-        b = running[i]
-        packed[starts[i]:starts[i + 1]] = tag[b]
-        tag[b] = back[i, chains[b], tag[b]]
-    packed[:starts[1]] = tag
+    score = E.copy()
+    back = np.empty(E.shape, dtype=int)
+    for now, before, b in pack.plan[1:]:
+        candidates = score[before, :, None] + T3[b]
+        back[now] = candidates.argmax(axis=-2)
+        score[now] = candidates.max(axis=-2) + E[now]
+    tag = score[_ends(pack)].argmax(axis=1)  # each chain's tag at the step being walked
+    packed, at = np.empty(len(E), dtype=int), np.arange(len(E))
+    for now, before, b in pack.plan[:0:-1]:
+        packed[now] = tag[b]
+        tag[b] = back[at[now], tag[b]]
+    packed[:count] = tag
     path = np.empty_like(packed)
     path[pack.rows] = packed
     path, end = path.tolist(), 0

@@ -71,9 +71,6 @@ class AttributeEmbeddingTable:
         except KeyError:
             raise DataError(f"no embedding for attribute {attr_id!r}")
 
-    def __contains__(self, attr_id):
-        return attr_id in self.vectors
-
     def as_matrix(self, attr_ids) -> np.ndarray:
         return np.stack([self.get(a) for a in attr_ids])
 

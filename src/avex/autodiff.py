@@ -15,7 +15,7 @@ that central finite differences stay a tight oracle for every gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -345,7 +345,8 @@ def tensor_sum(t) -> Tensor:
                  lambda g: (np.broadcast_to(g, t.data.shape).copy(),))
 
 
-class Packing(NamedTuple):
+@dataclass
+class Packing:
     """Step-major order of sequences whose rows are laid end to end.
 
     Sequences are ranked longest first (ties keep their order), so the
@@ -361,6 +362,26 @@ class Packing(NamedTuple):
     step: np.ndarray
     slot: np.ndarray
     rows: np.ndarray | slice
+
+    @cached_property
+    def plan(self) -> list:
+        """What a forward recurrence walks: per step, the index of its
+        packed rows, of the rows of the step before whose sequences carry
+        on into it (None at step 0), and of the running ranks (a prefix).
+        Each is a plain int when one sequence runs, so that its rows are
+        1-d, which numpy runs faster, and a slice otherwise.  Built on
+        first use, so a packing that no recurrence walks never builds it."""
+        plan, before = [], None  # before: the first packed row of the step before
+        starts = self.starts.tolist()
+        for s, e in zip(starts, starts[1:]):
+            b = e - s
+            if b == 1:
+                plan.append((s, before, 0))
+            else:
+                carried = None if before is None else slice(before, before + b)
+                plan.append((slice(s, e), carried, slice(0, b)))
+            before = s
+        return plan
 
 
 def packed_steps(lengths, reverse: bool = False) -> Packing:

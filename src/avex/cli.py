@@ -206,9 +206,9 @@ def _cmd_eval(args):
         raw = files.read_json(args.train_counts, "train counts")
         counts = raw.get("per_attribute_examples", raw) if isinstance(raw, dict) else raw
         if not isinstance(counts, dict) or not all(
-                type(c) is int for c in counts.values()):
+                type(c) is int and c >= 0 for c in counts.values()):
             raise DataError(f"train counts {args.train_counts} must be a JSON object "
-                            f"of integer counts")
+                            f"of non-negative integer counts")
         evaluation.stratify(report, counts, args.stratify)
     if args.dump:
         evaluation.dump_predictions(args.dump, results)

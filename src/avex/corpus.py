@@ -227,8 +227,8 @@ def build_corpus(products, vocab: AttributeVocab, setting: str = "title",
 
     Emits one LabeledExample per (product, attribute) pair with at least
     one matched value; zero-match pairs become all-O negatives only when
-    requested.  Returns (examples sorted by (product id, attribute id),
-    CoverageReport).
+    requested and the text has a token, and are dropped otherwise.
+    Returns (examples sorted by (product id, attribute id), CoverageReport).
     """
     if setting not in SETTINGS:
         raise DataError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
@@ -252,7 +252,7 @@ def build_corpus(products, vocab: AttributeVocab, setting: str = "title",
             if hit:
                 examples.append(LabeledExample(
                     product.id, attr_id, tokens, tuple(tags), setting))
-            elif include_negatives:
+            elif include_negatives and tokens:
                 examples.append(LabeledExample(
                     product.id, attr_id, tokens, tuple([OUTSIDE] * len(tokens)), setting))
                 report.negatives += 1
@@ -354,6 +354,8 @@ def load_labeled(path) -> list[LabeledExample]:
             raise DataError(f"{where}: bad labeled example: {e}")
         for i, token in enumerate(tokens):
             files.check(vars(token), f"{where}: token {i}", text=str, start=int, end=int)
+        if not tokens:
+            raise DataError(f"{where}: bad labeled example: no tokens")
         if len(tokens) != len(row["tags"]):
             raise DataError(f"{where}: token/tag length mismatch")
         source = row.get("source_field")

@@ -70,10 +70,6 @@ class WordEmbeddingTable:
         self.stoi = {t: i for i, t in enumerate(self.itos)}
         self.matrix = matrix
 
-    @property
-    def d_word(self) -> int:
-        return self.matrix.data.shape[1]
-
     @classmethod
     def from_itos(cls, itos, vectors, d_word: int,
                   rng: np.random.Generator) -> "WordEmbeddingTable":
@@ -149,11 +145,11 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     default one sequence); each starts from a zero state, and with
     ``reverse`` each is read from its last row to its first.  The states
     come back in the rows of X.  One graph node: the input projection of
-    every row is a single (N, d) @ (d, 4h) product; with the sequences
-    ranked longest first, step t advances the b_t still running with one
-    (b_t, h) @ (h, 4h) product and the gate math, and backpropagation
-    through time runs the same steps in reverse, ending in a single
-    (4h, N) @ (N, d + h) weight gradient.  The forward reads the cell's
+    every row is a single (N, d) @ (d, 4h) product; walking the step
+    plan of ``packed_steps``, step t advances the b_t sequences still
+    running with one (b_t, h) @ (h, 4h) product and the gate math, and
+    backpropagation through time runs the same steps in reverse, ending
+    in a single (4h, N) @ (N, d + h) weight gradient.  The forward reads the cell's
     ``gate_stack``, which under no_grad is built once per parameter
     state rather than on every call; the backward reads the cell's W.
     """
@@ -163,12 +159,6 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     if pack.starts[-1] != n:
         raise ValueError(f"sequence lengths cover {pack.starts[-1]} rows, input has {n}")
     k = cell.hidden_size
-    starts = pack.starts.tolist()
-    # Step t's rows, and the rows of step t - 1 that carry on into it; a
-    # step of one sequence takes a 1-d row, which numpy runs faster.
-    steps = [s if e - s == 1 else slice(s, e) for s, e in zip(starts, starts[1:])]
-    carried = [None] + [s if e - t == 1 else slice(s, s + e - t)
-                        for s, t, e in zip(starts, starts[1:], starts[2:])]
     # Pre-activations with the i, f and o rows already halved, so that
     # one tanh gives all four gates (see LstmCell.gate_stack).
     W, bias = cell.gate_stack()
@@ -177,7 +167,7 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     gates = xs @ W[:, :d].T + bias
     C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     sigmoids, I, F, O, G = (gates[:, :3 * k], *(gates[:, j * k:(j + 1) * k] for j in range(4)))
-    for now, before in zip(steps, carried):
+    for now, before, _ in pack.plan:
         a = gates[now]
         if before is not None:
             a += H[before] @ W_h
@@ -192,6 +182,7 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
         np.multiply(O[now], TC[now], out=H[now])
 
     def vjp(g):
+        starts = pack.starts.tolist()
         # Each packed row's state one step earlier (zero at step 0).
         later = slice(starts[1], n)
         prev = pack.starts[pack.step[later] - 1] + pack.slot[later]

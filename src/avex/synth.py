@@ -96,7 +96,6 @@ class SynthCorpus:
     vocab: AttributeVocab
     manifest: dict[str, list[str]]
     vectors: dict[str, np.ndarray]
-    spec: SynthSpec = field(repr=False, default=None)
 
 
 def generate(spec: SynthSpec) -> SynthCorpus:
@@ -139,7 +138,7 @@ def generate(spec: SynthSpec) -> SynthCorpus:
         w.lower(): rng.uniform(-1.5, 1.5, size=spec.vector_dim)
         for w in sorted(words)
     }
-    return SynthCorpus(products, vocab, manifest, vectors, spec)
+    return SynthCorpus(products, vocab, manifest, vectors)
 
 
 def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, Path]:

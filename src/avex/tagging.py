@@ -189,5 +189,4 @@ class ExpandedTagset:
 
 def expand_tagset(attribute_ids) -> ExpandedTagset:
     """Build the joint tagset for an ordered attribute vocabulary."""
-    ids = list(attribute_ids.ids() if hasattr(attribute_ids, "ids") else attribute_ids)
-    return ExpandedTagset(ids)
+    return ExpandedTagset(attribute_ids)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avex import autodiff as ad
 from avex.autodiff import Tensor
@@ -234,6 +236,39 @@ def test_data_assignment_bumps_version():
 def test_every_exported_name_is_defined():
     missing = [name for name in ad.__all__ if not hasattr(ad, name)]
     assert missing == []
+
+
+# -- the step plan of packed sequences ----------------------------------------
+
+
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=7), st.booleans())
+def test_step_plan_walks_every_packed_row_once(lengths, reverse):
+    pack = ad.packed_steps(lengths, reverse)
+    n = sum(lengths)
+    packed = np.arange(n)
+    source = packed[pack.rows]  # each packed row's input row
+    owner = np.repeat(np.arange(len(lengths)), lengths)  # each input row's sequence
+    seen = []
+    for t, (now, before, running) in enumerate(pack.plan):
+        rows = np.atleast_1d(packed[now])
+        width = int(pack.starts[t + 1] - pack.starts[t])
+        assert rows.tolist() == list(range(pack.starts[t], pack.starts[t + 1]))
+        # an index is a plain int exactly when one sequence runs
+        for index in (now, running) if before is None else (now, before, running):
+            assert isinstance(index, int) == (width == 1)
+        # the running ranks are a prefix, and they own the step's rows
+        ranks = np.atleast_1d(np.arange(len(lengths))[running])
+        assert ranks.tolist() == list(range(width))
+        assert owner[source[rows]].tolist() == pack.rank[ranks].tolist()
+        if t == 0:
+            assert before is None
+        else:
+            carried = np.atleast_1d(packed[before])
+            assert owner[source[carried]].tolist() == owner[source[rows]].tolist()
+            step_back = 1 if reverse else -1
+            assert (source[carried] == source[rows] + step_back).all()
+        seen.extend(rows.tolist())
+    assert seen == list(range(n))  # each packed row belongs to exactly one step
 
 
 # -- grad_check itself -------------------------------------------------------

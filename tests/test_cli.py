@@ -660,6 +660,12 @@ WRONG_FIELD = {
         "eval", "labeled",
         b'{"id": "p", "attribute": "Scent", "tokens": [["rose", 0, 4]], "tags": ["Q"]}\n',
         "{}:1: bad labeled example: unknown tag 'Q'"),
+    "eval-labeled-no-tokens": (
+        "eval", "labeled", b'{"id": "p", "attribute": "Scent", "tokens": [], "tags": []}\n',
+        "{}:1: bad labeled example: no tokens"),
+    "eval-counts-negative": (
+        "eval", "counts", b'{"Scent": -5, "Color": 2}',
+        "train counts {} must be a JSON object of non-negative integer counts"),
 }
 
 

@@ -212,6 +212,18 @@ def test_build_corpus_negatives_opt_in():
     assert report.negatives == 1
 
 
+@pytest.mark.parametrize("include_negatives", [False, True])
+def test_build_corpus_emits_no_example_without_tokens(include_negatives):
+    vocab = AttributeVocab([("Scent", None)])
+    products = [make_product("p1", title="", attrs={"Scent": ["lavender"]}),
+                make_product("p2", title="unscented bar", attrs={"Scent": ["lavender"]})]
+    examples, report = build_corpus(products, vocab, include_negatives=include_negatives)
+    assert [ex.product_id for ex in examples] == (["p2"] if include_negatives else [])
+    assert all(ex.tokens for ex in examples)
+    assert report.dropped_pairs == (1 if include_negatives else 2)
+    assert report.negatives == (1 if include_negatives else 0)
+
+
 def test_build_corpus_unknown_attribute_counted():
     vocab = AttributeVocab([("Scent", None)])
     products = [make_product("p1", attrs={"Scent": ["rose"], "Zzz": ["x"]},
