@@ -194,11 +194,6 @@ def _chains(P, T, lengths, decoders):
     return P, T, lengths, dec, pack, P.data.T[pack.rows], tables.take(dec[pack.rank], axis=0)
 
 
-def _ends(pack) -> np.ndarray:
-    """The packed row of each chain's last position, in rank order."""
-    return pack.starts[np.bincount(pack.slot) - 1] + np.arange(len(pack.rank))
-
-
 def _forward(pack, E, T3):
     """Forward variables alpha (N, m) in log space, in packed row order,
     and log Z (B,) of chains in rank order, from emission rows E (N, m)
@@ -206,7 +201,7 @@ def _forward(pack, E, T3):
     alpha = E.copy()
     for now, before, b in pack.plan[1:]:
         alpha[now] = _logsumexp(alpha[before, :, None] + T3[b], axis=-2) + E[now]
-    return alpha, _logsumexp(alpha[_ends(pack)], axis=1)
+    return alpha, _logsumexp(alpha[pack.ends], axis=1)
 
 
 def _marginals(pack, E, T3, alpha, log_z):
@@ -250,34 +245,36 @@ def chain_nll(P, T, z, lengths=None, decoders=None) -> Tensor:
     laid end to end (default: one chain).  T is one (m, m) transition
     table, or a stack (A, m, m) of which chain c uses ``decoders[c]``.
     z holds the N target tags.  One graph node: the mean over chains of
-    log Z minus the path's score (its terms summed in column order).
+    log Z minus the path's score, its terms read in packed order and
+    summed per chain in step (column) order, the transitions step by step.
     Its gradient, per chain and divided by the number of chains, is the
     marginals minus the path's one-hot tags for P, and the expected
     minus the path's transition counts for the chain's table.
     """
     P, T, lengths, dec, pack, E, T3 = _chains(P, T, lengths, decoders)
     m, n_cols = P.data.shape
-    z = _check_indices(z, m, n_cols)
+    z = _check_indices(z, m, n_cols)[pack.rows]
     alpha, log_z = _forward(pack, E, T3)
-    ranked = np.argsort(pack.rank)  # each chain's place in the ranking
-    tables = T.data.reshape(-1, m, m)
     count = lengths.size
-    owner = np.repeat(np.arange(count), lengths)  # each column's chain
-    inner = np.flatnonzero(owner[1:] == owner[:-1])  # columns with a successor
-    # Path scores per chain; path_score's sums may differ in the last bits.
-    moved = np.bincount(owner[inner], tables[dec[owner[inner]], z[inner], z[inner + 1]],
-                        minlength=count)
-    emitted = np.bincount(owner, P.data[z, np.arange(n_cols)], minlength=count)
-    nll = log_z[ranked] - (moved + emitted)
+    ranks = np.arange(count)
+    # Per step, the paths' transitions as (rank, tag, next tag), and their
+    # scores per rank (path_score's sums may differ in the last bits).
+    moves = [(ranks[b], z[before], z[now]) for now, before, b in pack.plan[1:]]
+    moved = np.zeros(count)
+    for move in moves:
+        moved[move[0]] += T3[move]
+    emitted = np.bincount(pack.slot, E[np.arange(n_cols), z], minlength=count)
+    nll = np.empty(count)  # in chain order, which fixes the mean's summation order
+    nll[pack.rank] = log_z - (moved + emitted)
 
     def vjp(g):
         unary, pair = _marginals(pack, E, T3, alpha, log_z)
+        unary[np.arange(n_cols), z] -= 1.0
+        for move in moves:
+            pair[move] -= 1.0
         dP = np.empty((m, n_cols))
         dP[:, pack.rows] = unary.T
-        dP[z, np.arange(n_cols)] -= 1.0
-        chain = ranked[owner[inner]]
-        np.subtract.at(pair, (chain, z[inner], z[inner + 1]), 1.0)
-        dT = np.zeros_like(tables)
+        dT = np.zeros_like(T.data.reshape(-1, m, m))
         np.add.at(dT, dec[pack.rank], pair)
         scale = g / count
         return scale * dP, (scale * dT).reshape(T.data.shape)
@@ -351,13 +348,10 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     """
     P, T, lengths, dec, pack, E, T3 = _chains(P, T, lengths, decoders)
     if not (np.isfinite(P.data).all() and np.isfinite(T3).all()):
-        tables = T.data.reshape(-1, *T.data.shape[-2:])
-        ends = np.cumsum(lengths)
-        bad = next(c for c, (e, n) in enumerate(zip(ends, lengths))
-                   if not (np.isfinite(P.data[:, e - n:e]).all()
-                           and np.isfinite(tables[dec[c]]).all()))
-        raise NumericError(f"best_paths: chain {bad} has emission or transition "
-                           f"scores that are not finite")
+        bad = ~np.isfinite(T3).all(axis=(1, 2))  # per rank
+        bad[pack.slot[~np.isfinite(E).all(axis=1)]] = True
+        raise NumericError(f"best_paths: chain {pack.rank[bad].min()} has emission "
+                           f"or transition scores that are not finite")
     count, m = lengths.size, E.shape[1]
     if count == 1 and m <= NUM_TAGS:
         return [_one_path(P.data, T3[0])]
@@ -367,7 +361,7 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
         candidates = score[before, :, None] + T3[b]
         back[now] = candidates.argmax(axis=-2)
         score[now] = candidates.max(axis=-2) + E[now]
-    tag = score[_ends(pack)].argmax(axis=1)  # each chain's tag at the step being walked
+    tag = score[pack.ends].argmax(axis=1)  # each chain's tag at the step being walked
     packed, at = np.empty(len(E), dtype=int), np.arange(len(E))
     for now, before, b in pack.plan[:0:-1]:
         packed[now] = tag[b]

@@ -353,21 +353,20 @@ class Packing:
     ones still running at step t are a prefix of the ranking: step t owns
     packed rows ``starts[t]:starts[t + 1]``, one per running sequence in
     rank order.  Packed row i is input row ``rows[i]`` (``rows`` is a
-    slice for one sequence), at step ``step[i]`` of the sequence ranked
-    ``slot[i]``.
+    slice for one sequence) of the sequence ranked ``slot[i]``.  Every
+    recurrence, forward or backward, finds its rows through ``plan``.
     """
 
     rank: np.ndarray
     starts: np.ndarray
-    step: np.ndarray
     slot: np.ndarray
     rows: np.ndarray | slice
 
     @cached_property
     def plan(self) -> list:
-        """What a forward recurrence walks: per step, the index of its
-        packed rows, of the rows of the step before whose sequences carry
-        on into it (None at step 0), and of the running ranks (a prefix).
+        """Per step, the index of its packed rows, of the rows of the step
+        before whose sequences carry on into it (None at step 0), and of
+        the running ranks (a prefix); a backward pass walks it in reverse.
         Each is a plain int when one sequence runs, so that its rows are
         1-d, which numpy runs faster, and a slice otherwise.  Built on
         first use, so a packing that no recurrence walks never builds it."""
@@ -383,14 +382,19 @@ class Packing:
             before = s
         return plan
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """The packed row of each sequence's last step, in rank order."""
+        return self.starts[np.bincount(self.slot) - 1] + np.arange(len(self.rank))
+
 
 def packed_steps(lengths, reverse: bool = False) -> Packing:
     """The packing of sequences of ``lengths`` rows; with ``reverse``
     every sequence is read from its last row to its first."""
     if len(lengths) == 1 and lengths[0] >= 1:  # one text, as at inference
         n = int(lengths[0])
-        return Packing(np.zeros(1, dtype=int), np.arange(n + 1), np.arange(n),
-                       np.zeros(n, dtype=int), slice(None, None, -1 if reverse else 1))
+        return Packing(np.zeros(1, dtype=int), np.arange(n + 1), np.zeros(n, dtype=int),
+                       slice(None, None, -1 if reverse else 1))
     lengths = np.asarray(lengths, dtype=int)
     if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
         raise ValueError(f"sequence lengths must be positive, got {lengths.tolist()}")
@@ -401,7 +405,7 @@ def packed_steps(lengths, reverse: bool = False) -> Packing:
     slot = np.arange(step.size) - starts[step]
     seq = rank[slot]
     pos = lengths[seq] - 1 - step if reverse else step
-    return Packing(rank, starts, step, slot, np.cumsum(lengths)[seq] - lengths[seq] + pos)
+    return Packing(rank, starts, slot, np.cumsum(lengths)[seq] - lengths[seq] + pos)
 
 
 # -- gradient checking -------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import compress
 
@@ -199,17 +199,9 @@ class CoverageReport:
     per_attribute_examples: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "products": self.products,
-            "malformed_lines": [list(m) for m in self.malformed_lines],
-            "examples": self.examples,
-            "negatives": self.negatives,
-            "dropped_pairs": self.dropped_pairs,
-            "values_seen": self.values_seen,
-            "values_matched": self.values_matched,
-            "unknown_attributes": self.unknown_attributes,
-            "per_attribute_examples": dict(sorted(self.per_attribute_examples.items())),
-        }
+        out = asdict(self)
+        out["per_attribute_examples"] = dict(sorted(self.per_attribute_examples.items()))
+        return out
 
 
 def source_text(product: Product, setting: str) -> str:

@@ -148,10 +148,11 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     every row is a single (N, d) @ (d, 4h) product; walking the step
     plan of ``packed_steps``, step t advances the b_t sequences still
     running with one (b_t, h) @ (h, 4h) product and the gate math, and
-    backpropagation through time runs the same steps in reverse, ending
-    in a single (4h, N) @ (N, d + h) weight gradient.  The forward reads the cell's
-    ``gate_stack``, which under no_grad is built once per parameter
-    state rather than on every call; the backward reads the cell's W.
+    backpropagation through time walks the plan in reverse, each step
+    adding its carried gradients into the rows of the step before, then
+    takes a single (4h, N) @ (N, d + h) weight gradient.  The forward reads
+    the cell's ``gate_stack``, which under no_grad is built once per
+    parameter state rather than on every call; the backward reads the cell's W.
     """
     X = as_tensor(X)
     n, d = X.data.shape
@@ -182,30 +183,28 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
         np.multiply(O[now], TC[now], out=H[now])
 
     def vjp(g):
-        starts = pack.starts.tolist()
         # Each packed row's state one step earlier (zero at step 0).
-        later = slice(starts[1], n)
-        prev = pack.starts[pack.step[later] - 1] + pack.slot[later]
         C_prev, H_prev = np.zeros((n, k)), np.zeros((n, k))
-        C_prev[later], H_prev[later] = C[prev], H[prev]
+        for now, before, _ in pack.plan[1:]:
+            C_prev[now], H_prev[now] = C[before], H[before]
         # d(pre-activation) per gate = (dc, dc, dh, dc) * local[t].
         local = np.hstack([G * I * (1 - I), C_prev * F * (1 - F),
                            TC * O * (1 - O), I * (1 - G * G)])
         dc_dh = O * (1 - TC * TC)
         W = cell.W.data
         W_h = W[:, d:]
-        gs = g[pack.rows]
+        # What later steps carry back into each row's state (a copy: g may be
+        # shared); -0.0 adds to anything, signed zeros too, without changing it.
+        dH = g[pack.rows].copy()
+        dC = np.full((n, k), -0.0)
         dA = np.empty((n, 4 * k))
-        dh_next = dc_next = np.zeros((0, k))
-        for s, e in zip(starts[-2::-1], starts[:0:-1]):
-            # Sequences running at the next step are a prefix of this one's.
-            b = len(dh_next)
-            dh = gs[s:e]
-            dh[:b] += dh_next
-            dc = dh * dc_dh[s:e]
-            dc[:b] += dc_next * F[e:e + b]
-            np.multiply(local[s:e], np.hstack((dc, dc, dh, dc)), out=dA[s:e])
-            dh_next, dc_next = dA[s:e] @ W_h, dc
+        for now, before, _ in pack.plan[::-1]:
+            dh = dH[now]
+            dc = dh * dc_dh[now] + dC[now]
+            np.multiply(local[now], np.hstack((dc, dc, dh, dc)), out=dA[now])
+            if before is not None:
+                dH[before] += dA[now] @ W_h
+                dC[before] += dc * F[now]
         dW = dA.T @ np.hstack([xs, H_prev])
         dX = np.empty((n, d))
         dX[pack.rows] = dA @ W[:, :d]

@@ -218,6 +218,8 @@ class Model:
         add = self.params.add
 
         def word_table(scope, prefix, group):
+            if scope not in word_itos:
+                raise DataError(f"no word vocabulary for {scope!r}")
             table = WordEmbeddingTable.from_itos(
                 word_itos[scope], vectors, config.d_word, rng)
             add(f"{prefix}/W_word", table.matrix, group)
@@ -247,8 +249,6 @@ class Model:
         self._decoders: list[DecoderInstance] = []
         if config.variant == "per_attribute":
             for a in ids:
-                if a not in word_itos:
-                    raise DataError(f"no word vocabulary for attribute {a!r}")
                 prefix = f"per_attr/{a}/encoder"
                 self._route[a] = (encoder(word_table(a, prefix, a), prefix, a),
                                   crf(f"per_attr/{a}/decoder", a))
@@ -327,11 +327,13 @@ class Model:
         appear, and one map gives each (encoder, text) its first row.
         """
         keys, lengths, slots = [], [], []
-        for tokens, attribute in chains:
+        for i, (tokens, attribute) in enumerate(chains):
             try:
                 enc, slot = self._route[attribute]
             except KeyError:
                 raise DataError(f"unknown attribute {attribute!r}") from None
+            if not tokens:
+                raise DataError(f"chain {i} ({attribute!r}) has no tokens")
             keys.append((enc, tuple(tokens)))
             lengths.append(len(tokens))
             slots.append(slot)

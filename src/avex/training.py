@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .corpus import AttributeVocab
 from .errors import DataError, NumericError
 from .evaluation import evaluate_model, macro
-from .models import SHARED_SCOPE, VARIANTS, build_variant, derive_word_itos
+from .models import PAD, SHARED_SCOPE, UNK, VARIANTS, build_variant, derive_word_itos
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -460,6 +460,12 @@ def _check_manifest(manifest, where):
     if manifest.get("attribute_embeddings") is not None:
         files.check(manifest["attribute_embeddings"], f"{where}: attribute_embeddings",
                     ids=list[str], d_r=int, provenance=str, frozen=bool)
+    name = manifest["payload_file"]
+    if name in ("", "..") or Path(name).name != name:
+        raise DataError(f"{where}: payload_file {name!r} is not a plain file name")
+    for scope, itos in manifest["word_vocabs"].items():
+        if itos[:2] != [PAD, UNK]:
+            raise DataError(f"{where}: word vocabulary {scope!r} does not begin {PAD}, {UNK}")
 
 
 def _placeholder_model(config, vocab, word_itos, attr_info=None):

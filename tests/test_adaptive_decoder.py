@@ -267,6 +267,9 @@ def test_best_paths_refuses_the_chain_with_non_finite_scores(bad):
     T_bad[2, 0, 3] = bad  # the table of chain 1 only
     with pytest.raises(NumericError, match="chain 1"):
         best_paths(P, T_bad, lengths, [0, 2, 1])
+    P_bad[1, 0] = bad  # chain 0 too, ranked after the longer chain 1: the first is named
+    with pytest.raises(NumericError, match="chain 0"):
+        best_paths(P_bad, T_bad, lengths, [0, 2, 1])
 
 
 def test_best_paths_ignores_non_finite_tables_no_chain_uses():

@@ -249,6 +249,7 @@ def test_step_plan_walks_every_packed_row_once(lengths, reverse):
     source = packed[pack.rows]  # each packed row's input row
     owner = np.repeat(np.arange(len(lengths)), lengths)  # each input row's sequence
     seen = []
+    last = np.full(len(lengths), -1)  # per rank, the packed row of its latest step
     for t, (now, before, running) in enumerate(pack.plan):
         rows = np.atleast_1d(packed[now])
         width = int(pack.starts[t + 1] - pack.starts[t])
@@ -268,7 +269,13 @@ def test_step_plan_walks_every_packed_row_once(lengths, reverse):
             step_back = 1 if reverse else -1
             assert (source[carried] == source[rows] + step_back).all()
         seen.extend(rows.tolist())
+        last[ranks] = rows
     assert seen == list(range(n))  # each packed row belongs to exactly one step
+    assert pack.ends.tolist() == last.tolist()
+    # a sequence's last step reads its last input row, or with reverse its first
+    final = np.cumsum(lengths) - 1
+    first = final - np.asarray(lengths) + 1
+    assert source[pack.ends].tolist() == (first if reverse else final)[pack.rank].tolist()
 
 
 # -- grad_check itself -------------------------------------------------------

@@ -247,6 +247,13 @@ def _first_tensor(manifest, entry):
     return {**manifest, "tensors": [entry] + manifest["tensors"][1:]}
 
 
+def _with_words(manifest, word_vocabs):
+    """The manifest with other word vocabularies and hashes that match them."""
+    ids = [entry["id"] for entry in manifest["attribute_vocab"]]
+    return {**manifest, "word_vocabs": word_vocabs,
+            "vocab_hashes": training._vocab_hashes(ids, word_vocabs)}
+
+
 MANIFEST_KEYS = ("config", "attribute_vocab", "word_vocabs", "vocab_hashes",
                  "payload_file", "payload_bytes", "tensors")
 TENSOR_KEYS = ("name", "shape", "byte_offset")
@@ -276,7 +283,14 @@ BAD_MANIFESTS = (
        ("attribute embedding id not a string", lambda m: {
            **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": [["x"]]}}),
        ("config value mistyped", lambda m: {**m, "config": {**m["config"], "d_h": [8]}}),
-       ("config seed negative", lambda m: {**m, "config": {**m["config"], "seed": -1}})])
+       ("config seed negative", lambda m: {**m, "config": {**m["config"], "seed": -1}}),
+       ("no shared word vocabulary", lambda m: _with_words(m, {})),
+       ("empty word vocabulary", lambda m: _with_words(m, {"shared": []})),
+       # same length, so that only the missing <unk> row is wrong
+       ("word vocabulary without <unk>", lambda m: _with_words(
+           m, {"shared": ["<pad>"] + m["word_vocabs"]["shared"][2:] + ["zz"]}))]
+    + [(f"payload_file {name!r}", lambda m, name=name: {**m, "payload_file": name})
+       for name in ("../x.bin", "", "a/b", "..")])
 
 
 @pytest.mark.parametrize("case", BAD_MANIFESTS, ids=[c[0] for c in BAD_MANIFESTS])

@@ -171,6 +171,19 @@ def test_lstm_layer_gradients_check_out(reverse):
     assert report.passed, report.max_rel_error
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_backward_leaves_its_output_gradient_alone(reverse):
+    # ``add`` hands one gradient array to both operands, so the LSTM's vjp
+    # must not write into the gradient it receives.
+    rng = np.random.default_rng(9)
+    cell = make_cell(rng, 3, 2, requires_grad=True)
+    X = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    other = Tensor(np.zeros((4, 2)), requires_grad=True)
+    weight = rng.normal(size=(4, 2))
+    ((lstm_layer(X, cell, reverse=reverse) + other) * weight).sum().backward()
+    np.testing.assert_array_equal(other.grad, weight)
+
+
 def test_lstm_zero_params_zero_input():
     cell = LstmCell(Tensor(np.zeros((8, 4))), Tensor(np.zeros(8)))
     H = lstm_layer(Tensor(np.zeros((3, 2))), cell)

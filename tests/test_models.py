@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import weakref
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avex import evaluation
 from avex.autodiff import Tensor, grad_check
 from avex.corpus import AttributeVocab, Product, build_corpus
 from avex.errors import DataError
@@ -163,6 +165,21 @@ def test_adatag_loss_and_predict_shapes():
     tags = model.predict_tags(["white", "towel"], "Color")
     assert len(tags) == 2
     assert set(tags) <= {"B", "I", "O", "E"}
+
+
+@pytest.mark.parametrize("call", ("predict_batch", "loss", "extract"))
+def test_chain_without_tokens_is_data_error(call):
+    model, vocab, examples = build("adatag")
+    empty = dataclasses.replace(examples[0], tokens=(), tags=())
+    # each call with the position and attribute of its empty chain
+    run, position, attribute = {
+        "predict_batch": (lambda: model.predict_batch([(["white"], "Color"), ([], "Scent")]),
+                          1, "Scent"),
+        "loss": (lambda: model.loss([examples[0], empty]), 1, empty.attribute),
+        "extract": (lambda: evaluation.extract(model, [], "Color"), 0, "Color"),
+    }[call]
+    with pytest.raises(DataError, match=rf"chain {position} \('{attribute}'\) has no tokens"):
+        run()
 
 
 def test_multicrf_per_attribute_decoders():
