@@ -324,6 +324,11 @@ def _one_path(P, T) -> list[int]:
     return path[::-1]
 
 
+def _not_finite(chain) -> NumericError:
+    return NumericError(f"best_paths: chain {chain} has emission or transition "
+                        f"scores that are not finite")
+
+
 def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     """Best tag path of each chain, from one max-product recursion over
     all of them.
@@ -340,21 +345,27 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     whose emission columns or table hold a non-finite score raises
     NumericError; tables that no chain uses are not read.
 
-    One chain over at most ``NUM_TAGS`` tags (a single ``extract``
-    request) runs the same recursion over Python floats instead
-    (``_one_path``), which is cheaper on such small arrays; several
-    chains, or a larger tag set such as the joint tags of "n_tag_sets",
-    keep the numpy recursion.
+    One chain in the default layout (no ``lengths`` or ``decoders``, one
+    table) over at most ``NUM_TAGS`` tags, such as one attribute of one
+    ``extract`` text, builds no packing: it runs the same recursion over
+    Python floats instead (``_one_path``), which is cheaper on such small
+    arrays.  Several chains, or a larger tag set such as the joint tags
+    of "n_tag_sets", keep the numpy recursion.
     """
+    if lengths is None and decoders is None:
+        p, t = (x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+                for x in (P, T))
+        if p.ndim == 2 and t.shape == (len(p),) * 2 and 0 < len(p) <= NUM_TAGS \
+                and p.shape[1]:
+            if not (np.isfinite(p).all() and np.isfinite(t).all()):
+                raise _not_finite(0)
+            return [_one_path(p, t)]
     P, T, lengths, dec, pack, E, T3 = _chains(P, T, lengths, decoders)
     if not (np.isfinite(P.data).all() and np.isfinite(T3).all()):
         bad = ~np.isfinite(T3).all(axis=(1, 2))  # per rank
         bad[pack.slot[~np.isfinite(E).all(axis=1)]] = True
-        raise NumericError(f"best_paths: chain {pack.rank[bad].min()} has emission "
-                           f"or transition scores that are not finite")
-    count, m = lengths.size, E.shape[1]
-    if count == 1 and m <= NUM_TAGS:
-        return [_one_path(P.data, T3[0])]
+        raise _not_finite(pack.rank[bad].min())
+    count = lengths.size
     score = E.copy()
     back = np.empty(E.shape, dtype=int)
     for now, before, b in pack.plan[1:]:

@@ -23,21 +23,25 @@ example's tags are its targets and a Viterbi path maps straight to BIOE
 tags.  For "n_tag_sets" the training set is first merged into one joint
 sequence per product, and a path is projected onto the requested
 attribute.  Everything else is shared: ``loss`` (training) and
-``predict_batch`` (evaluation; ``predict_tags`` is a batch of one) score
-a batch with the same forward and end in one ``chain_nll`` node or in
-one ``best_paths`` recursion over all its chains.  A model also exposes
-``params``, the registry that the optimizer and the checkpoint writer
-read, and ``prepare_examples``, the adaptor's view of the training set.
+``predict_batch`` (evaluation) score a batch of several chains with the
+same forward and end in one ``chain_nll`` node or in one ``best_paths``
+recursion over all its chains.  A model also exposes ``params``, the
+registry that the optimizer and the checkpoint writer read, and
+``prepare_examples``, the adaptor's view of the training set.
 
 The forward groups a batch's chains by the route's encoder and
 decoder.  Each encoder runs once, as one packed node per direction, over
 the distinct texts of its chains, so the attributes of one product share
 encoder states; the batch's decoders are generated (or stacked) in one
 go; one emissions node scores every chain.  Under ``no_grad`` the model
-builds every decoder at once and keeps them, and per encoder the states
-of the last single text (a batch of many is encoded each time), until a
-parameter they read is written (``Tensor.version``).  Nothing is kept
-while gradients are on: ``grad_check`` perturbs parameters in place.
+builds every decoder at once and keeps them until a parameter they read
+is written (``Tensor.version``).  A prediction of one chain (one
+attribute of one text, as ``predict_tags`` and ``extract`` ask) takes
+none of the batch layout: its emissions are one product of the text's
+states with its kept decoder, and its states are kept too, per encoder
+those of the last text, so the attributes of one text encode it once.
+Nothing is kept while gradients are on: ``grad_check`` perturbs
+parameters in place.
 """
 
 from __future__ import annotations
@@ -270,6 +274,7 @@ class Model:
             self._route = {a: (shared, slot) for a, slot in zip(ids, slots)}
         if self._attr_info is None:
             self._decoder_reads = tuple(t for d in self._decoders for t in (d.W, d.b, d.T))
+        self._slots = sorted({slot for _, slot in self._route.values()})  # kept decoders
 
     def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
         """Attribute table, hypernetwork and transition mixture of adatag."""
@@ -314,6 +319,21 @@ class Model:
         return DecoderInstance(*(stack([getattr(d, part) for d in decs])
                                  for part in ("W", "b", "T")))
 
+    def _resolve(self, i, tokens, attribute) -> tuple[int, int]:
+        """Chain ``i``'s encoder and decoder slot, from its attribute."""
+        try:
+            route = self._route[attribute]
+        except KeyError:
+            raise DataError(f"unknown attribute {attribute!r}") from None
+        if not tokens:
+            raise DataError(f"chain {i} ({attribute!r}) has no tokens")
+        return route
+
+    def _kept_decoders(self, used) -> DecoderInstance:
+        """The decoders in ``used``, stacked; kept under no_grad."""
+        return reuse(self._cache, "decoders", self._decoder_reads,
+                     lambda: self._stacked_decoders(used))
+
     def _scores(self, chains):
         """Emission columns (m, N) and stacked transition tables of
         (token_texts, attribute) chains, with each chain's length and table.
@@ -321,19 +341,15 @@ class Model:
         Chains group by the route's encoder and decoder.  Each encoder
         runs once over the distinct texts of its chains, and the batch's
         decoders are generated together, in the order they first appear;
-        with gradients off every decoder of the model is built, and kept,
-        as are the states of the last single text.
-        The encoders' states are stacked in the order the encoders first
-        appear, and one map gives each (encoder, text) its first row.
+        with gradients off every decoder of the model is built, and kept.
+        States are not kept: each call encodes its texts (only
+        ``_one_chain`` keeps them).  The encoders' states are stacked in
+        the order the encoders first appear, and one map gives each
+        (encoder, text) its first row.
         """
         keys, lengths, slots = [], [], []
         for i, (tokens, attribute) in enumerate(chains):
-            try:
-                enc, slot = self._route[attribute]
-            except KeyError:
-                raise DataError(f"unknown attribute {attribute!r}") from None
-            if not tokens:
-                raise DataError(f"chain {i} ({attribute!r}) has no tokens")
+            enc, slot = self._resolve(i, tokens, attribute)
             keys.append((enc, tuple(tokens)))
             lengths.append(len(tokens))
             slots.append(slot)
@@ -343,17 +359,14 @@ class Model:
             distinct = tuple(text for e, text in first if e == enc)
             for text in distinct:
                 first[enc, text], total = total, total + len(text)
-            (table, fwd, bwd), reads = self._encoders[enc]
-            build = lambda: encode_batch(distinct, table, fwd, bwd)
-            states.append(reuse(self._cache, enc, reads, build, distinct)
-                          if len(distinct) == 1 else build())
+            (table, fwd, bwd), _ = self._encoders[enc]
+            states.append(encode_batch(distinct, table, fwd, bwd))
         if grad_enabled():
             used = list(dict.fromkeys(slots))
             slots = [used.index(s) for s in slots]
         else:
-            used = sorted({slot for _, slot in self._route.values()})
-        dec = reuse(self._cache, "decoders", self._decoder_reads,
-                    lambda: self._stacked_decoders(used))
+            used = self._slots
+        dec = self._kept_decoders(used)
         # Each column's row of the encoder states (in order when every
         # chain has a text of its own and one encoder) and decoder.
         rows = None
@@ -364,6 +377,21 @@ class Model:
         P = emissions(states[0] if len(states) == 1 else concat(states),
                       dec.W, dec.b, rows, columns)
         return P, dec.T, lengths, slots
+
+    def _one_chain(self, tokens, attribute):
+        """Emission columns (m, n) and transition table (m, m) of one chain,
+        as arrays: no graph and no batch layout.
+
+        Per encoder the states of the last text are kept, as are the
+        decoders, until a parameter they read is assigned.  The emissions
+        are the product ``emissions`` takes for one decoder.
+        """
+        enc, slot = self._resolve(0, tokens, attribute)
+        (table, fwd, bwd), reads = self._encoders[enc]
+        text = (tuple(tokens),)
+        H = reuse(self._cache, enc, reads, lambda: encode_batch(text, table, fwd, bwd), text)
+        dec = self._kept_decoders(self._slots)
+        return (H.data @ dec.W.data[slot].T + dec.b.data[slot]).T, dec.T.data[slot]
 
     def loss(self, batch) -> Tensor:
         """Mean NLL of a batch of examples, scored as one graph."""
@@ -377,10 +405,13 @@ class Model:
 
     def predict_batch(self, chains) -> list[list[str]]:
         """Tags of (token_texts, attribute) chains: one forward under
-        no_grad, then one Viterbi recursion over all the chains."""
+        no_grad, then one Viterbi recursion over all the chains.  A batch
+        of one chain, such as one attribute of one ``extract`` text, is
+        scored straight from the kept states and decoders."""
         with no_grad():
-            P, T, lengths, decoders = self._scores(chains)
-        paths = best_paths(P, T, lengths, decoders)
+            scores = self._one_chain(*chains[0]) if len(chains) == 1 \
+                else self._scores(chains)
+        paths = best_paths(*scores)
         return [self.adaptor.tags(path, attribute)
                 for path, (_, attribute) in zip(paths, chains)]
 

@@ -218,12 +218,14 @@ def test_one_chain_paths_equal_the_batched_recursion(m, n, other, first, seed):
 def test_only_one_chain_over_bioe_tags_takes_the_float_recursion(monkeypatch):
     from avex import adaptive_decoder
     rng = np.random.default_rng(16)
-    calls = []
-    real = adaptive_decoder._one_path
+    calls, packs = [], []
+    real, real_pack = adaptive_decoder._one_path, adaptive_decoder.packed_steps
     monkeypatch.setattr(adaptive_decoder, "_one_path",
                         lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(adaptive_decoder, "packed_steps",
+                        lambda *a: packs.append(a) or real_pack(*a))
     best_paths(rng.normal(size=(NUM_TAGS, 3)), rng.normal(size=(NUM_TAGS, NUM_TAGS)))
-    assert len(calls) == 1
+    assert len(calls) == 1 and not packs  # no packing for one chain
     best_paths(rng.normal(size=(NUM_TAGS, 5)), rng.normal(size=(NUM_TAGS, NUM_TAGS)), [2, 3])
     best_paths(rng.normal(size=(JOINT_TAGS, 3)), rng.normal(size=(JOINT_TAGS, JOINT_TAGS)))
     assert len(calls) == 1

@@ -327,10 +327,13 @@ def test_reordered_word_vocabulary_is_data_error(pipeline, tmp_path, capsys):
     assert "do not match their hashes" in err and "Traceback" not in err
 
 
+# A NaN emission bias reaches the emission scores; a NaN expert reaches only
+# the transition tables.
+@pytest.mark.parametrize("tensor", ("hyper/b_hyper_b", "moe/experts"))
 @pytest.mark.parametrize("command", ("extract", "eval"))
-def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command):
+def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command, tensor):
     stem, manifest = _copy_checkpoint(pipeline, tmp_path)
-    entry = next(e for e in manifest["tensors"] if e["name"] == "hyper/b_hyper_b")
+    entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
     payload = bytearray(stem.with_suffix(".bin").read_bytes())
     offset = entry["byte_offset"]
     payload[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()

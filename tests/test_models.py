@@ -323,6 +323,17 @@ def test_encoder_states_shared_only_between_attributes_of_one_encoder(
     assert len(calls) == per_text + 2
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_chain_is_scored_without_an_emissions_node(variant, monkeypatch):
+    model, vocab, _ = build(variant)
+    calls = _count_calls(monkeypatch, "emissions")
+    text = ["white", "cotton", "towel"]
+    alone = [model.predict_tags(text, a) for a in vocab.ids()]
+    assert not calls
+    assert model.predict_batch([(text, a) for a in vocab.ids()]) == alone
+    assert len(calls) == 1
+
+
 def _split_of_many_texts(vocab):
     """Both attributes of products whose titles run from 1 to 9 tokens."""
     words = ["white", "rose", "cotton", "towel", "lavender", "wash", "teal", "soap",
