@@ -7,7 +7,8 @@ is the combined width of both directions.  ``encode_batch`` encodes one
 or many texts: their rows are stacked, and each pass is one autodiff
 node over all of them that runs the recurrence in numpy, the sequences
 still running at a step advancing together, and backpropagates through
-time by hand.
+time by hand.  One text with gradients off, as a served request, walks
+both directions at once instead and makes no node.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import files
-from .autodiff import Tensor, as_tensor, concat, fused, packed_steps, reuse, row
+from .autodiff import Tensor, as_tensor, concat, fused, grad_enabled, packed_steps, reuse, row
 from .errors import DataError
 
 PAD = "<pad>"
@@ -120,22 +121,29 @@ class LstmCell:
     def tensors(self):
         return [self.W, self.b]
 
-    def gate_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of W and b with the i, f and o rows halved.
+    def gate_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The input block (d, 4h), the recurrent block (h, 4h) and the
+        bias (4h,) that act on [x; h], with the i, f and o columns halved.
 
         sigmoid(a) = (tanh(a / 2) + 1) / 2, and halving is exact in
         binary, so one tanh over a step's pre-activations gives all four
-        gates.  Under no_grad the copies are kept until W or b is
-        assigned (see ``autodiff.reuse``).
+        gates.  The input block is C-contiguous: a strided operand sends
+        a product of a few rows down a slow BLAS path.  The recurrent
+        block is the transpose of a (4h, h) copy, the operand layout of a
+        view of W, so the recurrent products keep their bits.  Under
+        no_grad the copies are kept until W or b is assigned (see
+        ``autodiff.reuse``).
         """
         return reuse(self._kept, "gates", self.tensors(), self._stack)
 
     def _stack(self):
-        W, bias = self.W.data.copy(), self.b.data.copy()
-        k = self.hidden_size
-        W[:3 * k] *= 0.5
+        W, k = self.W.data, self.hidden_size
+        d = W.shape[1] - k
+        W_x, W_h, bias = W[:, :d].T.copy(), W[:, d:].copy(), self.b.data.copy()
+        W_x[:, :3 * k] *= 0.5
+        W_h[:3 * k] *= 0.5
         bias[:3 * k] *= 0.5
-        return W, bias
+        return W_x, W_h.T, bias
 
 
 def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor:
@@ -153,6 +161,8 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     takes a single (4h, N) @ (N, d + h) weight gradient.  The forward reads
     the cell's ``gate_stack``, which under no_grad is built once per
     parameter state rather than on every call; the backward reads the cell's W.
+    ``encode_batch`` calls it for batches and with gradients on; one text
+    under no_grad takes ``_one_text``, which gives the same states.
     """
     X = as_tensor(X)
     n, d = X.data.shape
@@ -160,12 +170,11 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     if pack.starts[-1] != n:
         raise ValueError(f"sequence lengths cover {pack.starts[-1]} rows, input has {n}")
     k = cell.hidden_size
-    # Pre-activations with the i, f and o rows already halved, so that
+    # Pre-activations with the i, f and o columns already halved, so that
     # one tanh gives all four gates (see LstmCell.gate_stack).
-    W, bias = cell.gate_stack()
-    W_h = W[:, d:].T
+    W_x, W_h, bias = cell.gate_stack()
     xs = X.data[pack.rows]
-    gates = xs @ W[:, :d].T + bias
+    gates = xs @ W_x + bias
     C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     sigmoids, I, F, O, G = (gates[:, :3 * k], *(gates[:, j * k:(j + 1) * k] for j in range(4)))
     for now, before, _ in pack.plan:
@@ -187,9 +196,14 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
         C_prev, H_prev = np.zeros((n, k)), np.zeros((n, k))
         for now, before, _ in pack.plan[1:]:
             C_prev[now], H_prev[now] = C[before], H[before]
-        # d(pre-activation) per gate = (dc, dc, dh, dc) * local[t].
-        local = np.hstack([G * I * (1 - I), C_prev * F * (1 - F),
-                           TC * O * (1 - O), I * (1 - G * G)])
+        # d(pre-activation) per gate = (dc, dc, dh, dc) * local[t], with
+        # local = (G I (1 - I), C_prev F (1 - F), TC O (1 - O), I (1 - G G)).
+        local, tmp = np.empty((n, 4 * k)), np.empty((n, k))
+        for j, (a, gate) in enumerate(((G, I), (C_prev, F), (TC, O))):
+            block = np.multiply(a, gate, out=local[:, j * k:(j + 1) * k])
+            block *= np.subtract(1, gate, out=tmp)
+        np.multiply(G, G, out=tmp)
+        np.multiply(I, np.subtract(1, tmp, out=tmp), out=local[:, 3 * k:])
         dc_dh = O * (1 - TC * TC)
         W = cell.W.data
         W_h = W[:, d:]
@@ -218,8 +232,46 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
 def encode_batch(texts, table: WordEmbeddingTable,
                  forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
     """Encoder states of one or more texts, their rows stacked in text order:
-    both directions side by side, one packed node per direction."""
+    both directions side by side, one packed node per direction.  One text
+    under no_grad, as a served request, takes ``_one_text`` instead."""
     lengths = [len(tokens) for tokens in texts]
     X = table.embed([token for tokens in texts for token in tokens])
+    if len(lengths) == 1 and lengths[0] and not grad_enabled():
+        return Tensor(_one_text(X.data, forward_cell, backward_cell))
     return concat([lstm_layer(X, forward_cell, lengths),
                    lstm_layer(X, backward_cell, lengths, reverse=True)], axis=1)
+
+
+def _one_text(X, forward_cell: LstmCell, backward_cell: LstmCell) -> np.ndarray:
+    """Both directions' states (n, 2h) of one text's rows X, in one walk.
+
+    Step t advances the forward pass at row t and the backward pass at
+    row n - 1 - t together: one (h) @ (h, 4h) product per direction, then
+    the gate math of ``lstm_layer`` once over both.  The products and the
+    operation order are those of ``lstm_layer`` on one sequence, so the
+    states are the same bits, without the per-call cost of a packing,
+    two graph nodes and their concatenation.
+    """
+    n = X.shape[0]
+    k = forward_cell.hidden_size
+    (W_f, W_hf, b_f), (W_b, W_hb, b_b) = forward_cell.gate_stack(), backward_cell.gate_stack()
+    gates = np.empty((n, 2, 4 * k))  # step-major, forward then backward
+    gates[:, 0] = X @ W_f + b_f
+    gates[:, 1] = X[::-1] @ W_b + b_b
+    I, F, O, G = (gates[:, :, j * k:(j + 1) * k] for j in range(4))
+    C, TC, H = np.empty((n, 2, k)), np.empty((2, k)), np.empty((n, 2, k))
+    for t in range(n):
+        a = gates[t]
+        if t:
+            a[0] += H[t - 1, 0] @ W_hf
+            a[1] += H[t - 1, 1] @ W_hb
+        np.tanh(a, out=a)
+        sig = a[:, :3 * k]
+        sig *= 0.5
+        sig += 0.5
+        c = np.multiply(I[t], G[t], out=C[t])
+        if t:
+            c += F[t] * C[t - 1]
+        np.tanh(c, out=TC)
+        np.multiply(O[t], TC, out=H[t])
+    return np.concatenate((H[:, 0], H[::-1, 1]), axis=1)

@@ -29,13 +29,14 @@ recursion over all its chains.  A model also exposes ``params``, the
 registry that the optimizer and the checkpoint writer read, and
 ``prepare_examples``, the adaptor's view of the training set.
 
-The forward groups a batch's chains by the route's encoder and
-decoder.  Each encoder runs once, as one packed node per direction, over
-the distinct texts of its chains, so the attributes of one product share
-encoder states; the batch's decoders are generated (or stacked) in one
-go; one emissions node scores every chain.  Under ``no_grad`` the model
-builds every decoder at once and keeps them until a parameter they read
-is written (``Tensor.version``).  A prediction of one chain (one
+The forward groups a batch's chains by the route's encoder and decoder.
+Each encoder runs once over the distinct texts of its chains, as one
+packed node per direction (or, for one text under ``no_grad``, one walk
+over both directions with no node), so the attributes of one product
+share encoder states; the batch's decoders are generated (or stacked) in
+one go; one emissions node scores every chain.  Under ``no_grad`` the
+model builds every decoder at once and keeps them until a parameter they
+read is written (``Tensor.version``).  A prediction of one chain (one
 attribute of one text, as ``predict_tags`` and ``extract`` ask) takes
 none of the batch layout: its emissions are one product of the text's
 states with its kept decoder, and its states are kept too, per encoder

@@ -328,8 +328,10 @@ def test_reordered_word_vocabulary_is_data_error(pipeline, tmp_path, capsys):
 
 
 # A NaN emission bias reaches the emission scores; a NaN expert reaches only
-# the transition tables.
-@pytest.mark.parametrize("tensor", ("hyper/b_hyper_b", "moe/experts"))
+# the transition tables; a NaN LSTM weight or bias reaches only the encoder
+# states, and through them the emission scores.
+@pytest.mark.parametrize("tensor", ("hyper/b_hyper_b", "moe/experts",
+                                    "encoder/lstm_bwd/W", "encoder/lstm_fwd/b"))
 @pytest.mark.parametrize("command", ("extract", "eval"))
 def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command, tensor):
     stem, manifest = _copy_checkpoint(pipeline, tmp_path)

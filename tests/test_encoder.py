@@ -1,9 +1,13 @@
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avex import autodiff as ad
+from avex import encoder
 from avex.autodiff import Tensor
 from avex.encoder import (
     PAD,
@@ -240,6 +244,8 @@ def test_bilstm_rejects_empty_input():
     cell = make_cell(rng, 2, 3)
     with pytest.raises(ValueError):
         encode_batch([[]], table, cell, cell)
+    with pytest.raises(ValueError), ad.no_grad():  # not the one-text walk
+        encode_batch([[]], table, cell, cell)
 
 
 def test_embed_gathers_rows_in_one_node():
@@ -263,6 +269,43 @@ def test_encode_batch_shape():
     b_cell = make_cell(rng, 4, 3)
     H = encode_batch([["red", "towel", "set"]], table, f_cell, b_cell)
     assert H.data.shape == (3, 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 6), h=st.integers(1, 6), seed=st.integers(0, 2**16),
+       tokens=st.lists(st.sampled_from(["red", "towel", "set", "zebra"]),
+                       min_size=1, max_size=8))
+def test_one_text_walk_matches_the_packed_layers(d, h, seed, tokens):
+    # Gradients on, one text takes the two packed lstm_layer nodes; under
+    # no_grad it takes the merged walk, which must give the same bits.
+    rng = np.random.default_rng(seed)
+    table = WordEmbeddingTable.build(["red", "towel", "set"], {}, d, rng)
+    f_cell, b_cell = make_cell(rng, d, h), make_cell(rng, d, h)
+    packed = encode_batch([tokens], table, f_cell, b_cell)
+    with ad.no_grad():
+        walked = encode_batch([tokens], table, f_cell, b_cell)
+    assert packed._parents and not walked._parents
+    assert walked.data.shape == (len(tokens), 2 * h)
+    np.testing.assert_array_equal(walked.data, packed.data)
+
+
+@pytest.mark.parametrize("texts, recording, layers", [
+    ([["a", "b"]], False, 0),
+    ([["a", "b"]], True, 2),
+    ([["a"], ["b", "a"]], False, 2),
+])
+def test_only_one_text_without_gradients_skips_the_packed_layers(
+        monkeypatch, texts, recording, layers):
+    rng = np.random.default_rng(13)
+    table = WordEmbeddingTable.build(["a", "b"], {}, 3, rng)
+    cell = make_cell(rng, 3, 2)
+    calls = []
+    real = encoder.lstm_layer
+    monkeypatch.setattr(encoder, "lstm_layer",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    with nullcontext() if recording else ad.no_grad():
+        encode_batch(texts, table, cell, cell)
+    assert len(calls) == layers
 
 
 def test_bilstm_gradients_check_out():
@@ -333,8 +376,11 @@ def test_gate_stack_built_once_per_parameter_state(monkeypatch):
 def test_gate_stack_halves_the_sigmoid_gates():
     rng = np.random.default_rng(12)
     cell = make_cell(rng, 2, 3)
-    W, bias = cell.gate_stack()
+    W_x, W_h, bias = cell.gate_stack()
     scale = np.repeat([0.5, 0.5, 0.5, 1.0], 3)  # i, f, o halved; g kept
-    np.testing.assert_array_equal(W, cell.W.data * scale[:, None])
+    np.testing.assert_array_equal(W_x, cell.W.data[:, :2].T * scale)
+    np.testing.assert_array_equal(W_h, cell.W.data[:, 2:].T * scale)
     np.testing.assert_array_equal(bias, cell.b.data * scale)
-    assert W is not cell.W.data and bias is not cell.b.data
+    assert W_x.shape == (2, 12) and W_x.flags.c_contiguous
+    assert not any(np.shares_memory(part, p.data)
+                   for part in (W_x, W_h, bias) for p in cell.tensors())
