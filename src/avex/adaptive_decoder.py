@@ -120,6 +120,12 @@ def build_decoder(hyper: HyperNetwork, moe: TransitionMoe, r) -> DecoderInstance
     return DecoderInstance(W, b, T)
 
 
+def emission_scores(H, W, b) -> np.ndarray:
+    """Scores (N, M) of the rows of the array H under the emission rows of
+    W (M, d_h) and b (M,): one decoder's, or several laid end to end."""
+    return H @ W.T + b
+
+
 def emissions(H, W, b, rows=None, decoders=None) -> Tensor:
     """Tag scores of encoder rows: column j scores a token under every tag.
 
@@ -127,8 +133,8 @@ def emissions(H, W, b, rows=None, decoders=None) -> Tensor:
     stack of A, (A, m, d_h) and (A, m).  Column j is decoder
     ``decoders[j]`` (default 0) applied to row ``rows[j]`` of H (default
     j), so the result is (m, N) for N = len(rows).  One node: the forward
-    and each gradient are one product of H with the decoders from the
-    lowest to the highest that a column uses.
+    (``emission_scores``) and each gradient are one product of H with the
+    decoders from the lowest to the highest that a column uses.
     """
     H, W, b = as_tensor(H), as_tensor(W), as_tensor(b)
     n_h, d_h = H.data.shape
@@ -136,7 +142,7 @@ def emissions(H, W, b, rows=None, decoders=None) -> Tensor:
     # Only the decoders from the lowest to the highest a column uses take part.
     lo, hi = (0, 1) if decoders is None else (min(decoders), max(decoders) + 1)
     flat = W.data.reshape(-1, d_h)[lo * m:hi * m]
-    full = (H.data @ flat.T + b.data.reshape(-1)[lo * m:hi * m]).reshape(n_h, hi - lo, m)
+    full = emission_scores(H.data, flat, b.data.reshape(-1)[lo * m:hi * m]).reshape(n_h, -1, m)
     one = hi - lo == 1  # one decoder: no gather by decoder
     index = (slice(None) if rows is None and one else
              np.arange(n_h) if rows is None else np.asarray(rows, dtype=int),

@@ -15,7 +15,7 @@ that central finite differences stay a tight oracle for every gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -392,9 +392,7 @@ def packed_steps(lengths, reverse: bool = False) -> Packing:
     """The packing of sequences of ``lengths`` rows; with ``reverse``
     every sequence is read from its last row to its first."""
     if len(lengths) == 1 and lengths[0] >= 1:  # one text, as at inference
-        n = int(lengths[0])
-        return Packing(np.zeros(1, dtype=int), np.arange(n + 1), np.zeros(n, dtype=int),
-                       slice(None, None, -1 if reverse else 1))
+        return _one_sequence(int(lengths[0]), reverse)
     lengths = np.asarray(lengths, dtype=int)
     if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
         raise ValueError(f"sequence lengths must be positive, got {lengths.tolist()}")
@@ -406,6 +404,13 @@ def packed_steps(lengths, reverse: bool = False) -> Packing:
     seq = rank[slot]
     pos = lengths[seq] - 1 - step if reverse else step
     return Packing(rank, starts, slot, np.cumsum(lengths)[seq] - lengths[seq] + pos)
+
+
+@lru_cache(maxsize=128)
+def _one_sequence(n: int, reverse: bool) -> Packing:
+    """One sequence of n rows, kept with its plan: each request walks one."""
+    return Packing(np.zeros(1, dtype=int), np.arange(n + 1), np.zeros(n, dtype=int),
+                   slice(None, None, -1 if reverse else 1))
 
 
 # -- gradient checking -------------------------------------------------------

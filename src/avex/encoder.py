@@ -5,10 +5,11 @@ a trainable embedding lookup feeds two LSTM passes (left-to-right and
 right-to-left) whose states are concatenated, so the per-position size
 is the combined width of both directions.  ``encode_batch`` encodes one
 or many texts: their rows are stacked, and each pass is one autodiff
-node over all of them that runs the recurrence in numpy, the sequences
-still running at a step advancing together, and backpropagates through
-time by hand.  One text with gradients off, as a served request, walks
-both directions at once instead and makes no node.
+node over all of them that runs the step kernel ``lstm_steps``, the
+sequences still running at a step advancing together, and
+backpropagates through time by hand.  One text with gradients off, as a
+served request, runs the kernel once over both directions and makes no
+node.
 """
 
 from __future__ import annotations
@@ -146,6 +147,36 @@ class LstmCell:
         return W_x, W_h.T, bias
 
 
+def lstm_steps(gates, recurrent, plan):
+    """The LSTM recurrence of D directions side by side, run in place over
+    their pre-activations ``gates`` (N, D, 4h), the i, f and o columns
+    halved (see ``LstmCell.gate_stack``).  Each step of ``plan`` (a
+    ``Packing.plan``) adds one product of the step before's states with
+    each direction's block of ``recurrent`` (h, 4h), then runs the gate
+    math once over its rows.  Returns C, tanh(C), H and the gate blocks
+    I, F, O and G (views of ``gates``), each (N, D, h).
+    """
+    k = gates.shape[2] // 4
+    C, TC, H = np.empty((3,) + gates.shape[:2] + (k,))
+    sigmoids, I, F, O, G = gates[..., :3 * k], *[gates[..., j * k:(j + 1) * k] for j in range(4)]
+    # Per direction, its pre-activations, its states and its recurrent block.
+    directions = [(gates[:, d], H[:, d], W_h) for d, W_h in enumerate(recurrent)]
+    for now, before, _ in plan:
+        a = gates[now]
+        if before is not None:
+            for g, h, W_h in directions:
+                g[now] += h[before] @ W_h
+        np.tanh(a, out=a)
+        sig = sigmoids[now]
+        sig *= 0.5
+        sig += 0.5
+        c = np.multiply(I[now], G[now], out=C[now])
+        if before is not None:
+            c += F[now] * C[before]
+        np.multiply(O[now], np.tanh(c, out=TC[now]), out=H[now])
+    return C, TC, H, I, F, O, G
+
+
 def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor:
     """Hidden states (N, h) of one LSTM direction over packed sequences.
 
@@ -153,10 +184,10 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     default one sequence); each starts from a zero state, and with
     ``reverse`` each is read from its last row to its first.  The states
     come back in the rows of X.  One graph node: the input projection of
-    every row is a single (N, d) @ (d, 4h) product; walking the step
-    plan of ``packed_steps``, step t advances the b_t sequences still
-    running with one (b_t, h) @ (h, 4h) product and the gate math, and
-    backpropagation through time walks the plan in reverse, each step
+    every row is a single (N, d) @ (d, 4h) product, and ``lstm_steps``
+    walks the plan of ``packed_steps``, step t advancing the b_t
+    sequences still running with one (b_t, h) @ (h, 4h) product.
+    Backpropagation through time walks the plan in reverse, each step
     adding its carried gradients into the rows of the step before, then
     takes a single (4h, N) @ (N, d + h) weight gradient.  The forward reads
     the cell's ``gate_stack``, which under no_grad is built once per
@@ -170,26 +201,10 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     if pack.starts[-1] != n:
         raise ValueError(f"sequence lengths cover {pack.starts[-1]} rows, input has {n}")
     k = cell.hidden_size
-    # Pre-activations with the i, f and o columns already halved, so that
-    # one tanh gives all four gates (see LstmCell.gate_stack).
     W_x, W_h, bias = cell.gate_stack()
     xs = X.data[pack.rows]
-    gates = xs @ W_x + bias
-    C, TC, H = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
-    sigmoids, I, F, O, G = (gates[:, :3 * k], *(gates[:, j * k:(j + 1) * k] for j in range(4)))
-    for now, before, _ in pack.plan:
-        a = gates[now]
-        if before is not None:
-            a += H[before] @ W_h
-        np.tanh(a, out=a)
-        sig = sigmoids[now]
-        sig *= 0.5
-        sig += 0.5
-        c = np.multiply(I[now], G[now], out=C[now])
-        if before is not None:
-            c += F[now] * C[before]
-        np.tanh(c, out=TC[now])
-        np.multiply(O[now], TC[now], out=H[now])
+    C, TC, H, I, F, O, G = (a[:, 0] for a in lstm_steps((xs @ W_x + bias)[:, None], (W_h,),
+                                                         pack.plan))
 
     def vjp(g):
         # Each packed row's state one step earlier (zero at step 0).
@@ -245,33 +260,16 @@ def encode_batch(texts, table: WordEmbeddingTable,
 def _one_text(X, forward_cell: LstmCell, backward_cell: LstmCell) -> np.ndarray:
     """Both directions' states (n, 2h) of one text's rows X, in one walk.
 
-    Step t advances the forward pass at row t and the backward pass at
-    row n - 1 - t together: one (h) @ (h, 4h) product per direction, then
-    the gate math of ``lstm_layer`` once over both.  The products and the
-    operation order are those of ``lstm_layer`` on one sequence, so the
-    states are the same bits, without the per-call cost of a packing,
+    One ``lstm_steps`` call over the plan of one sequence, the backward
+    direction's rows laid in reverse, advances the forward pass at row t
+    and the backward pass at row n - 1 - t with one (h) @ (h, 4h) product
+    each.  The products and the operation order are those of
+    ``lstm_layer``, so the states are the same bits, without the cost of
     two graph nodes and their concatenation.
     """
-    n = X.shape[0]
-    k = forward_cell.hidden_size
     (W_f, W_hf, b_f), (W_b, W_hb, b_b) = forward_cell.gate_stack(), backward_cell.gate_stack()
-    gates = np.empty((n, 2, 4 * k))  # step-major, forward then backward
+    gates = np.empty((len(X), 2, b_f.size))  # step-major, forward then backward
     gates[:, 0] = X @ W_f + b_f
     gates[:, 1] = X[::-1] @ W_b + b_b
-    I, F, O, G = (gates[:, :, j * k:(j + 1) * k] for j in range(4))
-    C, TC, H = np.empty((n, 2, k)), np.empty((2, k)), np.empty((n, 2, k))
-    for t in range(n):
-        a = gates[t]
-        if t:
-            a[0] += H[t - 1, 0] @ W_hf
-            a[1] += H[t - 1, 1] @ W_hb
-        np.tanh(a, out=a)
-        sig = a[:, :3 * k]
-        sig *= 0.5
-        sig += 0.5
-        c = np.multiply(I[t], G[t], out=C[t])
-        if t:
-            c += F[t] * C[t - 1]
-        np.tanh(c, out=TC)
-        np.multiply(O[t], TC, out=H[t])
+    H = lstm_steps(gates, (W_hf, W_hb), packed_steps([len(X)]).plan)[2]
     return np.concatenate((H[:, 0], H[::-1, 1]), axis=1)

@@ -32,15 +32,16 @@ registry that the optimizer and the checkpoint writer read, and
 The forward groups a batch's chains by the route's encoder and decoder.
 Each encoder runs once over the distinct texts of its chains, as one
 packed node per direction (or, for one text under ``no_grad``, one walk
-over both directions with no node), so the attributes of one product
-share encoder states; the batch's decoders are generated (or stacked) in
-one go; one emissions node scores every chain.  Under ``no_grad`` the
-model builds every decoder at once and keeps them until a parameter they
-read is written (``Tensor.version``).  A prediction of one chain (one
-attribute of one text, as ``predict_tags`` and ``extract`` ask) takes
-none of the batch layout: its emissions are one product of the text's
-states with its kept decoder, and its states are kept too, per encoder
-those of the last text, so the attributes of one text encode it once.
+of the LSTM step kernel over both directions with no node), so the
+attributes of one product share encoder states; the batch's decoders are
+generated (or stacked) in one go; one emissions node scores every chain.
+Under ``no_grad`` the model builds every decoder at once and keeps them
+until a parameter they read is written (``Tensor.version``).  A
+prediction of one chain (one attribute of one text, as ``predict_tags``
+and ``extract`` ask) takes none of the batch layout: its emissions are
+the product of the emissions node for its kept decoder alone, and its
+states are kept too, per encoder those of the last text, so the
+attributes of one text encode it once.
 Nothing is kept while gradients are on: ``grad_check`` perturbs
 parameters in place.
 """
@@ -58,6 +59,7 @@ from .adaptive_decoder import (
     best_paths,
     build_decoder,
     chain_nll,
+    emission_scores,
     emissions,
 )
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
@@ -385,14 +387,14 @@ class Model:
 
         Per encoder the states of the last text are kept, as are the
         decoders, until a parameter they read is assigned.  The emissions
-        are the product ``emissions`` takes for one decoder.
+        are ``emission_scores``, the product ``emissions`` makes, for one decoder.
         """
         enc, slot = self._resolve(0, tokens, attribute)
         (table, fwd, bwd), reads = self._encoders[enc]
         text = (tuple(tokens),)
         H = reuse(self._cache, enc, reads, lambda: encode_batch(text, table, fwd, bwd), text)
         dec = self._kept_decoders(self._slots)
-        return (H.data @ dec.W.data[slot].T + dec.b.data[slot]).T, dec.T.data[slot]
+        return emission_scores(H.data, dec.W.data[slot], dec.b.data[slot]).T, dec.T.data[slot]
 
     def loss(self, batch) -> Tensor:
         """Mean NLL of a batch of examples, scored as one graph."""

@@ -529,6 +529,8 @@ def load_checkpoint(stem):
         if end > len(payload):
             raise DataError(f"checkpoint payload too short for tensor {name}")
         values = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+        if not np.isfinite(values).all():
+            raise NumericError(f"checkpoint tensor {name} holds non-finite values")
         t.data = values.astype(np.float64).reshape(shape)
     return model
 

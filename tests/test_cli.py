@@ -329,19 +329,34 @@ def test_reordered_word_vocabulary_is_data_error(pipeline, tmp_path, capsys):
 
 # A NaN emission bias reaches the emission scores; a NaN expert reaches only
 # the transition tables; a NaN LSTM weight or bias reaches only the encoder
-# states, and through them the emission scores.
-@pytest.mark.parametrize("tensor", ("hyper/b_hyper_b", "moe/experts",
-                                    "encoder/lstm_bwd/W", "encoder/lstm_fwd/b"))
-@pytest.mark.parametrize("command", ("extract", "eval"))
-def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command, tensor):
+# states, and through them the emission scores.  An inf LSTM bias saturates
+# a tanh, and a NaN in Color's row of W_att reaches only Color's decoder, so
+# neither shows in the scores of `extract --attr Scent`: the load refuses
+# every non-finite value, whichever command reads the checkpoint.
+@pytest.mark.parametrize("tensor, value, attribute", [
+    ("hyper/b_hyper_b", np.nan, None),
+    ("moe/experts", np.nan, None),
+    ("encoder/lstm_bwd/W", np.nan, None),
+    ("encoder/lstm_fwd/b", np.nan, None),
+    ("encoder/lstm_fwd/b", np.inf, None),
+    ("att_emb/W_att", np.nan, "Color"),
+], ids=["hyper/b_hyper_b", "moe/experts", "encoder/lstm_bwd/W", "encoder/lstm_fwd/b",
+        "encoder/lstm_fwd/b-inf", "att_emb/W_att-Color"])
+@pytest.mark.parametrize("command", ("extract", "eval", "param-count"))
+def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command, tensor, value,
+                                       attribute):
     stem, manifest = _copy_checkpoint(pipeline, tmp_path)
     entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
     payload = bytearray(stem.with_suffix(".bin").read_bytes())
     offset = entry["byte_offset"]
-    payload[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    if attribute is not None:  # the first value of that attribute's row
+        ids = [row["id"] for row in manifest["attribute_vocab"]]
+        offset += 4 * entry["shape"][1] * ids.index(attribute)
+    payload[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
     stem.with_suffix(".bin").write_bytes(bytes(payload))
     assert _run_on_checkpoint(pipeline, command, stem) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and tensor in err
 
 
 def test_param_count_from_flags(capsys):

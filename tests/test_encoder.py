@@ -289,23 +289,29 @@ def test_one_text_walk_matches_the_packed_layers(d, h, seed, tokens):
     np.testing.assert_array_equal(walked.data, packed.data)
 
 
-@pytest.mark.parametrize("texts, recording, layers", [
-    ([["a", "b"]], False, 0),
-    ([["a", "b"]], True, 2),
-    ([["a"], ["b", "a"]], False, 2),
-])
+# The last column gives D, the directions side by side, of each call to
+# the one LSTM step kernel: one text under no_grad walks both in one call.
+@pytest.mark.parametrize("texts, recording, layers, kernel", [
+    ([["a", "b"]], False, 0, [2]),
+    ([["a", "b"]], True, 2, [1, 1]),
+    ([["a"], ["b", "a"]], False, 2, [1, 1]),
+], ids=["texts0-False-0", "texts1-True-2", "texts2-False-2"])
 def test_only_one_text_without_gradients_skips_the_packed_layers(
-        monkeypatch, texts, recording, layers):
+        monkeypatch, texts, recording, layers, kernel):
     rng = np.random.default_rng(13)
     table = WordEmbeddingTable.build(["a", "b"], {}, 3, rng)
     cell = make_cell(rng, 3, 2)
-    calls = []
-    real = encoder.lstm_layer
+    calls, directions = [], []
+    real, steps = encoder.lstm_layer, encoder.lstm_steps
     monkeypatch.setattr(encoder, "lstm_layer",
                         lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    monkeypatch.setattr(encoder, "lstm_steps",
+                        lambda gates, *args: directions.append(gates.shape[1])
+                        or steps(gates, *args))
     with nullcontext() if recording else ad.no_grad():
         encode_batch(texts, table, cell, cell)
     assert len(calls) == layers
+    assert directions == kernel
 
 
 def test_bilstm_gradients_check_out():

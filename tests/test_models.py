@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avex import evaluation
-from avex.autodiff import Tensor, grad_check
+from avex.autodiff import Tensor, grad_check, no_grad
 from avex.corpus import AttributeVocab, Product, build_corpus
 from avex.errors import DataError
 from avex.models import (
@@ -330,8 +330,18 @@ def test_one_chain_is_scored_without_an_emissions_node(variant, monkeypatch):
     text = ["white", "cotton", "towel"]
     alone = [model.predict_tags(text, a) for a in vocab.ids()]
     assert not calls
-    assert model.predict_batch([(text, a) for a in vocab.ids()]) == alone
+    chains = [(text, a) for a in vocab.ids()]
+    assert model.predict_batch(chains) == alone
     assert len(calls) == 1
+    # Each chain's emission columns and transition table are the bits of
+    # that chain's columns and table in a batch.
+    with no_grad():
+        P, T, lengths, slots = model._scores(chains)
+    starts = np.cumsum([0] + lengths)
+    for i, chain in enumerate(chains):
+        columns, table = model._one_chain(*chain)
+        assert columns.tobytes() == P.data[:, starts[i]:starts[i + 1]].tobytes()
+        assert table.tobytes() == T.data[slots[i]].tobytes()
 
 
 def _split_of_many_texts(vocab):
