@@ -101,8 +101,13 @@ class WordEmbeddingTable:
         return self.stoi[UNK] if i is None else i
 
     def embed(self, token_texts) -> Tensor:
-        """The tokens' rows as one (n, d_word) matrix."""
-        return row(self.matrix, [self.index(t) for t in token_texts])
+        """The tokens' rows as one (n, d_word) matrix: a ``row`` node, or
+        under no_grad the rows gathered with no node (an index comes from
+        ``stoi`` or is UNK's, so it is a row of the matrix)."""
+        indices = [self.index(t) for t in token_texts]
+        if grad_enabled():
+            return row(self.matrix, indices)
+        return Tensor(self.matrix.data[indices])
 
 
 @dataclass

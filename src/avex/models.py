@@ -38,10 +38,11 @@ generated (or stacked) in one go; one emissions node scores every chain.
 Under ``no_grad`` the model builds every decoder at once and keeps them
 until a parameter they read is written (``Tensor.version``).  A
 prediction of one chain (one attribute of one text, as ``predict_tags``
-and ``extract`` ask) takes none of the batch layout: its emissions are
-the product of the emissions node for its kept decoder alone, and its
-states are kept too, per encoder those of the last text, so the
-attributes of one text encode it once.
+and ``extract`` ask) takes none of the batch layout: per encoder the
+model keeps the emission scores of the last text, one product of its
+states with every decoder routed to that encoder, with whether each
+decoder's scores are finite, so the attributes of one text encode and
+score it once and each is decoded from its columns.
 Nothing is kept while gradients are on: ``grad_check`` perturbs
 parameters in place.
 """
@@ -56,6 +57,8 @@ from .adaptive_decoder import (
     DecoderInstance,
     HyperNetwork,
     TransitionMoe,
+    _not_finite,
+    _one_path,
     best_paths,
     build_decoder,
     chain_nll,
@@ -278,6 +281,12 @@ class Model:
         if self._attr_info is None:
             self._decoder_reads = tuple(t for d in self._decoders for t in (d.W, d.b, d.T))
         self._slots = sorted({slot for _, slot in self._route.values()})  # kept decoders
+        # Per encoder, the decoders from the lowest to the highest that its
+        # attributes use, and the tensors its kept emission block reads.
+        self._blocks = []
+        for enc, (_, reads) in enumerate(self._encoders):
+            used = [slot for e, slot in self._route.values() if e == enc]
+            self._blocks.append((min(used), max(used) + 1, reads + self._decoder_reads))
 
     def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
         """Attribute table, hypernetwork and transition mixture of adatag."""
@@ -332,10 +341,13 @@ class Model:
             raise DataError(f"chain {i} ({attribute!r}) has no tokens")
         return route
 
-    def _kept_decoders(self, used) -> DecoderInstance:
-        """The decoders in ``used``, stacked; kept under no_grad."""
-        return reuse(self._cache, "decoders", self._decoder_reads,
-                     lambda: self._stacked_decoders(used))
+    def _kept_decoders(self) -> tuple[DecoderInstance, list[bool]]:
+        """Every decoder of the model, stacked, with whether each one's
+        transition table is finite; kept under no_grad."""
+        def build():
+            dec = self._stacked_decoders(self._slots)
+            return dec, np.isfinite(dec.T.data).all(axis=(-2, -1)).tolist()
+        return reuse(self._cache, "decoders", self._decoder_reads, build)
 
     def _scores(self, chains):
         """Emission columns (m, N) and stacked transition tables of
@@ -346,7 +358,7 @@ class Model:
         decoders are generated together, in the order they first appear;
         with gradients off every decoder of the model is built, and kept.
         States are not kept: each call encodes its texts (only
-        ``_one_chain`` keeps them).  The encoders' states are stacked in
+        ``_one_chain`` keeps scores of a text).  The encoders' states are stacked in
         the order the encoders first appear, and one map gives each
         (encoder, text) its first row.
         """
@@ -367,9 +379,9 @@ class Model:
         if grad_enabled():
             used = list(dict.fromkeys(slots))
             slots = [used.index(s) for s in slots]
+            dec = self._stacked_decoders(used)
         else:
-            used = self._slots
-        dec = self._kept_decoders(used)
+            dec, _ = self._kept_decoders()
         # Each column's row of the encoder states (in order when every
         # chain has a text of its own and one encoder) and decoder.
         rows = None
@@ -385,16 +397,37 @@ class Model:
         """Emission columns (m, n) and transition table (m, m) of one chain,
         as arrays: no graph and no batch layout.
 
-        Per encoder the states of the last text are kept, as are the
-        decoders, until a parameter they read is assigned.  The emissions
-        are ``emission_scores``, the product ``emissions`` makes, for one decoder.
+        Per encoder the scores of the last text are kept: one
+        ``emission_scores`` product of its states against every decoder
+        routed to that encoder, laid end to end as (n, A·m), the product
+        ``emissions`` makes for a batch of those attributes, with whether
+        each decoder's columns are finite.  The block is kept until the
+        text changes or a parameter that the encoder or the decoders read
+        is assigned; like the kept decoders, it does not see writes into a
+        tensor's ``.data``.  A chain's columns are a view of the block.
+        Scores that are not finite raise ``best_paths``' NumericError.
         """
         enc, slot = self._resolve(0, tokens, attribute)
-        (table, fwd, bwd), reads = self._encoders[enc]
-        text = (tuple(tokens),)
-        H = reuse(self._cache, enc, reads, lambda: encode_batch(text, table, fwd, bwd), text)
-        dec = self._kept_decoders(self._slots)
-        return emission_scores(H.data, dec.W.data[slot], dec.b.data[slot]).T, dec.T.data[slot]
+        lo, _, reads = self._blocks[enc]
+        text = tuple(tokens)
+        block, finite = reuse(self._cache, enc, reads,
+                              lambda: self._text_scores(enc, text), text)
+        dec, finite_T = self._kept_decoders()
+        j, m = slot - lo, self.adaptor.num_tags
+        if not (finite[j] and finite_T[slot]):
+            raise _not_finite(0)
+        return block[:, j * m:(j + 1) * m].T, dec.T.data[slot]
+
+    def _text_scores(self, enc, text):
+        """The emission block (n, A·m) of one text under encoder ``enc``'s
+        decoders, and whether each decoder's columns are finite."""
+        (table, fwd, bwd), _ = self._encoders[enc]
+        lo, hi, _ = self._blocks[enc]
+        dec, _ = self._kept_decoders()
+        W, b = dec.W.data[lo:hi], dec.b.data[lo:hi]
+        H = encode_batch((text,), table, fwd, bwd).data
+        block = emission_scores(H, W.reshape(-1, W.shape[-1]), b.reshape(-1))
+        return block, np.isfinite(block).reshape(len(text), hi - lo, -1).all(axis=(0, 2)).tolist()
 
     def loss(self, batch) -> Tensor:
         """Mean NLL of a batch of examples, scored as one graph."""
@@ -410,11 +443,14 @@ class Model:
         """Tags of (token_texts, attribute) chains: one forward under
         no_grad, then one Viterbi recursion over all the chains.  A batch
         of one chain, such as one attribute of one ``extract`` text, is
-        scored straight from the kept states and decoders."""
+        read from the kept scores of its text and, over at most
+        ``NUM_TAGS`` tags, decoded by ``_one_path`` alone."""
         with no_grad():
-            scores = self._one_chain(*chains[0]) if len(chains) == 1 \
-                else self._scores(chains)
-        paths = best_paths(*scores)
+            if len(chains) > 1:
+                paths = best_paths(*self._scores(chains))
+            else:
+                P, T = self._one_chain(*chains[0])
+                paths = [_one_path(P, T)] if len(T) <= NUM_TAGS else best_paths(P, T)
         return [self.adaptor.tags(path, attribute)
                 for path, (_, attribute) in zip(paths, chains)]
 

@@ -262,6 +262,23 @@ def test_embed_gathers_rows_in_one_node():
     assert table.matrix.grad[table.stoi[UNK]].tolist() == [1.0] * 3
 
 
+def test_embed_under_no_grad_gathers_the_same_rows_without_a_node(monkeypatch):
+    rng = np.random.default_rng(10)
+    table = WordEmbeddingTable.build(["red", "towel"], {}, 3, rng)
+    tokens = ["towel", "Red", "zebra", "towel"]
+    rows = []
+    real = encoder.row
+    monkeypatch.setattr(encoder, "row", lambda *a: rows.append(a) or real(*a))
+    X = table.embed(tokens)
+    assert len(rows) == 1
+    with ad.no_grad():
+        Y = table.embed(tokens)
+        assert table.embed([]).data.shape == (0, 3)
+    assert len(rows) == 1
+    assert Y.data.tobytes() == X.data.tobytes()
+    assert Y._parents == () and not Y.requires_grad
+
+
 def test_encode_batch_shape():
     rng = np.random.default_rng(5)
     table = WordEmbeddingTable.build(["red", "towel"], {}, 4, rng)

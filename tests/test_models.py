@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from avex import evaluation
 from avex.autodiff import Tensor, grad_check, no_grad
 from avex.corpus import AttributeVocab, Product, build_corpus
-from avex.errors import DataError
+from avex.errors import DataError, NumericError
 from avex.models import (
     VARIANTS,
     ModelParams,
@@ -342,6 +342,74 @@ def test_one_chain_is_scored_without_an_emissions_node(variant, monkeypatch):
         columns, table = model._one_chain(*chain)
         assert columns.tobytes() == P.data[:, starts[i]:starts[i + 1]].tobytes()
         assert table.tobytes() == T.data[slots[i]].tobytes()
+
+
+NOT_FINITE = "best_paths: chain 0 has emission or transition scores that are not finite"
+
+
+def test_non_finite_scores_refuse_only_their_chain():
+    # bilstm_multicrf: Color's CRF can be corrupted alone.  Its transition
+    # table is checked once per kept decoders, its emission columns once
+    # per kept block of the text.
+    model, _, _ = build("bilstm_multicrf")
+    text = ["white", "cotton", "towel"]
+    color, scent = (model.predict_tags(text, a) for a in ("Color", "Scent"))
+    with np.errstate(over="ignore"):
+        overflowed = model.params["decoder/Color/W"].data * 1e308 * 1e308
+    inf_table = model.params["decoder/Color/T"].data.copy()
+    inf_table[1, 2] = np.inf
+    for name, bad in (("decoder/Color/T", inf_table), ("decoder/Color/W", overflowed)):
+        tensor = model.params[name]
+        good = tensor.data
+        tensor.data = bad
+        for _ in range(2):  # the verdicts are kept with the scores
+            with pytest.raises(NumericError, match=NOT_FINITE):
+                model.predict_tags(text, "Color")
+            assert model.predict_tags(text, "Scent") == scent
+        tensor.data = good
+        assert model.predict_tags(text, "Color") == color
+
+
+def test_non_finite_hypernetwork_refuses_every_attribute():
+    model, vocab, _ = build("adatag")
+    text = ["white", "cotton", "towel"]
+    w = model.hyper.w_w
+    bad = w.data.copy()
+    bad[0, 0] = np.nan  # tag B's first emission weight, for every attribute
+    w.data = bad
+    for a in vocab.ids():
+        with pytest.raises(NumericError, match=NOT_FINITE):
+            model.predict_tags(text, a)
+
+
+def _four_attribute_model(variant):
+    ids = ("Scent", "Color", "Material", "Size")
+    vocab = AttributeVocab([(a, None) for a in ids])
+    products = [Product("p1", "large white cotton rose towel", [], None,
+                        dict(zip(ids, (["rose"], ["white"], ["cotton"], ["large"]))))]
+    examples, _ = build_corpus(products, vocab)
+    table = embedding_table(vocab) if variant == "adatag" else None
+    return build_variant(tiny_config(variant), vocab, derive_word_itos(variant, examples),
+                         attr_table=table), vocab
+
+
+def test_one_emission_product_per_text_and_encoder(monkeypatch):
+    model, vocab = _four_attribute_model("adatag")
+    calls = _count_calls(monkeypatch, "emission_scores")
+    for text, made in ((["large", "white", "cotton", "towel"], 1), (["rose", "towel"], 2)):
+        for a in vocab.ids():
+            model.predict_tags(text, a)
+        assert len(calls) == made
+    _shift_emission_bias(model, [100.0, 0.0, 0.0, 0.0])  # every token tagged B
+    assert all(model.predict_tags(["rose", "towel"], a) == ["B", "B"] for a in vocab.ids())
+    assert len(calls) == 3
+    # One encoder per attribute: one product each, kept across repeats.
+    model, vocab = _four_attribute_model("per_attribute")
+    calls = _count_calls(monkeypatch, "emission_scores")
+    for _ in range(2):
+        for a in vocab.ids():
+            model.predict_tags(["large", "white", "cotton", "towel"], a)
+        assert len(calls) == 4
 
 
 def _split_of_many_texts(vocab):
