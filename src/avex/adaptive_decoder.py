@@ -302,10 +302,11 @@ def _one_path(P, T) -> list[int]:
     """Best tag path of one chain, P (m, n) under table T (m, m), by the
     max-product recursion over Python floats.
 
-    For a handful of tags this beats numpy calls on (m, m) arrays.  The
-    additions and their order are those of the numpy recursion, and the
-    first maximum wins with strict ``>`` as in ``argmax``, so the path is
-    the same, ties included.
+    For a handful of tags this beats numpy calls on (m, m) arrays, so a
+    served chain over the BIOE tags (``Model.predict_tags``) is decoded
+    with it.  The additions and their order are those of the numpy
+    recursion in ``best_paths``, and the first maximum wins with strict
+    ``>`` as in ``argmax``, so the path is the same, ties included.
     """
     rows, columns = P.T.tolist(), T.T.tolist()  # per position, per next tag
     others = range(1, len(columns))
@@ -350,22 +351,7 @@ def best_paths(P, T, lengths=None, decoders=None) -> list[list[int]]:
     both at each backpointer and at a chain's last position.  A chain
     whose emission columns or table hold a non-finite score raises
     NumericError; tables that no chain uses are not read.
-
-    One chain in the default layout (no ``lengths`` or ``decoders``, one
-    table) over at most ``NUM_TAGS`` tags, such as one attribute of one
-    ``extract`` text, builds no packing: it runs the same recursion over
-    Python floats instead (``_one_path``), which is cheaper on such small
-    arrays.  Several chains, or a larger tag set such as the joint tags
-    of "n_tag_sets", keep the numpy recursion.
     """
-    if lengths is None and decoders is None:
-        p, t = (x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-                for x in (P, T))
-        if p.ndim == 2 and t.shape == (len(p),) * 2 and 0 < len(p) <= NUM_TAGS \
-                and p.shape[1]:
-            if not (np.isfinite(p).all() and np.isfinite(t).all()):
-                raise _not_finite(0)
-            return [_one_path(p, t)]
     P, T, lengths, dec, pack, E, T3 = _chains(P, T, lengths, decoders)
     if not (np.isfinite(P.data).all() and np.isfinite(T3).all()):
         bad = ~np.isfinite(T3).all(axis=(1, 2))  # per rank

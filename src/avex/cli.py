@@ -19,7 +19,6 @@ import sys
 from . import attribute_embeddings, corpus, evaluation, files, synth, training
 from .encoder import load_word_vectors
 from .errors import DataError, NumericError
-from .tagging import value_strings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,9 +186,8 @@ def _cmd_extract(args):
     token_texts = [t.text for t in corpus.tokenize(args.text)]
     if not token_texts:
         raise DataError("no tokens in --text")
-    paths = model.predict_batch([(token_texts, attr) for attr in args.attr])
-    result = {attr: sorted(value_strings(token_texts, tags))
-              for attr, tags in zip(args.attr, paths)}
+    result = {attr: sorted(evaluation.extract(model, token_texts, attr))
+              for attr in args.attr}
     print(json.dumps(result, ensure_ascii=False, indent=2))
 
 

@@ -7,9 +7,9 @@ is the combined width of both directions.  ``encode_batch`` encodes one
 or many texts: their rows are stacked, and each pass is one autodiff
 node over all of them that runs the step kernel ``lstm_steps``, the
 sequences still running at a step advancing together, and
-backpropagates through time by hand.  One text with gradients off, as a
-served request, runs the kernel once over both directions and makes no
-node.
+backpropagates through time by hand.  ``encode_text`` encodes the one
+text of a served request: it runs the kernel once over both directions
+and makes no node.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
     takes a single (4h, N) @ (N, d + h) weight gradient.  The forward reads
     the cell's ``gate_stack``, which under no_grad is built once per
     parameter state rather than on every call; the backward reads the cell's W.
-    ``encode_batch`` calls it for batches and with gradients on; one text
-    under no_grad takes ``_one_text``, which gives the same states.
+    ``encode_batch`` calls it, for batches and for training; a served text
+    takes ``encode_text``, which gives the same states.
     """
     X = as_tensor(X)
     n, d = X.data.shape
@@ -252,26 +252,28 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
 def encode_batch(texts, table: WordEmbeddingTable,
                  forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
     """Encoder states of one or more texts, their rows stacked in text order:
-    both directions side by side, one packed node per direction.  One text
-    under no_grad, as a served request, takes ``_one_text`` instead."""
+    both directions side by side, one packed ``lstm_layer`` node per
+    direction."""
     lengths = [len(tokens) for tokens in texts]
     X = table.embed([token for tokens in texts for token in tokens])
-    if len(lengths) == 1 and lengths[0] and not grad_enabled():
-        return Tensor(_one_text(X.data, forward_cell, backward_cell))
     return concat([lstm_layer(X, forward_cell, lengths),
                    lstm_layer(X, backward_cell, lengths, reverse=True)], axis=1)
 
 
-def _one_text(X, forward_cell: LstmCell, backward_cell: LstmCell) -> np.ndarray:
-    """Both directions' states (n, 2h) of one text's rows X, in one walk.
+def encode_text(tokens, table: WordEmbeddingTable,
+                forward_cell: LstmCell, backward_cell: LstmCell) -> np.ndarray:
+    """Both directions' states (n, 2h) of one text, in one walk, as an array.
 
     One ``lstm_steps`` call over the plan of one sequence, the backward
     direction's rows laid in reverse, advances the forward pass at row t
     and the backward pass at row n - 1 - t with one (h) @ (h, 4h) product
     each.  The products and the operation order are those of
-    ``lstm_layer``, so the states are the same bits, without the cost of
-    two graph nodes and their concatenation.
+    ``lstm_layer``, so the states are the bits of ``encode_batch`` on the
+    one text, without the cost of two graph nodes and their
+    concatenation.  It makes no node: a served request calls it under
+    no_grad (``Model.predict_tags``).
     """
+    X = table.embed(tokens).data
     (W_f, W_hf, b_f), (W_b, W_hb, b_b) = forward_cell.gate_stack(), backward_cell.gate_stack()
     gates = np.empty((len(X), 2, b_f.size))  # step-major, forward then backward
     gates[:, 0] = X @ W_f + b_f

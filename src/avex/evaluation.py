@@ -111,10 +111,10 @@ def _scores(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 def extract(model, token_texts, attribute) -> set[str]:
     """Decode one sequence and return its normalized value strings.
 
-    One attribute per call, a batch of one chain: it is decoded from the
-    emission scores the model keeps of the last text per encoder, so calls
-    for the attributes of one text encode and score it once.  ``avex
-    extract`` batches a text's attributes instead."""
+    One attribute per call, a served request (``Model.predict_tags``): it
+    is decoded from the emission scores the model keeps of the last text
+    per encoder, so calls for the attributes of one text, as ``avex
+    extract --attr A,B,C`` makes, encode and score it once."""
     return value_strings(token_texts, model.predict_tags(token_texts, attribute))
 
 

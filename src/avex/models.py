@@ -23,26 +23,27 @@ example's tags are its targets and a Viterbi path maps straight to BIOE
 tags.  For "n_tag_sets" the training set is first merged into one joint
 sequence per product, and a path is projected onto the requested
 attribute.  Everything else is shared: ``loss`` (training) and
-``predict_batch`` (evaluation) score a batch of several chains with the
+``predict_batch`` (evaluation) score a batch of chains with the
 same forward and end in one ``chain_nll`` node or in one ``best_paths``
 recursion over all its chains.  A model also exposes ``params``, the
 registry that the optimizer and the checkpoint writer read, and
 ``prepare_examples``, the adaptor's view of the training set.
 
-The forward groups a batch's chains by the route's encoder and decoder.
-Each encoder runs once over the distinct texts of its chains, as one
-packed node per direction (or, for one text under ``no_grad``, one walk
-of the LSTM step kernel over both directions with no node), so the
-attributes of one product share encoder states; the batch's decoders are
-generated (or stacked) in one go; one emissions node scores every chain.
-Under ``no_grad`` the model builds every decoder at once and keeps them
-until a parameter they read is written (``Tensor.version``).  A
-prediction of one chain (one attribute of one text, as ``predict_tags``
-and ``extract`` ask) takes none of the batch layout: per encoder the
-model keeps the emission scores of the last text, one product of its
-states with every decoder routed to that encoder, with whether each
-decoder's scores are finite, so the attributes of one text encode and
-score it once and each is decoded from its columns.
+The caller picks the path.  ``loss`` and ``predict_batch`` take a batch:
+its forward groups the chains by the route's encoder and decoder.  Each
+encoder runs once over the distinct texts of its chains, as one packed
+node per direction, so the attributes of one product share encoder
+states; the batch's decoders are generated (or stacked) in one go; one
+emissions node scores every chain.  Under ``no_grad`` the model builds
+every decoder at once and keeps them until a parameter they read is
+written (``Tensor.version``).  ``predict_tags`` serves one chain (one
+attribute of one text, as ``evaluation.extract`` and ``avex extract``
+ask) and takes none of the batch layout: per encoder the model keeps the
+emission scores of the last text, one product of its states (one walk of
+the LSTM step kernel over both directions, with no node) with every
+decoder routed to that encoder, with whether each decoder's scores are
+finite, so the attributes of one text encode and score it once and each
+is decoded from its columns.
 Nothing is kept while gradients are on: ``grad_check`` perturbs
 parameters in place.
 """
@@ -68,7 +69,7 @@ from .adaptive_decoder import (
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
 from .autodiff import Tensor, concat, grad_enabled, no_grad, reuse, row, stack
 from .corpus import AttributeVocab, Token
-from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch
+from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch, encode_text
 from .errors import DataError
 from .tagging import (
     NUM_TAGS,
@@ -425,7 +426,7 @@ class Model:
         lo, hi, _ = self._blocks[enc]
         dec, _ = self._kept_decoders()
         W, b = dec.W.data[lo:hi], dec.b.data[lo:hi]
-        H = encode_batch((text,), table, fwd, bwd).data
+        H = encode_text(text, table, fwd, bwd)
         block = emission_scores(H, W.reshape(-1, W.shape[-1]), b.reshape(-1))
         return block, np.isfinite(block).reshape(len(text), hi - lo, -1).all(axis=(0, 2)).tolist()
 
@@ -440,22 +441,23 @@ class Model:
         return chain_nll(P, T, targets, lengths, decoders)
 
     def predict_batch(self, chains) -> list[list[str]]:
-        """Tags of (token_texts, attribute) chains: one forward under
-        no_grad, then one Viterbi recursion over all the chains.  A batch
-        of one chain, such as one attribute of one ``extract`` text, is
-        read from the kept scores of its text and, over at most
-        ``NUM_TAGS`` tags, decoded by ``_one_path`` alone."""
+        """Tags of a batch of (token_texts, attribute) chains, as evaluation
+        asks: one forward under no_grad, then one ``best_paths`` recursion
+        over all the chains."""
         with no_grad():
-            if len(chains) > 1:
-                paths = best_paths(*self._scores(chains))
-            else:
-                P, T = self._one_chain(*chains[0])
-                paths = [_one_path(P, T)] if len(T) <= NUM_TAGS else best_paths(P, T)
+            paths = best_paths(*self._scores(chains))
         return [self.adaptor.tags(path, attribute)
                 for path, (_, attribute) in zip(paths, chains)]
 
     def predict_tags(self, token_texts, attribute) -> list[str]:
-        return self.predict_batch([(token_texts, attribute)])[0]
+        """Tags of one chain, a served request: its columns of the kept
+        scores of its text (``_one_chain``), decoded over the BIOE tags by
+        ``_one_path`` and over the joint tags of "n_tag_sets" by
+        ``best_paths``."""
+        with no_grad():
+            P, T = self._one_chain(token_texts, attribute)
+        path = _one_path(P, T) if len(T) <= NUM_TAGS else best_paths(P, T)[0]
+        return self.adaptor.tags(path, attribute)
 
 
 def derive_word_itos(variant: str, examples) -> dict[str, list[str]]:

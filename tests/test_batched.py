@@ -18,6 +18,7 @@ from avex import autodiff as ad
 from avex.adaptive_decoder import (
     HyperNetwork,
     TransitionMoe,
+    _one_path,
     best_paths,
     build_decoder,
     chain_nll,
@@ -201,8 +202,9 @@ def test_one_chain_paths_equal_the_batched_recursion(m, n, other, first, seed):
         values = rng.integers(-1, 2, size=shape).astype(float)
         return np.where(rng.random(shape) < 0.5, -values, values)  # -0.0 too
     P, T = scores((m, n)), scores((m, m))
-    (alone,) = best_paths(P, T)
-    # Beside a second chain the same chain takes the numpy recursion.
+    alone = _one_path(P, T)
+    # The numpy recursion, on the chain alone and beside a second chain.
+    assert best_paths(P, T) == [alone]
     P2, T2 = scores((m, other)), scores((m, m))
     if first:
         paths = best_paths(np.hstack([P, P2]), np.stack([T, T2]), [n, other], [0, 1])
@@ -216,19 +218,28 @@ def test_one_chain_paths_equal_the_batched_recursion(m, n, other, first, seed):
 
 
 def test_only_one_chain_over_bioe_tags_takes_the_float_recursion(monkeypatch):
-    from avex import adaptive_decoder
-    rng = np.random.default_rng(16)
-    calls, packs = [], []
-    real, real_pack = adaptive_decoder._one_path, adaptive_decoder.packed_steps
-    monkeypatch.setattr(adaptive_decoder, "_one_path",
-                        lambda *a: calls.append(a) or real(*a))
-    monkeypatch.setattr(adaptive_decoder, "packed_steps",
-                        lambda *a: packs.append(a) or real_pack(*a))
-    best_paths(rng.normal(size=(NUM_TAGS, 3)), rng.normal(size=(NUM_TAGS, NUM_TAGS)))
-    assert len(calls) == 1 and not packs  # no packing for one chain
-    best_paths(rng.normal(size=(NUM_TAGS, 5)), rng.normal(size=(NUM_TAGS, NUM_TAGS)), [2, 3])
-    best_paths(rng.normal(size=(JOINT_TAGS, 3)), rng.normal(size=(JOINT_TAGS, JOINT_TAGS)))
-    assert len(calls) == 1
+    # The caller picks the path: a served chain over the BIOE tags is
+    # decoded by _one_path with no packing; a served chain over the joint
+    # tags of n_tag_sets, and a batch, even of one chain, take best_paths.
+    from avex import adaptive_decoder, models
+    from test_models import build
+    calls = {}
+    for module, name in ((models, "_one_path"), (models, "best_paths"),
+                         (adaptive_decoder, "packed_steps")):
+        real = getattr(module, name)
+        calls[name] = []
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, seen=calls[name]: seen.append(a) or real(*a))
+    counts = lambda: [len(calls[name]) for name in ("_one_path", "best_paths", "packed_steps")]
+    text = ["white", "cotton", "towel"]
+    model, _, _ = build("bilstm_multicrf")
+    served = model.predict_tags(text, "Color")
+    assert counts() == [1, 0, 0]
+    assert model.predict_batch([(text, "Color")]) == [served]
+    assert counts() == [1, 1, 1]
+    joint, _, _ = build("n_tag_sets")
+    joint.predict_tags(text, "Color")
+    assert counts() == [1, 2, 2]
 
 
 def test_emissions_rows_gather_repeated_encoder_rows():

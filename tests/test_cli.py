@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -177,14 +178,20 @@ def test_extract_encodes_the_text_once(pipeline, capsys, monkeypatch):
     for attr in ("Scent", "Color"):  # a fresh model each, so nothing is reused
         fresh = training.load_checkpoint(pipeline["stem"])
         expected[attr] = sorted(evaluation.extract(fresh, tokens, attr))
-    calls = []
-    real = models.encode_batch
-    monkeypatch.setattr(models, "encode_batch",
-                        lambda *args: calls.append(args) or real(*args))
+    # A request per attribute: one walk over the text, and no emissions
+    # node, packed encoder node or best_paths recursion of the batch path.
+    calls = {}
+    for name in ("encode_text", "encode_batch", "emissions", "best_paths"):
+        real = getattr(models, name)
+        calls[name] = []
+        monkeypatch.setattr(models, name,
+                            lambda *args, real=real, seen=calls[name]: seen.append(args)
+                            or real(*args))
     rc = cli.main(["extract", "--checkpoint", str(pipeline["stem"]),
                    "--attr", "Scent,Color", "--text", text])
     assert rc == 0
-    assert len(calls) == 1
+    assert {name: len(seen) for name, seen in calls.items()} == \
+        {"encode_text": 1, "encode_batch": 0, "emissions": 0, "best_paths": 0}
     assert capsys.readouterr().out == \
         json.dumps(expected, ensure_ascii=False, indent=2) + "\n"
 
@@ -357,6 +364,23 @@ def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command, tens
     assert _run_on_checkpoint(pipeline, command, stem) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and tensor in err
+
+
+@pytest.mark.parametrize("command", ("extract", "eval"))
+def test_largest_float32_weights_decode_without_a_warning(pipeline, tmp_path, capsys,
+                                                         command):
+    # Every payload value at ±float32 max: the float64 scores stay finite,
+    # so the command succeeds and numpy prints no warning.
+    stem, manifest = _copy_checkpoint(pipeline, tmp_path)
+    rng = np.random.default_rng(5)
+    largest = np.finfo(np.float32).max
+    count = manifest["payload_bytes"] // 4
+    payload = np.where(rng.random(count) < 0.5, -largest, largest).astype("<f4")
+    stem.with_suffix(".bin").write_bytes(payload.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_on_checkpoint(pipeline, command, stem) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_param_count_from_flags(capsys):

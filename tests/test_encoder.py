@@ -15,6 +15,7 @@ from avex.encoder import (
     LstmCell,
     WordEmbeddingTable,
     encode_batch,
+    encode_text,
     load_word_vectors,
     lstm_layer,
 )
@@ -293,28 +294,33 @@ def test_encode_batch_shape():
        tokens=st.lists(st.sampled_from(["red", "towel", "set", "zebra"]),
                        min_size=1, max_size=8))
 def test_one_text_walk_matches_the_packed_layers(d, h, seed, tokens):
-    # Gradients on, one text takes the two packed lstm_layer nodes; under
-    # no_grad it takes the merged walk, which must give the same bits.
+    # The two packed lstm_layer nodes of encode_batch, with gradients on
+    # and off, and the one walk of encode_text give the same bits.
     rng = np.random.default_rng(seed)
     table = WordEmbeddingTable.build(["red", "towel", "set"], {}, d, rng)
     f_cell, b_cell = make_cell(rng, d, h), make_cell(rng, d, h)
     packed = encode_batch([tokens], table, f_cell, b_cell)
     with ad.no_grad():
-        walked = encode_batch([tokens], table, f_cell, b_cell)
-    assert packed._parents and not walked._parents
-    assert walked.data.shape == (len(tokens), 2 * h)
-    np.testing.assert_array_equal(walked.data, packed.data)
+        unrecorded = encode_batch([tokens], table, f_cell, b_cell)
+        walked = encode_text(tokens, table, f_cell, b_cell)
+    assert packed._parents and not unrecorded._parents
+    assert isinstance(walked, np.ndarray) and walked.shape == (len(tokens), 2 * h)
+    np.testing.assert_array_equal(unrecorded.data, packed.data)
+    np.testing.assert_array_equal(walked, packed.data)
 
 
 # The last column gives D, the directions side by side, of each call to
-# the one LSTM step kernel: one text under no_grad walks both in one call.
-@pytest.mark.parametrize("texts, recording, layers, kernel", [
-    ([["a", "b"]], False, 0, [2]),
-    ([["a", "b"]], True, 2, [1, 1]),
-    ([["a"], ["b", "a"]], False, 2, [1, 1]),
-], ids=["texts0-False-0", "texts1-True-2", "texts2-False-2"])
+# the one LSTM step kernel: encode_batch runs one packed node per
+# direction whatever its texts and whether gradients are on, and
+# encode_text walks both directions of its one text in one call.
+@pytest.mark.parametrize("encode, texts, recording, layers, kernel", [
+    (encode_batch, [["a", "b"]], False, 2, [1, 1]),
+    (encode_batch, [["a", "b"]], True, 2, [1, 1]),
+    (encode_batch, [["a"], ["b", "a"]], False, 2, [1, 1]),
+    (encode_text, ["a", "b"], False, 0, [2]),
+], ids=["texts0-False-0", "texts1-True-2", "texts2-False-2", "text-False-0"])
 def test_only_one_text_without_gradients_skips_the_packed_layers(
-        monkeypatch, texts, recording, layers, kernel):
+        monkeypatch, encode, texts, recording, layers, kernel):
     rng = np.random.default_rng(13)
     table = WordEmbeddingTable.build(["a", "b"], {}, 3, rng)
     cell = make_cell(rng, 3, 2)
@@ -326,7 +332,7 @@ def test_only_one_text_without_gradients_skips_the_packed_layers(
                         lambda gates, *args: directions.append(gates.shape[1])
                         or steps(gates, *args))
     with nullcontext() if recording else ad.no_grad():
-        encode_batch(texts, table, cell, cell)
+        encode(texts, table, cell, cell)
     assert len(calls) == layers
     assert directions == kernel
 

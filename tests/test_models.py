@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_parameter_write_between_extracts_changes_result(write):
 def test_encoder_states_shared_only_between_attributes_of_one_encoder(
         variant, monkeypatch):
     model, vocab, _ = build(variant)
-    calls = _count_calls(monkeypatch, "encode_batch")
+    calls = _count_calls(monkeypatch, "encode_text")
     text = ["white", "cotton", "towel"]
     for _ in range(2):
         for a in vocab.ids():
@@ -347,6 +348,9 @@ def test_one_chain_is_scored_without_an_emissions_node(variant, monkeypatch):
 NOT_FINITE = "best_paths: chain 0 has emission or transition scores that are not finite"
 
 
+# Corrupted weights make numpy warn in the emission product before the
+# model refuses the chain.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_scores_refuse_only_their_chain():
     # bilstm_multicrf: Color's CRF can be corrupted alone.  Its transition
     # table is checked once per kept decoders, its emission columns once
@@ -380,6 +384,22 @@ def test_non_finite_hypernetwork_refuses_every_attribute():
     for a in vocab.ids():
         with pytest.raises(NumericError, match=NOT_FINITE):
             model.predict_tags(text, a)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_largest_checkpoint_values_decode_without_a_warning(variant):
+    # A loaded checkpoint holds finite float32 values, and even at
+    # ±float32 max no score overflows float64: decoding warns of nothing.
+    model, vocab, _ = build(variant)
+    rng = np.random.default_rng(7)
+    largest = float(np.finfo(np.float32).max)
+    for _, t in model.params.items():
+        t.data = np.where(rng.random(t.data.shape) < 0.5, -largest, largest)
+    chains = [(["white", "cotton", "towel"], a) for a in vocab.ids()] + [(["rose"], "Scent")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tags = [model.predict_tags(*chain) for chain in chains]
+        assert model.predict_batch(chains) == tags
 
 
 def _four_attribute_model(variant):
