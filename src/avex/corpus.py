@@ -26,8 +26,9 @@ from .tagging import OUTSIDE, Span, first_fit, spans_to_tags, tag_indices, value
 SETTINGS = ("title", "title_plus_bullets")
 FIELD_SEPARATOR = "."
 
-_PUNCT = frozenset(string.punctuation)
-_CHUNK = re.compile(r"\S+")
+# One ASCII punctuation mark, or a run of non-space characters that starts
+# and ends with a character that is not one.
+_TOKEN = re.compile(r"[{0}]|[^\s{0}](?:\S*[^\s{0}])?".format(re.escape(string.punctuation)))
 _CAMEL_1 = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _CAMEL_2 = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
 
@@ -130,22 +131,7 @@ def tokenize(text: str) -> list[Token]:
 
     Offsets index the original string, so source[start:end] == token.
     """
-    tokens = []
-    for m in _CHUNK.finditer(text):
-        chunk, base = m.group(), m.start()
-        s, e = 0, len(chunk)
-        left = []
-        while s < e and chunk[s] in _PUNCT:
-            left.append((chunk[s], s))
-            s += 1
-        right = []
-        while e > s and chunk[e - 1] in _PUNCT:
-            right.append((chunk[e - 1], e - 1))
-            e -= 1
-        pieces = left + ([(chunk[s:e], s)] if e > s else []) + right[::-1]
-        for text_piece, off in pieces:
-            tokens.append(Token(text_piece, base + off, base + off + len(text_piece)))
-    return tokens
+    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
 def value_tokens(values) -> dict[str, list[str]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import files
-from .autodiff import Tensor, as_tensor, concat, fused, grad_enabled, packed_steps, reuse, row
+from .autodiff import Tensor, as_tensor, concat, fused, packed_steps, reuse, row
 from .errors import DataError
 
 PAD = "<pad>"
@@ -100,14 +100,13 @@ class WordEmbeddingTable:
         i = lookup_word(self.stoi, token)
         return self.stoi[UNK] if i is None else i
 
+    def indices(self, token_texts) -> list[int]:
+        """The tokens' rows of the matrix (each from ``stoi``, or UNK's)."""
+        return [self.index(t) for t in token_texts]
+
     def embed(self, token_texts) -> Tensor:
-        """The tokens' rows as one (n, d_word) matrix: a ``row`` node, or
-        under no_grad the rows gathered with no node (an index comes from
-        ``stoi`` or is UNK's, so it is a row of the matrix)."""
-        indices = [self.index(t) for t in token_texts]
-        if grad_enabled():
-            return row(self.matrix, indices)
-        return Tensor(self.matrix.data[indices])
+        """The tokens' rows as one (n, d_word) ``row`` node."""
+        return row(self.matrix, self.indices(token_texts))
 
 
 @dataclass
@@ -270,10 +269,11 @@ def encode_text(tokens, table: WordEmbeddingTable,
     each.  The products and the operation order are those of
     ``lstm_layer``, so the states are the bits of ``encode_batch`` on the
     one text, without the cost of two graph nodes and their
-    concatenation.  It makes no node: a served request calls it under
+    concatenation.  It makes no node, the word rows included: they are
+    gathered from the table's matrix.  A served request calls it under
     no_grad (``Model.predict_tags``).
     """
-    X = table.embed(tokens).data
+    X = table.matrix.data[table.indices(tokens)]
     (W_f, W_hf, b_f), (W_b, W_hb, b_b) = forward_cell.gate_stack(), backward_cell.gate_stack()
     gates = np.empty((len(X), 2, b_f.size))  # step-major, forward then backward
     gates[:, 0] = X @ W_f + b_f

@@ -34,18 +34,18 @@ its forward groups the chains by the route's encoder and decoder.  Each
 encoder runs once over the distinct texts of its chains, as one packed
 node per direction, so the attributes of one product share encoder
 states; the batch's decoders are generated (or stacked) in one go; one
-emissions node scores every chain.  Under ``no_grad`` the model builds
-every decoder at once and keeps them until a parameter they read is
-written (``Tensor.version``).  ``predict_tags`` serves one chain (one
-attribute of one text, as ``evaluation.extract`` and ``avex extract``
-ask) and takes none of the batch layout: per encoder the model keeps the
-emission scores of the last text, one product of its states (one walk of
-the LSTM step kernel over both directions, with no node) with every
-decoder routed to that encoder, with whether each decoder's scores are
-finite, so the attributes of one text encode and score it once and each
-is decoded from its columns.
-Nothing is kept while gradients are on: ``grad_check`` perturbs
-parameters in place.
+emissions node scores every chain.  ``predict_tags`` serves one chain
+(one attribute of one text, as ``evaluation.extract`` and ``avex
+extract`` ask) and takes none of the batch layout: per encoder the model
+keeps, for the last text, one product of its states (one walk of the
+LSTM step kernel over both directions, with no node) with every decoder
+routed to that encoder, their transition tables, and one verdict per
+decoder on whether its columns and table are finite, so the attributes
+of one text encode and score it once and each is decoded from its
+columns.  Under ``no_grad`` the decoders, built all at once, and these
+entries are kept until any tensor of ``params`` is assigned
+(``Tensor.version``).  Nothing is kept while gradients are on:
+``grad_check`` perturbs parameters in place.
 """
 
 from __future__ import annotations
@@ -241,8 +241,7 @@ class Model:
             fwd, bwd = (_make_cell(self.params, f"{prefix}/lstm_{d}", group,
                                    config.d_word, config.d_h // 2, rng)
                         for d in ("fwd", "bwd"))
-            self._encoders.append(((table, fwd, bwd),
-                                   (table.matrix, *fwd.tensors(), *bwd.tensors())))
+            self._encoders.append((table, fwd, bwd))
             return len(self._encoders) - 1
 
         def crf(prefix, group):
@@ -256,7 +255,7 @@ class Model:
         # attribute -> (its encoder in _encoders, its decoder's slot: a row
         # of w_att for a generated decoder, else a place in _decoders)
         self._route: dict[str, tuple[int, int]] = {}
-        self._encoders: list[tuple] = []  # ((table, fwd, bwd), the tensors read)
+        self._encoders: list[tuple] = []  # (table, fwd, bwd)
         self._decoders: list[DecoderInstance] = []
         if config.variant == "per_attribute":
             for a in ids:
@@ -279,15 +278,13 @@ class Model:
                 self._make_generator(attr_table, rng)
                 slots = range(len(ids))
             self._route = {a: (shared, slot) for a, slot in zip(ids, slots)}
-        if self._attr_info is None:
-            self._decoder_reads = tuple(t for d in self._decoders for t in (d.W, d.b, d.T))
-        self._slots = sorted({slot for _, slot in self._route.values()})  # kept decoders
-        # Per encoder, the decoders from the lowest to the highest that its
-        # attributes use, and the tensors its kept emission block reads.
+        # Per encoder, the decoders from the lowest to the highest it routes to.
         self._blocks = []
-        for enc, (_, reads) in enumerate(self._encoders):
+        for enc in range(len(self._encoders)):
             used = [slot for e, slot in self._route.values() if e == enc]
-            self._blocks.append((min(used), max(used) + 1, reads + self._decoder_reads))
+            self._blocks.append((min(used), max(used) + 1))
+        # What every kept result is stamped with (see ``autodiff.reuse``).
+        self._tensors = tuple(t for _, t in self.params.items())
 
     def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
         """Attribute table, hypernetwork and transition mixture of adatag."""
@@ -313,7 +310,6 @@ class Model:
             add("moe/b_moe", _uniform(rng, (k,), d_r), "moe"),
             experts,
         )
-        self._decoder_reads = (self.w_att, *self.hyper.tensors(), *self.moe.tensors())
 
     def word_vocabs(self):
         return {scope: list(t.itos) for scope, t in self.word_tables.items()}
@@ -342,13 +338,12 @@ class Model:
             raise DataError(f"chain {i} ({attribute!r}) has no tokens")
         return route
 
-    def _kept_decoders(self) -> tuple[DecoderInstance, list[bool]]:
-        """Every decoder of the model, stacked, with whether each one's
-        transition table is finite; kept under no_grad."""
-        def build():
-            dec = self._stacked_decoders(self._slots)
-            return dec, np.isfinite(dec.T.data).all(axis=(-2, -1)).tolist()
-        return reuse(self._cache, "decoders", self._decoder_reads, build)
+    def _kept_decoders(self) -> DecoderInstance:
+        """Every decoder of the model, stacked; kept under no_grad until any
+        parameter is assigned."""
+        slots = sorted({slot for _, slot in self._route.values()})
+        return reuse(self._cache, "decoders", self._tensors,
+                     lambda: self._stacked_decoders(slots))
 
     def _scores(self, chains):
         """Emission columns (m, N) and stacked transition tables of
@@ -375,14 +370,14 @@ class Model:
             distinct = tuple(text for e, text in first if e == enc)
             for text in distinct:
                 first[enc, text], total = total, total + len(text)
-            (table, fwd, bwd), _ = self._encoders[enc]
+            table, fwd, bwd = self._encoders[enc]
             states.append(encode_batch(distinct, table, fwd, bwd))
         if grad_enabled():
             used = list(dict.fromkeys(slots))
             slots = [used.index(s) for s in slots]
             dec = self._stacked_decoders(used)
         else:
-            dec, _ = self._kept_decoders()
+            dec = self._kept_decoders()
         # Each column's row of the encoder states (in order when every
         # chain has a text of its own and one encoder) and decoder.
         rows = None
@@ -398,37 +393,38 @@ class Model:
         """Emission columns (m, n) and transition table (m, m) of one chain,
         as arrays: no graph and no batch layout.
 
-        Per encoder the scores of the last text are kept: one
+        Per encoder one entry is kept for the last text: one
         ``emission_scores`` product of its states against every decoder
         routed to that encoder, laid end to end as (n, A·m), the product
-        ``emissions`` makes for a batch of those attributes, with whether
-        each decoder's columns are finite.  The block is kept until the
-        text changes or a parameter that the encoder or the decoders read
-        is assigned; like the kept decoders, it does not see writes into a
-        tensor's ``.data``.  A chain's columns are a view of the block.
-        Scores that are not finite raise ``best_paths``' NumericError.
+        ``emissions`` makes for a batch of those attributes, with their
+        transition tables and whether each decoder's columns and table are
+        finite.  It is kept until the text changes or any parameter is
+        assigned; like the kept decoders, it does not see writes into a
+        tensor's ``.data``.  Scores that are not finite raise
+        ``best_paths``' NumericError.
         """
         enc, slot = self._resolve(0, tokens, attribute)
-        lo, _, reads = self._blocks[enc]
         text = tuple(tokens)
-        block, finite = reuse(self._cache, enc, reads,
-                              lambda: self._text_scores(enc, text), text)
-        dec, finite_T = self._kept_decoders()
-        j, m = slot - lo, self.adaptor.num_tags
-        if not (finite[j] and finite_T[slot]):
+        block, tables, finite = reuse(self._cache, enc, self._tensors,
+                                      lambda: self._text_scores(enc, text), text)
+        j, m = slot - self._blocks[enc][0], self.adaptor.num_tags
+        if not finite[j]:
             raise _not_finite(0)
-        return block[:, j * m:(j + 1) * m].T, dec.T.data[slot]
+        return block[:, j * m:(j + 1) * m].T, tables[j]
 
     def _text_scores(self, enc, text):
         """The emission block (n, A·m) of one text under encoder ``enc``'s
-        decoders, and whether each decoder's columns are finite."""
-        (table, fwd, bwd), _ = self._encoders[enc]
-        lo, hi, _ = self._blocks[enc]
-        dec, _ = self._kept_decoders()
-        W, b = dec.W.data[lo:hi], dec.b.data[lo:hi]
+        decoders, their transition tables (a view of the kept decoders),
+        and whether each decoder's columns and table are finite."""
+        table, fwd, bwd = self._encoders[enc]
+        lo, hi = self._blocks[enc]
+        dec = self._kept_decoders()
+        W, b, T = dec.W.data[lo:hi], dec.b.data[lo:hi], dec.T.data[lo:hi]
         H = encode_text(text, table, fwd, bwd)
         block = emission_scores(H, W.reshape(-1, W.shape[-1]), b.reshape(-1))
-        return block, np.isfinite(block).reshape(len(text), hi - lo, -1).all(axis=(0, 2)).tolist()
+        finite = np.isfinite(block).reshape(len(text), hi - lo, -1).all(axis=(0, 2)) \
+            & np.isfinite(T).all(axis=(1, 2))
+        return block, T, finite.tolist()
 
     def loss(self, batch) -> Tensor:
         """Mean NLL of a batch of examples, scored as one graph."""

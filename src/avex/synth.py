@@ -102,6 +102,8 @@ def generate(spec: SynthSpec) -> SynthCorpus:
     """Deterministic corpus for a spec: same seed, same corpus."""
     if spec.seed < 0:
         raise DataError(f"seed must be >= 0, got {spec.seed}")
+    if spec.vector_dim < 1:
+        raise DataError(f"vector_dim must be >= 1, got {spec.vector_dim}")
     rng = np.random.default_rng(spec.seed)
     products = []
     manifest = {"train": [], "dev": [], "test": []}

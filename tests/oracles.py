@@ -14,6 +14,8 @@ Python loop.
 """
 
 import itertools
+import re
+import string
 
 import numpy as np
 
@@ -288,3 +290,25 @@ def per_chain_emissions(H, W, b):
     per-step autodiff ops: W @ H.T + b."""
     W, b = as_tensor(W), as_tensor(b)
     return matmul(W, transpose(H)) + reshape(b, (W.data.shape[0], 1))
+
+
+def reference_tokenize(text: str):
+    """(text, start, end) of each token: split on whitespace, then peel
+    ASCII punctuation off both ends of each chunk one mark at a time."""
+    tokens = []
+    for m in re.finditer(r"\S+", text):
+        chunk_start, chunk = m.start(), m.group()
+        s, e = 0, len(chunk)
+        left = []
+        while s < e and chunk[s] in string.punctuation:
+            left.append((chunk[s], s))
+            s += 1
+        right = []
+        while e > s and chunk[e - 1] in string.punctuation:
+            right.append((chunk[e - 1], e - 1))
+            e -= 1
+        pieces = left + ([(chunk[s:e], s)] if e > s else []) + right[::-1]
+        for piece, off in pieces:
+            tokens.append((piece, chunk_start + off, chunk_start + off + len(piece)))
+    return tokens
+

@@ -697,6 +697,8 @@ WRONG_FIELD = {
     "synth-spec-negative-vector-dim": (
         "synth", "spec", _spec(top=b'"vector_dim": -1, '),
         "synth spec {} 'vector_dim' must be non-negative int | None, got -1"),
+    "synth-spec-zero-vector-dim": (
+        "synth", "spec", _spec(top=b'"vector_dim": 0, '), "vector_dim must be >= 1, got 0"),
     "synth-spec-count-past-float-range": (
         "synth", "spec", _spec(b', "train": 1e400'),
         "synth spec {}: attributes[0] 'train' must be non-negative int | None, "

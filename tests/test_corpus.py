@@ -25,6 +25,7 @@ from avex.corpus import (
 )
 from avex.errors import DataError
 from avex.tagging import Span, span_text
+from oracles import reference_tokenize
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -59,6 +60,11 @@ def test_tokenize_all_punct_chunk():
 def test_tokenize_offsets_index_the_source(text):
     for t in tokenize(text):
         assert text[t.start:t.end] == t.text
+
+
+@given(st.text() | st.text(st.sampled_from("ab,.-()/!\"' \t\n\u00a0\u2003\x1c")))
+def test_tokenize_equals_the_reference_tokenizer(text):
+    assert [(t.text, t.start, t.end) for t in tokenize(text)] == reference_tokenize(text)
 
 
 def test_tokenize_empty_and_whitespace():

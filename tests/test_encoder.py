@@ -263,21 +263,27 @@ def test_embed_gathers_rows_in_one_node():
     assert table.matrix.grad[table.stoi[UNK]].tolist() == [1.0] * 3
 
 
-def test_embed_under_no_grad_gathers_the_same_rows_without_a_node(monkeypatch):
+def test_encode_text_gathers_the_rows_of_embed_without_a_node(monkeypatch):
     rng = np.random.default_rng(10)
     table = WordEmbeddingTable.build(["red", "towel"], {}, 3, rng)
+    f_cell, b_cell = make_cell(rng, 3, 2), make_cell(rng, 3, 2)
     tokens = ["towel", "Red", "zebra", "towel"]
-    rows = []
-    real = encoder.row
-    monkeypatch.setattr(encoder, "row", lambda *a: rows.append(a) or real(*a))
     X = table.embed(tokens)
-    assert len(rows) == 1
     with ad.no_grad():
         Y = table.embed(tokens)
         assert table.embed([]).data.shape == (0, 3)
-    assert len(rows) == 1
     assert Y.data.tobytes() == X.data.tobytes()
     assert Y._parents == () and not Y.requires_grad
+    rows = []
+    real = encoder.row
+    monkeypatch.setattr(encoder, "row", lambda *a: rows.append(a) or real(*a))
+    with ad.no_grad():
+        walked = encode_text(tokens, table, f_cell, b_cell)
+    assert rows == []
+    # encode_text gathers the rows that embed picks, and its states are
+    # those of encode_batch, which embeds.
+    assert table.matrix.data[table.indices(tokens)].tobytes() == X.data.tobytes()
+    assert walked.tobytes() == encode_batch([tokens], table, f_cell, b_cell).data.tobytes()
 
 
 def test_encode_batch_shape():

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avex import evaluation
@@ -352,9 +352,9 @@ NOT_FINITE = "best_paths: chain 0 has emission or transition scores that are not
 # model refuses the chain.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_scores_refuse_only_their_chain():
-    # bilstm_multicrf: Color's CRF can be corrupted alone.  Its transition
-    # table is checked once per kept decoders, its emission columns once
-    # per kept block of the text.
+    # bilstm_multicrf: Color's CRF can be corrupted alone.  One verdict
+    # per decoder, kept with the scores of the text, covers its emission
+    # columns and its transition table.
     model, _, _ = build("bilstm_multicrf")
     text = ["white", "cotton", "towel"]
     color, scent = (model.predict_tags(text, a) for a in ("Color", "Scent"))
@@ -537,8 +537,20 @@ STEP = st.one_of(
               st.floats(-3.0, 3.0, allow_nan=False)))
 
 
+def _each_parameter_written(test):
+    """One example per variant and parameter: predict both attributes of a
+    text, write the parameter, predict them again."""
+    predict = [("predict", ["white", "cotton", "towel"], a) for a in ("Scent", "Color")]
+    for variant in VARIANTS:
+        for index in range(len(build(variant)[0].params.items())):
+            test = example(variant=variant,
+                           steps=predict + [("write", index, 0.5)] + predict)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(variant=st.sampled_from(VARIANTS), steps=st.lists(STEP, max_size=10))
+@_each_parameter_written
 def test_interleaved_predictions_equal_a_fresh_model(variant, steps):
     def write(model, index, delta):
         _name, t = model.params.items()[index % len(model.params.items())]
@@ -555,6 +567,10 @@ def test_interleaved_predictions_equal_a_fresh_model(variant, steps):
         for w in writes:
             write(fresh, *w)
         assert model.predict_tags(*args) == fresh.predict_tags(*args)
+        # The kept scores, too, are those of the written parameters.
+        with no_grad():
+            for kept, made in zip(model._one_chain(*args), fresh._one_chain(*args)):
+                assert kept.tobytes() == made.tobytes()
 
 
 def test_batch_encodes_each_text_of_a_product_once(monkeypatch):
