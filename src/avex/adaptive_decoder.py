@@ -139,14 +139,13 @@ def emissions(H, W, b, rows=None, decoders=None) -> Tensor:
     H, W, b = as_tensor(H), as_tensor(W), as_tensor(b)
     n_h, d_h = H.data.shape
     m = W.data.shape[-2]
+    rows = np.arange(n_h) if rows is None else np.asarray(rows, dtype=int)
+    decoders = np.zeros_like(rows) if decoders is None else np.asarray(decoders, dtype=int)
     # Only the decoders from the lowest to the highest a column uses take part.
-    lo, hi = (0, 1) if decoders is None else (min(decoders), max(decoders) + 1)
+    lo, hi = int(decoders.min()), int(decoders.max()) + 1
     flat = W.data.reshape(-1, d_h)[lo * m:hi * m]
     full = emission_scores(H.data, flat, b.data.reshape(-1)[lo * m:hi * m]).reshape(n_h, -1, m)
-    one = hi - lo == 1  # one decoder: no gather by decoder
-    index = (slice(None) if rows is None and one else
-             np.arange(n_h) if rows is None else np.asarray(rows, dtype=int),
-             0 if one else np.asarray(decoders, dtype=int) - lo)
+    index = (rows, decoders - lo)
 
     def vjp(g):
         G = np.zeros_like(full)

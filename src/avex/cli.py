@@ -49,8 +49,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--include-negatives", action="store_true")
 
     p = sub.add_parser("embed", help="build an attribute embedding table")
-    p.add_argument("--mode", required=True,
-                   choices=("uncontextualized", "contextualized", "random"))
+    p.add_argument("--mode", required=True, choices=attribute_embeddings.PROVENANCES)
     p.add_argument("--labeled", help="labeled examples (uncontextualized mode)")
     p.add_argument("--vectors", help="static word vectors (uncontextualized mode)")
     p.add_argument("--vocab", help="attribute vocabulary")

@@ -378,15 +378,12 @@ class Model:
             dec = self._stacked_decoders(used)
         else:
             dec = self._kept_decoders()
-        # Each column's row of the encoder states (in order when every
-        # chain has a text of its own and one encoder) and decoder.
-        rows = None
-        if total != sum(lengths) or len(states) > 1:
-            rows = [r for key, n in zip(keys, lengths)
-                    for r in range(first[key], first[key] + n)]
-        columns = [slot for slot, n in zip(slots, lengths) for _ in range(n)]
-        P = emissions(states[0] if len(states) == 1 else concat(states),
-                      dec.W, dec.b, rows, columns)
+        # Each column's row of the encoder states (its chain's first row
+        # plus its place in the chain) and decoder.
+        n = np.asarray(lengths)
+        shift = np.array([first[key] for key in keys]) - (np.cumsum(n) - n)
+        P = emissions(states[0] if len(states) == 1 else concat(states), dec.W, dec.b,
+                      np.arange(n.sum()) + np.repeat(shift, n), np.repeat(slots, n))
         return P, dec.T, lengths, slots
 
     def _one_chain(self, tokens, attribute):
@@ -428,6 +425,8 @@ class Model:
 
     def loss(self, batch) -> Tensor:
         """Mean NLL of a batch of examples, scored as one graph."""
+        if not batch:
+            raise DataError("empty batch")
         chains, targets = [], []
         for example in batch:
             attribute, target = self.adaptor.chain(example)
@@ -440,6 +439,8 @@ class Model:
         """Tags of a batch of (token_texts, attribute) chains, as evaluation
         asks: one forward under no_grad, then one ``best_paths`` recursion
         over all the chains."""
+        if not chains:
+            return []
         with no_grad():
             paths = best_paths(*self._scores(chains))
         return [self.adaptor.tags(path, attribute)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .corpus import AttributeVocab, Product, attribute_phrase, tokenize
+from .corpus import SPLITS, AttributeVocab, Product, attribute_phrase, tokenize
 from .errors import DataError
 
 VALUE_SLOT = "<value>"
@@ -106,11 +106,11 @@ def generate(spec: SynthSpec) -> SynthCorpus:
         raise DataError(f"vector_dim must be >= 1, got {spec.vector_dim}")
     rng = np.random.default_rng(spec.seed)
     products = []
-    manifest = {"train": [], "dev": [], "test": []}
+    manifest = {split: [] for split in SPLITS}
     words = set()
     for attr in spec.attributes:
         attr.validate()
-        for split in ("train", "dev", "test"):
+        for split in SPLITS:
             count = getattr(attr, split)
             pool = list(attr.values)
             if split == "train" and attr.train_value_limit is not None:

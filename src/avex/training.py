@@ -4,7 +4,8 @@ Batches average per-example NLLs.  A batch is scored as one graph
 (``Model.loss``): one packed LSTM node per direction, one generation of
 the batch's decoders, one emissions node and one CRF node, with every
 example still its own chain, so no padding enters the loss.  Early
-stopping watches dev macro-F1 with a patience counter, and the best
+stopping watches dev macro-F1: the best epoch is the first with the
+highest, training stops ``patience`` epochs after it, and the best
 epoch's parameters are what ends up in the checkpoint.  All arithmetic
 is float64; only serialization rounds to float32.
 """
@@ -23,9 +24,9 @@ import numpy as np
 from . import files
 from .attribute_embeddings import AttributeEmbeddingTable
 from .autodiff import Tensor
-from .corpus import AttributeVocab
+from .corpus import SETTINGS, AttributeVocab
 from .errors import DataError, NumericError
-from .evaluation import evaluate_model, macro
+from .evaluation import evaluate_model
 from .models import PAD, SHARED_SCOPE, UNK, VARIANTS, build_variant, derive_word_itos
 
 CHECKPOINT_FORMAT_VERSION = 2
@@ -69,7 +70,7 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:  # also refuses nan
             raise DataError(f"learning_rate must be positive and finite, "
                             f"got {self.learning_rate}")
-        if self.setting not in ("title", "title_plus_bullets"):
+        if self.setting not in SETTINGS:
             raise DataError(f"unknown setting {self.setting!r}")
         return self
 
@@ -263,19 +264,24 @@ def _example_ids(batch):
     return ids
 
 
+def _summary(history) -> dict:
+    """A fit's best epoch, the first with the highest dev F1, that F1, and
+    the epoch it stopped after, read off its epoch records."""
+    best = max(history, key=lambda e: e.dev_f1)  # max keeps the first of ties
+    return {"best_epoch": best.epoch, "best_dev_f1": best.dev_f1,
+            "stopped_epoch": history[-1].epoch}
+
+
 def _fit(model, optimizer, train_set, dev_examples, config, rng, label=""):
     """Generic epoch loop with early stopping on dev macro-F1.
 
-    Returns (per-epoch stats, best epoch, best dev F1, stopped epoch);
-    the model is left holding its best parameters.
+    Returns the per-epoch stats.  It stops once ``patience`` epochs have
+    passed since the best one (see ``_summary``), and leaves the model
+    holding that epoch's parameters.
     """
     trainable = optimizer.tensors
     history = []
-    best_f1 = -1.0
-    best_epoch = 0
     best_state = None
-    since_best = 0
-    stopped = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_set))
         total = 0.0
@@ -292,28 +298,22 @@ def _fit(model, optimizer, train_set, dev_examples, config, rng, label=""):
             loss.backward()
             optimizer.step()
             total += value * len(batch)
-        dev_report = evaluate_model(model, dev_examples)
-        f1 = dev_report.macro_f1
-        history.append(EpochStats(epoch, total / len(train_set), f1))
-        stopped = epoch
-        if f1 > best_f1:
-            best_f1 = f1
-            best_epoch = epoch
+        dev_f1 = evaluate_model(model, dev_examples).macro_f1
+        history.append(EpochStats(epoch, total / len(train_set), dev_f1))
+        best = _summary(history)["best_epoch"]
+        if best == epoch:
             # After the last allowed epoch the parameters in place are
             # the best: no copy to take, and none to restore.
             best_state = None if epoch == config.max_epochs \
                 else [t.data.copy() for t in trainable]
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
+        elif epoch - best >= config.patience:
+            break
     # The last batch's gradients, as large as the parameters, have no reader.
     optimizer.zero_grad()
     if best_state is not None:
         for t, saved in zip(trainable, best_state):
             t.data = saved
-    return history, best_epoch, best_f1, stopped
+    return history
 
 
 def model_config(config: TrainConfig,
@@ -346,39 +346,38 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
     word_itos = derive_word_itos(config.variant, train_examples)
     model = build_variant(config, vocab, word_itos, attr_table, vectors, rng)
 
-    report = TrainReport(config.variant, config.to_json())
+    # One fit per attribute for per_attribute, one for the whole model else:
+    # (attribute, its parameters, training examples, dev examples).
     if config.variant == "per_attribute":
-        per_attr = {}
-        stopped_max = 0
+        fits = []
         for a in vocab.ids():
             sub_train = [ex for ex in train_examples if ex.attribute == a]
             sub_dev = [ex for ex in dev_examples if ex.attribute == a]
             if not sub_train or not sub_dev:
                 raise DataError(f"attribute {a!r} lacks train or dev examples")
-            optimizer = Adam(model.params.in_group(a).values(), config.learning_rate)
-            history, best_epoch, best_f1, stopped = _fit(
-                model, optimizer, sub_train, sub_dev, config, rng, label=f" ({a})")
-            per_attr[a] = {
-                "epochs": [dataclasses.asdict(e) for e in history],
-                "best_epoch": best_epoch,
-                "best_dev_f1": best_f1,
-                "stopped_epoch": stopped,
-            }
-            stopped_max = max(stopped_max, stopped)
-        final = evaluate_model(model, dev_examples)
-        report.per_attribute = per_attr
-        report.best_dev_f1 = final.macro_f1
-        report.best_epoch = max(v["best_epoch"] for v in per_attr.values())
-        report.stopped_epoch = stopped_max
+            fits.append((a, model.params.in_group(a), sub_train, sub_dev))
     else:
         train_set = model.prepare_examples(train_examples)
-        optimizer = Adam(model.params.trainable().values(), config.learning_rate)
-        history, best_epoch, best_f1, stopped = _fit(
-            model, optimizer, train_set, dev_examples, config, rng)
-        report.epochs = history
-        report.best_epoch = best_epoch
-        report.best_dev_f1 = best_f1
-        report.stopped_epoch = stopped
+        fits = [(None, model.params.trainable(), train_set, dev_examples)]
+    histories = {}
+    for a, tensors, examples, dev in fits:
+        optimizer = Adam(tensors.values(), config.learning_rate)
+        histories[a] = _fit(model, optimizer, examples, dev, config, rng,
+                            label="" if a is None else f" ({a})")
+
+    if config.variant == "per_attribute":
+        entries = {a: {"epochs": [dataclasses.asdict(e) for e in history],
+                       **_summary(history)} for a, history in histories.items()}
+        # Top level: the latest best and stopping epochs, and the final
+        # model's dev F1 over every attribute.
+        report = TrainReport(
+            config.variant, config.to_json(), per_attribute=entries,
+            best_epoch=max(e["best_epoch"] for e in entries.values()),
+            best_dev_f1=evaluate_model(model, dev_examples).macro_f1,
+            stopped_epoch=max(e["stopped_epoch"] for e in entries.values()))
+    else:
+        history = histories[None]
+        report = TrainReport(config.variant, config.to_json(), history, **_summary(history))
         if config.variant == "n_tag_sets":
             report.dropped_spans = sum(ex.dropped_spans for ex in train_set)
 

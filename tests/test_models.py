@@ -183,6 +183,14 @@ def test_chain_without_tokens_is_data_error(call):
         run()
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_empty_batch(variant):
+    model, *_ = build(variant)
+    with pytest.raises(DataError, match="empty batch"):
+        model.loss([])
+    assert model.predict_batch([]) == []
+
+
 def test_multicrf_per_attribute_decoders():
     model, vocab, _ = build("bilstm_multicrf")
     decoder_names = set(model.params.in_group("decoder"))

@@ -520,6 +520,33 @@ def test_best_last_epoch_keeps_its_parameters(monkeypatch):
         np.testing.assert_array_equal(t.data, seen[2][name])
 
 
+# (dev F1 per epoch, patience, best epoch, stopped epoch), worked out by
+# hand: the best epoch is the first with the highest F1, and training stops
+# once `patience` epochs have passed since it.  One F1 per allowed epoch.
+EARLY_STOPPING_CASES = {
+    "tie-keeps-the-first": ([0.5, 0.7, 0.7, 0.7, 0.7], 2, 2, 4),
+    "tie-at-the-last-epoch": ([0.4, 0.6, 0.6], 5, 2, 3),
+    "plateau-of-patience-stops": ([0.3, 0.8, 0.5, 0.5, 0.5, 0.9], 3, 2, 5),
+    "plateau-one-shorter-runs-on": ([0.3, 0.8, 0.5, 0.5, 0.9, 0.6], 3, 5, 6),
+    "best-last-epoch": ([0.1, 0.2, 0.3], 1, 3, 3),
+    "patience-beyond-max-epochs": ([0.9, 0.1, 0.1, 0.1], 10, 1, 4),
+}
+
+
+@pytest.mark.parametrize("f1s, patience, best, stopped",
+                         EARLY_STOPPING_CASES.values(), ids=EARLY_STOPPING_CASES)
+def test_early_stopping_reads_the_dev_f1_sequence(monkeypatch, f1s, patience, best, stopped):
+    seen = _scripted_dev_f1(monkeypatch, f1s)
+    *_, report, model = run_micro_train(max_epochs=len(f1s), patience=patience,
+                                        batch_size=6)
+    assert (report.best_epoch, report.best_dev_f1, report.stopped_epoch) \
+        == (best, f1s[best - 1], stopped)
+    assert len(report.epochs) == len(seen) == stopped
+    assert [e.dev_f1 for e in report.epochs] == f1s[:stopped]
+    for name, t in model.params.trainable().items():
+        np.testing.assert_array_equal(t.data, seen[best - 1][name])
+
+
 def test_one_epoch_leaves_versions_at_the_adam_step_count():
     # No snapshot taken and none restored: every assignment is an Adam step.
     _, by_split, _, report, model = run_micro_train(max_epochs=1)
