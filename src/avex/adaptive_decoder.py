@@ -133,27 +133,24 @@ def emissions(H, W, b, rows=None, decoders=None) -> Tensor:
     stack of A, (A, m, d_h) and (A, m).  Column j is decoder
     ``decoders[j]`` (default 0) applied to row ``rows[j]`` of H (default
     j), so the result is (m, N) for N = len(rows).  One node: the forward
-    (``emission_scores``) and each gradient are one product of H with the
-    decoders from the lowest to the highest that a column uses.
+    (``emission_scores``) and each gradient are one product of H with
+    every decoder it is handed.
     """
     H, W, b = as_tensor(H), as_tensor(W), as_tensor(b)
     n_h, d_h = H.data.shape
     m = W.data.shape[-2]
     rows = np.arange(n_h) if rows is None else np.asarray(rows, dtype=int)
     decoders = np.zeros_like(rows) if decoders is None else np.asarray(decoders, dtype=int)
-    # Only the decoders from the lowest to the highest a column uses take part.
-    lo, hi = int(decoders.min()), int(decoders.max()) + 1
-    flat = W.data.reshape(-1, d_h)[lo * m:hi * m]
-    full = emission_scores(H.data, flat, b.data.reshape(-1)[lo * m:hi * m]).reshape(n_h, -1, m)
-    index = (rows, decoders - lo)
+    flat = W.data.reshape(-1, d_h)
+    full = emission_scores(H.data, flat, b.data.reshape(-1)).reshape(n_h, -1, m)
+    index = (rows, decoders)
 
     def vjp(g):
         G = np.zeros_like(full)
         np.add.at(G, index, g.T)
         G = G.reshape(n_h, -1)
-        dW, db = np.zeros((W.data.size // d_h, d_h)), np.zeros(b.data.size)
-        dW[lo * m:hi * m], db[lo * m:hi * m] = G.T @ H.data, G.sum(axis=0)
-        return G @ flat, dW.reshape(W.data.shape), db.reshape(b.data.shape)
+        return (G @ flat, (G.T @ H.data).reshape(W.data.shape),
+                G.sum(axis=0).reshape(b.data.shape))
 
     scores = full[index]
     return fused(scores.T, (H, W, b), vjp)

@@ -114,10 +114,6 @@ class Tensor:
         self._data = value
         self.version += 1
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a scalar, got shape {self.data.shape}")

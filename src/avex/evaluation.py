@@ -118,13 +118,18 @@ def extract(model, token_texts, attribute) -> set[str]:
     return value_strings(token_texts, model.predict_tags(token_texts, attribute))
 
 
+def decode_order(examples) -> list:
+    """The examples in the order ``collect_results`` decodes them: by
+    product, a product's attributes back to back."""
+    return sorted(examples, key=lambda e: (e.product_id, e.attribute))
+
+
 def collect_results(model, examples) -> list[ExtractionResult]:
-    """Decode every example, a product's attributes back to back, in
-    batches that end where the next example would pass ``INFERENCE_TOKENS``
-    tokens (an example longer than that is decoded alone)."""
-    ordered = sorted(examples, key=lambda e: (e.product_id, e.attribute))
+    """Decode every example in ``decode_order``, in batches that end where
+    the next example would pass ``INFERENCE_TOKENS`` tokens (an example
+    longer than that is decoded alone)."""
     batches, used = [], 0
-    for ex in ordered:
+    for ex in decode_order(examples):
         if not batches or used + len(ex.tokens) > INFERENCE_TOKENS:
             batches.append([])
             used = 0

@@ -39,10 +39,9 @@ emissions node scores every chain.  ``predict_tags`` serves one chain
 extract`` ask) and takes none of the batch layout: per encoder the model
 keeps, for the last text, one product of its states (one walk of the
 LSTM step kernel over both directions, with no node) with every decoder
-routed to that encoder, their transition tables, and one verdict per
-decoder on whether its columns and table are finite, so the attributes
-of one text encode and score it once and each is decoded from its
-columns.  Under ``no_grad`` the decoders, built all at once, and these
+of the model, their transition tables, and one verdict per decoder on
+whether its columns and table are finite, so the attributes of one text
+encode and score it once and each is decoded from its columns.  Under ``no_grad`` the decoders, built all at once, and these
 entries are kept until any tensor of ``params`` is assigned
 (``Tensor.version``).  Nothing is kept while gradients are on:
 ``grad_check`` perturbs parameters in place.
@@ -278,11 +277,6 @@ class Model:
                 self._make_generator(attr_table, rng)
                 slots = range(len(ids))
             self._route = {a: (shared, slot) for a, slot in zip(ids, slots)}
-        # Per encoder, the decoders from the lowest to the highest it routes to.
-        self._blocks = []
-        for enc in range(len(self._encoders)):
-            used = [slot for e, slot in self._route.values() if e == enc]
-            self._blocks.append((min(used), max(used) + 1))
         # What every kept result is stamped with (see ``autodiff.reuse``).
         self._tensors = tuple(t for _, t in self.params.items())
 
@@ -339,7 +333,8 @@ class Model:
         return route
 
     def _kept_decoders(self) -> DecoderInstance:
-        """Every decoder of the model, stacked; kept under no_grad until any
+        """Every decoder of the model, stacked in slot order, so the stack
+        is indexed by the route's decoder slot; kept under no_grad until any
         parameter is assigned."""
         slots = sorted({slot for _, slot in self._route.values()})
         return reuse(self._cache, "decoders", self._tensors,
@@ -391,35 +386,34 @@ class Model:
         as arrays: no graph and no batch layout.
 
         Per encoder one entry is kept for the last text: one
-        ``emission_scores`` product of its states against every decoder
-        routed to that encoder, laid end to end as (n, A·m), the product
-        ``emissions`` makes for a batch of those attributes, with their
-        transition tables and whether each decoder's columns and table are
-        finite.  It is kept until the text changes or any parameter is
-        assigned; like the kept decoders, it does not see writes into a
-        tensor's ``.data``.  Scores that are not finite raise
-        ``best_paths``' NumericError.
+        ``emission_scores`` product of its states against every decoder of
+        the model, laid end to end as (n, A·m), the product ``emissions``
+        makes for a batch, with the transition tables and whether each
+        decoder's columns and table are finite.  It is kept until the text
+        changes or any parameter is assigned; like the kept decoders, it
+        does not see writes into a tensor's ``.data``.  Scores that are not
+        finite raise ``best_paths``' NumericError.
         """
         enc, slot = self._resolve(0, tokens, attribute)
         text = tuple(tokens)
         block, tables, finite = reuse(self._cache, enc, self._tensors,
                                       lambda: self._text_scores(enc, text), text)
-        j, m = slot - self._blocks[enc][0], self.adaptor.num_tags
-        if not finite[j]:
+        m = self.adaptor.num_tags
+        if not finite[slot]:
             raise _not_finite(0)
-        return block[:, j * m:(j + 1) * m].T, tables[j]
+        return block[:, slot * m:(slot + 1) * m].T, tables[slot]
 
     def _text_scores(self, enc, text):
-        """The emission block (n, A·m) of one text under encoder ``enc``'s
-        decoders, their transition tables (a view of the kept decoders),
-        and whether each decoder's columns and table are finite."""
+        """The emission block (n, A·m) of one text under encoder ``enc``
+        and every decoder of the model, their transition tables (the kept
+        decoders'), and whether each decoder's columns and table are
+        finite."""
         table, fwd, bwd = self._encoders[enc]
-        lo, hi = self._blocks[enc]
         dec = self._kept_decoders()
-        W, b, T = dec.W.data[lo:hi], dec.b.data[lo:hi], dec.T.data[lo:hi]
+        W, b, T = dec.W.data, dec.b.data, dec.T.data
         H = encode_text(text, table, fwd, bwd)
         block = emission_scores(H, W.reshape(-1, W.shape[-1]), b.reshape(-1))
-        finite = np.isfinite(block).reshape(len(text), hi - lo, -1).all(axis=(0, 2)) \
+        finite = np.isfinite(block).reshape(len(text), len(T), -1).all(axis=(0, 2)) \
             & np.isfinite(T).all(axis=(1, 2))
         return block, T, finite.tolist()
 

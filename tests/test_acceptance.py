@@ -33,7 +33,6 @@ from avex.synth import SynthAttribute, SynthSpec, generate
 from avex.tagging import NUM_TAGS, spans_to_tags, tags_to_spans, Span
 from avex.training import (
     TrainConfig,
-    batch_loss,
     load_checkpoint,
     param_count_from_config,
     train,
@@ -93,7 +92,7 @@ def test_criterion_02_gradient_fidelity():
                               attr_table=table)
         params = {name: t for name, t in model.params.items()
                   if model.params.group_of(name) in ("encoder", "hyper", "moe")}
-        report = ad.grad_check(lambda: batch_loss(model, [example]),
+        report = ad.grad_check(lambda: model.loss([example]),
                                params, step=1e-5)
         worst = max(worst, report.max_rel_error)
     if worst > 1e-4:

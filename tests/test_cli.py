@@ -459,6 +459,93 @@ def test_numeric_failure_exits_3(pipeline, tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# -- data errors of single commands ------------------------------------------
+
+
+def _data_error(argv, capsys) -> str:
+    """Run ``argv``, expect exit 2 and no traceback, return stderr."""
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "data error" in err and "Traceback" not in err
+    return err
+
+
+def test_per_attribute_train_without_dev_rows_is_data_error(tmp_path, capsys):
+    scent, color = SPEC["attributes"]
+    spec, data, stem = tmp_path / "spec.json", tmp_path / "data", tmp_path / "m"
+    spec.write_text(json.dumps({**SPEC, "attributes": [scent, {**color, "dev": 0}]}),
+                    encoding="utf-8")
+    assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(data)]) == 0
+    err = _data_error(["train", "--corpus", str(data / "corpus.jsonl"),
+                       "--vocab", str(data / "vocab.json"),
+                       "--splits", str(data / "splits.json"),
+                       "--variant", "per_attribute", "--d-h", "4", "--d-word", "3",
+                       "--max-epochs", "1", "--out", str(stem)], capsys)
+    assert "attribute 'Color' lacks train or dev examples" in err
+    assert not stem.with_suffix(".json").exists()
+
+
+def test_extract_of_blank_text_is_data_error(pipeline, capsys):
+    err = _data_error(["extract", "--checkpoint", str(pipeline["stem"]),
+                       "--attr", "Scent", "--text", "   "], capsys)
+    assert "no tokens in --text" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--mode", "contextualized"], "contextualized mode needs --instances"),
+    (["--mode", "random"], "random mode needs --vocab"),
+    (["--mode", "random", "--vocab", "VOCAB", "--d-r", "0"], "d_r must be positive, got 0"),
+], ids=["contextualized without instances", "random without vocab", "random d_r 0"])
+def test_embed_without_what_its_mode_needs_is_data_error(pipeline, tmp_path, capsys,
+                                                         args, message):
+    vocab = str(pipeline["data"] / "vocab.json")
+    out = tmp_path / "t.json"
+    argv = ["embed"] + [vocab if a == "VOCAB" else a for a in args] + ["--out", str(out)]
+    assert message in _data_error(argv, capsys)
+    assert not out.exists()
+
+
+def test_tensor_past_the_payload_is_data_error(pipeline, tmp_path, capsys):
+    stem, manifest = _copy_checkpoint(pipeline, tmp_path)
+    past = {**manifest["tensors"][0], "byte_offset": manifest["payload_bytes"]}
+    stem.with_suffix(".json").write_text(json.dumps(_first_tensor(manifest, past)),
+                                         encoding="utf-8")
+    err = _data_error(["extract", "--checkpoint", str(stem), "--attr", "Scent",
+                       "--text", "rose scent"], capsys)
+    assert f"checkpoint payload too short for tensor {past['name']}" in err
+
+
+def test_eval_table_names_the_attributes_without_gold(pipeline, tmp_path, capsys):
+    rows = [json.loads(line) for line in pipeline["labeled"].read_text().splitlines()]
+    for row in rows:
+        if row["attribute"] == "Color":
+            row["tags"] = ["O"] * len(row["tags"])
+    test = tmp_path / "test.jsonl"
+    test.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert cli.main(["eval", "--checkpoint", str(pipeline["stem"]),
+                     "--test", str(test)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["Scent", "macro"]
+    assert lines[-1] == "excluded (no gold support): Color"
+
+
+def test_checkpoint_of_chosen_attributes_refuses_the_others(pipeline, tmp_path, capsys):
+    stem = tmp_path / "m"
+    args = [a for a in pipeline["train_args"]]
+    args[args.index("--out") + 1] = str(stem)
+    assert cli.main(args + ["--attributes", "Color", "--max-epochs", "1"]) == 0
+    manifest = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
+    assert manifest["config"]["attributes"] == ["Color"]  # a JSON list ...
+    assert training.load_checkpoint(stem).config.attributes == ("Color",)  # ... reloaded
+    capsys.readouterr()
+    assert cli.main(["extract", "--checkpoint", str(stem), "--attr", "Color",
+                     "--text", "teal / red towel"]) == 0
+    err = _data_error(["extract", "--checkpoint", str(stem), "--attr", "Scent",
+                       "--text", "rose scent"], capsys)
+    assert "unknown attribute 'Scent'" in err
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone away, backed by descriptor ``fd``."""
 
@@ -706,6 +793,10 @@ WRONG_FIELD = {
     "synth-spec-values-a-string": (
         "synth", "spec", _spec(b', "values": "vw"'),
         "synth spec {}: attributes[0] 'values' must be list[str], got \"vw\""),
+    "synth-spec-no-values": (
+        "synth", "spec", _spec(b', "values": []'), "attribute 'A' has no values"),
+    "synth-spec-no-templates": (
+        "synth", "spec", _spec(b', "templates": []'), "attribute 'A' has no templates"),
     "synth-spec-null-id-fractional-count": (
         "synth", "spec", _spec(b', "id": null, "train": 2.9'),
         "synth spec {}: attributes[0] 'id' must be str, got null"),

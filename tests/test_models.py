@@ -360,26 +360,30 @@ NOT_FINITE = "best_paths: chain 0 has emission or transition scores that are not
 # model refuses the chain.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_scores_refuse_only_their_chain():
-    # bilstm_multicrf: Color's CRF can be corrupted alone.  One verdict
-    # per decoder, kept with the scores of the text, covers its emission
-    # columns and its transition table.
-    model, _, _ = build("bilstm_multicrf")
+    # Color's CRF can be corrupted alone.  One verdict per decoder, kept
+    # with the scores of the text, covers its emission columns and its
+    # transition table.  In per_attribute and bilstm_crf_shared_emb every
+    # encoder scores every decoder, so Scent's text meets Color's CRF too.
     text = ["white", "cotton", "towel"]
-    color, scent = (model.predict_tags(text, a) for a in ("Color", "Scent"))
-    with np.errstate(over="ignore"):
-        overflowed = model.params["decoder/Color/W"].data * 1e308 * 1e308
-    inf_table = model.params["decoder/Color/T"].data.copy()
-    inf_table[1, 2] = np.inf
-    for name, bad in (("decoder/Color/T", inf_table), ("decoder/Color/W", overflowed)):
-        tensor = model.params[name]
-        good = tensor.data
-        tensor.data = bad
-        for _ in range(2):  # the verdicts are kept with the scores
-            with pytest.raises(NumericError, match=NOT_FINITE):
-                model.predict_tags(text, "Color")
-            assert model.predict_tags(text, "Scent") == scent
-        tensor.data = good
-        assert model.predict_tags(text, "Color") == color
+    for variant, crf in (("bilstm_multicrf", "decoder/Color"),
+                         ("per_attribute", "per_attr/Color/decoder"),
+                         ("bilstm_crf_shared_emb", "decoder/Color")):
+        model, _, _ = build(variant)
+        color, scent = (model.predict_tags(text, a) for a in ("Color", "Scent"))
+        with np.errstate(over="ignore"):
+            overflowed = model.params[f"{crf}/W"].data * 1e308 * 1e308
+        inf_table = model.params[f"{crf}/T"].data.copy()
+        inf_table[1, 2] = np.inf
+        for name, bad in ((f"{crf}/T", inf_table), (f"{crf}/W", overflowed)):
+            tensor = model.params[name]
+            good = tensor.data
+            tensor.data = bad
+            for _ in range(2):  # the verdicts are kept with the scores
+                with pytest.raises(NumericError, match=NOT_FINITE):
+                    model.predict_tags(text, "Color")
+                assert model.predict_tags(text, "Scent") == scent, (variant, name)
+            tensor.data = good
+            assert model.predict_tags(text, "Color") == color
 
 
 def test_non_finite_hypernetwork_refuses_every_attribute():

@@ -28,7 +28,6 @@ from avex.training import (
     ADAM_EPS,
     Adam,
     TrainConfig,
-    batch_loss,
     load_checkpoint,
     param_count,
     param_count_from_config,
@@ -71,22 +70,6 @@ def run_micro_train(**kw):
                           by_split["train"], by_split["dev"],
                           attr_table=table, vectors=corpus.vectors)
     return corpus, by_split, table, report, model
-
-
-class ConstantLossModel:
-    """Stub exposing just enough surface for the batch helpers."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self._i = 0
-
-    def loss(self, batch):
-        v = self.values[self._i % len(self.values)]
-        self._i += 1
-        return Tensor(np.asarray(float(v)))
-
-    def prepare_examples(self, examples):
-        return list(examples)
 
 
 def toy_example(pid="p1"):
@@ -307,11 +290,11 @@ def test_single_adam_step_decreases_nll():
         model = build_variant(cfg, corpus.vocab, itos, attr_table=table,
                               vectors=corpus.vectors)
         opt = Adam(model.params.trainable().values(), lr=1e-4)
-        before = batch_loss(model, batch)
+        before = model.loss(batch)
         value = before.item()
         before.backward()
         opt.step()
-        after = batch_loss(model, batch).item()
+        after = model.loss(batch).item()
         assert after < value, f"seed {seed}: {value} -> {after}"
 
 
@@ -320,13 +303,14 @@ def test_single_adam_step_decreases_nll():
 
 def test_batch_loss_is_mean():
     model, batch, _ = _adatag_batch()
-    singles = [batch_loss(model, [ex]).item() for ex in batch]
-    assert batch_loss(model, batch).item() == pytest.approx(np.mean(singles), rel=1e-12)
+    singles = [model.loss([ex]).item() for ex in batch]
+    assert model.loss(batch).item() == pytest.approx(np.mean(singles), rel=1e-12)
 
 
 def test_batch_loss_empty_batch():
-    with pytest.raises(DataError):
-        batch_loss(ConstantLossModel([1.0]), [])
+    model, _, _ = _adatag_batch()
+    with pytest.raises(DataError, match="empty batch"):
+        model.loss([])
 
 
 def _adatag_batch():
@@ -354,11 +338,11 @@ def test_batch_loss_generates_each_decoder_once(monkeypatch):
     calls = _count_decoder_builds(monkeypatch)
     attributes = {ex.attribute for ex in batch}
     assert len(attributes) > 1 and len(batch) > len(attributes)
-    batch_loss(model, batch).backward()
+    model.loss(batch).backward()
     # One generation per batch, for the batch's distinct attributes.
     assert len(calls) == 1
     assert calls[0].data.shape == (len(attributes), model.hyper.d_r)
-    batch_loss(model, batch)
+    model.loss(batch)
     assert len(calls) == 2
     model.loss([batch[0]])
     assert len(calls) == 3
@@ -391,7 +375,7 @@ def test_batch_gradient_is_sum_of_example_gradients():
             t.grad = None
         return out
 
-    (batch_loss(model, batch) * len(batch)).backward()
+    (model.loss(batch) * len(batch)).backward()
     together = grads()
     summed = {name: np.zeros_like(t.data) for name, t in params.items()}
     for ex in batch:
@@ -418,7 +402,7 @@ def test_batch_gradients_equal_zero_filled_accumulation(monkeypatch):
     def grads():
         for t in params.values():
             t.grad = None
-        batch_loss(model, batch).backward()
+        model.loss(batch).backward()
         return {name: t.grad.copy() for name, t in params.items()}
 
     def zero_filled(t, g):
@@ -598,6 +582,23 @@ def test_train_per_attribute_variant_reports_each():
         assert stats["stopped_epoch"] >= 1
 
 
+def test_per_attribute_runs_one_dev_pass_per_epoch_and_attribute(monkeypatch):
+    from avex import training
+    corpus, by_split = micro_synth()
+    passes = []
+    monkeypatch.setattr(training, "evaluate_model",
+                        lambda model, examples: passes.append(
+                            {ex.attribute for ex in examples}) or evaluate_model(model, examples))
+    cfg = micro_config(variant="per_attribute", max_epochs=3)
+    report, model = train(cfg, corpus.vocab, by_split["train"],
+                          by_split["dev"], vectors=corpus.vectors)
+    entries = report.per_attribute
+    assert passes == [{a} for a in entries for _ in entries[a]["epochs"]]
+    # The top level is the mean of the entries, as a dev pass over every
+    # attribute of the restored model measures it, to the bit.
+    assert report.best_dev_f1 == evaluate_model(model, by_split["dev"]).macro_f1
+
+
 def test_n_tag_sets_report_counts_the_spans_the_merge_drops():
     # p1's Color value "rose red" overlaps its Scent value "rose"; Scent
     # comes first in the vocabulary, so the joint tags keep "rose" only.
@@ -618,7 +619,7 @@ def test_n_tag_sets_report_counts_the_spans_the_merge_drops():
 def test_non_finite_loss_raises_numeric_error():
     corpus, by_split = micro_synth()
 
-    class NanModel(ConstantLossModel):
+    class NanModel:
         def loss(self, batch):
             return Tensor(np.asarray(float("nan")))
 
@@ -627,7 +628,7 @@ def test_non_finite_loss_raises_numeric_error():
             raise AttributeError
 
     from avex.training import _fit
-    model = NanModel([])
+    model = NanModel()
     opt = Adam([], lr=1e-3)
     with pytest.raises(NumericError) as err:
         _fit(model, opt, [toy_example("p1"), toy_example("p2")],
