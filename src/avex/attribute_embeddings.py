@@ -1,11 +1,12 @@
-"""Frozen attribute embeddings and how they are produced.
+"""Attribute embedding tables and how they are produced.
 
 Each attribute gets one vector r that conditions the decoder generators.
 Three provenances are supported: "uncontextualized" pools static word
 vectors of the attribute's name phrase and of its labeled values;
 "contextualized" ingests externally computed per-instance name/value
-vectors and mean-pools them; "random" draws a trainable table.  Tables
-are frozen by default; only the random table trains.
+vectors and mean-pools them; "random" draws a table uniformly at random.
+A table is data: whether a model trains its rows is up to the variant
+(only "adatag_random_emb" does).
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ def _json_vector(value, where) -> np.ndarray:
 class AttributeEmbeddingTable:
     """Embedding vector per attribute id, with uniform dimension."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], provenance: str,
-                 frozen: bool = True):
+    def __init__(self, vectors: dict[str, np.ndarray], provenance: str):
         if provenance not in PROVENANCES:
             raise DataError(
                 f"unknown provenance {provenance!r}; expected one of {PROVENANCES}")
@@ -56,7 +56,6 @@ class AttributeEmbeddingTable:
         if bad:
             raise DataError(f"embeddings of {bad} have non-finite components")
         self.provenance = provenance
-        self.frozen = frozen
 
     @property
     def d_r(self) -> int:
@@ -189,11 +188,11 @@ def ingest_contextualized(path) -> AttributeEmbeddingTable:
 
 
 def random_table(attr_ids, d_r: int, seed: int) -> AttributeEmbeddingTable:
-    """Trainable random table, uniform in (-0.1, 0.1)."""
+    """Random table, uniform in (-0.1, 0.1)."""
     if d_r < 1:
         raise DataError(f"d_r must be positive, got {d_r}")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     vectors = {a: rng.uniform(-0.1, 0.1, size=d_r) for a in attr_ids}
-    return AttributeEmbeddingTable(vectors, "random", frozen=False)
+    return AttributeEmbeddingTable(vectors, "random")

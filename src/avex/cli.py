@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 
-from . import attribute_embeddings, corpus, evaluation, files, synth, training
+from . import attribute_embeddings, corpus, evaluation, files, models, synth, training
 from .encoder import load_word_vectors
 from .errors import DataError, NumericError
 
@@ -157,7 +157,7 @@ def _cmd_train(args):
     attr_table = None
     if args.embeddings:
         attr_table = attribute_embeddings.AttributeEmbeddingTable.load(args.embeddings)
-    config = training.model_config(config, attr_table)
+    config = models.model_config(config, attr_table)
     print(f"resolved config: {json.dumps(config.to_json(), sort_keys=True)}",
           file=sys.stderr)
     vocab = corpus.AttributeVocab.load(args.vocab)

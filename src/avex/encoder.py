@@ -90,12 +90,6 @@ class WordEmbeddingTable:
                     mat[i] = vec
         return cls(list(itos), Tensor(mat, requires_grad=True))
 
-    @classmethod
-    def build(cls, corpus_tokens, vectors, d_word: int,
-              rng: np.random.Generator) -> "WordEmbeddingTable":
-        itos = [PAD, UNK] + sorted(set(corpus_tokens))
-        return cls.from_itos(itos, vectors, d_word, rng)
-
     def index(self, token: str) -> int:
         i = lookup_word(self.stoi, token)
         return self.stoi[UNK] if i is None else i

@@ -8,7 +8,7 @@ where an encoder is a word table with a forward and a backward cell:
   - "adatag": one shared encoder; each attribute's decoder is generated
     from its frozen embedding (a hypernetwork for the emissions, a gated
     mixture of expert matrices for the transitions).
-    "adatag_random_emb" swaps in a trainable random embedding table.
+    "adatag_random_emb" swaps in a random embedding table and trains it.
   - "bilstm_multicrf": the shared encoder and one explicit CRF per
     attribute.
   - "n_tag_sets": the shared encoder and one CRF over the joint 3N+1
@@ -17,6 +17,9 @@ where an encoder is a word table with a forward and a backward cell:
     per attribute.
   - "per_attribute": a word table, a BiLSTM and a CRF per attribute,
     each trained on its own.
+
+``build_variant`` builds every model, to train, to load or to count; a
+generated-decoder model built without an attribute table has zero rows.
 
 A tagset adaptor connects chains to tags.  For the BIOE variants an
 example's tags are its targets and a Viterbi path maps straight to BIOE
@@ -49,7 +52,7 @@ entries are kept until any tensor of ``params`` is assigned
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +75,7 @@ from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch, encod
 from .errors import DataError
 from .tagging import (
     NUM_TAGS,
-    expand_tagset,
+    ExpandedTagset,
     tag_indices,
     tags_from_indices,
     tags_to_spans,
@@ -88,6 +91,12 @@ VARIANTS = (
 )
 
 SHARED_SCOPE = "shared"
+
+
+def word_scope(variant: str, attribute: str) -> str:
+    """The word vocabulary that ``attribute``'s encoder reads."""
+    return attribute if variant == "per_attribute" else SHARED_SCOPE
+
 
 class ModelParams:
     """Named parameter registry with group labels and trainability flags."""
@@ -178,7 +187,7 @@ class JointTags:
     """The joint 3N+1 tagset: one chain labels every attribute of a product."""
 
     def __init__(self, attribute_ids):
-        self.tagset = expand_tagset(attribute_ids)
+        self.tagset = ExpandedTagset(attribute_ids)
         self.num_tags = len(self.tagset)
 
     def prepare(self, examples) -> list[MergedExample]:
@@ -222,7 +231,6 @@ class Model:
         self.word_tables: dict[str, WordEmbeddingTable] = {}
         self.adaptor = JointTags(vocab.ids()) if config.variant == "n_tag_sets" \
             else BioeTags()
-        self._attr_info = None
         self._cache: dict = {}  # key -> (stamp, value), see autodiff.reuse
         ids = vocab.ids()
         add = self.params.add
@@ -280,16 +288,17 @@ class Model:
         # What every kept result is stamped with (see ``autodiff.reuse``).
         self._tensors = tuple(t for _, t in self.params.items())
 
-    def _make_generator(self, attr_table: AttributeEmbeddingTable, rng):
-        """Attribute table, hypernetwork and transition mixture of adatag."""
+    def _make_generator(self, attr_table: AttributeEmbeddingTable | None, rng):
+        """Attribute table, hypernetwork and transition mixture of adatag.
+        Only "adatag_random_emb" trains the table."""
         ids = self.attr_vocab.ids()
-        d_r = attr_table.d_r
-        self._attr_info = {"ids": ids, "d_r": d_r,
-                           "provenance": attr_table.provenance,
-                           "frozen": attr_table.frozen}
+        d_r = self.config.d_r
+        # Where the table came from: set by a checkpoint load when None.
+        self.attr_provenance = None if attr_table is None else attr_table.provenance
         add = self.params.add
-        self.w_att = add("att_emb/W_att", attr_table.as_matrix(ids), "att_emb",
-                         trainable=not attr_table.frozen)
+        rows = np.zeros((len(ids), d_r)) if attr_table is None else attr_table.as_matrix(ids)
+        self.w_att = add("att_emb/W_att", rows, "att_emb",
+                         trainable=self.config.variant == "adatag_random_emb")
         flat = NUM_TAGS * self.config.d_h
         self.hyper = HyperNetwork(
             add("hyper/W_hyper_w", _uniform(rng, (flat, d_r), d_r), "hyper"),
@@ -309,14 +318,20 @@ class Model:
         return {scope: list(t.itos) for scope, t in self.word_tables.items()}
 
     def attribute_info(self):
-        return self._attr_info
+        """The attribute table of a generated-decoder model as a checkpoint
+        manifest describes it, read off the model; None for the others."""
+        if self._decoders:
+            return None
+        return {"ids": self.attr_vocab.ids(), "d_r": self.w_att.data.shape[1],
+                "provenance": self.attr_provenance,
+                "frozen": not self.w_att.requires_grad}
 
     def prepare_examples(self, examples):
         return self.adaptor.prepare(examples)
 
     def _stacked_decoders(self, slots) -> DecoderInstance:
         """The decoders in ``slots``, stacked along a new first axis."""
-        if self._attr_info is not None:
+        if not self._decoders:
             return build_decoder(self.hyper, self.moe, row(self.w_att, slots))
         decs = [self._decoders[i] for i in slots]
         return DecoderInstance(*(stack([getattr(d, part) for d in decs])
@@ -453,27 +468,29 @@ class Model:
 
 def derive_word_itos(variant: str, examples) -> dict[str, list[str]]:
     """Deterministic word vocabularies from the training split."""
-    if variant == "per_attribute":
-        per_attr: dict[str, set] = {}
-        for ex in examples:
-            per_attr.setdefault(ex.attribute, set()).update(ex.token_texts())
-        return {a: [PAD, UNK] + sorted(toks) for a, toks in per_attr.items()}
-    tokens = set()
+    words: dict[str, set] = {}
     for ex in examples:
-        tokens.update(ex.token_texts())
-    return {SHARED_SCOPE: [PAD, UNK] + sorted(tokens)}
+        words.setdefault(word_scope(variant, ex.attribute), set()).update(ex.token_texts())
+    return {scope: [PAD, UNK] + sorted(toks) for scope, toks in words.items()}
+
+
+def model_config(config, attr_table: AttributeEmbeddingTable | None = None):
+    """The configuration a model is built with: adatag takes d_r from its
+    attribute table."""
+    if attr_table is not None and config.variant == "adatag":
+        return replace(config, d_r=attr_table.d_r)
+    return config
 
 
 def build_variant(config, vocab: AttributeVocab, word_itos: dict,
                   attr_table: AttributeEmbeddingTable | None = None,
                   vectors: dict | None = None,
                   rng: np.random.Generator | None = None) -> Model:
-    """Instantiate a model variant with freshly initialized parameters."""
-    config.validate()
+    """Instantiate a model variant with freshly initialized parameters;
+    its ``config`` is ``model_config(config, attr_table)``."""
+    config = model_config(config.validate(), attr_table)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if config.variant == "adatag_random_emb":
         attr_table = random_table(vocab.ids(), config.d_r, config.seed)
-    elif config.variant == "adatag" and attr_table is None:
-        raise DataError("variant 'adatag' requires an attribute embedding table")
     return Model(config, vocab, word_itos, attr_table, vectors, rng)

@@ -185,8 +185,3 @@ class ExpandedTagset:
             for i in range(span.start, span.end + 1):
                 tag_ids[i] = self.index(f"{tags[i]}-{a}")
         return tag_ids, len(owned) - len(kept)
-
-
-def expand_tagset(attribute_ids) -> ExpandedTagset:
-    """Build the joint tagset for an ordered attribute vocabulary."""
-    return ExpandedTagset(attribute_ids)

@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .attribute_embeddings import AttributeEmbeddingTable
+from .attribute_embeddings import PROVENANCES, AttributeEmbeddingTable
 from .corpus import SETTINGS, AttributeVocab
 from .errors import DataError, NumericError
 from .evaluation import decode_order, evaluate_model
-from .models import PAD, SHARED_SCOPE, UNK, VARIANTS, build_variant, derive_word_itos
+from .models import PAD, UNK, VARIANTS, build_variant, derive_word_itos, word_scope
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -308,15 +308,6 @@ def _fit(model, optimizer, train_set, dev_examples, config, rng, label=""):
     return history
 
 
-def model_config(config: TrainConfig,
-                 attr_table: AttributeEmbeddingTable | None = None) -> TrainConfig:
-    """The configuration a model is built with: adatag takes d_r from its
-    attribute table."""
-    if attr_table is not None and config.variant == "adatag":
-        return dataclasses.replace(config, d_r=attr_table.d_r)
-    return config
-
-
 def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_examples,
           attr_table: AttributeEmbeddingTable | None = None,
           vectors: dict | None = None,
@@ -332,11 +323,13 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
         raise DataError("training split is empty")
     if not dev_examples:
         raise DataError("dev split is empty")
-    config = model_config(config, attr_table)
+    if config.variant == "adatag" and attr_table is None:
+        raise DataError("variant 'adatag' requires an attribute embedding table")
 
     rng = np.random.default_rng(config.seed)
     word_itos = derive_word_itos(config.variant, train_examples)
     model = build_variant(config, vocab, word_itos, attr_table, vectors, rng)
+    config = model.config
 
     # One fit per attribute for per_attribute, one for the whole model else:
     # (attribute, its parameters, training examples, dev examples).
@@ -462,20 +455,6 @@ def _check_manifest(manifest, where):
             raise DataError(f"{where}: word vocabulary {scope!r} does not begin {PAD}, {UNK}")
 
 
-def _placeholder_model(config, vocab, word_itos, attr_info=None):
-    """A model of the configured shapes whose weights are yet to be filled in.
-
-    ``attr_info`` has the layout of ``Model.attribute_info()``; for adatag
-    it sizes an all-zero attribute table.
-    """
-    attr_table = None
-    if attr_info is not None and config.variant == "adatag":
-        attr_table = AttributeEmbeddingTable(
-            {a: np.zeros(attr_info["d_r"]) for a in attr_info["ids"]},
-            attr_info["provenance"], attr_info["frozen"])
-    return build_variant(config, vocab, word_itos, attr_table)
-
-
 def load_checkpoint(stem):
     """Rebuild a model from a manifest/payload pair."""
     stem = Path(stem)
@@ -494,8 +473,17 @@ def load_checkpoint(stem):
     if manifest["vocab_hashes"] != _vocab_hashes(vocab.ids(), word_itos):
         raise DataError(f"checkpoint manifest {manifest_path}: the attribute or word "
                         "vocabularies do not match their hashes")
-    model = _placeholder_model(config, vocab, word_itos,
-                               manifest.get("attribute_embeddings"))
+    model = build_variant(config, vocab, word_itos)
+    table = model.attribute_info()
+    if table is not None:
+        # The entry describes the model's table and says where it came from.
+        info = manifest.get("attribute_embeddings")
+        if info is None or info["provenance"] not in PROVENANCES \
+                or (info["ids"], info["d_r"]) != (table["ids"], table["d_r"]):
+            raise DataError(f"checkpoint manifest {manifest_path}: attribute_embeddings "
+                            f"must give the attributes {table['ids']}, d_r "
+                            f"{table['d_r']} and one of the provenances {PROVENANCES}")
+        model.attr_provenance = info["provenance"]
 
     payload_path = manifest_path.with_name(manifest["payload_file"])
     payload = files.read_binary(payload_path, "checkpoint payload")
@@ -583,7 +571,8 @@ def _brace(names) -> str:
 
 def param_count_from_config(config: TrainConfig, n_attributes: int | None = None,
                             word_vocab_size: int | None = None) -> ParamCountReport:
-    """Counts of a model built from placeholder inputs of the given sizes.
+    """Counts of a model that ``build_variant`` builds, as it builds a
+    trained or loaded one, from inputs of the given sizes.
 
     The attributes are named ``<attribute 1>`` .. ``<attribute N>`` and
     every word vocabulary has |V| words.  A size that is not given is
@@ -598,12 +587,9 @@ def param_count_from_config(config: TrainConfig, n_attributes: int | None = None
             raise DataError(f"{what} must be >= 1, got {size}")
 
     def build(ids, n_words):
-        scopes = ids if config.variant == "per_attribute" else [SHARED_SCOPE]
         words = [f"<word {i}>" for i in range(n_words)]
-        info = {"ids": ids, "d_r": config.d_r, "provenance": "uncontextualized",
-                "frozen": True}
-        return _placeholder_model(config, AttributeVocab([(a, None) for a in ids]),
-                                  dict.fromkeys(scopes, words), info)
+        return build_variant(config, AttributeVocab([(a, None) for a in ids]),
+                             {word_scope(config.variant, a): words for a in ids})
 
     ids = (["<attribute>"] if n_attributes is None
            else [f"<attribute {i}>" for i in range(1, n_attributes + 1)])

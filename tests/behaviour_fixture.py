@@ -4,9 +4,11 @@ Each variant is trained at batch sizes 1, 2 and 3 on the corpus of
 acceptance criterion 10 (seed 3).  A record holds what a change to the
 program's structure must not move: the per-epoch training NLL, the best
 epoch and dev F1, the predicted tags on the dev texts and on held-out
-texts from the same templates, and the parameter counts per group and in
-total.  ``test_behaviour.py`` compares a fresh run with the committed
-fixture.
+texts from the same templates, the parameter counts per group and in
+total, and the checkpoint manifest without its payload file name (a
+manifest holds no computed float, so unlike the payload it does not
+depend on the BLAS).  ``test_behaviour.py`` compares a fresh run with
+the committed fixture.
 
 Regenerate the fixture, after a change that alters behaviour on purpose,
 with
@@ -19,13 +21,14 @@ and say in the change's notes what moved and why.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 from avex.attribute_embeddings import uncontextualized_table
 from avex.corpus import build_corpus, split_examples, tokenize
 from avex.models import VARIANTS
 from avex.synth import SynthAttribute, SynthSpec, generate
-from avex.training import TrainConfig, param_count, train
+from avex.training import TrainConfig, param_count, save_checkpoint, train
 
 FIXTURE = Path(__file__).with_suffix(".json")
 BATCH_SIZES = (1, 2, 3)
@@ -78,6 +81,10 @@ def record(variant: str, batch_size: int, data=None) -> dict:
     counts = param_count(model.params)
     out["params"] = {"groups": counts.groups, "total": counts.total,
                      "trainable_total": counts.trainable_total}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_checkpoint(Path(tmp) / "model", model)
+        out["manifest"] = json.loads(path.read_text(encoding="utf-8"))
+    del out["manifest"]["payload_file"]
     return out
 
 

@@ -79,7 +79,6 @@ def test_uncontextualized_table_dims_and_warning(caplog):
         table = uncontextualized_table(vocab, examples, VECS)
     assert table.d_r == 4  # twice the word-vector dimension
     assert table.provenance == "uncontextualized"
-    assert table.frozen
     assert not caplog.records
 
     vocab2 = AttributeVocab([("SkinType", None), ("Color", None)])
@@ -279,7 +278,6 @@ def test_ingest_rejects_empty(tmp_path):
 
 def test_random_table_trainable_and_bounded():
     table = random_table(["a", "b"], 8, seed=3)
-    assert not table.frozen
     assert table.provenance == "random"
     assert table.d_r == 8
     for a in ("a", "b"):

@@ -38,3 +38,4 @@ def test_variant_behaves_as_recorded(key, data):
     assert got["dev_tags"] == want["dev_tags"]
     assert got["held_out_tags"] == want["held_out_tags"]
     assert got["params"] == want["params"]
+    assert got["manifest"] == want["manifest"]

@@ -289,6 +289,15 @@ BAD_MANIFESTS = (
            **m, "attribute_embeddings": _without(m["attribute_embeddings"], "d_r")}),
        ("attribute embedding id not a string", lambda m: {
            **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": [["x"]]}}),
+       ("adatag without attribute embeddings", lambda m: {
+           **m, "attribute_embeddings": None}),
+       ("attribute embedding provenance unknown", lambda m: {
+           **m, "attribute_embeddings": {**m["attribute_embeddings"],
+                                         "provenance": "bogus"}}),
+       ("attribute embeddings of another d_r", lambda m: {
+           **m, "attribute_embeddings": {**m["attribute_embeddings"], "d_r": 5}}),
+       ("attribute embeddings without an attribute", lambda m: {
+           **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": ["Scent"]}}),
        ("config value mistyped", lambda m: {**m, "config": {**m["config"], "d_h": [8]}}),
        ("config seed negative", lambda m: {**m, "config": {**m["config"], "seed": -1}}),
        ("no shared word vocabulary", lambda m: _with_words(m, {})),
@@ -484,6 +493,15 @@ def test_per_attribute_train_without_dev_rows_is_data_error(tmp_path, capsys):
                        "--max-epochs", "1", "--out", str(stem)], capsys)
     assert "attribute 'Color' lacks train or dev examples" in err
     assert not stem.with_suffix(".json").exists()
+
+
+def test_adatag_train_without_embeddings_is_data_error(pipeline, tmp_path, capsys):
+    args = list(pipeline["train_args"])
+    del args[args.index("--embeddings"):args.index("--embeddings") + 2]
+    args[args.index("--out") + 1] = str(tmp_path / "m")
+    err = _data_error(args, capsys)
+    assert "variant 'adatag' requires an attribute embedding table" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_extract_of_blank_text_is_data_error(pipeline, capsys):

@@ -78,7 +78,7 @@ def test_load_word_vectors_missing_and_empty(tmp_path):
 def test_embedding_table_layout_and_fallbacks():
     rng = np.random.default_rng(0)
     vectors = {"cat": np.array([1.0, 2.0, 3.0])}
-    table = WordEmbeddingTable.build(["cat", "Dog"], vectors, 3, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "Dog", "cat"], vectors, 3, rng)
     assert table.itos[:2] == [PAD, UNK]
     assert np.all(table.matrix.data[0] == 0.0)  # padding row stays zero
     np.testing.assert_array_equal(
@@ -92,7 +92,7 @@ def test_embedding_table_layout_and_fallbacks():
 
 def test_embedding_table_lowercase_fallback():
     rng = np.random.default_rng(0)
-    table = WordEmbeddingTable.build(["cat"], {}, 3, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "cat"], {}, 3, rng)
     assert table.index("Cat") == table.stoi["cat"]
 
 
@@ -101,9 +101,9 @@ def test_embedding_init_independent_of_vector_hits():
     # word got a pretrained vector, so runs differing only in vector
     # coverage stay comparable.
     vecs = {"cat": np.array([1.0, 2.0, 3.0])}
-    a = WordEmbeddingTable.build(["cat", "dog"], vecs, 3,
+    a = WordEmbeddingTable.from_itos([PAD, UNK, "cat", "dog"], vecs, 3,
                                  np.random.default_rng(5))
-    b = WordEmbeddingTable.build(["cat", "dog"], {}, 3,
+    b = WordEmbeddingTable.from_itos([PAD, UNK, "cat", "dog"], {}, 3,
                                  np.random.default_rng(5))
     np.testing.assert_array_equal(
         a.matrix.data[a.stoi["dog"]], b.matrix.data[b.stoi["dog"]])
@@ -112,7 +112,7 @@ def test_embedding_init_independent_of_vector_hits():
 def test_embedding_rejects_wrong_dim_vector():
     rng = np.random.default_rng(0)
     with pytest.raises(DataError):
-        WordEmbeddingTable.build(["cat"], {"cat": np.zeros(5)}, 3, rng)
+        WordEmbeddingTable.from_itos([PAD, UNK, "cat"], {"cat": np.zeros(5)}, 3, rng)
 
 
 # -- LSTM recurrence ---------------------------------------------------------
@@ -228,7 +228,7 @@ def test_lstm_layer_reverse_processes_right_to_left():
 
 def test_bilstm_concatenates_directions():
     rng = np.random.default_rng(3)
-    table = WordEmbeddingTable.build(["red", "towel"], {}, 2, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "towel"], {}, 2, rng)
     f_cell = make_cell(rng, 2, 3)
     b_cell = make_cell(rng, 2, 3)
     tokens = ["red", "towel", "set", "red"]
@@ -241,7 +241,7 @@ def test_bilstm_concatenates_directions():
 
 def test_bilstm_rejects_empty_input():
     rng = np.random.default_rng(4)
-    table = WordEmbeddingTable.build(["red"], {}, 2, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "red"], {}, 2, rng)
     cell = make_cell(rng, 2, 3)
     with pytest.raises(ValueError):
         encode_batch([[]], table, cell, cell)
@@ -251,7 +251,7 @@ def test_bilstm_rejects_empty_input():
 
 def test_embed_gathers_rows_in_one_node():
     rng = np.random.default_rng(9)
-    table = WordEmbeddingTable.build(["red", "towel"], {}, 3, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "towel"], {}, 3, rng)
     X = table.embed(["towel", "red", "towel", "zebra"])
     assert X.data.shape == (4, 3)
     np.testing.assert_array_equal(
@@ -265,7 +265,7 @@ def test_embed_gathers_rows_in_one_node():
 
 def test_encode_text_gathers_the_rows_of_embed_without_a_node(monkeypatch):
     rng = np.random.default_rng(10)
-    table = WordEmbeddingTable.build(["red", "towel"], {}, 3, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "towel"], {}, 3, rng)
     f_cell, b_cell = make_cell(rng, 3, 2), make_cell(rng, 3, 2)
     tokens = ["towel", "Red", "zebra", "towel"]
     X = table.embed(tokens)
@@ -288,7 +288,7 @@ def test_encode_text_gathers_the_rows_of_embed_without_a_node(monkeypatch):
 
 def test_encode_batch_shape():
     rng = np.random.default_rng(5)
-    table = WordEmbeddingTable.build(["red", "towel"], {}, 4, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "towel"], {}, 4, rng)
     f_cell = make_cell(rng, 4, 3)
     b_cell = make_cell(rng, 4, 3)
     H = encode_batch([["red", "towel", "set"]], table, f_cell, b_cell)
@@ -303,7 +303,7 @@ def test_one_text_walk_matches_the_packed_layers(d, h, seed, tokens):
     # The two packed lstm_layer nodes of encode_batch, with gradients on
     # and off, and the one walk of encode_text give the same bits.
     rng = np.random.default_rng(seed)
-    table = WordEmbeddingTable.build(["red", "towel", "set"], {}, d, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "set", "towel"], {}, d, rng)
     f_cell, b_cell = make_cell(rng, d, h), make_cell(rng, d, h)
     packed = encode_batch([tokens], table, f_cell, b_cell)
     with ad.no_grad():
@@ -328,7 +328,7 @@ def test_one_text_walk_matches_the_packed_layers(d, h, seed, tokens):
 def test_only_one_text_without_gradients_skips_the_packed_layers(
         monkeypatch, encode, texts, recording, layers, kernel):
     rng = np.random.default_rng(13)
-    table = WordEmbeddingTable.build(["a", "b"], {}, 3, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "a", "b"], {}, 3, rng)
     cell = make_cell(rng, 3, 2)
     calls, directions = [], []
     real, steps = encoder.lstm_layer, encoder.lstm_steps
@@ -345,7 +345,7 @@ def test_only_one_text_without_gradients_skips_the_packed_layers(
 
 def test_bilstm_gradients_check_out():
     rng = np.random.default_rng(6)
-    table = WordEmbeddingTable.build(["a", "b"], {}, 3, rng)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "a", "b"], {}, 3, rng)
     f_cell = make_cell(rng, 3, 2, requires_grad=True)
     b_cell = make_cell(rng, 3, 2, requires_grad=True)
 

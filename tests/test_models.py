@@ -19,9 +19,9 @@ from avex.models import (
     build_variant,
     derive_word_itos,
 )
-from avex.attribute_embeddings import AttributeEmbeddingTable
+from avex.attribute_embeddings import AttributeEmbeddingTable, random_table
 from avex.tagging import NUM_TAGS
-from avex.training import TrainConfig
+from avex.training import TrainConfig, train
 
 
 def tiny_corpus():
@@ -112,9 +112,8 @@ def test_unsupported_variant_lists_choices():
 
 def test_adatag_requires_embedding_table():
     vocab, examples = tiny_corpus()
-    with pytest.raises(DataError):
-        build_variant(tiny_config("adatag"), vocab,
-                      derive_word_itos("adatag", examples))
+    with pytest.raises(DataError, match="requires an attribute embedding table"):
+        train(tiny_config("adatag"), vocab, examples, examples)
 
 
 def test_adatag_group_partition():
@@ -149,6 +148,27 @@ def test_adatag_attribute_vector_rows():
         np.testing.assert_array_equal(model.w_att.data[i], table.get(a))
     with pytest.raises(DataError):
         model.predict_tags(["white"], "Nope")
+
+
+def test_adatag_keeps_a_random_table_fixed():
+    # Whether r trains is the variant's choice, not the table's.
+    vocab, examples = tiny_corpus()
+    model = build_variant(tiny_config("adatag"), vocab, derive_word_itos("adatag", examples),
+                          attr_table=random_table(vocab.ids(), 5, seed=0))
+    assert not model.w_att.requires_grad
+    assert model.attribute_info()["provenance"] == "random"
+
+
+def test_model_config_is_the_config_of_its_tensors():
+    vocab, examples = tiny_corpus()
+    itos = derive_word_itos("adatag", examples)
+    model = build_variant(tiny_config("adatag", d_r=9), vocab, itos,
+                          attr_table=embedding_table(vocab, d_r=5))
+    assert model.config.d_r == model.w_att.data.shape[1] == 5
+    # Without a table (a checkpoint to load, a count) the rows are zero.
+    bare = build_variant(tiny_config("adatag", d_r=9), vocab, itos)
+    np.testing.assert_array_equal(bare.w_att.data, np.zeros((2, 9)))
+    assert bare.config.d_r == 9
 
 
 def test_adatag_random_emb_is_trainable():

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from avex import tagging
-from avex.tagging import Span, expand_tagset, is_valid, spans_to_tags, tags_to_spans
+from avex.tagging import ExpandedTagset, Span, is_valid, spans_to_tags, tags_to_spans
 
 SCENT_TOKENS = ["orchid", "/", "cherry", "pie", "/", "mango", "ice", "cream",
                 "scent"]
@@ -123,19 +123,19 @@ def test_is_valid_edge_cases():
 
 
 def test_expand_tagset_size():
-    ts = expand_tagset([f"a{i}" for i in range(12)])
+    ts = ExpandedTagset([f"a{i}" for i in range(12)])
     assert len(ts.tags) == 3 * 12 + 1
 
 
 def test_expand_tagset_layout():
-    ts = expand_tagset(["Scent", "Color"])
+    ts = ExpandedTagset(["Scent", "Color"])
     assert ts.tags == ("B-Scent", "I-Scent", "E-Scent",
                        "B-Color", "I-Color", "E-Color", "O")
     assert ts.tags[-1] == "O"
 
 
 def test_project_does_not_match_attribute_suffixes():
-    ts = expand_tagset(["a-b", "b"])
+    ts = ExpandedTagset(["a-b", "b"])
     joint = [ts.index(t) for t in ("B-a-b", "E-a-b", "O")]
     assert ts.project(joint, "b") == ["O", "O", "O"]
     assert ts.project(joint, "a-b") == ["B", "E", "O"]
@@ -151,7 +151,7 @@ ATTRIBUTE_IDS = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3
 
 @given(data=st.data(), ids=ATTRIBUTE_IDS)
 def test_project_keeps_exactly_one_attributes_tags(data, ids):
-    ts = expand_tagset(ids)
+    ts = ExpandedTagset(ids)
     # Each position is owned by one attribute (with a B/I/E tag) or by O.
     owned = data.draw(st.lists(st.one_of(
         st.none(), st.tuples(st.sampled_from(ids), st.sampled_from("BIE"))),
@@ -165,7 +165,7 @@ def test_project_keeps_exactly_one_attributes_tags(data, ids):
 
 @given(data=st.data(), ids=ATTRIBUTE_IDS)
 def test_merge_then_project_recovers_kept_spans(data, ids):
-    ts = expand_tagset(ids)
+    ts = ExpandedTagset(ids)
     length = 8
     spans = {a: set(data.draw(st.lists(
         st.tuples(st.integers(0, length - 1), st.integers(0, 2)).map(
@@ -183,7 +183,7 @@ def test_merge_then_project_recovers_kept_spans(data, ids):
 
 
 def test_expand_merge_disjoint_attributes():
-    ts = expand_tagset(["Scent", "Color"])
+    ts = ExpandedTagset(["Scent", "Color"])
     merged, dropped = ts.merge(
         {"Scent": {Span(0, 1)}, "Color": {Span(2, 2)}}, length=4)
     assert dropped == 0
@@ -192,7 +192,7 @@ def test_expand_merge_disjoint_attributes():
 
 
 def test_expand_merge_conflict_keeps_earlier_attribute():
-    ts = expand_tagset(["Scent", "Color"])
+    ts = ExpandedTagset(["Scent", "Color"])
     merged, dropped = ts.merge(
         {"Scent": {Span(0, 0)}, "Color": {Span(0, 0)}}, length=2)
     assert ts.project(merged, "Scent") == ["B", "O"]
@@ -203,7 +203,7 @@ def test_expand_merge_conflict_keeps_earlier_attribute():
 def test_merge_rejects_out_of_range_span_after_a_conflict():
     # Color's span would be dropped for overlapping Scent's, yet it still
     # lies outside the sequence: that is an error, not a dropped span.
-    ts = expand_tagset(["Scent", "Color"])
+    ts = ExpandedTagset(["Scent", "Color"])
     with pytest.raises(ValueError, match="out of range"):
         ts.merge({"Scent": {Span(0, 1)}, "Color": {Span(1, 4)}}, length=3)
 

@@ -684,6 +684,21 @@ def test_checkpoint_save_load_idempotent(tmp_path):
         (tmp_path / "two.bin").read_bytes()
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_save_load_save_is_identical(tmp_path, variant):
+    # The manifest and the payload a loaded model writes are the ones it
+    # was loaded from.
+    *_, model = run_micro_train(variant=variant, max_epochs=1)
+    first, second = tmp_path / "a" / "model", tmp_path / "b" / "model"
+    first.parent.mkdir()
+    second.parent.mkdir()
+    save_checkpoint(first, model)
+    save_checkpoint(second, load_checkpoint(first))
+    for suffix in (".json", ".bin"):
+        assert first.with_suffix(suffix).read_bytes() == \
+            second.with_suffix(suffix).read_bytes()
+
+
 def test_checkpoint_save_failure_keeps_earlier_pair(tmp_path, monkeypatch):
     *_, model = run_micro_train()
     stem = tmp_path / "model"
