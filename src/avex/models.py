@@ -229,6 +229,9 @@ class Model:
         self.attr_vocab = vocab
         self.params = ModelParams()
         self.word_tables: dict[str, WordEmbeddingTable] = {}
+        # Where a generated decoder's attribute table came from (None for
+        # the other variants); a checkpoint load sets it from its manifest.
+        self.attr_provenance = None
         self.adaptor = JointTags(vocab.ids()) if config.variant == "n_tag_sets" \
             else BioeTags()
         self._cache: dict = {}  # key -> (stamp, value), see autodiff.reuse
@@ -293,8 +296,8 @@ class Model:
         Only "adatag_random_emb" trains the table."""
         ids = self.attr_vocab.ids()
         d_r = self.config.d_r
-        # Where the table came from: set by a checkpoint load when None.
-        self.attr_provenance = None if attr_table is None else attr_table.provenance
+        if attr_table is not None:
+            self.attr_provenance = attr_table.provenance
         add = self.params.add
         rows = np.zeros((len(ids), d_r)) if attr_table is None else attr_table.as_matrix(ids)
         self.w_att = add("att_emb/W_att", rows, "att_emb",
@@ -316,15 +319,6 @@ class Model:
 
     def word_vocabs(self):
         return {scope: list(t.itos) for scope, t in self.word_tables.items()}
-
-    def attribute_info(self):
-        """The attribute table of a generated-decoder model as a checkpoint
-        manifest describes it, read off the model; None for the others."""
-        if self._decoders:
-            return None
-        return {"ids": self.attr_vocab.ids(), "d_r": self.w_att.data.shape[1],
-                "provenance": self.attr_provenance,
-                "frozen": not self.w_att.requires_grad}
 
     def prepare_examples(self, examples):
         return self.adaptor.prepare(examples)

@@ -28,7 +28,7 @@ from .errors import DataError, NumericError
 from .evaluation import decode_order, evaluate_model
 from .models import PAD, UNK, VARIANTS, build_variant, derive_word_itos, word_scope
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -325,6 +325,8 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
         raise DataError("dev split is empty")
     if config.variant == "adatag" and attr_table is None:
         raise DataError("variant 'adatag' requires an attribute embedding table")
+    if config.variant != "adatag" and attr_table is not None:
+        raise DataError(f"variant {config.variant!r} reads no attribute embedding table")
 
     rng = np.random.default_rng(config.seed)
     word_itos = derive_word_itos(config.variant, train_examples)
@@ -386,43 +388,45 @@ def _vocab_hashes(attribute_ids, word_vocabs) -> dict:
             "words": {scope: digest(itos) for scope, itos in word_vocabs.items()}}
 
 
-def save_checkpoint(stem, model) -> Path:
-    """Write ``<stem>.json`` (manifest) and ``<stem>.bin`` (f32 payload).
-
-    Neither replaces an earlier checkpoint at ``stem`` until both are written.
-    """
+def checkpoint_paths(stem) -> tuple[Path, Path]:
+    """The manifest and payload paths of the checkpoint at ``stem``:
+    ``.json`` and ``.bin`` appended to its name, so ``m.seed1`` is
+    ``m.seed1.json`` and ``m.seed1.bin``; a stem ending ``.json`` names
+    the manifest itself."""
     stem = Path(stem)
-    manifest_path = stem.with_suffix(".json")
-    payload_path = stem.with_suffix(".bin")
-    tensors = []
-    offset = 0
-    blobs = []
-    for name, t in model.params.items():
-        blob = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        tensors.append({
-            "name": name,
-            "shape": list(t.data.shape),
-            "byte_offset": offset,
-            "group": model.params.group_of(name),
-            "trainable": bool(t.requires_grad),
-        })
-        blobs.append(blob)
-        offset += len(blob)
+    if stem.suffix == ".json":
+        stem = stem.with_suffix("")
+    return stem.with_name(stem.name + ".json"), stem.with_name(stem.name + ".bin")
+
+
+def save_checkpoint(stem, model) -> Path:
+    """Write the manifest and the f32 payload of ``checkpoint_paths(stem)``.
+
+    The manifest holds what ``build_variant`` takes and each tensor's name
+    and shape, in payload order.  Neither file replaces an earlier
+    checkpoint at ``stem`` until both are written.
+    """
+    manifest_path, payload_path = checkpoint_paths(stem)
+    if "att_emb/W_att" in model.params and model.attr_provenance is None:
+        raise DataError(f"cannot save variant {model.config.variant!r} without the "
+                        "provenance of its attribute table")
+    blobs = [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+             for _, t in model.params.items()]
     word_vocabs = model.word_vocabs()
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "variant": model.config.variant,
         "config": model.config.to_json(),
         "attribute_vocab": [
             {"id": a, "phrase": model.attr_vocab.phrase(a)}
             for a in model.attr_vocab.ids()
         ],
+        "attribute_provenance": model.attr_provenance,
         "word_vocabs": word_vocabs,
         "vocab_hashes": _vocab_hashes(model.attr_vocab.ids(), word_vocabs),
-        "attribute_embeddings": model.attribute_info(),
         "payload_file": payload_path.name,
-        "payload_bytes": offset,
-        "tensors": tensors,
+        "payload_bytes": sum(map(len, blobs)),
+        "tensors": [{"name": name, "shape": list(t.data.shape)}
+                    for name, t in model.params.items()],
     }
     with files.transaction():
         with files.write(payload_path, binary=True) as fh:
@@ -435,18 +439,14 @@ def save_checkpoint(stem, model) -> Path:
 def _check_manifest(manifest, where):
     """The keys and types ``load_checkpoint`` reads, before it reads them."""
     files.check(manifest, where, config=dict, attribute_vocab=list,
-                word_vocabs=dict[str, list[str]], vocab_hashes=dict, payload_file=str,
-                payload_bytes=int, tensors=list, attribute_embeddings=dict | None)
+                attribute_provenance=str | None, word_vocabs=dict[str, list[str]],
+                vocab_hashes=dict, payload_file=str, payload_bytes=int, tensors=list)
     for i, entry in enumerate(manifest["attribute_vocab"]):
         files.check(entry, f"{where}: attribute_vocab[{i}]", id=str)
     files.check(manifest["vocab_hashes"], f"{where}: vocab_hashes",
                 attributes=str, words=dict[str, str])
     for i, entry in enumerate(manifest["tensors"]):
-        files.check(entry, f"{where}: tensors[{i}]", name=str, shape=list[int],
-                    byte_offset=int)
-    if manifest.get("attribute_embeddings") is not None:
-        files.check(manifest["attribute_embeddings"], f"{where}: attribute_embeddings",
-                    ids=list[str], d_r=int, provenance=str, frozen=bool)
+        files.check(entry, f"{where}: tensors[{i}]", name=str, shape=list[int])
     name = manifest["payload_file"]
     if name in ("", "..") or Path(name).name != name:
         raise DataError(f"{where}: payload_file {name!r} is not a plain file name")
@@ -456,34 +456,32 @@ def _check_manifest(manifest, where):
 
 
 def load_checkpoint(stem):
-    """Rebuild a model from a manifest/payload pair."""
-    stem = Path(stem)
-    manifest_path = stem if stem.suffix == ".json" else stem.with_suffix(".json")
+    """Rebuild a model from the manifest/payload pair at ``stem``
+    (see ``checkpoint_paths``)."""
+    manifest_path, _ = checkpoint_paths(stem)
     manifest = files.read_json(manifest_path, "checkpoint manifest")
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"checkpoint format version {version!r} unsupported "
             f"(expected {CHECKPOINT_FORMAT_VERSION})")
-    _check_manifest(manifest, f"checkpoint manifest {manifest_path}")
+    where = f"checkpoint manifest {manifest_path}"
+    _check_manifest(manifest, where)
     config = TrainConfig.from_mapping(manifest["config"])
     vocab = AttributeVocab(
         [(row["id"], row.get("phrase")) for row in manifest["attribute_vocab"]])
     word_itos = manifest["word_vocabs"]
     if manifest["vocab_hashes"] != _vocab_hashes(vocab.ids(), word_itos):
-        raise DataError(f"checkpoint manifest {manifest_path}: the attribute or word "
-                        "vocabularies do not match their hashes")
+        raise DataError(f"{where}: the attribute or word vocabularies do not match "
+                        "their hashes")
     model = build_variant(config, vocab, word_itos)
-    table = model.attribute_info()
-    if table is not None:
-        # The entry describes the model's table and says where it came from.
-        info = manifest.get("attribute_embeddings")
-        if info is None or info["provenance"] not in PROVENANCES \
-                or (info["ids"], info["d_r"]) != (table["ids"], table["d_r"]):
-            raise DataError(f"checkpoint manifest {manifest_path}: attribute_embeddings "
-                            f"must give the attributes {table['ids']}, d_r "
-                            f"{table['d_r']} and one of the provenances {PROVENANCES}")
-        model.attr_provenance = info["provenance"]
+    # Only a generated decoder's attribute table has a provenance.
+    allowed = PROVENANCES if "att_emb/W_att" in model.params else (None,)
+    provenance = manifest.get("attribute_provenance")
+    if provenance not in allowed:
+        raise DataError(f"{where}: attribute_provenance of variant {config.variant!r} "
+                        f"must be one of {allowed}, got {provenance!r}")
+    model.attr_provenance = provenance
 
     payload_path = manifest_path.with_name(manifest["payload_file"])
     payload = files.read_binary(payload_path, "checkpoint payload")
@@ -497,6 +495,7 @@ def load_checkpoint(stem):
         raise DataError(f"checkpoint tensors do not match model: "
                         f"missing {sorted(expected.keys() - listed)}, "
                         f"extra {sorted(listed - expected.keys())}")
+    offset = 0
     for entry in manifest["tensors"]:
         name = entry["name"]
         shape = tuple(entry["shape"])
@@ -506,11 +505,10 @@ def load_checkpoint(stem):
                 f"tensor {name} has shape {shape} in checkpoint but the "
                 f"configured model expects {t.data.shape}")
         count = int(np.prod(shape)) if shape else 1
-        start = entry["byte_offset"]
-        end = start + 4 * count
-        if end > len(payload):
+        if offset + 4 * count > len(payload):
             raise DataError(f"checkpoint payload too short for tensor {name}")
-        values = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+        values = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        offset += 4 * count
         if not np.isfinite(values).all():
             raise NumericError(f"checkpoint tensor {name} holds non-finite values")
         t.data = values.astype(np.float64).reshape(shape)

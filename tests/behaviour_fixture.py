@@ -68,7 +68,8 @@ def record(variant: str, batch_size: int, data=None) -> dict:
     config = TrainConfig(variant=variant, d_h=8, d_word=12, k=2,
                          batch_size=batch_size, max_epochs=5, seed=3)
     report, model = train(config, vocab, by_split["train"], by_split["dev"],
-                          attr_table=table, vectors=vectors)
+                          attr_table=table if variant == "adatag" else None,
+                          vectors=vectors)
     out = _epochs(report.to_json())
     if report.per_attribute is not None:
         out["per_attribute"] = {a: _epochs(entry)

@@ -4,14 +4,18 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avex import cli, files, training
 from avex.attribute_embeddings import AttributeEmbeddingTable
+from avex.corpus import AttributeVocab
 from avex.errors import DataError, NumericError
+from avex.models import build_variant
 
 SPEC = {
     "seed": 11,
@@ -254,6 +258,13 @@ def _first_tensor(manifest, entry):
     return {**manifest, "tensors": [entry] + manifest["tensors"][1:]}
 
 
+def _byte_offset(manifest, name):
+    """Where tensor ``name`` begins in the payload: after the ones before it."""
+    names = [e["name"] for e in manifest["tensors"]]
+    return sum(4 * int(np.prod(e["shape"]))
+               for e in manifest["tensors"][:names.index(name)])
+
+
 def _with_words(manifest, word_vocabs):
     """The manifest with other word vocabularies and hashes that match them."""
     ids = [entry["id"] for entry in manifest["attribute_vocab"]]
@@ -261,43 +272,61 @@ def _with_words(manifest, word_vocabs):
             "vocab_hashes": training._vocab_hashes(ids, word_vocabs)}
 
 
-MANIFEST_KEYS = ("config", "attribute_vocab", "word_vocabs", "vocab_hashes",
-                 "payload_file", "payload_bytes", "tensors")
-TENSOR_KEYS = ("name", "shape", "byte_offset")
+def _written_manifest():
+    """A manifest as ``save_checkpoint`` writes it, of a tiny adatag model."""
+    vocab = AttributeVocab([("Scent", None)])
+    table = AttributeEmbeddingTable({"Scent": np.ones(2)}, "random")
+    model = build_variant(training.TrainConfig(d_h=2, d_word=2, k=1), vocab,
+                          {"shared": ["<pad>", "<unk>"]}, attr_table=table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = training.save_checkpoint(Path(tmp) / "model", model)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _att_shape(manifest, shape):
+    """The manifest with another shape for the attribute table's tensor."""
+    return {**manifest, "tensors": [{**e, "shape": shape} if e["name"] == "att_emb/W_att"
+                                    else e for e in manifest["tensors"]]}
+
+
+# Every key that the writer emits is deleted and mistyped in turn, so that
+# one the loader does not read fails here.
+WRITTEN = _written_manifest()
 BAD_MANIFESTS = (
     [("empty", lambda m: {"format_version": training.CHECKPOINT_FORMAT_VERSION}),
-     ("not an object", lambda m: [1])]
-    + [(f"no {k}", lambda m, k=k: _without(m, k)) for k in MANIFEST_KEYS]
+     ("not an object", lambda m: [1]),
+     # Format 2 also stated the variant, the attribute table's ids, d_r and
+     # trainability, and each tensor's group, trainability and byte offset.
+     ("format 2", lambda m: {**m, "format_version": 2})]
+    + [(f"no {k}", lambda m, k=k: _without(m, k)) for k in WRITTEN]
     + [(f"{k} mistyped", lambda m, k=k: {**m, k: "7" if k == "payload_bytes" else 7})
-       for k in MANIFEST_KEYS]
+       for k in WRITTEN]
     + [(f"tensor without {k}",
         lambda m, k=k: _first_tensor(m, _without(m["tensors"][0], k)))
-       for k in TENSOR_KEYS]
+       for k in WRITTEN["tensors"][0]]
     + [(f"tensor {k} mistyped",
         lambda m, k=k: _first_tensor(m, {**m["tensors"][0], k: None}))
-       for k in TENSOR_KEYS]
-    + [("negative offset",
-        lambda m: _first_tensor(m, {**m["tensors"][0], "byte_offset": -4})),
-       ("shape of strings",
+       for k in WRITTEN["tensors"][0]]
+    + [("shape of strings",
         lambda m: _first_tensor(m, {**m["tensors"][0], "shape": ["2"]})),
        ("attribute row without id", lambda m: {**m, "attribute_vocab": [{}]}),
        ("word vocabulary not a list", lambda m: {**m, "word_vocabs": {"shared": "a"}}),
        ("word not a string", lambda m: {**m, "word_vocabs": {"shared": [["x"]]}}),
        ("word vocabulary hash not a string", lambda m: {
            **m, "vocab_hashes": {**m["vocab_hashes"], "words": {"shared": 7}}}),
-       ("attribute embeddings without d_r", lambda m: {
-           **m, "attribute_embeddings": _without(m["attribute_embeddings"], "d_r")}),
+       # The attribute table is stated once, as the att_emb/W_att tensor.
+       ("attribute embeddings without d_r",
+        lambda m: _att_shape(m, [len(m["attribute_vocab"])])),
        ("attribute embedding id not a string", lambda m: {
-           **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": [["x"]]}}),
-       ("adatag without attribute embeddings", lambda m: {
-           **m, "attribute_embeddings": None}),
-       ("attribute embedding provenance unknown", lambda m: {
-           **m, "attribute_embeddings": {**m["attribute_embeddings"],
-                                         "provenance": "bogus"}}),
-       ("attribute embeddings of another d_r", lambda m: {
-           **m, "attribute_embeddings": {**m["attribute_embeddings"], "d_r": 5}}),
-       ("attribute embeddings without an attribute", lambda m: {
-           **m, "attribute_embeddings": {**m["attribute_embeddings"], "ids": ["Scent"]}}),
+           **m, "attribute_vocab": [{"id": ["x"]}] + m["attribute_vocab"][1:]}),
+       ("adatag without attribute embeddings",
+        lambda m: {**m, "attribute_provenance": None}),
+       ("attribute embedding provenance unknown",
+        lambda m: {**m, "attribute_provenance": "bogus"}),
+       ("attribute embeddings of another d_r",
+        lambda m: _att_shape(m, [len(m["attribute_vocab"]), 5])),
+       ("attribute embeddings without an attribute",
+        lambda m: _att_shape(m, [1, m["config"]["d_r"]])),
        ("config value mistyped", lambda m: {**m, "config": {**m["config"], "d_h": [8]}}),
        ("config seed negative", lambda m: {**m, "config": {**m["config"], "seed": -1}}),
        ("no shared word vocabulary", lambda m: _with_words(m, {})),
@@ -364,7 +393,7 @@ def test_nan_weight_is_numeric_failure(pipeline, tmp_path, capsys, command, tens
     stem, manifest = _copy_checkpoint(pipeline, tmp_path)
     entry = next(e for e in manifest["tensors"] if e["name"] == tensor)
     payload = bytearray(stem.with_suffix(".bin").read_bytes())
-    offset = entry["byte_offset"]
+    offset = _byte_offset(manifest, tensor)
     if attribute is not None:  # the first value of that attribute's row
         ids = [row["id"] for row in manifest["attribute_vocab"]]
         offset += 4 * entry["shape"][1] * ids.index(attribute)
@@ -504,6 +533,19 @@ def test_adatag_train_without_embeddings_is_data_error(pipeline, tmp_path, capsy
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("variant", ["adatag_random_emb", "bilstm_multicrf", "n_tag_sets",
+                                     "per_attribute", "bilstm_crf_shared_emb"])
+def test_train_embeddings_for_another_variant_is_data_error(pipeline, tmp_path, capsys,
+                                                            variant):
+    # Only adatag reads --embeddings; the others would ignore the table.
+    args = list(pipeline["train_args"])
+    args[args.index("--out") + 1] = str(tmp_path / "m")
+    err = _data_error(args + ["--variant", variant, "--report", str(tmp_path / "r.json")],
+                      capsys)
+    assert f"variant '{variant}' reads no attribute embedding table" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_extract_of_blank_text_is_data_error(pipeline, capsys):
     err = _data_error(["extract", "--checkpoint", str(pipeline["stem"]),
                        "--attr", "Scent", "--text", "   "], capsys)
@@ -525,13 +567,17 @@ def test_embed_without_what_its_mode_needs_is_data_error(pipeline, tmp_path, cap
 
 
 def test_tensor_past_the_payload_is_data_error(pipeline, tmp_path, capsys):
+    # A payload cut short with a manifest that agrees: the last tensor ends
+    # past it.
     stem, manifest = _copy_checkpoint(pipeline, tmp_path)
-    past = {**manifest["tensors"][0], "byte_offset": manifest["payload_bytes"]}
-    stem.with_suffix(".json").write_text(json.dumps(_first_tensor(manifest, past)),
-                                         encoding="utf-8")
+    payload = stem.with_suffix(".bin").read_bytes()[:-4]
+    stem.with_suffix(".bin").write_bytes(payload)
+    stem.with_suffix(".json").write_text(
+        json.dumps({**manifest, "payload_bytes": len(payload)}), encoding="utf-8")
     err = _data_error(["extract", "--checkpoint", str(stem), "--attr", "Scent",
                        "--text", "rose scent"], capsys)
-    assert f"checkpoint payload too short for tensor {past['name']}" in err
+    assert f"checkpoint payload too short for tensor {manifest['tensors'][-1]['name']}" \
+        in err
 
 
 def test_eval_table_names_the_attributes_without_gold(pipeline, tmp_path, capsys):

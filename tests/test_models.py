@@ -156,7 +156,7 @@ def test_adatag_keeps_a_random_table_fixed():
     model = build_variant(tiny_config("adatag"), vocab, derive_word_itos("adatag", examples),
                           attr_table=random_table(vocab.ids(), 5, seed=0))
     assert not model.w_att.requires_grad
-    assert model.attribute_info()["provenance"] == "random"
+    assert model.attr_provenance == "random"
 
 
 def test_model_config_is_the_config_of_its_tensors():
@@ -175,7 +175,7 @@ def test_adatag_random_emb_is_trainable():
     model, _, _ = build("adatag_random_emb")
     assert model.params["att_emb/W_att"].requires_grad
     assert model.params["att_emb/W_att"].data.shape == (2, 5)
-    assert not model.attribute_info()["frozen"]
+    assert model.w_att.requires_grad
 
 
 def test_adatag_loss_and_predict_shapes():

@@ -66,9 +66,11 @@ def run_micro_train(**kw):
     corpus, by_split = micro_synth()
     table = uncontextualized_table(corpus.vocab, by_split["train"],
                                    corpus.vectors)
-    report, model = train(micro_config(**kw), corpus.vocab,
+    config = micro_config(**kw)
+    report, model = train(config, corpus.vocab,
                           by_split["train"], by_split["dev"],
-                          attr_table=table, vectors=corpus.vectors)
+                          attr_table=table if config.variant == "adatag" else None,
+                          vectors=corpus.vectors)
     return corpus, by_split, table, report, model
 
 
@@ -697,6 +699,47 @@ def test_checkpoint_save_load_save_is_identical(tmp_path, variant):
     for suffix in (".json", ".bin"):
         assert first.with_suffix(suffix).read_bytes() == \
             second.with_suffix(suffix).read_bytes()
+
+
+def test_checkpoints_of_dotted_stems_keep_apart(tmp_path):
+    # m.seed1 and m.seed2 are two checkpoints, not one m.json written twice;
+    # a stem ending .json names the manifest.
+    models = [run_micro_train(seed=seed, max_epochs=1)[-1] for seed in (1, 2)]
+    for stem, model in (("m.seed1", models[0]), ("m.seed2", models[1]),
+                        ("n.json", models[0])):
+        save_checkpoint(tmp_path / stem, model)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["m.seed1.bin", "m.seed1.json", "m.seed2.bin", "m.seed2.json", "n.bin", "n.json"]
+    for stem, model in (("m.seed1", models[0]), ("m.seed2.json", models[1]),
+                        ("n", models[0])):
+        np.testing.assert_array_equal(
+            load_checkpoint(tmp_path / stem).params["encoder/lstm_fwd/W"].data,
+            model.params["encoder/lstm_fwd/W"].data.astype(np.float32))
+
+
+def test_generated_decoder_without_provenance_is_not_saved(tmp_path):
+    # A model built without a table (as a load or a count builds it) has
+    # no provenance to write, and its manifest would not load.
+    corpus, by_split = micro_synth()
+    model = build_variant(micro_config(), corpus.vocab,
+                          derive_word_itos("adatag", by_split["train"]))
+    with pytest.raises(DataError, match="without the provenance of its attribute table"):
+        save_checkpoint(tmp_path / "model", model)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_provenance_of_the_other_kind_of_variant_is_refused(tmp_path, variant):
+    # Only a generated decoder's table has a provenance: null is refused for
+    # adatag and adatag_random_emb, and a provenance for the other variants.
+    *_, model = run_micro_train(variant=variant, max_epochs=1)
+    save_checkpoint(tmp_path / "model", model)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    manifest["attribute_provenance"] = \
+        "random" if manifest["attribute_provenance"] is None else None
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="attribute_provenance"):
+        load_checkpoint(tmp_path / "model")
 
 
 def test_checkpoint_save_failure_keeps_earlier_pair(tmp_path, monkeypatch):
