@@ -2,7 +2,8 @@
 
 Each attribute gets one vector r that conditions the decoder generators.
 Three provenances are supported: "uncontextualized" pools static word
-vectors of the attribute's name phrase and of its labeled values;
+vectors of the attribute's name phrase and of its labeled values, each
+distinct value string embedded once per call;
 "contextualized" ingests externally computed per-instance name/value
 vectors and mean-pools them; "random" draws a table uniformly at random.
 A table is data: whether a model trains its rows is up to the variant
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+from itertools import chain
 
 import numpy as np
 
@@ -103,10 +105,15 @@ class AttributeEmbeddingTable:
         return cls(vectors, provenances.pop() if provenances else "contextualized")
 
 
-def collect_instances(examples, attr_id: str) -> list[str]:
-    """The value string of every labeled span of the attribute."""
-    return [span_text(ex.token_texts(), span) for ex in examples if ex.attribute == attr_id
-            for span in sorted(tags_to_spans(ex.tags))]
+def collect_instances(examples, attr_ids) -> dict[str, list[str]]:
+    """Per attribute of ``attr_ids``, the value string of every labeled
+    span, in example order and left to right within an example."""
+    found = {a: [] for a in attr_ids}
+    for ex in examples:
+        if ex.attribute in found:
+            found[ex.attribute] += [span_text(ex.token_texts(), span)
+                                    for span in sorted(tags_to_spans(ex.tags))]
+    return found
 
 
 def static_phrase_embedding(phrase: str, vectors: dict, dim: int) -> np.ndarray:
@@ -118,40 +125,31 @@ def static_phrase_embedding(phrase: str, vectors: dict, dim: int) -> np.ndarray:
     return np.mean(hits, axis=0)
 
 
-def uncontextualized_embedding(attr_id: str, phrase: str, examples,
-                               vectors: dict, dim: int):
-    """Static name/value pooling for one attribute.
-
-    The name half embeds the attribute phrase; the value half averages
-    the phrase embeddings of every labeled value occurrence.  With no
-    occurrences the value half is zero and the attribute is flagged.
-    Returns (embedding of size 2*dim, flagged).
-    """
-    values = collect_instances(examples, attr_id)
-    name_part = static_phrase_embedding(phrase, vectors, dim)
-    if values:
-        value_part = np.mean(
-            [static_phrase_embedding(v, vectors, dim) for v in values], axis=0)
-        flagged = False
-    else:
-        value_part = np.zeros(dim)
-        flagged = True
-    return np.concatenate([name_part, value_part]), flagged
-
-
 def uncontextualized_table(vocab, examples, vectors) -> AttributeEmbeddingTable:
-    """Pool a full table from static word vectors and labeled data."""
+    """Pool a full table from static word vectors and labeled data.
+
+    Each attribute's name half embeds its phrase; its value half averages
+    the phrase embeddings of every labeled value occurrence.  Each
+    distinct value string is embedded once, and an occurrence reads its
+    row, so the mean sees the same matrix as one row per occurrence
+    would give.  With no occurrences the value half is zero, with a
+    warning.
+    """
     if not vectors:
         raise DataError("uncontextualized embeddings require static word vectors")
     dim = next(iter(vectors.values())).shape[0]
+    instances = collect_instances(examples, vocab.ids())
+    row = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(instances.values())))}
+    rows = np.array([static_phrase_embedding(v, vectors, dim) for v in row])
     table = {}
-    for attr_id in vocab.ids():
-        emb, flagged = uncontextualized_embedding(
-            attr_id, vocab.phrase(attr_id), examples, vectors, dim)
-        if flagged:
-            log.warning("attribute %s has no labeled values; value half is zero",
-                        attr_id)
-        table[attr_id] = emb
+    for attr_id, values in instances.items():
+        if values:
+            value_part = np.mean(rows[[row[v] for v in values]], axis=0)
+        else:
+            log.warning("attribute %s has no labeled values; value half is zero", attr_id)
+            value_part = np.zeros(dim)
+        table[attr_id] = np.concatenate(
+            [static_phrase_embedding(vocab.phrase(attr_id), vectors, dim), value_part])
     return AttributeEmbeddingTable(table, "uncontextualized")
 
 

@@ -7,7 +7,10 @@ Profiles arrive as JSONL, one product per line:
 
 Catalog values are projected onto the text by exact token-sequence
 matching (case-insensitive), which yields BIOE tag sequences without any
-manual annotation.  Descriptions are parsed but never labeled.
+manual annotation.  ``build_corpus`` tokenizes each distinct value string
+once per call, however many products repeat it, and counts a pair's
+matched values off the spans it keeps.  Descriptions are parsed but
+never labeled.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from itertools import compress
 
 from . import files
 from .errors import DataError
-from .tagging import OUTSIDE, Span, first_fit, spans_to_tags, tag_indices, value_strings
+from .tagging import (OUTSIDE, Span, first_fit, span_text, spans_to_tags, tag_indices,
+                      value_strings)
 
 SETTINGS = ("title", "title_plus_bullets")
 FIELD_SEPARATOR = "."
@@ -74,37 +78,35 @@ class AttributeVocab:
     """Ordered attribute inventory; ids map to display phrases."""
 
     def __init__(self, entries):
-        self._entries = []
-        seen = set()
+        self._phrases = {}  # id -> display phrase, in entry order
         for attr_id, phrase in entries:
-            if attr_id in seen:
+            if attr_id in self._phrases:
                 raise DataError(f"duplicate attribute id {attr_id!r}")
             if phrase is not None and not isinstance(phrase, str):
                 raise DataError(f"phrase of attribute {attr_id!r} is not a string")
-            seen.add(attr_id)
-            self._entries.append((attr_id, phrase or attribute_phrase(attr_id)))
+            self._phrases[attr_id] = phrase or attribute_phrase(attr_id)
 
     def ids(self) -> list[str]:
-        return [a for a, _ in self._entries]
+        return list(self._phrases)
 
     def phrase(self, attr_id: str) -> str:
-        for a, p in self._entries:
-            if a == attr_id:
-                return p
-        raise DataError(f"unknown attribute id {attr_id!r}")
+        try:
+            return self._phrases[attr_id]
+        except KeyError:
+            raise DataError(f"unknown attribute id {attr_id!r}")
 
     def __contains__(self, attr_id):
-        return any(a == attr_id for a, _ in self._entries)
+        return attr_id in self._phrases
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._phrases)
 
     def subset(self, keep) -> "AttributeVocab":
         keep = set(keep)
-        unknown = keep - set(self.ids())
+        unknown = keep - set(self._phrases)
         if unknown:
             raise DataError(f"unknown attribute id(s): {sorted(unknown)}")
-        return AttributeVocab([e for e in self._entries if e[0] in keep])
+        return AttributeVocab([e for e in self._phrases.items() if e[0] in keep])
 
     @classmethod
     def load(cls, path) -> "AttributeVocab":
@@ -116,7 +118,7 @@ class AttributeVocab:
         return cls([(row["id"], row.get("phrase")) for row in raw])
 
     def save(self, path):
-        rows = [{"id": a, "phrase": p} for a, p in self._entries]
+        rows = [{"id": a, "phrase": p} for a, p in self._phrases.items()]
         files.write_json(path, rows, indent=2)
 
 
@@ -139,35 +141,29 @@ def value_tokens(values) -> dict[str, list[str]]:
     return {v: [t.text.lower() for t in tokenize(v)] for v in values}
 
 
-def distant_label(tokens, values) -> list[str]:
-    """Project catalog values onto a token sequence as BIOE tags.
-
-    Matching is case-insensitive and token-boundary aligned; longer
-    matches win, ties go left to right, and accepted matches never
-    overlap.  ``values`` is a collection of value strings, or their
-    ``value_tokens`` so that a caller tokenizes them only once.
-    """
-    if not isinstance(values, dict):
-        values = value_tokens(values)
-    n = len(tokens)
-    lowered = [t.text.lower() for t in tokens]
+def accepted_spans(lowered, values) -> list[Span]:
+    """The value matches that distant labeling keeps in a lowercased
+    token sequence, given each value's ``value_tokens`` entry: longer
+    matches win, ties go left to right, and no two kept spans overlap."""
+    n = len(lowered)
     spans = []
-    for vtoks in values.values():
+    for vtoks in values:
         width = len(vtoks)
         for s in range(n - width + 1 if width else 0):
             if lowered[s:s + width] == vtoks:
                 spans.append(Span(s, s + width - 1))
     spans.sort(key=lambda span: (span.start - span.end, span.start))
-    return spans_to_tags(compress(spans, first_fit(spans, n)), n)
+    return list(compress(spans, first_fit(spans, n)))
 
 
-def matched_values(tokens, tags, values) -> set[str]:
-    """Which catalog values are realized by the labeled spans.  ``values``
-    is as in ``distant_label``."""
-    if not isinstance(values, dict):
-        values = value_tokens(values)
-    realized = {v.lower() for v in value_strings([t.text for t in tokens], tags)}
-    return {v for v, vtoks in values.items() if " ".join(vtoks) in realized}
+def distant_label(tokens, values) -> list[str]:
+    """Project catalog values onto a token sequence as BIOE tags.
+
+    Matching is case-insensitive and token-boundary aligned, as in
+    ``accepted_spans``; ``values`` is a collection of value strings.
+    """
+    lowered = [t.text.lower() for t in tokens]
+    return spans_to_tags(accepted_spans(lowered, value_tokens(values).values()), len(tokens))
 
 
 @dataclass
@@ -210,26 +206,31 @@ def build_corpus(products, vocab: AttributeVocab, setting: str = "title",
     """
     if setting not in SETTINGS:
         raise DataError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
+    products = list(products)
+    known = value_tokens({v for p in products for vs in p.gold_values.values() for v in vs})
     report = CoverageReport()
     examples = []
     for product in products:
         report.products += 1
         tokens = tuple(tokenize(source_text(product, setting)))
+        texts = [t.text for t in tokens]
+        lowered = [t.lower() for t in texts]
         for attr_id in sorted(product.gold_values):
             if attr_id not in vocab:
                 report.unknown_attributes += 1
                 continue
-            values = [v for v in product.gold_values[attr_id] if v and v.strip()]
+            values = [v for v in dict.fromkeys(product.gold_values[attr_id]) if v and v.strip()]
             if not values:
                 continue
-            values = value_tokens(values)  # tokenized once for both steps
             report.values_seen += len(values)
-            tags = distant_label(tokens, values)
-            hit = matched_values(tokens, tags, values)
-            report.values_matched += len(hit)
-            if hit:
+            spans = accepted_spans(lowered, [known[v] for v in values])
+            realized = {span_text(texts, span).lower() for span in spans}
+            hits = sum(" ".join(known[v]) in realized for v in values)
+            report.values_matched += hits
+            if hits:
                 examples.append(LabeledExample(
-                    product.id, attr_id, tokens, tuple(tags), setting))
+                    product.id, attr_id, tokens, tuple(spans_to_tags(spans, len(tokens))),
+                    setting))
             elif include_negatives and tokens:
                 examples.append(LabeledExample(
                     product.id, attr_id, tokens, tuple([OUTSIDE] * len(tokens)), setting))

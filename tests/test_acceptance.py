@@ -171,24 +171,26 @@ def test_criterion_05_hypernetwork_and_gate_algebra():
                 "identities hold", failures)
 
 
+OVERFIT_SPEC = SynthSpec(seed=11, vector_dim=50, attributes=[
+    SynthAttribute(
+        "Scent",
+        values=("orchid", "vanilla", "jasmine", "mango", "lavender",
+                "rose", "coconut", "cherry pie"),
+        templates=("<value> / <value> scent", "<value> scented wash",
+                   "<value> and <value> fragrance"),
+        train=50, dev=20),
+    SynthAttribute(
+        "Color",
+        values=("red", "orange", "green", "black", "white", "purple",
+                "teal", "navy blue"),
+        templates=("<value> / <value> towel", "<value> cotton towel",
+                   "<value> and <value> robe"),
+        train=50, dev=20),
+])
+
+
 def _overfit_corpus():
-    spec = SynthSpec(seed=11, vector_dim=50, attributes=[
-        SynthAttribute(
-            "Scent",
-            values=("orchid", "vanilla", "jasmine", "mango", "lavender",
-                    "rose", "coconut", "cherry pie"),
-            templates=("<value> / <value> scent", "<value> scented wash",
-                       "<value> and <value> fragrance"),
-            train=50, dev=20),
-        SynthAttribute(
-            "Color",
-            values=("red", "orange", "green", "black", "white", "purple",
-                    "teal", "navy blue"),
-            templates=("<value> / <value> towel", "<value> cotton towel",
-                       "<value> and <value> robe"),
-            train=50, dev=20),
-    ])
-    corpus = generate(spec)
+    corpus = generate(OVERFIT_SPEC)
     examples, _ = build_corpus(corpus.products, corpus.vocab, "title")
     by_split = split_examples(examples, corpus.manifest)
     table = uncontextualized_table(corpus.vocab, by_split["train"],
@@ -220,30 +222,32 @@ SHARED_VALUES = ("vanilla", "hazelnut", "caramel", "peach", "almond", "cocoa",
                  "maple", "cherry pie", "rock salt", "mint")
 
 
+SHARING_SPEC = SynthSpec(seed=23, vector_dim=50, attributes=[
+    SynthAttribute(
+        "Flavor", values=SHARED_VALUES,
+        templates=("<value> / <value> syrup", "<value> snack bar",
+                   "<value> and <value> cookies"),
+        train=20, dev=25, train_value_limit=3),
+    SynthAttribute(
+        "Scent", values=SHARED_VALUES,
+        templates=("<value> / <value> scent", "<value> scented wash",
+                   "<value> and <value> candle"),
+        train=500, dev=20),
+    SynthAttribute(
+        "FragranceNotes", values=SHARED_VALUES,
+        templates=("<value> / <value> notes", "<value> infused mist",
+                   "<value> and <value> perfume"),
+        train=500, dev=20),
+    SynthAttribute(
+        "FlavorProfile", values=SHARED_VALUES,
+        templates=("<value> / <value> blend", "<value> roast coffee",
+                   "<value> and <value> tea"),
+        train=500, dev=20),
+])
+
+
 def _sharing_corpus():
-    spec = SynthSpec(seed=23, vector_dim=50, attributes=[
-        SynthAttribute(
-            "Flavor", values=SHARED_VALUES,
-            templates=("<value> / <value> syrup", "<value> snack bar",
-                       "<value> and <value> cookies"),
-            train=20, dev=25, train_value_limit=3),
-        SynthAttribute(
-            "Scent", values=SHARED_VALUES,
-            templates=("<value> / <value> scent", "<value> scented wash",
-                       "<value> and <value> candle"),
-            train=500, dev=20),
-        SynthAttribute(
-            "FragranceNotes", values=SHARED_VALUES,
-            templates=("<value> / <value> notes", "<value> infused mist",
-                       "<value> and <value> perfume"),
-            train=500, dev=20),
-        SynthAttribute(
-            "FlavorProfile", values=SHARED_VALUES,
-            templates=("<value> / <value> blend", "<value> roast coffee",
-                       "<value> and <value> tea"),
-            train=500, dev=20),
-    ])
-    corpus = generate(spec)
+    corpus = generate(SHARING_SPEC)
     examples, _ = build_corpus(corpus.products, corpus.vocab, "title")
     by_split = split_examples(examples, corpus.manifest)
     table = uncontextualized_table(corpus.vocab, by_split["train"],

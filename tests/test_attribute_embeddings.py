@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avex.attribute_embeddings import (
     AttributeEmbeddingTable,
@@ -11,11 +13,11 @@ from avex.attribute_embeddings import (
     ingest_contextualized,
     random_table,
     static_phrase_embedding,
-    uncontextualized_embedding,
     uncontextualized_table,
 )
 from avex.corpus import AttributeVocab, Product, build_corpus
 from avex.errors import DataError
+from avex.tagging import span_text, tags_to_spans
 
 
 VECS = {
@@ -51,26 +53,78 @@ def test_static_phrase_embedding_skips_oov():
 
 def test_collect_instances_one_per_span():
     vocab, examples = labeled_examples()
-    assert collect_instances(examples, "SkinType") == ["Dry", "Sensitive"]
-    assert collect_instances(examples, "Color") == []
+    assert collect_instances(examples, ["SkinType", "Color"]) == {
+        "SkinType": ["Dry", "Sensitive"], "Color": []}
 
 
 def test_uncontextualized_embedding_concatenates_halves():
     vocab, examples = labeled_examples()
-    emb, flagged = uncontextualized_embedding(
-        "SkinType", "Skin Type", examples, VECS, 2)
-    assert not flagged
+    emb = uncontextualized_table(vocab, examples, VECS).get("SkinType")
     assert emb.shape == (4,)
     np.testing.assert_allclose(emb[:2], [0.5, 0.5])  # name half
     # Value half: mean of embed("Dry") = (2,0) and embed("Sensitive") = (0,4).
     np.testing.assert_allclose(emb[2:], [1.0, 2.0])
 
 
-def test_uncontextualized_embedding_flags_no_instances():
-    emb, flagged = uncontextualized_embedding(
-        "SkinType", "Skin Type", [], VECS, 2)
-    assert flagged
+def test_uncontextualized_embedding_flags_no_instances(caplog):
+    vocab, _ = labeled_examples()
+    with caplog.at_level(logging.WARNING):
+        emb = uncontextualized_table(vocab, [], VECS).get("SkinType")
+    assert "SkinType has no labeled values" in caplog.text
     np.testing.assert_array_equal(emb[2:], [0.0, 0.0])
+
+
+def reference_table(vocab, examples, vectors):
+    """``uncontextualized_table`` with one phrase embedding per value occurrence."""
+    dim = next(iter(vectors.values())).shape[0]
+    table = {}
+    for attr_id in vocab.ids():
+        values = [span_text(ex.token_texts(), span) for ex in examples
+                  if ex.attribute == attr_id for span in sorted(tags_to_spans(ex.tags))]
+        value_part = (np.mean([static_phrase_embedding(v, vectors, dim) for v in values], axis=0)
+                      if values else np.zeros(dim))
+        table[attr_id] = np.concatenate(
+            [static_phrase_embedding(vocab.phrase(attr_id), vectors, dim), value_part])
+    return table
+
+
+# "zzz qqq" has only out-of-vocabulary tokens; Color and Scent share values.
+POOL_VALUES = ("dry", "oily skin", "zzz qqq", "red", "rose red", "sensitive", "Skin")
+POOL_WORDS = ("dry", "oily", "skin", "red", "rose", "sensitive", "type", "color", "scent")
+
+
+def assert_pools_bitwise(pairs, seed):
+    """Label one product per (attribute, values) pair, pool, and compare
+    the table with the reference bit for bit."""
+    rng = np.random.default_rng(seed)
+    vectors = {w: rng.normal(size=5) for w in POOL_WORDS}
+    # Finish has no occurrences: its value half is zero.
+    vocab = AttributeVocab([(a, None) for a in ("SkinType", "Color", "Scent", "Finish")])
+    products = [Product(f"p{i:03d}", " / ".join(values), [], None, {attr_id: values})
+                for i, (attr_id, values) in enumerate(pairs)]
+    examples, _ = build_corpus(products, vocab)
+    got = uncontextualized_table(vocab, examples, vectors)
+    want = reference_table(vocab, examples, vectors)
+    assert got.ids() == sorted(want)
+    for attr_id, vec in want.items():
+        assert np.array_equal(got.get(attr_id).view(np.int64), vec.view(np.int64)), attr_id
+
+
+def test_uncontextualized_table_is_bitwise_the_per_occurrence_mean(caplog):
+    pairs = [("SkinType", ["dry", "zzz qqq"]), ("Color", ["red", "rose red"]),
+             ("Scent", ["rose red", "red"]), ("SkinType", ["oily skin", "dry"])] * 40
+    with caplog.at_level(logging.WARNING):
+        assert_pools_bitwise(pairs, seed=3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "attribute Finish has no labeled values; value half is zero"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(("SkinType", "Color", "Scent", "Zzz")),
+                          st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=3)),
+                max_size=40),
+       st.integers(0, 2**32 - 1))
+def test_uncontextualized_table_pools_any_occurrences_bitwise(pairs, seed):
+    assert_pools_bitwise(pairs, seed)
 
 
 def test_uncontextualized_table_dims_and_warning(caplog):

@@ -2,12 +2,15 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from avex.corpus import (
     AttributeVocab,
+    CoverageReport,
+    LabeledExample,
     Product,
+    SETTINGS,
     Token,
     attribute_phrase,
     build_corpus,
@@ -16,7 +19,6 @@ from avex.corpus import (
     load_labeled,
     load_products,
     load_split_manifest,
-    matched_values,
     parse_product,
     save_labeled,
     source_text,
@@ -24,7 +26,7 @@ from avex.corpus import (
     tokenize,
 )
 from avex.errors import DataError
-from avex.tagging import Span, span_text
+from avex.tagging import OUTSIDE, Span, first_fit, span_text, spans_to_tags, value_strings
 from oracles import reference_tokenize
 
 
@@ -165,12 +167,13 @@ def test_distant_label_value_with_punctuation():
 
 
 def test_matched_values_and_span_text():
-    tokens = tokenize("orchid / cherry pie / mango ice cream scent")
-    values = ["orchid", "cherry pie", "mango ice cream", "vanilla"]
-    tags = distant_label(tokens, values)
-    assert matched_values(tokens, tags, values) == {
-        "orchid", "cherry pie", "mango ice cream"}
-    assert span_text([t.text for t in tokens], Span(2, 3)) == "cherry pie"
+    vocab = AttributeVocab([("Scent", None)])
+    p = Product("p1", "orchid / cherry pie / mango ice cream scent", [], None,
+                {"Scent": ["orchid", "cherry pie", "mango ice cream", "vanilla"]})
+    examples, report = build_corpus([p], vocab)
+    assert examples[0].gold_value_strings == {"orchid", "cherry pie", "mango ice cream"}
+    assert (report.values_seen, report.values_matched) == (4, 3)
+    assert span_text(examples[0].token_texts(), Span(2, 3)) == "cherry pie"
 
 
 # -- corpus construction -----------------------------------------------------
@@ -251,11 +254,100 @@ def test_title_plus_bullets_value_in_bullet_is_found():
     p = Product("p1", "Daily Moisture Body Wash",
                 ["For Dry, Sensitive skin"], None,
                 {"SkinType": ["Dry", "Sensitive"]})
-    examples, _ = build_corpus([p], vocab, setting="title_plus_bullets")
+    examples, report = build_corpus([p], vocab, setting="title_plus_bullets")
     assert len(examples) == 1
-    got = matched_values(examples[0].tokens, examples[0].tags,
-                         {"Dry", "Sensitive"})
-    assert got == {"Dry", "Sensitive"}
+    assert examples[0].gold_value_strings == {"Dry", "Sensitive"}
+    assert report.values_matched == 2
+
+
+def reference_build_corpus(products, vocab, setting, include_negatives):
+    """``build_corpus`` one pair at a time: each pair tokenizes its own
+    values, and its matched values are read back off the tags it wrote."""
+    report = CoverageReport()
+    examples = []
+    for product in products:
+        report.products += 1
+        tokens = tuple(tokenize(source_text(product, setting)))
+        texts = [t.text for t in tokens]
+        for attr_id in sorted(product.gold_values):
+            if attr_id not in vocab:
+                report.unknown_attributes += 1
+                continue
+            values = {v: [t.text.lower() for t in tokenize(v)]
+                      for v in product.gold_values[attr_id] if v and v.strip()}
+            if not values:
+                continue
+            report.values_seen += len(values)
+            lowered = [t.lower() for t in texts]
+            spans = [Span(s, s + len(vtoks) - 1) for vtoks in values.values()
+                     for s in range(len(tokens) - len(vtoks) + 1)
+                     if lowered[s:s + len(vtoks)] == vtoks]
+            spans.sort(key=lambda span: (span.start - span.end, span.start))
+            kept = [span for span, keep in zip(spans, first_fit(spans, len(tokens))) if keep]
+            tags = spans_to_tags(kept, len(tokens))
+            realized = {v.lower() for v in value_strings(texts, tags)}
+            hit = {v for v, vtoks in values.items() if " ".join(vtoks) in realized}
+            report.values_matched += len(hit)
+            if hit:
+                examples.append(LabeledExample(product.id, attr_id, tokens, tuple(tags), setting))
+            elif include_negatives and tokens:
+                examples.append(LabeledExample(
+                    product.id, attr_id, tokens, (OUTSIDE,) * len(tokens), setting))
+                report.negatives += 1
+            else:
+                report.dropped_pairs += 1
+    examples.sort(key=lambda ex: (ex.product_id, ex.attribute))
+    report.examples = len(examples)
+    for ex in examples:
+        report.per_attribute_examples[ex.attribute] = (
+            report.per_attribute_examples.get(ex.attribute, 0) + 1)
+    return examples, report
+
+
+# Values that repeat, differ only in case, nest or overlap, carry
+# punctuation, or lowercase unusually (a word-final sigma, a dotted I).
+LABEL_VALUES = ("red", "Red", "RED", "navy", "navy blue", "blue navy", "blue navy blue",
+                "blue", "red.", "(red)", "2-in-1", "in", "a b", "b c", "ΟΔΟΣ", "οδος",
+                "οδοσ", "İstanbul", "istanbul", "i̇stanbul", " ", "")
+LABEL_WORDS = ("red", "Red", "navy", "blue", "Navy Blue", "2-in-1", "a", "b", "c",
+               "ΟΔΟΣ", "Οδος", "İstanbul", "ISTANBUL", "soap", ",", ".", "(", ")", "/", "-")
+
+
+@st.composite
+def label_products(draw):
+    count = draw(st.integers(0, 6))
+    products = []
+    for i in range(count):
+        words = draw(st.lists(st.sampled_from(LABEL_WORDS), max_size=8))
+        title = "".join(w + draw(st.sampled_from(("", " ", " ", " / "))) for w in words)
+        bullets = draw(st.lists(st.sampled_from(("red soap", "Navy blue.", "", "ΟΔΟΣ a b c")),
+                                max_size=2))
+        attrs = draw(st.dictionaries(st.sampled_from(("Color", "Scent", "Zzz")),
+                                     st.lists(st.sampled_from(LABEL_VALUES), max_size=4),
+                                     max_size=3))
+        products.append(Product(f"p{count - i}", title, bullets, None, attrs))
+    return products
+
+
+@given(label_products(), st.sampled_from(SETTINGS), st.booleans())
+@example([Product("p1", "red soap, Red towel", [], None, {"Color": ["red", "Red"]}),
+          Product("p2", "RED (red) robe", [], None, {"Color": ["Red", "red", "red"]})],
+         "title", False)
+@example([Product("p1", "navy blue navy blue", [], None,
+                  {"Color": ["navy", "navy blue", "blue navy", "blue navy blue"]}),
+          Product("p2", "a b c", [], None, {"Color": ["a b", "b c"], "Zzz": ["a"]})],
+         "title", False)
+@example([Product("p1", "ΟΔΟΣ İstanbul", ["οδος, i̇stanbul."], None,
+                  {"Scent": ["οδος", "οδοσ", "istanbul", "İstanbul"]})],
+         "title_plus_bullets", False)
+@example([Product("p1", "plain soap", [], None, {"Color": ["red"]}),
+          Product("p2", "", [], None, {"Color": ["red"]}),
+          Product("p3", "red", [], None, {"Color": ["", " "]})], "title", True)
+@example([Product("p1", "plain soap", [], None, {"Color": ["red"]})], "title", False)
+def test_build_corpus_equals_the_per_pair_reference(products, setting, include_negatives):
+    vocab = AttributeVocab([("Color", None), ("Scent", None)])
+    got = build_corpus(products, vocab, setting, include_negatives)
+    assert got == reference_build_corpus(products, vocab, setting, include_negatives)
 
 
 # -- file round trips --------------------------------------------------------
