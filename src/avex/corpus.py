@@ -21,6 +21,7 @@ import string
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 from . import files
 from .errors import DataError
@@ -37,8 +38,7 @@ _CAMEL_1 = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _CAMEL_2 = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """Surface form plus half-open character offsets into the source text."""
 
     text: str
@@ -332,7 +332,7 @@ def load_labeled(path) -> list[LabeledExample]:
         except (ValueError, TypeError) as e:  # not JSON, not [text, start, end], or not a tag
             raise DataError(f"{where}: bad labeled example: {e}")
         for i, token in enumerate(tokens):
-            files.check(vars(token), f"{where}: token {i}", text=str, start=int, end=int)
+            files.check(token._asdict(), f"{where}: token {i}", text=str, start=int, end=int)
         if not tokens:
             raise DataError(f"{where}: bad labeled example: no tokens")
         if len(tokens) != len(row["tags"]):

@@ -25,12 +25,13 @@ A tagset adaptor connects chains to tags.  For the BIOE variants an
 example's tags are its targets and a Viterbi path maps straight to BIOE
 tags.  For "n_tag_sets" the training set is first merged into one joint
 sequence per product, and a path is projected onto the requested
-attribute.  Everything else is shared: ``loss`` (training) and
-``predict_batch`` (evaluation) score a batch of chains with the
-same forward and end in one ``chain_nll`` node or in one ``best_paths``
-recursion over all its chains.  A model also exposes ``params``, the
-registry that the optimizer and the checkpoint writer read, and
-``prepare_examples``, the adaptor's view of the training set.
+attribute; ``JointTags`` owns the joint tagset and gives its tag ids by
+arithmetic, with no joint tag names.  Everything else is shared:
+``loss`` (training) and ``predict_batch`` (evaluation) score a batch of
+chains with the same forward and end in one ``chain_nll`` node or in
+one ``best_paths`` recursion over all its chains.  A model also exposes
+``params``, the registry that the optimizer and the checkpoint writer
+read, and ``prepare_examples``, the adaptor's view of the training set.
 
 The caller picks the path.  ``loss`` and ``predict_batch`` take a batch:
 its forward groups the chains by the route's encoder and decoder.  Each
@@ -53,6 +54,7 @@ entries are kept until any tensor of ``params`` is assigned
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -75,7 +77,8 @@ from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch, encod
 from .errors import DataError
 from .tagging import (
     NUM_TAGS,
-    ExpandedTagset,
+    OUTSIDE,
+    first_fit,
     tag_indices,
     tags_from_indices,
     tags_to_spans,
@@ -184,11 +187,16 @@ class BioeTags:
 
 
 class JointTags:
-    """The joint 3N+1 tagset: one chain labels every attribute of a product."""
+    """The joint 3N+1 tagset: one chain labels every attribute of a product.
+
+    Attribute j, in vocabulary order, has the joint tags B = 3j, I = 3j+1
+    and E = 3j+2, and O = 3N: the row order of the joint decoder.
+    """
 
     def __init__(self, attribute_ids):
-        self.tagset = ExpandedTagset(attribute_ids)
-        self.num_tags = len(self.tagset)
+        self.first = {a: 3 * j for j, a in enumerate(attribute_ids)}  # attribute -> B id
+        self.outside = 3 * len(self.first)
+        self.num_tags = self.outside + 1
 
     def prepare(self, examples) -> list[MergedExample]:
         """Merge per-attribute examples of each product into one sequence.
@@ -208,16 +216,40 @@ class JointTags:
         merged = []
         for pid in sorted(by_product):
             slot = by_product[pid]
-            tag_ids, dropped = self.tagset.merge(slot["spans"], len(slot["tokens"]))
+            tag_ids, dropped = self.merge(slot["spans"], len(slot["tokens"]))
             merged.append(MergedExample(pid, slot["tokens"], tuple(tag_ids), dropped))
         return merged
 
+    def merge(self, spans_by_attribute, length: int):
+        """Combine per-attribute spans into one joint sequence.
+
+        Attributes are laid down in vocabulary order; a span that overlaps
+        positions already claimed by an earlier attribute is dropped.
+        Returns (joint tag ids, number of dropped spans).
+        """
+        owned = [(first, span) for a, first in self.first.items()
+                 for span in sorted(spans_by_attribute.get(a, ()))]
+        keep = first_fit([span for _, span in owned], length)
+        tag_ids = [self.outside] * length
+        for first, span in compress(owned, keep):
+            for i in range(span.start, span.end + 1):
+                tag_ids[i] = first + (0 if i == span.start else 2 if i == span.end else 1)
+        return tag_ids, keep.count(False)
+
+    def project(self, tag_ids, attribute: str) -> list[str]:
+        """One attribute's BIOE tags from joint tag ids; others become O."""
+        try:
+            first = self.first[attribute]
+        except KeyError:
+            raise ValueError(f"unknown attribute {attribute!r}") from None
+        return ["BIE"[i - first] if first <= i < first + 3 else OUTSIDE for i in tag_ids]
+
     def chain(self, example: MergedExample):
         # Every attribute routes to the one joint decoder.
-        return self.tagset.attributes[0], list(example.tag_ids)
+        return next(iter(self.first)), list(example.tag_ids)
 
     def tags(self, path, attribute) -> list[str]:
-        return self.tagset.project(path, attribute)
+        return self.project(path, attribute)
 
 
 class Model:

@@ -1,14 +1,14 @@
-"""BIOE tag scheme: span/tag conversions, value strings and the joint tagset.
+"""BIOE tag scheme: span/tag conversions and value strings.
 
 Values are marked with B (begin), I (inside), E (end); everything else
 is O.  A single-token value is a lone B.  Spans are inclusive token
-index ranges.  This is the only module that writes tags.
+index ranges.  This is the only module that writes BIOE tags; the joint
+tagset of "n_tag_sets" lives with its adaptor in ``models``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 TAGS = ("B", "I", "O", "E")
 TAG_TO_INDEX = {t: i for i, t in enumerate(TAGS)}
@@ -60,17 +60,20 @@ def first_fit(spans, length: int) -> list[bool]:
 def spans_to_tags(spans, length: int) -> list[str]:
     """Encode disjoint spans over a sequence of ``length`` tokens.
 
-    Spans must lie inside the sequence and must not overlap.
+    Spans must lie inside the sequence and must not overlap: each is
+    checked against the tags already written, as it is written.
     """
-    spans = list(spans)
-    if not all(first_fit(spans, length)):
-        raise ValueError(f"overlapping spans in {spans}")
     tags = [OUTSIDE] * length
     for span in spans:
-        tags[span.start] = "B"
-        if span.end > span.start:
-            tags[span.start + 1:span.end] = ["I"] * (span.end - span.start - 1)
-            tags[span.end] = "E"
+        start, stop = span.start, span.end + 1
+        if not 0 <= start < stop <= length:
+            raise ValueError(f"span {span} out of range for length {length}")
+        if tags[start:stop].count(OUTSIDE) < stop - start:
+            raise ValueError(f"span {span} overlaps an earlier span")
+        tags[start] = "B"
+        if stop - start > 1:
+            tags[start + 1:stop - 1] = ["I"] * (stop - start - 2)
+            tags[stop - 1] = "E"
     return tags
 
 
@@ -131,57 +134,3 @@ def is_valid(tags) -> bool:
         else:
             return False
     return state != "in_i"
-
-
-class ExpandedTagset:
-    """Joint tagset with one B/I/E triple per attribute plus a shared O.
-
-    Tag order is [B-a, I-a, E-a for each attribute in order] + [O], so a
-    single chain model can label all attributes of a sentence at once.
-    """
-
-    def __init__(self, attribute_ids):
-        self.attributes = tuple(attribute_ids)
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError("duplicate attribute ids in expanded tagset")
-        tags = []
-        for a in self.attributes:
-            tags.extend([f"B-{a}", f"I-{a}", f"E-{a}"])
-        tags.append(OUTSIDE)
-        self.tags = tuple(tags)
-        self._index = {t: i for i, t in enumerate(self.tags)}
-
-    def __len__(self):
-        return len(self.tags)
-
-    def index(self, tag: str) -> int:
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise ValueError(f"tag {tag!r} not in expanded tagset")
-
-    def project(self, tag_ids, attribute: str) -> list[str]:
-        """One attribute's BIOE tags from joint tag indices; others become O."""
-        try:
-            first = 3 * self.attributes.index(attribute)
-        except ValueError:
-            raise ValueError(f"unknown attribute {attribute!r}")
-        return [self.tags[i][0] if first <= i < first + 3 else OUTSIDE
-                for i in tag_ids]
-
-    def merge(self, spans_by_attribute, length: int):
-        """Combine per-attribute spans into one joint sequence.
-
-        Attributes are laid down in tagset order; a span that overlaps
-        positions already claimed by an earlier attribute is dropped.
-        Returns (joint tag indices, number of dropped spans).
-        """
-        owned = [(a, span) for a in self.attributes
-                 for span in sorted(spans_by_attribute.get(a, ()))]
-        kept = list(compress(owned, first_fit([span for _, span in owned], length)))
-        tags = spans_to_tags([span for _, span in kept], length)
-        tag_ids = [self.index(OUTSIDE)] * length
-        for a, span in kept:
-            for i in range(span.start, span.end + 1):
-                tag_ids[i] = self.index(f"{tags[i]}-{a}")
-        return tag_ids, len(owned) - len(kept)

@@ -32,7 +32,8 @@ from avex.adaptive_decoder import (
 from avex.autodiff import Tensor
 from avex.encoder import LstmCell, lstm_layer
 from avex.errors import NumericError
-from avex.tagging import NUM_TAGS, ExpandedTagset
+from avex.models import JointTags
+from avex.tagging import NUM_TAGS
 from oracles import brute_viterbi, brute_viterbi_last_first
 from oracles import mean as oracle_mean
 from oracles import per_chain_emissions, per_chain_nll, per_sequence_lstm_layer
@@ -160,7 +161,7 @@ def test_batched_nll_is_mean_of_log_partition_minus_path_score(lengths, longest,
     assert abs(got - np.mean(want)) <= 1e-12 * np.mean(magnitude)
 
 
-JOINT_TAGS = len(ExpandedTagset(["Scent", "Color"]))  # n_tag_sets' m for two attributes
+JOINT_TAGS = JointTags(["Scent", "Color"]).num_tags  # n_tag_sets' m for two attributes
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,5 @@
 """The package stands alone: nothing in ``src/avex`` imports the benchmark
-harness or the tests."""
+harness or the tests.  Within it, the tag codec ``avex.tagging`` is a leaf."""
 
 import ast
 from pathlib import Path
@@ -47,3 +47,35 @@ def test_src_imports_no_benchmark_or_tests():
     found = {path.name: bad for path in paths
              if (bad := forbidden_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def avex_imports(source: str) -> list[str]:
+    """The ``avex`` modules that ``source`` imports, relatively or by name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name.split(".")[0] == "avex"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                names += [node.module] if node.module else [a.name for a in node.names]
+            elif node.module.split(".")[0] == "avex":
+                names.append(node.module)
+    return names
+
+
+def test_avex_imports_are_found():
+    source = """
+import json, avex.corpus
+from avex import files
+from . import errors
+from .models import JointTags
+from dataclasses import dataclass
+"""
+    assert avex_imports(source) == ["avex.corpus", "avex", "errors", "models"]
+
+
+def test_tagging_is_a_leaf():
+    # The BIOE codec that corpus, models and evaluation build on imports
+    # none of them.
+    source = (Path(avex.__file__).parent / "tagging.py").read_text(encoding="utf-8")
+    assert avex_imports(source) == []

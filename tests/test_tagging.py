@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from avex import tagging
-from avex.tagging import ExpandedTagset, Span, is_valid, spans_to_tags, tags_to_spans
+from avex.models import JointTags
+from avex.tagging import Span, first_fit, is_valid, spans_to_tags, tags_to_spans
 
 SCENT_TOKENS = ["orchid", "/", "cherry", "pie", "/", "mango", "ice", "cream",
                 "scent"]
@@ -60,6 +61,31 @@ def test_spans_to_tags_rejects_out_of_range():
         spans_to_tags({Span(0, 5)}, 4)
     with pytest.raises(ValueError):
         spans_to_tags({Span(-1, 1)}, 4)
+
+
+@given(spans=st.lists(st.builds(lambda start, width: Span(start, start + width - 1),
+                                st.integers(-1, 7), st.integers(0, 3)), max_size=4),
+       length=st.just(8) | st.integers(0, 8))
+# Later spans that start before an earlier one and run into it or cover it.
+@example(spans=[Span(2, 3), Span(0, 2)], length=5)
+@example(spans=[Span(1, 1), Span(0, 3)], length=5)
+def test_spans_to_tags_refuses_what_first_fit_would_not_keep(spans, length):
+    # Spans in and out of range (start past end included), overlapping or
+    # not: the one-pass check refuses exactly the lists that first_fit does
+    # not keep whole, and otherwise writes each span's B, I and E.
+    try:
+        whole = all(first_fit(spans, length))
+    except ValueError:  # some span out of range
+        whole = False
+    if not whole:
+        with pytest.raises(ValueError):
+            spans_to_tags(spans, length)
+        return
+    want = ["O"] * length
+    for span in spans:
+        for i in range(span.start, span.end + 1):
+            want[i] = "B" if i == span.start else "E" if i == span.end else "I"
+    assert spans_to_tags(spans, length) == want
 
 
 # -- lenient decoding of malformed sequences ---------------------------------
@@ -119,26 +145,19 @@ def test_is_valid_edge_cases():
     assert not is_valid(["B", "X"])
 
 
-# -- expanded tagset for the single-model multi-attribute baseline -----------
+# -- joint tagset of the single-model multi-attribute baseline --------------
 
 
 def test_expand_tagset_size():
-    ts = ExpandedTagset([f"a{i}" for i in range(12)])
-    assert len(ts.tags) == 3 * 12 + 1
+    assert JointTags([f"a{i}" for i in range(12)]).num_tags == 3 * 12 + 1
 
 
 def test_expand_tagset_layout():
-    ts = ExpandedTagset(["Scent", "Color"])
-    assert ts.tags == ("B-Scent", "I-Scent", "E-Scent",
-                       "B-Color", "I-Color", "E-Color", "O")
-    assert ts.tags[-1] == "O"
-
-
-def test_project_does_not_match_attribute_suffixes():
-    ts = ExpandedTagset(["a-b", "b"])
-    joint = [ts.index(t) for t in ("B-a-b", "E-a-b", "O")]
-    assert ts.project(joint, "b") == ["O", "O", "O"]
-    assert ts.project(joint, "a-b") == ["B", "E", "O"]
+    # Attribute j has B = 3j, I = 3j+1, E = 3j+2; O is 3N.
+    joint = JointTags(["Scent", "Color"])
+    merged, dropped = joint.merge({"Scent": {Span(0, 1)}, "Color": {Span(2, 2)}}, 4)
+    assert (tuple(merged), dropped) == ((0, 2, 3, 6), 0)
+    assert joint.num_tags == 7
 
 
 # Arbitrary ids plus every "x-y" joint of two of them, so that ids are
@@ -151,21 +170,21 @@ ATTRIBUTE_IDS = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3
 
 @given(data=st.data(), ids=ATTRIBUTE_IDS)
 def test_project_keeps_exactly_one_attributes_tags(data, ids):
-    ts = ExpandedTagset(ids)
+    joint = JointTags(ids)
     # Each position is owned by one attribute (with a B/I/E tag) or by O.
     owned = data.draw(st.lists(st.one_of(
         st.none(), st.tuples(st.sampled_from(ids), st.sampled_from("BIE"))),
         max_size=12))
-    joint = [ts.index("O") if o is None else ts.index(f"{o[1]}-{o[0]}")
-             for o in owned]
+    tag_ids = [3 * len(ids) if o is None else 3 * ids.index(o[0]) + "BIE".index(o[1])
+               for o in owned]
     for a in ids:
-        assert ts.project(joint, a) == [
+        assert joint.project(tag_ids, a) == [
             o[1] if o is not None and o[0] == a else "O" for o in owned]
 
 
 @given(data=st.data(), ids=ATTRIBUTE_IDS)
 def test_merge_then_project_recovers_kept_spans(data, ids):
-    ts = ExpandedTagset(ids)
+    joint = JointTags(ids)
     length = 8
     spans = {a: set(data.draw(st.lists(
         st.tuples(st.integers(0, length - 1), st.integers(0, 2)).map(
@@ -176,34 +195,33 @@ def test_merge_then_project_recovers_kept_spans(data, ids):
     spans = {a: {s for s in ss if not any(
         o != s and o.start <= s.end and s.start <= o.end for o in ss)}
         for a, ss in spans.items()}
-    joint, dropped = ts.merge(spans, length)
-    kept = {a: tags_to_spans(ts.project(joint, a)) for a in ids}
+    tag_ids, dropped = joint.merge(spans, length)
+    kept = {a: tags_to_spans(joint.project(tag_ids, a)) for a in ids}
     assert all(kept[a] <= spans[a] for a in ids)
     assert sum(map(len, kept.values())) + dropped == sum(map(len, spans.values()))
 
 
 def test_expand_merge_disjoint_attributes():
-    ts = ExpandedTagset(["Scent", "Color"])
-    merged, dropped = ts.merge(
+    joint = JointTags(["Scent", "Color"])
+    merged, dropped = joint.merge(
         {"Scent": {Span(0, 1)}, "Color": {Span(2, 2)}}, length=4)
     assert dropped == 0
-    assert ts.project(merged, "Scent") == ["B", "E", "O", "O"]
-    assert ts.project(merged, "Color") == ["O", "O", "B", "O"]
+    assert joint.project(merged, "Scent") == ["B", "E", "O", "O"]
+    assert joint.project(merged, "Color") == ["O", "O", "B", "O"]
 
 
 def test_expand_merge_conflict_keeps_earlier_attribute():
-    ts = ExpandedTagset(["Scent", "Color"])
-    merged, dropped = ts.merge(
+    joint = JointTags(["Scent", "Color"])
+    merged, dropped = joint.merge(
         {"Scent": {Span(0, 0)}, "Color": {Span(0, 0)}}, length=2)
-    assert ts.project(merged, "Scent") == ["B", "O"]
-    assert ts.project(merged, "Color") == ["O", "O"]
+    assert joint.project(merged, "Scent") == ["B", "O"]
+    assert joint.project(merged, "Color") == ["O", "O"]
     assert dropped == 1
 
 
 def test_merge_rejects_out_of_range_span_after_a_conflict():
     # Color's span would be dropped for overlapping Scent's, yet it still
     # lies outside the sequence: that is an error, not a dropped span.
-    ts = ExpandedTagset(["Scent", "Color"])
+    joint = JointTags(["Scent", "Color"])
     with pytest.raises(ValueError, match="out of range"):
-        ts.merge({"Scent": {Span(0, 1)}, "Color": {Span(1, 4)}}, length=3)
-
+        joint.merge({"Scent": {Span(0, 1)}, "Color": {Span(1, 4)}}, length=3)
