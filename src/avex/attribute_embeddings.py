@@ -2,8 +2,10 @@
 
 Each attribute gets one vector r that conditions the decoder generators.
 Three provenances are supported: "uncontextualized" pools static word
-vectors of the attribute's name phrase and of its labeled values, each
-distinct value string embedded once per call;
+vectors of the attribute's name phrase and of its labeled values.  Per
+call, the spans of each distinct (tokens, tags) pair are read once, so
+the repeated products that share their token and tag tuples are decoded
+once, and each distinct value string is embedded once;
 "contextualized" ingests externally computed per-instance name/value
 vectors and mean-pools them; "random" draws a table uniformly at random.
 A table is data: whether a model trains its rows is up to the variant
@@ -107,12 +109,17 @@ class AttributeEmbeddingTable:
 
 def collect_instances(examples, attr_ids) -> dict[str, list[str]]:
     """Per attribute of ``attr_ids``, the value string of every labeled
-    span, in example order and left to right within an example."""
+    span, in example order and left to right within an example.  Each
+    distinct (tokens, tags) pair is decoded once."""
     found = {a: [] for a in attr_ids}
+    decoded = {}  # (tokens, tags) -> the pair's value strings
     for ex in examples:
         if ex.attribute in found:
-            found[ex.attribute] += [span_text(ex.token_texts(), span)
-                                    for span in sorted(tags_to_spans(ex.tags))]
+            pair = ex.tokens, ex.tags
+            if pair not in decoded:
+                decoded[pair] = [span_text(ex.token_texts(), span)
+                                 for span in sorted(tags_to_spans(ex.tags))]
+            found[ex.attribute] += decoded[pair]
     return found
 
 

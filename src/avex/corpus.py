@@ -8,9 +8,11 @@ Profiles arrive as JSONL, one product per line:
 Catalog values are projected onto the text by exact token-sequence
 matching (case-insensitive), which yields BIOE tag sequences without any
 manual annotation.  ``build_corpus`` tokenizes each distinct value string
-once per call, however many products repeat it, and counts a pair's
-matched values off the spans it keeps.  Descriptions are parsed but
-never labeled.
+and each distinct source text once per call, however many products
+repeat them, labels each distinct (text, values) pair once, and counts a
+pair's matched values off the spans it keeps; repeated products share
+one token tuple and one tag tuple.  Descriptions are parsed but never
+labeled.
 """
 
 from __future__ import annotations
@@ -156,16 +158,6 @@ def accepted_spans(lowered, values) -> list[Span]:
     return list(compress(spans, first_fit(spans, n)))
 
 
-def distant_label(tokens, values) -> list[str]:
-    """Project catalog values onto a token sequence as BIOE tags.
-
-    Matching is case-insensitive and token-boundary aligned, as in
-    ``accepted_spans``; ``values`` is a collection of value strings.
-    """
-    lowered = [t.text.lower() for t in tokens]
-    return spans_to_tags(accepted_spans(lowered, value_tokens(values).values()), len(tokens))
-
-
 @dataclass
 class CoverageReport:
     """What distant supervision managed to label."""
@@ -202,39 +194,46 @@ def build_corpus(products, vocab: AttributeVocab, setting: str = "title",
     Emits one LabeledExample per (product, attribute) pair with at least
     one matched value; zero-match pairs become all-O negatives only when
     requested and the text has a token, and are dropped otherwise.
+    Each distinct source text is tokenized once and each distinct (text,
+    values) pair labeled once; their examples share the tuples.
     Returns (examples sorted by (product id, attribute id), CoverageReport).
     """
     if setting not in SETTINGS:
         raise DataError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
     products = list(products)
     known = value_tokens({v for p in products for vs in p.gold_values.values() for v in vs})
+    read = {}  # source text -> its tokens, token texts and lowered texts
+    labels = {}  # (source text, values) -> (values matched, tags)
     report = CoverageReport()
     examples = []
     for product in products:
         report.products += 1
-        tokens = tuple(tokenize(source_text(product, setting)))
-        texts = [t.text for t in tokens]
-        lowered = [t.lower() for t in texts]
+        text = source_text(product, setting)
+        if text not in read:
+            tokens = tuple(tokenize(text))
+            texts = [t.text for t in tokens]
+            read[text] = tokens, texts, [t.lower() for t in texts]
+        tokens, texts, lowered = read[text]
         for attr_id in sorted(product.gold_values):
             if attr_id not in vocab:
                 report.unknown_attributes += 1
                 continue
-            values = [v for v in dict.fromkeys(product.gold_values[attr_id]) if v and v.strip()]
+            values = tuple(v for v in dict.fromkeys(product.gold_values[attr_id])
+                           if v and v.strip())
             if not values:
                 continue
             report.values_seen += len(values)
-            spans = accepted_spans(lowered, [known[v] for v in values])
-            realized = {span_text(texts, span).lower() for span in spans}
-            hits = sum(" ".join(known[v]) in realized for v in values)
+            if (text, values) not in labels:
+                spans = accepted_spans(lowered, [known[v] for v in values])
+                realized = {span_text(texts, span).lower() for span in spans}
+                hits = sum(" ".join(known[v]) in realized for v in values)
+                labels[text, values] = hits, (tuple(spans_to_tags(spans, len(tokens))) if hits
+                                              else (OUTSIDE,) * len(tokens))
+            hits, tags = labels[text, values]
             report.values_matched += hits
-            if hits:
-                examples.append(LabeledExample(
-                    product.id, attr_id, tokens, tuple(spans_to_tags(spans, len(tokens))),
-                    setting))
-            elif include_negatives and tokens:
-                examples.append(LabeledExample(
-                    product.id, attr_id, tokens, tuple([OUTSIDE] * len(tokens)), setting))
-                report.negatives += 1
+            if hits or (include_negatives and tokens):
+                examples.append(LabeledExample(product.id, attr_id, tokens, tags, setting))
+                report.negatives += not hits
             else:
                 report.dropped_pairs += 1
     examples.sort(key=lambda ex: (ex.product_id, ex.attribute))

@@ -5,6 +5,9 @@ body wash"); the filled values double as the product's catalog values,
 so distant supervision recovers them exactly.  The generator also emits
 a matching split manifest and a random static-vector file covering the
 generated vocabulary, which makes the full pipeline runnable offline.
+Titles repeat: each distinct one is tokenized once per call for the
+vector vocabulary, and labeling gives the products that repeat it one
+shared token tuple and tag tuple.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def generate(spec: SynthSpec) -> SynthCorpus:
     rng = np.random.default_rng(spec.seed)
     products = []
     manifest = {split: [] for split in SPLITS}
-    words = set()
+    titles = set()
     for attr in spec.attributes:
         attr.validate()
         for split in SPLITS:
@@ -130,10 +133,10 @@ def generate(spec: SynthSpec) -> SynthCorpus:
                 pid = f"{attr.id}-{split}-{i:04d}"
                 products.append(Product(pid, title, [], None, {attr.id: chosen}))
                 manifest[split].append(pid)
-                words.update(t.text for t in tokenize(title))
+                titles.add(title)
     vocab = AttributeVocab([(a.id, None) for a in spec.attributes])
-    for a in spec.attributes:
-        words.update(t.text for t in tokenize(attribute_phrase(a.id)))
+    texts = titles | {attribute_phrase(a.id) for a in spec.attributes}
+    words = {t.text for text in texts for t in tokenize(text)}
     # Scale chosen so vector norms land near those of published 50-d word
     # vectors; small-magnitude inputs make the encoder learn noticeably slower.
     vectors = {

@@ -4,7 +4,10 @@ that tree's ``avex``.  The report header names the ``avex`` imported."""
 
 import os
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -17,3 +20,21 @@ def pytest_report_header(config):
     import avex
 
     return f"avex: {Path(avex.__file__).parent}"
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps the one-argument function
+    ``module.name`` for the test and returns a Counter of its arguments."""
+    def wrap(module, name) -> Counter:
+        calls = Counter()
+        real = getattr(module, name)
+
+        def counted(arg):
+            calls[arg] += 1
+            return real(arg)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return wrap

@@ -1,12 +1,14 @@
 import json
 import logging
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avex import attribute_embeddings
 from avex.attribute_embeddings import (
     AttributeEmbeddingTable,
     collect_instances,
@@ -17,7 +19,9 @@ from avex.attribute_embeddings import (
 )
 from avex.corpus import AttributeVocab, Product, build_corpus
 from avex.errors import DataError
+from avex.synth import generate
 from avex.tagging import span_text, tags_to_spans
+from test_acceptance import SHARING_SPEC
 
 
 VECS = {
@@ -125,6 +129,20 @@ def test_uncontextualized_table_is_bitwise_the_per_occurrence_mean(caplog):
        st.integers(0, 2**32 - 1))
 def test_uncontextualized_table_pools_any_occurrences_bitwise(pairs, seed):
     assert_pools_bitwise(pairs, seed)
+
+
+def test_uncontextualized_table_decodes_each_distinct_pair_once(count_calls):
+    corpus = generate(SHARING_SPEC)
+    examples, _ = build_corpus(corpus.products, corpus.vocab)
+    pairs = {(ex.tokens, ex.tags) for ex in examples}
+    assert len(pairs) < len(examples)
+    decoded = count_calls(attribute_embeddings, "tags_to_spans")
+    embedded = count_calls(attribute_embeddings, "tokenize")
+    uncontextualized_table(corpus.vocab, examples, corpus.vectors)
+    assert decoded == Counter(tags for _, tags in pairs)
+    values = {span_text(ex.token_texts(), span) for ex in examples
+              for span in tags_to_spans(ex.tags)}
+    assert embedded == Counter(values) + Counter(map(corpus.vocab.phrase, corpus.vocab.ids()))
 
 
 def test_uncontextualized_table_dims_and_warning(caplog):

@@ -1,10 +1,12 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from avex import corpus
 from avex.corpus import (
     AttributeVocab,
     CoverageReport,
@@ -12,10 +14,10 @@ from avex.corpus import (
     Product,
     SETTINGS,
     Token,
+    accepted_spans,
     attribute_phrase,
     build_corpus,
     build_corpus_from_file,
-    distant_label,
     load_labeled,
     load_products,
     load_split_manifest,
@@ -24,10 +26,13 @@ from avex.corpus import (
     source_text,
     split_examples,
     tokenize,
+    value_tokens,
 )
 from avex.errors import DataError
+from avex.synth import generate
 from avex.tagging import OUTSIDE, Span, first_fit, span_text, spans_to_tags, value_strings
 from oracles import reference_tokenize
+from test_acceptance import SHARING_SPEC
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -122,48 +127,55 @@ def test_vocab_load_refuses_an_id_that_is_not_a_string(tmp_path, text, message):
 # -- distant supervision -----------------------------------------------------
 
 
+def pair_tags(tokens, values):
+    """BIOE tags of catalog values on a token sequence: ``accepted_spans``
+    then ``spans_to_tags``, the steps ``build_corpus`` takes per pair."""
+    lowered = [t.text.lower() for t in tokens]
+    return spans_to_tags(accepted_spans(lowered, value_tokens(values).values()), len(tokens))
+
+
 def test_distant_label_simple_match():
     tokens = tokenize("Dry, Sensitive skin body wash")
-    tags = distant_label(tokens, ["Dry", "Sensitive"])
+    tags = pair_tags(tokens, ["Dry", "Sensitive"])
     assert tags == ["B", "O", "B", "O", "O", "O"]
 
 
 def test_distant_label_case_insensitive():
     tokens = tokenize("NAVY BLUE towel")
-    assert distant_label(tokens, ["navy blue"]) == ["B", "E", "O"]
+    assert pair_tags(tokens, ["navy blue"]) == ["B", "E", "O"]
 
 
 def test_distant_label_longest_match_wins():
     tokens = tokenize("navy blue towel")
     # Both "blue" and "navy blue" are in the catalog; the wider match
     # claims the tokens first.
-    assert distant_label(tokens, ["blue", "navy blue"]) == ["B", "E", "O"]
+    assert pair_tags(tokens, ["blue", "navy blue"]) == ["B", "E", "O"]
 
 
 def test_distant_label_leftmost_on_equal_width():
     tokens = tokenize("rose and rose soap")
-    assert distant_label(tokens, ["rose"]) == ["B", "O", "B", "O"]
+    assert pair_tags(tokens, ["rose"]) == ["B", "O", "B", "O"]
 
 
 def test_distant_label_no_partial_token_match():
     tokens = tokenize("rosewood table")
-    assert distant_label(tokens, ["rose"]) == ["O", "O"]
+    assert pair_tags(tokens, ["rose"]) == ["O", "O"]
 
 
 def test_distant_label_three_token_value():
     tokens = tokenize("mango ice cream scent")
-    assert distant_label(tokens, ["mango ice cream"]) == ["B", "I", "E", "O"]
+    assert pair_tags(tokens, ["mango ice cream"]) == ["B", "I", "E", "O"]
 
 
 def test_distant_label_non_overlap():
     tokens = tokenize("a b c")
     # "a b" is matched first (wider); "b c" then collides and is skipped.
-    assert distant_label(tokens, ["a b", "b c"]) == ["B", "E", "O"]
+    assert pair_tags(tokens, ["a b", "b c"]) == ["B", "E", "O"]
 
 
 def test_distant_label_value_with_punctuation():
     tokens = tokenize("2-in-1 shampoo, conditioner")
-    assert distant_label(tokens, ["shampoo"]) == ["O", "B", "O", "O"]
+    assert pair_tags(tokens, ["shampoo"]) == ["O", "B", "O", "O"]
 
 
 def test_matched_values_and_span_text():
@@ -315,16 +327,28 @@ LABEL_WORDS = ("red", "Red", "navy", "blue", "Navy Blue", "2-in-1", "a", "b", "c
 
 @st.composite
 def label_products(draw):
+    """Products whose texts repeat: each may reuse an earlier product's
+    title, with its bullets or other ones, and its values or other ones."""
     count = draw(st.integers(0, 6))
     products = []
     for i in range(count):
-        words = draw(st.lists(st.sampled_from(LABEL_WORDS), max_size=8))
-        title = "".join(w + draw(st.sampled_from(("", " ", " ", " / "))) for w in words)
-        bullets = draw(st.lists(st.sampled_from(("red soap", "Navy blue.", "", "ΟΔΟΣ a b c")),
-                                max_size=2))
-        attrs = draw(st.dictionaries(st.sampled_from(("Color", "Scent", "Zzz")),
-                                     st.lists(st.sampled_from(LABEL_VALUES), max_size=4),
-                                     max_size=3))
+        earlier = draw(st.sampled_from(products)) if products and draw(st.booleans()) else None
+        if earlier:
+            title = earlier.title
+        else:
+            words = draw(st.lists(st.sampled_from(LABEL_WORDS), max_size=8))
+            title = "".join(w + draw(st.sampled_from(("", " ", " ", " / "))) for w in words)
+        if earlier and draw(st.booleans()):
+            bullets = list(earlier.bullets)
+        else:
+            bullets = draw(st.lists(st.sampled_from(("red soap", "Navy blue.", "", "ΟΔΟΣ a b c")),
+                                    max_size=2))
+        if earlier and draw(st.booleans()):
+            attrs = {a: list(vs) for a, vs in earlier.gold_values.items()}
+        else:
+            attrs = draw(st.dictionaries(st.sampled_from(("Color", "Scent", "Zzz")),
+                                         st.lists(st.sampled_from(LABEL_VALUES), max_size=4),
+                                         max_size=3))
         products.append(Product(f"p{count - i}", title, bullets, None, attrs))
     return products
 
@@ -344,10 +368,44 @@ def label_products(draw):
           Product("p2", "", [], None, {"Color": ["red"]}),
           Product("p3", "red", [], None, {"Color": ["", " "]})], "title", True)
 @example([Product("p1", "plain soap", [], None, {"Color": ["red"]})], "title", False)
+@example([Product("p1", "red navy blue soap", [], None, {"Color": ["red"]}),
+          Product("p2", "red navy blue soap", [], None, {"Color": ["navy blue", "red", "teal"]}),
+          Product("p3", "red navy blue soap", [], None, {"Color": ["teal"]})], "title", True)
+@example([Product("p1", "red soap", [], None, {"Color": ["red"], "Scent": ["red"]}),
+          Product("p2", "red soap", [], None, {"Scent": ["red", "soap"]})], "title", False)
+@example([Product("p1", "red soap", ["navy blue."], None, {"Color": ["red", "navy blue"]}),
+          Product("p2", "red soap", ["red soap"], None, {"Color": ["red", "navy blue"]}),
+          Product("p3", "red soap", [], None, {"Color": ["navy blue"]})], "title", True)
+@example([Product("p1", "red soap", ["navy blue."], None, {"Color": ["red", "navy blue"]}),
+          Product("p2", "red soap", ["red soap"], None, {"Color": ["red", "navy blue"]}),
+          Product("p3", "red soap", [], None, {"Color": ["navy blue"]})],
+         "title_plus_bullets", True)
 def test_build_corpus_equals_the_per_pair_reference(products, setting, include_negatives):
     vocab = AttributeVocab([("Color", None), ("Scent", None)])
     got = build_corpus(products, vocab, setting, include_negatives)
     assert got == reference_build_corpus(products, vocab, setting, include_negatives)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_build_corpus_tokenizes_each_distinct_text_and_value_once(count_calls, setting):
+    generated = generate(SHARING_SPEC)
+    products = generated.products + [
+        Product("x1", "vanilla soap", ["mint"], None, {"Scent": ["vanilla"]}),
+        Product("x2", "vanilla soap", ["mint"], None, {"Scent": ["mint"], "Flavor": ["mint"]}),
+        Product("x3", "vanilla soap", [], None, {"Scent": ["mint"]})]
+    texts = {source_text(p, setting) for p in products}
+    values = {v for p in products for vs in p.gold_values.values() for v in vs}
+    assert len(texts) < len(products)
+    calls = count_calls(corpus, "tokenize")
+    examples, _ = build_corpus(products, generated.vocab, setting, include_negatives=True)
+    assert calls == Counter(texts) + Counter(values)
+    product = {p.id: p for p in products}
+    tokens, tags = {}, {}
+    for ex in examples:
+        text = source_text(product[ex.product_id], setting)
+        listed = tuple(dict.fromkeys(product[ex.product_id].gold_values[ex.attribute]))
+        assert tokens.setdefault(text, ex.tokens) is ex.tokens
+        assert tags.setdefault((text, listed), ex.tags) is ex.tags
 
 
 # -- file round trips --------------------------------------------------------

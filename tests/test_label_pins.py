@@ -1,10 +1,11 @@
-"""Pinned digests of labeled corpora.
+"""Pinned digests of labeled corpora and of criterion 7's attribute table.
 
-Each digest is the sha256 of the ``save_labeled`` bytes of one synthetic
-corpus labeled in the title setting: those of acceptance criteria 6 and
-7, and the CLI tests' SPEC.  A labeled file holds only strings and ints,
-so the digests do not depend on the BLAS.  Any change to what labeling
-writes fails here; regenerate a digest only when that change is meant.
+Each labeled digest is the sha256 of the ``save_labeled`` bytes of one
+synthetic corpus labeled in the title setting: those of acceptance
+criteria 6 and 7, and the CLI tests' SPEC.  A labeled file holds only
+strings and ints, so the digests do not depend on the BLAS.  Any change
+to what labeling or pooling writes fails here; regenerate a digest only
+when that change is meant.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 
 from avex.corpus import build_corpus, save_labeled
 from avex.synth import SynthSpec, generate
-from test_acceptance import OVERFIT_SPEC, SHARING_SPEC
+from test_acceptance import OVERFIT_SPEC, SHARING_SPEC, _sharing_corpus
 from test_cli import SPEC
 
 
@@ -27,3 +28,13 @@ def test_labeled_corpus_bytes_are_pinned(tmp_path, spec, digest):
     examples, _ = build_corpus(corpus.products, corpus.vocab, "title")
     save_labeled(tmp_path / "labeled.jsonl", examples)
     assert hashlib.sha256((tmp_path / "labeled.jsonl").read_bytes()).hexdigest() == digest
+
+
+def test_criterion_7_table_bytes_are_pinned():
+    """The sha256 of criterion 7's uncontextualized table, rows in
+    vocabulary order.  Its floats are ``np.mean`` row sums of word
+    vectors and of value rows, concatenated; no matmul makes them, so
+    the bytes do not depend on the BLAS."""
+    corpus, _, table = _sharing_corpus()
+    assert hashlib.sha256(table.as_matrix(corpus.vocab.ids()).tobytes()).hexdigest() == \
+        "f196c17c63e912319940395164d966293a85abd5b1f1321b36d915e1b3e330cc"

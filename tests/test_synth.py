@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from avex import synth
 from avex.corpus import (
+    attribute_phrase,
     build_corpus,
     build_corpus_from_file,
     load_split_manifest,
@@ -11,6 +15,7 @@ from avex.corpus import (
 from avex.encoder import load_word_vectors
 from avex.errors import DataError
 from avex.synth import SynthAttribute, SynthSpec, generate, write_corpus
+from test_acceptance import SHARING_SPEC
 
 
 def spec(**kw):
@@ -81,6 +86,14 @@ def test_vectors_cover_vocabulary_lowercased():
     assert words <= set(corpus.vectors)
     for vec in corpus.vectors.values():
         assert vec.shape == (10,)
+
+
+def test_generate_tokenizes_each_distinct_title_and_phrase_once(count_calls):
+    calls = count_calls(synth, "tokenize")
+    corpus = generate(SHARING_SPEC)
+    titles = {p.title for p in corpus.products}
+    assert len(titles) < len(corpus.products)
+    assert calls == Counter(titles | {attribute_phrase(a.id) for a in SHARING_SPEC.attributes})
 
 
 def test_train_value_limit_restricts_training_pool():
