@@ -113,12 +113,19 @@ def _resolved_config(args) -> training.TrainConfig:
     return training.TrainConfig.from_mapping(mapping)
 
 
-def _cmd_label(args):
+def _labeled_corpus(args, setting):
+    """The vocabulary, examples and coverage report of ``--corpus``
+    labeled for ``--vocab``, with a warning on stderr per malformed line."""
     vocab = corpus.AttributeVocab.load(args.vocab)
     examples, report = corpus.build_corpus_from_file(
-        args.corpus, vocab, args.setting, args.include_negatives)
+        args.corpus, vocab, setting, args.include_negatives)
     for lineno, reason in report.malformed_lines:
         print(f"warning: {args.corpus}:{lineno}: {reason}", file=sys.stderr)
+    return vocab, examples, report
+
+
+def _cmd_label(args):
+    _, examples, report = _labeled_corpus(args, args.setting)
     if not report.products:
         raise DataError(f"corpus {args.corpus} holds no valid product line")
     corpus.save_labeled(args.out, examples)
@@ -160,9 +167,7 @@ def _cmd_train(args):
     config = models.model_config(config, attr_table)
     print(f"resolved config: {json.dumps(config.to_json(), sort_keys=True)}",
           file=sys.stderr)
-    vocab = corpus.AttributeVocab.load(args.vocab)
-    examples, coverage = corpus.build_corpus_from_file(
-        args.corpus, vocab, config.setting, args.include_negatives)
+    vocab, examples, coverage = _labeled_corpus(args, config.setting)
     manifest = corpus.load_split_manifest(args.splits)
     by_split = corpus.split_examples(examples, manifest)
     vectors = None

@@ -21,17 +21,18 @@ where an encoder is a word table with a forward and a backward cell:
 ``build_variant`` builds every model, to train, to load or to count; a
 generated-decoder model built without an attribute table has zero rows.
 
-A tagset adaptor connects chains to tags.  For the BIOE variants an
-example's tags are its targets and a Viterbi path maps straight to BIOE
-tags.  For "n_tag_sets" the training set is first merged into one joint
-sequence per product, and a path is projected onto the requested
-attribute; ``JointTags`` owns the joint tagset and gives its tag ids by
-arithmetic, with no joint tag names.  Everything else is shared:
-``loss`` (training) and ``predict_batch`` (evaluation) score a batch of
-chains with the same forward and end in one ``chain_nll`` node or in
-one ``best_paths`` recursion over all its chains.  A model also exposes
-``params``, the registry that the optimizer and the checkpoint writer
-read, and ``prepare_examples``, the adaptor's view of the training set.
+A tagset adaptor connects examples and paths to tags.  Its ``prepare``
+(``Model.prepare_examples``) turns labeled examples into the training
+``Chain``s of every variant, once: for the BIOE variants one per example,
+whose path maps straight to BIOE tags; for "n_tag_sets" one per product,
+routed to the one joint decoder, whose path is projected onto the
+requested attribute.  ``JointTags`` owns the joint tagset and gives its
+tag ids by arithmetic, with no joint tag names.  Everything else is
+shared: ``loss`` (training, on chains) and ``predict_batch`` (evaluation,
+on (token_texts, attribute) pairs) score a batch with the same forward
+and end in one ``chain_nll`` node or in one ``best_paths`` recursion over
+all its chains.  A model also exposes ``params``, the registry that the
+optimizer and the checkpoint writer read.
 
 The caller picks the path.  ``loss`` and ``predict_batch`` take a batch:
 its forward groups the chains by the route's encoder and decoder.  Each
@@ -53,8 +54,9 @@ entries are kept until any tensor of ``params`` is assigned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +74,7 @@ from .adaptive_decoder import (
 )
 from .attribute_embeddings import AttributeEmbeddingTable, random_table
 from .autodiff import Tensor, concat, grad_enabled, no_grad, reuse, row, stack
-from .corpus import AttributeVocab, Token
+from .corpus import AttributeVocab
 from .encoder import PAD, UNK, LstmCell, WordEmbeddingTable, encode_batch, encode_text
 from .errors import DataError
 from .tagging import (
@@ -129,14 +131,6 @@ class ModelParams:
     def group_of(self, name: str) -> str:
         return self._groups[name]
 
-    def groups(self) -> list[str]:
-        seen = []
-        for name in self._tensors:
-            g = self._groups[name]
-            if g not in seen:
-                seen.append(g)
-        return seen
-
     def trainable(self) -> dict[str, Tensor]:
         return {n: t for n, t in self._tensors.items() if t.requires_grad}
 
@@ -157,17 +151,14 @@ def _make_cell(params: ModelParams, prefix: str, group: str,
         params.add(f"{prefix}/b", _uniform(rng, (4 * hidden,), fan), group))
 
 
-@dataclass(frozen=True)
-class MergedExample:
-    """All attributes of one product as a single joint-tagset sequence."""
+class Chain(NamedTuple):
+    """One training chain, as ``prepare_examples`` makes it."""
 
-    product_id: str
-    tokens: tuple[Token, ...]
-    tag_ids: tuple[int, ...]
-    dropped_spans: int  # spans the merge dropped for overlapping others
-
-    def token_texts(self):
-        return [t.text for t in self.tokens]
+    texts: tuple[str, ...]
+    attribute: str  # whose route scores the chain
+    targets: tuple[int, ...]  # tag ids, one per text
+    id: str  # what errors name the chain by
+    dropped_spans: int = 0  # spans a joint merge dropped for overlapping others
 
 
 class BioeTags:
@@ -175,12 +166,10 @@ class BioeTags:
 
     num_tags = NUM_TAGS
 
-    def prepare(self, examples):
-        return list(examples)
-
-    def chain(self, example):
-        """The attribute to resolve and the target tag indices."""
-        return example.attribute, tag_indices(example.tags)
+    def prepare(self, examples) -> list[Chain]:
+        """One chain per example, in input order."""
+        return [Chain(tuple(ex.token_texts()), ex.attribute, tuple(tag_indices(ex.tags)),
+                      f"{ex.product_id}/{ex.attribute}") for ex in examples]
 
     def tags(self, path, attribute) -> list[str]:
         return tags_from_indices(path)
@@ -198,27 +187,31 @@ class JointTags:
         self.outside = 3 * len(self.first)
         self.num_tags = self.outside + 1
 
-    def prepare(self, examples) -> list[MergedExample]:
-        """Merge per-attribute examples of each product into one sequence.
+    def prepare(self, examples) -> list[Chain]:
+        """One chain per product, in product-id order: its examples merged
+        into one joint sequence, routed to the one joint decoder through
+        the vocabulary's first attribute.
 
         Cross-attribute span conflicts are resolved in attribute-vocabulary
-        order (earlier attribute keeps the tokens); each merged example
-        counts the spans it lost.
+        order (earlier attribute keeps the tokens); each chain counts the
+        spans it lost.
         """
         by_product: dict[str, dict] = {}
         for ex in examples:
-            slot = by_product.setdefault(ex.product_id, {"tokens": ex.tokens, "spans": {}})
-            if [t.text for t in slot["tokens"]] != list(ex.token_texts()):
+            slot = by_product.setdefault(ex.product_id,
+                                         {"texts": ex.token_texts(), "spans": {}})
+            if slot["texts"] != ex.token_texts():
                 raise DataError(
                     f"product {ex.product_id!r} has inconsistent token sequences")
             spans = slot["spans"].setdefault(ex.attribute, set())
             spans.update(tags_to_spans(ex.tags))
-        merged = []
+        route = next(iter(self.first), None)
+        chains = []
         for pid in sorted(by_product):
             slot = by_product[pid]
-            tag_ids, dropped = self.merge(slot["spans"], len(slot["tokens"]))
-            merged.append(MergedExample(pid, slot["tokens"], tuple(tag_ids), dropped))
-        return merged
+            tag_ids, dropped = self.merge(slot["spans"], len(slot["texts"]))
+            chains.append(Chain(tuple(slot["texts"]), route, tuple(tag_ids), pid, dropped))
+        return chains
 
     def merge(self, spans_by_attribute, length: int):
         """Combine per-attribute spans into one joint sequence.
@@ -243,10 +236,6 @@ class JointTags:
         except KeyError:
             raise ValueError(f"unknown attribute {attribute!r}") from None
         return ["BIE"[i - first] if first <= i < first + 3 else OUTSIDE for i in tag_ids]
-
-    def chain(self, example: MergedExample):
-        # Every attribute routes to the one joint decoder.
-        return next(iter(self.first)), list(example.tag_ids)
 
     def tags(self, path, attribute) -> list[str]:
         return self.project(path, attribute)
@@ -458,17 +447,13 @@ class Model:
             & np.isfinite(T).all(axis=(1, 2))
         return block, T, finite.tolist()
 
-    def loss(self, batch) -> Tensor:
-        """Mean NLL of a batch of examples, scored as one graph."""
-        if not batch:
+    def loss(self, chains) -> Tensor:
+        """Mean NLL of a batch of ``prepare_examples`` chains, scored as one
+        graph by the forward of ``predict_batch``."""
+        if not chains:
             raise DataError("empty batch")
-        chains, targets = [], []
-        for example in batch:
-            attribute, target = self.adaptor.chain(example)
-            chains.append((example.token_texts(), attribute))
-            targets.extend(target)
-        P, T, lengths, decoders = self._scores(chains)
-        return chain_nll(P, T, targets, lengths, decoders)
+        P, T, lengths, decoders = self._scores([(c.texts, c.attribute) for c in chains])
+        return chain_nll(P, T, [z for c in chains for z in c.targets], lengths, decoders)
 
     def predict_batch(self, chains) -> list[list[str]]:
         """Tags of a batch of (token_texts, attribute) chains, as evaluation

@@ -1,9 +1,10 @@
 """Training loop, optimizer, checkpoints, and parameter accounting.
 
-Batches average per-example NLLs.  A batch is scored as one graph
-(``Model.loss``): one packed LSTM node per direction, one generation of
-the batch's decoders, one emissions node and one CRF node, with every
-example still its own chain, so no padding enters the loss.  Early
+Every variant trains on the chains of ``Model.prepare_examples``, made
+once per fit, and batches average per-chain NLLs.  A batch is scored as
+one graph (``Model.loss``): one packed LSTM node per direction, one
+generation of the batch's decoders, one emissions node and one CRF node,
+with every chain still its own, so no padding enters the loss.  Early
 stopping watches dev macro-F1: the best epoch is the first with the
 highest, training stops ``patience`` epochs after it, and the best
 epoch's parameters are what ends up in the checkpoint.  All arithmetic
@@ -248,14 +249,6 @@ class TrainReport:
         return out
 
 
-def _example_ids(batch):
-    ids = []
-    for ex in batch:
-        ids.append(f"{ex.product_id}/{ex.attribute}" if hasattr(ex, "attribute")
-                   else ex.product_id)
-    return ids
-
-
 def _summary(history) -> dict:
     """A fit's best epoch, the first with the highest dev F1, that F1, and
     the epoch it stopped after, read off its epoch records."""
@@ -265,7 +258,8 @@ def _summary(history) -> dict:
 
 
 def _fit(model, optimizer, train_set, dev_examples, config, rng, label=""):
-    """Generic epoch loop with early stopping on dev macro-F1.
+    """Generic epoch loop over ``prepare_examples`` chains, with early
+    stopping on dev macro-F1.
 
     Returns the per-epoch stats.  It stops once ``patience`` epochs have
     passed since the best one (see ``_summary``), and leaves the model
@@ -286,7 +280,7 @@ def _fit(model, optimizer, train_set, dev_examples, config, rng, label=""):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at {start}{label} "
-                    f"(examples: {', '.join(_example_ids(batch))})")
+                    f"(examples: {', '.join(c.id for c in batch)})")
             loss.backward()
             optimizer.step()
             total += value * len(batch)
@@ -344,12 +338,13 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
                 raise DataError(f"attribute {a!r} lacks train or dev examples")
             fits.append((a, model.params.in_group(a), sub_train, sub_dev))
     else:
-        train_set = model.prepare_examples(train_examples)
-        fits = [(None, model.params.trainable(), train_set, dev_examples)]
-    histories = {}
+        fits = [(None, model.params.trainable(), train_examples, dev_examples)]
+    histories, dropped = {}, 0
     for a, tensors, examples, dev in fits:
+        chains = model.prepare_examples(examples)
+        dropped += sum(c.dropped_spans for c in chains)
         optimizer = Adam(tensors.values(), config.learning_rate)
-        histories[a] = _fit(model, optimizer, examples, dev, config, rng,
+        histories[a] = _fit(model, optimizer, chains, dev, config, rng,
                             label="" if a is None else f" ({a})")
 
     if config.variant == "per_attribute":
@@ -369,7 +364,7 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
         history = histories[None]
         report = TrainReport(config.variant, config.to_json(), history, **_summary(history))
         if config.variant == "n_tag_sets":
-            report.dropped_spans = sum(ex.dropped_spans for ex in train_set)
+            report.dropped_spans = dropped
 
     if checkpoint_stem is not None:
         report.checkpoint_path = str(save_checkpoint(checkpoint_stem, model))
@@ -436,11 +431,19 @@ def save_checkpoint(stem, model) -> Path:
     return manifest_path
 
 
+# The JSON type of each config key in a manifest, from its field's
+# annotation; only ``attributes`` may be null.
+_JSON_TYPES = {"int": int, "float": int | float, "str": str,
+               "tuple[str, ...] | None": list[str] | None}
+_CONFIG_JSON = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(TrainConfig)}
+
+
 def _check_manifest(manifest, where):
     """The keys and types ``load_checkpoint`` reads, before it reads them."""
     files.check(manifest, where, config=dict, attribute_vocab=list,
                 attribute_provenance=str | None, word_vocabs=dict[str, list[str]],
                 vocab_hashes=dict, payload_file=str, payload_bytes=int, tensors=list)
+    files.check(manifest["config"], f"{where}: config", **_CONFIG_JSON)
     for i, entry in enumerate(manifest["attribute_vocab"]):
         files.check(entry, f"{where}: attribute_vocab[{i}]", id=str)
     files.check(manifest["vocab_hashes"], f"{where}: vocab_hashes",

@@ -92,8 +92,8 @@ def test_criterion_02_gradient_fidelity():
                               attr_table=table)
         params = {name: t for name, t in model.params.items()
                   if model.params.group_of(name) in ("encoder", "hyper", "moe")}
-        report = ad.grad_check(lambda: model.loss([example]),
-                               params, step=1e-5)
+        chains = model.prepare_examples([example])
+        report = ad.grad_check(lambda: model.loss(chains), params, step=1e-5)
         worst = max(worst, report.max_rel_error)
     if worst > 1e-4:
         failures.append(f"max relative error {worst:.3e} > 1e-4")

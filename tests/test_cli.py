@@ -105,6 +105,27 @@ def test_label_report_written(pipeline):
     assert report["dropped_pairs"] == 0
 
 
+def test_label_and_train_warn_about_malformed_corpus_lines(pipeline, tmp_path, capsys):
+    good = pipeline["data"] / "corpus.jsonl"
+    n = len(good.read_text(encoding="utf-8").splitlines())
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text(good.read_text(encoding="utf-8") + '{"id": 5, "title": "x"}\nnot json\n',
+                   encoding="utf-8")
+    label = ["label", "--corpus", str(bad), "--vocab", str(pipeline["data"] / "vocab.json"),
+             "--out", str(tmp_path / "labeled.jsonl")]
+    train = list(pipeline["train_args"])
+    train[train.index("--out") + 1] = str(tmp_path / "model")
+    assert cli.main(train) == 0
+    clean = capsys.readouterr()
+    assert "warning" not in clean.err
+    train[train.index("--corpus") + 1] = str(bad)
+    for argv in (label, train):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert f"warning: {bad}:{n + 1}: " in err and f"warning: {bad}:{n + 2}: " in err
+    assert out == clean.out  # train's stdout does not change
+
+
 def test_label_without_products_is_data_error(pipeline, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('[7]\n{"id": "p"}\n', encoding="utf-8")
@@ -329,6 +350,16 @@ BAD_MANIFESTS = (
         lambda m: _att_shape(m, [1, m["config"]["d_r"]])),
        ("config value mistyped", lambda m: {**m, "config": {**m["config"], "d_h": [8]}}),
        ("config seed negative", lambda m: {**m, "config": {**m["config"], "seed": -1}}),
+       # Config files and flags are parsed from strings; a manifest's config is not.
+       ("config d_h a string",
+        lambda m: {**m, "config": {**m["config"], "d_h": str(m["config"]["d_h"])}}),
+       ("config learning_rate a string",
+        lambda m: {**m, "config": {**m["config"], "learning_rate": "0.001"}}),
+       ("config attributes a string",
+        lambda m: {**m, "config": {**m["config"], "attributes": "Color,Scent"}}),
+       ("config max_epochs a padded string",
+        lambda m: {**m, "config": {**m["config"], "max_epochs": " 1 "}}),
+       ("config without seed", lambda m: {**m, "config": _without(m["config"], "seed")}),
        ("no shared word vocabulary", lambda m: _with_words(m, {})),
        ("empty word vocabulary", lambda m: _with_words(m, {"shared": []})),
        # same length, so that only the missing <unk> row is wrong

@@ -15,13 +15,14 @@ from avex.corpus import AttributeVocab, Product, build_corpus
 from avex.errors import DataError, NumericError
 from avex.models import (
     VARIANTS,
+    Chain,
     ModelParams,
     build_variant,
     derive_word_itos,
 )
 from avex.attribute_embeddings import AttributeEmbeddingTable, random_table
-from avex.tagging import NUM_TAGS
-from avex.training import TrainConfig, train
+from avex.tagging import NUM_TAGS, tag_indices, tags_to_spans
+from avex.training import TrainConfig, param_count, train
 
 
 def tiny_corpus():
@@ -73,7 +74,7 @@ def test_model_params_groups_and_trainability():
     params = ModelParams()
     params.add("a/x", np.zeros(2), "g1")
     params.add("b/y", np.zeros(2), "g2", trainable=False)
-    assert params.groups() == ["g1", "g2"]
+    assert [params.group_of(n) for n, _ in params.items()] == ["g1", "g2"]
     assert set(params.trainable()) == {"a/x"}
     assert set(params.in_group("g2")) == {"b/y"}
     assert params.group_of("b/y") == "g2"
@@ -118,7 +119,7 @@ def test_adatag_requires_embedding_table():
 
 def test_adatag_group_partition():
     model, _, _ = build("adatag")
-    assert set(model.params.groups()) == {"encoder", "att_emb", "hyper", "moe"}
+    assert set(param_count(model.params).groups) == {"encoder", "att_emb", "hyper", "moe"}
     hyper = model.params.in_group("hyper")
     assert set(hyper) == {"hyper/W_hyper_w", "hyper/b_hyper_w",
                           "hyper/W_hyper_b", "hyper/b_hyper_b"}
@@ -180,7 +181,7 @@ def test_adatag_random_emb_is_trainable():
 
 def test_adatag_loss_and_predict_shapes():
     model, vocab, examples = build("adatag")
-    loss = model.loss([examples[0]])
+    loss = model.loss(model.prepare_examples([examples[0]]))
     assert loss.data.shape == ()
     assert np.isfinite(loss.item())
     tags = model.predict_tags(["white", "towel"], "Color")
@@ -196,7 +197,8 @@ def test_chain_without_tokens_is_data_error(call):
     run, position, attribute = {
         "predict_batch": (lambda: model.predict_batch([(["white"], "Color"), ([], "Scent")]),
                           1, "Scent"),
-        "loss": (lambda: model.loss([examples[0], empty]), 1, empty.attribute),
+        "loss": (lambda: model.loss(model.prepare_examples([examples[0], empty])),
+                 1, empty.attribute),
         "extract": (lambda: evaluation.extract(model, [], "Color"), 0, "Color"),
     }[call]
     with pytest.raises(DataError, match=rf"chain {position} \('{attribute}'\) has no tokens"):
@@ -233,10 +235,57 @@ def test_n_tag_sets_merges_products():
     model, vocab, examples = build("n_tag_sets")
     merged = model.prepare_examples(examples)
     # p1 has Scent and Color examples; they fold into one sequence.
-    assert [m.product_id for m in merged] == ["p1", "p2"]
+    assert [m.id for m in merged] == ["p1", "p2"]
     tags = model.predict_tags(["white", "towel"], "Color")
     assert len(tags) == 2
     assert set(tags) <= {"B", "I", "O", "E"}
+
+
+def test_n_tag_sets_chains_equal_a_per_product_reference():
+    # Values of different attributes overlap: the earlier attribute in the
+    # vocabulary keeps the tokens, and each product counts the spans it lost.
+    vocab = AttributeVocab([("Scent", None), ("Color", None), ("Finish", None)])
+    products = [
+        Product("p2", "rose white matte rose soap", [], None,
+                {"Scent": ["rose white"], "Color": ["white matte", "soap"],
+                 "Finish": ["matte rose"]}),
+        Product("p1", "white rose towel", [], None,
+                {"Scent": ["rose"], "Color": ["white rose"], "Finish": ["rose towel"]}),
+        Product("p3", "teal towel", [], None, {"Color": ["teal"]}),
+    ]
+    examples, _ = build_corpus(products, vocab)
+    model = build_variant(tiny_config("n_tag_sets"), vocab,
+                          derive_word_itos("n_tag_sets", examples))
+    ids = vocab.ids()
+    outside = 3 * len(ids)
+    expected = []
+    for pid in ("p1", "p2", "p3"):
+        mine = {ex.attribute: ex for ex in examples if ex.product_id == pid}
+        texts = next(iter(mine.values())).token_texts()
+        targets, dropped = [outside] * len(texts), 0
+        for j, a in enumerate(ids):
+            tags = mine[a].tags if a in mine else ()
+            for span in sorted(tags_to_spans(tags)):
+                placed = range(span.start, span.end + 1)
+                if any(targets[i] != outside for i in placed):
+                    dropped += 1
+                    continue
+                for i in placed:
+                    targets[i] = 3 * j + "BIE".index(tags[i])
+        expected.append(Chain(tuple(texts), ids[0], tuple(targets), pid, dropped))
+    assert model.prepare_examples(examples) == expected
+    assert [c.dropped_spans for c in expected] == [2, 1, 0]
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "n_tag_sets"])
+def test_bioe_chains_are_the_examples_in_input_order(variant):
+    model, _, examples = build(variant)
+    examples = examples[::-1]
+    chains = model.prepare_examples(examples)
+    assert chains == [
+        Chain(tuple(ex.token_texts()), ex.attribute, tuple(tag_indices(ex.tags)),
+              f"{ex.product_id}/{ex.attribute}", 0) for ex in examples]
+    assert [c.id for c in chains] == ["p2/Color", "p1/Scent"]
 
 
 def test_n_tag_sets_rejects_inconsistent_tokens():
@@ -250,7 +299,7 @@ def test_n_tag_sets_rejects_inconsistent_tokens():
 
 def test_shared_emb_variant_groups():
     model, vocab, _ = build("bilstm_crf_shared_emb")
-    assert set(model.params.groups()) == {"embedding", "encoder", "decoder"}
+    assert set(param_count(model.params).groups) == {"embedding", "encoder", "decoder"}
     # One LSTM pair per attribute, all sharing the single embedding matrix.
     assert "encoder/Scent/lstm_fwd/W" in model.params
     assert "encoder/Color/lstm_bwd/b" in model.params
@@ -259,7 +308,7 @@ def test_shared_emb_variant_groups():
 
 def test_per_attribute_variant_disjoint_groups():
     model, vocab, _ = build("per_attribute")
-    assert set(model.params.groups()) == {"Scent", "Color"}
+    assert set(param_count(model.params).groups) == {"Scent", "Color"}
     scent = model.params.in_group("Scent")
     assert "per_attr/Scent/encoder/W_word" in scent
     assert "per_attr/Scent/decoder/T" in scent
@@ -544,7 +593,8 @@ def test_grad_check_after_predict_tags():
     for a in vocab.ids():
         model.predict_tags(ex.token_texts(), a)
     params = model.params.trainable()
-    report = grad_check(lambda: model.loss([ex]), params, tolerance=1e-6)
+    chains = model.prepare_examples([ex])
+    report = grad_check(lambda: model.loss(chains), params, tolerance=1e-6)
     assert report.passed, report.max_rel_error
     for name in ("encoder/lstm_fwd/W", "hyper/W_hyper_w"):
         assert np.any(params[name].grad != 0), name
@@ -625,11 +675,12 @@ def test_batch_encodes_each_text_of_a_product_once(monkeypatch):
         return {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                 for name, t in params.items()}
 
-    together = grads(model.loss(examples) * len(examples))
+    chains = model.prepare_examples(examples)
+    together = grads(model.loss(chains) * len(chains))
     assert len(batched) == 1 and len(batched[0][0]) == 1  # one call, one text
     summed = {name: np.zeros_like(t.data) for name, t in params.items()}
-    for ex in examples:
-        for name, g in grads(model.loss([ex])).items():
+    for chain in chains:
+        for name, g in grads(model.loss([chain])).items():
             summed[name] += g
     for name in params:
         np.testing.assert_allclose(together[name], summed[name], rtol=1e-12,

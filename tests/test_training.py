@@ -285,12 +285,12 @@ def test_single_adam_step_decreases_nll():
     corpus, by_split = micro_synth()
     table = uncontextualized_table(corpus.vocab, by_split["train"],
                                    corpus.vectors)
-    batch = by_split["train"][:8]
     for seed in range(20):
         cfg = micro_config(seed=seed)
         itos = derive_word_itos(cfg.variant, by_split["train"])
         model = build_variant(cfg, corpus.vocab, itos, attr_table=table,
                               vectors=corpus.vectors)
+        batch = model.prepare_examples(by_split["train"][:8])
         opt = Adam(model.params.trainable().values(), lr=1e-4)
         before = model.loss(batch)
         value = before.item()
@@ -323,7 +323,7 @@ def _adatag_batch():
     model = build_variant(cfg, corpus.vocab, itos, attr_table=table,
                           vectors=corpus.vectors)
     train = by_split["train"]
-    return model, train[:6] + train[-6:], by_split["dev"]
+    return model, model.prepare_examples(train[:6] + train[-6:]), by_split["dev"]
 
 
 def _count_decoder_builds(monkeypatch) -> list:
@@ -397,8 +397,7 @@ def test_batch_gradients_equal_zero_filled_accumulation(monkeypatch):
     # different orders.
     from avex import autodiff
     model, batch, _ = _adatag_batch()
-    batch = [dataclasses.replace(ex, tokens=ex.tokens * 4, tags=ex.tags * 4)
-             for ex in batch]
+    batch = [c._replace(texts=c.texts * 4, targets=c.targets * 4) for c in batch]
     params = model.params.trainable()
 
     def grads():
@@ -619,7 +618,10 @@ def test_n_tag_sets_report_counts_the_spans_the_merge_drops():
 
 
 def test_non_finite_loss_raises_numeric_error():
+    # The message names each chain of the batch by its id: an example's
+    # product and attribute, or a joint chain's product.
     corpus, by_split = micro_synth()
+    examples = [toy_example("p1")]
 
     class NanModel:
         def loss(self, batch):
@@ -630,14 +632,14 @@ def test_non_finite_loss_raises_numeric_error():
             raise AttributeError
 
     from avex.training import _fit
-    model = NanModel()
-    opt = Adam([], lr=1e-3)
-    with pytest.raises(NumericError) as err:
-        _fit(model, opt, [toy_example("p1"), toy_example("p2")],
-             by_split["dev"], micro_config(), np.random.default_rng(0))
-    msg = str(err.value)
-    assert "epoch 1" in msg
-    assert "p1" in msg or "p2" in msg
+    for variant, chain_id in (("bilstm_multicrf", "p1/Scent"), ("n_tag_sets", "p1")):
+        chains = build_variant(micro_config(variant=variant), corpus.vocab,
+                               derive_word_itos(variant, examples)).prepare_examples(examples)
+        with pytest.raises(NumericError) as err:
+            _fit(NanModel(), Adam([], lr=1e-3), chains, by_split["dev"], micro_config(),
+                 np.random.default_rng(0))
+        assert str(err.value) == ("non-finite training loss at epoch 1, batch starting "
+                                  f"at 0 (examples: {chain_id})")
 
 
 # -- checkpoints -------------------------------------------------------------
