@@ -12,7 +12,6 @@ command leaves every output path as it was.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -30,10 +29,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _attribute_ids(text) -> list[str]:
-    ids = [a.strip() for a in text.split(",") if a.strip()]
-    if not ids:
+    ids = training.split_names(text)
+    if ids is None:
         raise argparse.ArgumentTypeError(f"no attribute id in {text!r}")
     return ids
+
+
+def _config_flag(parser, name):
+    """``--name`` for the config field ``name``, parsed by the field's rule
+    and left out of the namespace when not given, so that it overrides
+    ``--config`` exactly when given."""
+    parser.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
+                        type=training.CONFIG_FIELDS[name].parse)
 
 
 def _build_parser() -> _Parser:
@@ -68,9 +75,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--report")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--include-negatives", action="store_true")
-    for f in dataclasses.fields(training.TrainConfig):  # each overrides --config
-        p.add_argument("--" + f.name.replace("_", "-"),
-                       type={"int": int, "float": float}.get(f.type, str))
+    for name in training.CONFIG_FIELDS:
+        _config_flag(p, name)
 
     p = sub.add_parser("extract", help="extract values from raw text")
     p.add_argument("--checkpoint", required=True)
@@ -91,7 +97,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("param-count", help="parameter budget of a config or checkpoint")
     p.add_argument("--checkpoint")
     p.add_argument("--config")
-    p.add_argument("--variant")
+    _config_flag(p, "variant")
     p.add_argument("--num-attributes", type=int)
     p.add_argument("--word-vocab-size", type=int)
     p.add_argument("--format", default="table", choices=("table", "json"))
@@ -104,13 +110,10 @@ def _build_parser() -> _Parser:
 
 
 def _resolved_config(args) -> training.TrainConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(training.parse_config_file(args.config))
-    for f in dataclasses.fields(training.TrainConfig):
-        if getattr(args, f.name) is not None:
-            mapping[f.name] = getattr(args, f.name)
-    return training.TrainConfig.from_mapping(mapping)
+    """The ``--config`` file's values, overridden by the config flags given."""
+    values = training.parse_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in training.CONFIG_FIELDS)
+    return training.TrainConfig.from_values(values)
 
 
 def _labeled_corpus(args, setting):
@@ -221,18 +224,14 @@ def _cmd_eval(args):
 
 
 def _cmd_param_count(args):
-    if bool(args.checkpoint) == bool(args.config or args.variant):
+    if bool(args.checkpoint) == bool(args.config or vars(args).get("variant")):
         raise DataError("pass exactly one of --checkpoint or --config/--variant")
     if args.checkpoint:
         model = training.load_checkpoint(args.checkpoint)
         report = training.param_count(model.params)
     else:
-        mapping = training.parse_config_file(args.config) if args.config else {}
-        if args.variant:
-            mapping["variant"] = args.variant
-        config = training.TrainConfig.from_mapping(mapping)
         report = training.param_count_from_config(
-            config, args.num_attributes, args.word_vocab_size)
+            _resolved_config(args), args.num_attributes, args.word_vocab_size)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class TrainConfig:
     max_epochs: int = 100
     seed: int = 0
     setting: str = "title"
-    attributes: tuple[str, ...] | None = None
+    attributes: list[str] | None = None
 
     def validate(self):
         if self.variant not in VARIANTS:
@@ -75,52 +76,39 @@ class TrainConfig:
         return self
 
     def to_json(self) -> dict:
-        out = dataclasses.asdict(self)
-        if out["attributes"] is not None:
-            out["attributes"] = list(out["attributes"])
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
-    def from_mapping(cls, mapping) -> "TrainConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in known:
-                raise DataError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, raw, known[key].type)
-        return cls(**kwargs).validate()
+    def from_values(cls, values, where="config") -> "TrainConfig":
+        """The validated config of ``values``, typed and keyed by field name."""
+        for key in values:
+            if key not in CONFIG_FIELDS:
+                raise DataError(f"{where}: unknown key {key!r}")
+        return cls(**values).validate()
 
 
-# What each annotated field type accepts after coercion; bool is not an int.
-_ACCEPTS = {"int": int, "float": (int, float), "str": str}
+def split_names(text) -> list[str] | None:
+    """'Scent, Color' -> ['Scent', 'Color']; None if it names nothing."""
+    return [a.strip() for a in text.split(",") if a.strip()] or None
 
 
-def _coerce(key, raw, typ):
-    if key == "attributes":
-        if raw is None or raw == "":
-            return None
-        if isinstance(raw, str):
-            return tuple(a.strip() for a in raw.split(",") if a.strip()) or None
-        if not isinstance(raw, (list, tuple)) or not all(isinstance(a, str) for a in raw):
-            raise DataError(f"config key 'attributes' must be a list of strings, "
-                            f"got {raw!r:.60}")
-        return tuple(raw)
-    if isinstance(raw, str):
-        raw = raw.strip()
-        try:
-            if typ == "int":
-                raw = int(raw)
-            elif typ == "float":
-                raw = float(raw)
-        except ValueError:
-            raise DataError(f"config key {key!r}: cannot parse {raw!r}")
-    if isinstance(raw, bool) or not isinstance(raw, _ACCEPTS[typ]):
-        raise DataError(f"config key {key!r} must be {typ}, got {raw!r:.60}")
-    return raw
+class FieldRule(NamedTuple):
+    parse: Callable[[str], object]  # a config-file value or a flag
+    json: object  # the type of the value in a checkpoint manifest
+
+
+# How each field is read, from its annotation; a JSON number of a float
+# field may be written without a point.
+_RULES = {"int": FieldRule(int, int), "float": FieldRule(float, int | float),
+          "str": FieldRule(str.strip, str),
+          "list[str] | None": FieldRule(split_names, list[str] | None)}
+CONFIG_FIELDS = {f.name: _RULES[f.type] for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines, each value parsed by its key's rule;
+    '#' starts a comment.  An unknown or repeated key, or a value that
+    does not parse, is a DataError that names the line."""
     out = {}
     for lineno, line in files.read_lines(path, "config file"):
         text = line.split("#", 1)[0].strip()
@@ -128,8 +116,16 @@ def parse_config_file(path) -> dict:
             continue
         if "=" not in text:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = text.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in CONFIG_FIELDS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise DataError(f"{path}:{lineno}: config key {key!r} given twice")
+        try:
+            out[key] = CONFIG_FIELDS[key].parse(value)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: config key {key!r}: "
+                            f"cannot parse {value!r}") from None
     return out
 
 
@@ -431,19 +427,13 @@ def save_checkpoint(stem, model) -> Path:
     return manifest_path
 
 
-# The JSON type of each config key in a manifest, from its field's
-# annotation; only ``attributes`` may be null.
-_JSON_TYPES = {"int": int, "float": int | float, "str": str,
-               "tuple[str, ...] | None": list[str] | None}
-_CONFIG_JSON = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(TrainConfig)}
-
-
 def _check_manifest(manifest, where):
     """The keys and types ``load_checkpoint`` reads, before it reads them."""
     files.check(manifest, where, config=dict, attribute_vocab=list,
                 attribute_provenance=str | None, word_vocabs=dict[str, list[str]],
                 vocab_hashes=dict, payload_file=str, payload_bytes=int, tensors=list)
-    files.check(manifest["config"], f"{where}: config", **_CONFIG_JSON)
+    files.check(manifest["config"], f"{where}: config",
+                **{key: rule.json for key, rule in CONFIG_FIELDS.items()})
     for i, entry in enumerate(manifest["attribute_vocab"]):
         files.check(entry, f"{where}: attribute_vocab[{i}]", id=str)
     files.check(manifest["vocab_hashes"], f"{where}: vocab_hashes",
@@ -470,7 +460,7 @@ def load_checkpoint(stem):
             f"(expected {CHECKPOINT_FORMAT_VERSION})")
     where = f"checkpoint manifest {manifest_path}"
     _check_manifest(manifest, where)
-    config = TrainConfig.from_mapping(manifest["config"])
+    config = TrainConfig.from_values(manifest["config"], f"{where}: config")
     vocab = AttributeVocab(
         [(row["id"], row.get("phrase")) for row in manifest["attribute_vocab"]])
     word_itos = manifest["word_vocabs"]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line pipeline on a tiny generated corpus."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -184,6 +185,56 @@ def test_train_logs_resolved_config(pipeline, tmp_path, capsys):
     assert resolved == manifest["config"]
 
 
+def _resolved(err):
+    line = next(l for l in err.splitlines() if l.startswith("resolved config:"))
+    return json.loads(line.split(":", 1)[1])
+
+
+# A value of each config field other than its default.
+CONFIG_VALUES = {"variant": "bilstm_multicrf", "d_h": "6", "d_word": "7", "d_r": "5",
+                 "k": "4", "batch_size": "3", "learning_rate": "0.01", "patience": "2",
+                 "max_epochs": "5", "seed": "4", "setting": "title_plus_bullets",
+                 "attributes": "Color, Scent"}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(training.TrainConfig),
+                         ids=lambda f: f.name)
+def test_config_file_and_flag_resolve_alike(pipeline, tmp_path, capsys, field):
+    # The config is logged before the corpus is read, so a missing corpus
+    # stops each run right after it.
+    data = pipeline["data"]
+    base = ["train", "--corpus", str(tmp_path / "none.jsonl"),
+            "--vocab", str(data / "vocab.json"), "--splits", str(data / "splits.json"),
+            "--out", str(tmp_path / "m")]
+    value = CONFIG_VALUES[field.name]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{field.name} = {value}\n", encoding="utf-8")
+    resolved = []
+    for extra in (["--config", str(config)], ["--" + field.name.replace("_", "-"), value]):
+        assert cli.main(base + extra) == 2
+        err = capsys.readouterr().err
+        assert "cannot read corpus" in err
+        resolved.append(_resolved(err))
+    assert resolved[0] == resolved[1]
+    assert resolved[0][field.name] != training.TrainConfig().to_json()[field.name]
+
+
+def test_flags_override_the_config_file_before_validation(pipeline, tmp_path, capsys):
+    # d_h = 3 is odd, and --attributes "" clears the file's attributes.
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("d_h = 8", "d_h = 3") + "attributes = Color\n",
+                      encoding="utf-8")
+    args = [a for a in pipeline["train_args"]]
+    args[args.index("--config") + 1] = str(config)
+    args[args.index("--out") + 1] = str(tmp_path / "m")
+    assert cli.main(args + ["--d-h", "4", "--attributes", "", "--max-epochs", "1"]) == 0
+    resolved = _resolved(capsys.readouterr().err)
+    assert resolved["d_h"] == 4
+    assert resolved["attributes"] is None
+    assert cli.main(args + ["--d-h", "4", "--max-epochs", "1"]) == 0
+    assert _resolved(capsys.readouterr().err)["attributes"] == ["Color"]
+
+
 def test_extract_prints_values(pipeline, capsys):
     rc = cli.main(["extract", "--checkpoint", str(pipeline["stem"]),
                    "--attr", "Scent, Color",
@@ -360,6 +411,12 @@ BAD_MANIFESTS = (
        ("config max_epochs a padded string",
         lambda m: {**m, "config": {**m["config"], "max_epochs": " 1 "}}),
        ("config without seed", lambda m: {**m, "config": _without(m["config"], "seed")}),
+       # Strings are taken as written, and a key must name a field.
+       ("config variant padded",
+        lambda m: {**m, "config": {**m["config"], "variant": f" {m['config']['variant']} "}}),
+       ("config setting with a newline",
+        lambda m: {**m, "config": {**m["config"], "setting": "title\n"}}),
+       ("config unknown key", lambda m: {**m, "config": {**m["config"], "dh": 8}}),
        ("no shared word vocabulary", lambda m: _with_words(m, {})),
        ("empty word vocabulary", lambda m: _with_words(m, {"shared": []})),
        # same length, so that only the missing <unk> row is wrong
@@ -632,7 +689,7 @@ def test_checkpoint_of_chosen_attributes_refuses_the_others(pipeline, tmp_path, 
     assert cli.main(args + ["--attributes", "Color", "--max-epochs", "1"]) == 0
     manifest = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
     assert manifest["config"]["attributes"] == ["Color"]  # a JSON list ...
-    assert training.load_checkpoint(stem).config.attributes == ("Color",)  # ... reloaded
+    assert training.load_checkpoint(stem).config.attributes == ["Color"]  # ... reloaded
     capsys.readouterr()
     assert cli.main(["extract", "--checkpoint", str(stem), "--attr", "Color",
                      "--text", "teal / red towel"]) == 0

@@ -111,32 +111,39 @@ def test_config_file_with_negative_seed_is_data_error(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = -1\n", encoding="utf-8")
     with pytest.raises(DataError, match="seed must be >= 0, got -1"):
-        TrainConfig.from_mapping(parse_config_file(path))
+        TrainConfig.from_values(parse_config_file(path))
 
 
-def test_config_from_mapping_coerces_strings():
-    cfg = TrainConfig.from_mapping({
+def _config_from_file(tmp_path, mapping):
+    """The config of a file holding ``key = value`` for each item of ``mapping``."""
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()), encoding="utf-8")
+    return TrainConfig.from_values(parse_config_file(path))
+
+
+def test_config_from_mapping_coerces_strings(tmp_path):
+    cfg = _config_from_file(tmp_path, {
         "variant": "bilstm_multicrf", "d_h": "16", "learning_rate": "0.01",
         "attributes": "Scent, Color"})
     assert cfg.d_h == 16
     assert cfg.learning_rate == 0.01
-    assert cfg.attributes == ("Scent", "Color")
+    assert cfg.attributes == ["Scent", "Color"]
 
 
 def test_config_from_mapping_rejects_unknown_key():
     with pytest.raises(DataError):
-        TrainConfig.from_mapping({"dh": 16})
+        TrainConfig.from_values({"dh": 16})
 
 
-def test_config_from_mapping_rejects_bad_number():
+def test_config_from_mapping_rejects_bad_number(tmp_path):
     with pytest.raises(DataError):
-        TrainConfig.from_mapping({"d_h": "sixteen"})
+        _config_from_file(tmp_path, {"d_h": "sixteen"})
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", float("nan")])
-def test_config_from_mapping_rejects_non_finite_learning_rate(raw):
+def test_config_from_mapping_rejects_non_finite_learning_rate(tmp_path, raw):
     with pytest.raises(DataError, match="learning_rate must be positive and finite"):
-        TrainConfig.from_mapping({"learning_rate": raw})
+        _config_from_file(tmp_path, {"learning_rate": raw})
 
 
 def test_parse_config_file(tmp_path):
@@ -148,7 +155,20 @@ def test_parse_config_file(tmp_path):
         "\n"
         "learning_rate = 0.001\n", encoding="utf-8")
     assert parse_config_file(path) == {
-        "variant": "adatag", "d_h": "16", "learning_rate": "0.001"}
+        "variant": "adatag", "d_h": 16, "learning_rate": 0.001}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("d_h = 8\ndh = 8\n", "{path}:2: unknown config key 'dh'"),
+    ("d_h = 8\n\nk = 2\nd_word = 1.5\n", "{path}:4: config key 'd_word': cannot parse '1.5'"),
+    ("seed = 1\nd_h = 3\nd_h = 8\n", "{path}:3: config key 'd_h' given twice"),
+], ids=["unknown key", "bad number", "key given twice"])
+def test_config_file_error_names_the_line(tmp_path, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        parse_config_file(path)
+    assert str(exc.value) == message.format(path=path)
 
 
 def test_parse_config_file_rejects_bad_line(tmp_path):
