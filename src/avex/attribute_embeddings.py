@@ -78,11 +78,8 @@ class AttributeEmbeddingTable:
         return np.stack([self.get(a) for a in attr_ids])
 
     def save(self, path):
-        with files.write(path) as fh:
-            for a in self.ids():
-                row = {"attribute": a, "vec": self.vectors[a].tolist(),
-                       "provenance": self.provenance}
-                fh.write(json.dumps(row) + "\n")
+        files.write_jsonl(path, ({"attribute": a, "vec": self.vectors[a].tolist(),
+                                  "provenance": self.provenance} for a in self.ids()))
 
     @classmethod
     def load(cls, path) -> "AttributeEmbeddingTable":

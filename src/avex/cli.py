@@ -208,12 +208,12 @@ def _cmd_eval(args):
     if args.stratify is not None:
         if not args.train_counts:
             raise DataError("--stratify needs --train-counts")
-        raw = files.read_json(args.train_counts, "train counts")
-        counts = raw.get("per_attribute_examples", raw) if isinstance(raw, dict) else raw
-        if not isinstance(counts, dict) or not all(
-                type(c) is int and c >= 0 for c in counts.values()):
-            raise DataError(f"train counts {args.train_counts} must be a JSON object "
-                            f"of non-negative integer counts")
+        counts = files.read_json(args.train_counts, "train counts")
+        if isinstance(counts, dict) and "per_attribute_examples" in counts:  # label --report
+            counts = counts["per_attribute_examples"]
+        where = f"train counts {args.train_counts}"
+        files.check(counts, where)  # an object, whose keys are the attributes
+        files.check(counts, where, **dict.fromkeys(counts, int))
         evaluation.stratify(report, counts, args.stratify)
     if args.dump:
         evaluation.dump_predictions(args.dump, results)

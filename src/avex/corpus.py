@@ -110,18 +110,25 @@ class AttributeVocab:
             raise DataError(f"unknown attribute id(s): {sorted(unknown)}")
         return AttributeVocab([e for e in self._phrases.items() if e[0] in keep])
 
+    def to_json(self) -> list[dict]:
+        return [{"id": a, "phrase": p} for a, p in self._phrases.items()]
+
+    @classmethod
+    def from_json(cls, rows, where) -> "AttributeVocab":
+        """The vocabulary of ``{"id", "phrase"}`` rows, the phrase optional."""
+        if not isinstance(rows, list):
+            raise DataError(f"{where} must be a JSON list")
+        for i, row in enumerate(rows):
+            files.check(row, f"{where}: entry {i}", id=str)
+        return cls([(row["id"], row.get("phrase")) for row in rows])
+
     @classmethod
     def load(cls, path) -> "AttributeVocab":
-        raw = files.read_json(path, "attribute vocabulary")
-        if not isinstance(raw, list):
-            raise DataError(f"attribute vocabulary {path} must be a JSON list")
-        for i, row in enumerate(raw):
-            files.check(row, f"attribute vocabulary {path}: entry {i}", id=str)
-        return cls([(row["id"], row.get("phrase")) for row in raw])
+        return cls.from_json(files.read_json(path, "attribute vocabulary"),
+                             f"attribute vocabulary {path}")
 
     def save(self, path):
-        rows = [{"id": a, "phrase": p} for a, p in self._phrases.items()]
-        files.write_json(path, rows, indent=2)
+        files.write_json(path, self.to_json(), indent=2)
 
 
 def attribute_phrase(attr_id: str) -> str:
@@ -268,6 +275,15 @@ def load_products(path):
     return list(products.values()), malformed
 
 
+def save_products(path, products):
+    """Write one row per product, as ``parse_product`` reads it; a
+    description is written only when there is one."""
+    files.write_jsonl(path, ({
+        "id": p.id, "title": p.title, "bullets": p.bullets, "attributes": p.gold_values,
+        **({} if p.description is None else {"description": p.description}),
+    } for p in products), ensure_ascii=False)
+
+
 def build_corpus_from_file(path, vocab, setting="title", include_negatives=False):
     products, malformed = load_products(path)
     examples, report = build_corpus(products, vocab, setting, include_negatives)
@@ -307,16 +323,10 @@ def split_examples(examples, manifest) -> dict[str, list[LabeledExample]]:
 
 
 def save_labeled(path, examples):
-    with files.write(path) as fh:
-        for ex in examples:
-            row = {
-                "id": ex.product_id,
-                "attribute": ex.attribute,
-                "source_field": ex.source_field,
-                "tokens": [[t.text, t.start, t.end] for t in ex.tokens],
-                "tags": list(ex.tags),
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    files.write_jsonl(path, ({"id": ex.product_id, "attribute": ex.attribute,
+                              "source_field": ex.source_field,
+                              "tokens": ex.tokens,  # each Token an array [text, start, end]
+                              "tags": ex.tags} for ex in examples), ensure_ascii=False)
 
 
 def load_labeled(path) -> list[LabeledExample]:

@@ -50,6 +50,13 @@ def load_word_vectors(path) -> dict[str, np.ndarray]:
     return vectors
 
 
+def save_word_vectors(path, vectors):
+    """Write ``vectors`` as ``load_word_vectors`` reads them, to 6 decimals."""
+    with files.write(path) as fh:
+        for word, vec in vectors.items():
+            fh.write(word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
+
+
 def lookup_word(table: dict, word: str):
     """``table``'s entry for the exact form of ``word``, else for its
     lowercase form, else None."""

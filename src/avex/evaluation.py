@@ -9,7 +9,6 @@ macro scores are unweighted means over attributes with gold support.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -198,7 +197,7 @@ def stratify(report: MetricsReport, train_counts: dict, threshold: int = 1000) -
     for name, keep in (("high", lambda c: c >= threshold),
                        ("low", lambda c: c < threshold)):
         subset = {a: m for a, m in report.per_attribute.items()
-                  if keep(int(train_counts.get(a, 0)))}
+                  if keep(train_counts.get(a, 0))}
         if not subset:
             strata[name] = None
             continue
@@ -213,11 +212,6 @@ def stratify(report: MetricsReport, train_counts: dict, threshold: int = 1000) -
 
 def dump_predictions(path, results):
     """Per-example JSONL dump for error analysis."""
-    with files.write(path) as fh:
-        for res in results:
-            fh.write(json.dumps({
-                "id": res.example_id,
-                "attribute": res.attribute,
-                "predicted": sorted(res.predicted),
-                "gold": sorted(res.gold),
-            }, ensure_ascii=False) + "\n")
+    files.write_jsonl(path, ({"id": res.example_id, "attribute": res.attribute,
+                              "predicted": sorted(res.predicted), "gold": sorted(res.gold)}
+                             for res in results), ensure_ascii=False)

@@ -55,7 +55,7 @@ def _is(value, typ) -> bool:
     return isinstance(value, typ)
 
 
-def check(obj, where, **fields):
+def check(obj, where, /, **fields):
     """Return ``obj``, unconverted, if it is a JSON object that maps each key
     to a value of its type, else raise a DataError that names ``where``
     and the key.  A key typed ``T | None`` may be missing or null."""
@@ -109,9 +109,14 @@ def write(path, binary=False):
 
 def write_json(path, obj, **dump_args):
     """Write ``obj`` as JSON followed by a newline."""
+    write_jsonl(path, [obj], **dump_args)
+
+
+def write_jsonl(path, rows, **dump_args):
+    """Write each of ``rows`` as JSON on a line of its own."""
     with write(path) as fh:
-        json.dump(obj, fh, **dump_args)
-        fh.write("\n")
+        for row in rows:
+            fh.write(json.dumps(row, **dump_args) + "\n")
 
 
 @contextmanager

@@ -12,7 +12,6 @@ shared token tuple and tag tuple.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .corpus import SPLITS, AttributeVocab, Product, attribute_phrase, tokenize
+from .corpus import (SPLITS, AttributeVocab, Product, attribute_phrase, save_products,
+                     tokenize)
+from .encoder import save_word_vectors
 from .errors import DataError
 
 VALUE_SLOT = "<value>"
@@ -150,23 +151,10 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, Path]:
     """Write corpus.jsonl, vocab.json, splits.json, and vectors.txt."""
     out = Path(out_dir)
     files.make_dir(out)
-    paths = {
-        "corpus": out / "corpus.jsonl",
-        "vocab": out / "vocab.json",
-        "splits": out / "splits.json",
-        "vectors": out / "vectors.txt",
-    }
-    with files.write(paths["corpus"]) as fh:
-        for p in corpus.products:
-            fh.write(json.dumps({
-                "id": p.id,
-                "title": p.title,
-                "bullets": p.bullets,
-                "attributes": {a: list(vs) for a, vs in p.gold_values.items()},
-            }, ensure_ascii=False) + "\n")
+    paths = {"corpus": out / "corpus.jsonl", "vocab": out / "vocab.json",
+             "splits": out / "splits.json", "vectors": out / "vectors.txt"}
+    save_products(paths["corpus"], corpus.products)
     corpus.vocab.save(paths["vocab"])
     files.write_json(paths["splits"], corpus.manifest, indent=2)
-    with files.write(paths["vectors"]) as fh:
-        for word, vec in corpus.vectors.items():
-            fh.write(word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
+    save_word_vectors(paths["vectors"], corpus.vectors)
     return paths

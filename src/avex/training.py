@@ -407,10 +407,7 @@ def save_checkpoint(stem, model) -> Path:
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": model.config.to_json(),
-        "attribute_vocab": [
-            {"id": a, "phrase": model.attr_vocab.phrase(a)}
-            for a in model.attr_vocab.ids()
-        ],
+        "attribute_vocab": model.attr_vocab.to_json(),
         "attribute_provenance": model.attr_provenance,
         "word_vocabs": word_vocabs,
         "vocab_hashes": _vocab_hashes(model.attr_vocab.ids(), word_vocabs),
@@ -434,8 +431,6 @@ def _check_manifest(manifest, where):
                 vocab_hashes=dict, payload_file=str, payload_bytes=int, tensors=list)
     files.check(manifest["config"], f"{where}: config",
                 **{key: rule.json for key, rule in CONFIG_FIELDS.items()})
-    for i, entry in enumerate(manifest["attribute_vocab"]):
-        files.check(entry, f"{where}: attribute_vocab[{i}]", id=str)
     files.check(manifest["vocab_hashes"], f"{where}: vocab_hashes",
                 attributes=str, words=dict[str, str])
     for i, entry in enumerate(manifest["tensors"]):
@@ -461,8 +456,11 @@ def load_checkpoint(stem):
     where = f"checkpoint manifest {manifest_path}"
     _check_manifest(manifest, where)
     config = TrainConfig.from_values(manifest["config"], f"{where}: config")
-    vocab = AttributeVocab(
-        [(row["id"], row.get("phrase")) for row in manifest["attribute_vocab"]])
+    vocab = AttributeVocab.from_json(manifest["attribute_vocab"], f"{where}: attribute_vocab")
+    # train() keeps the vocabulary's attributes that config.attributes names.
+    if config.attributes and set(config.attributes) != set(vocab.ids()):
+        raise DataError(f"{where}: config attributes {config.attributes} do not name "
+                        f"the attribute_vocab {vocab.ids()}")
     word_itos = manifest["word_vocabs"]
     if manifest["vocab_hashes"] != _vocab_hashes(vocab.ids(), word_itos):
         raise DataError(f"{where}: the attribute or word vocabularies do not match "

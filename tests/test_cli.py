@@ -301,6 +301,24 @@ def test_eval_stratified_with_dump(pipeline, tmp_path, capsys):
     assert set(rows[0]) == {"id", "attribute", "predicted", "gold"}
 
 
+def test_eval_stratified_by_a_label_coverage_report(pipeline, tmp_path, capsys):
+    # label --report writes the counts under per_attribute_examples, and
+    # stratifies as those counts on their own do.
+    coverage = json.loads(pipeline["label_report"].read_text(encoding="utf-8"))
+    assert coverage["per_attribute_examples"] == {"Color": 22, "Scent": 22}
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(coverage["per_attribute_examples"]), encoding="utf-8")
+    outputs = []
+    for path in (pipeline["label_report"], counts):
+        assert cli.main(["eval", "--checkpoint", str(pipeline["stem"]),
+                         "--test", str(pipeline["labeled"]), "--format", "json",
+                         "--stratify", "20", "--train-counts", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    strata = json.loads(outputs[0])["strata"]
+    assert strata["high"]["attributes"] == ["Color", "Scent"] and strata["low"] is None
+
+
 def test_eval_stratify_needs_counts(pipeline, capsys):
     rc = cli.main(["eval", "--checkpoint", str(pipeline["stem"]),
                    "--test", str(pipeline["labeled"]), "--stratify", "10"])
@@ -417,6 +435,9 @@ BAD_MANIFESTS = (
        ("config setting with a newline",
         lambda m: {**m, "config": {**m["config"], "setting": "title\n"}}),
        ("config unknown key", lambda m: {**m, "config": {**m["config"], "dh": 8}}),
+       # The attributes a run chose are its attribute_vocab, as a set.
+       ("config attributes not the vocabulary",
+        lambda m: {**m, "config": {**m["config"], "attributes": ["Nope"]}}),
        ("no shared word vocabulary", lambda m: _with_words(m, {})),
        ("empty word vocabulary", lambda m: _with_words(m, {"shared": []})),
        # same length, so that only the missing <unk> row is wrong
@@ -968,7 +989,16 @@ WRONG_FIELD = {
         "{}:1: bad labeled example: no tokens"),
     "eval-counts-negative": (
         "eval", "counts", b'{"Scent": -5, "Color": 2}',
-        "train counts {} must be a JSON object of non-negative integer counts"),
+        "train counts {} 'Scent' must be non-negative int, got -5"),
+    "eval-counts-a-bool": (
+        "eval", "counts", b'{"Scent": 20, "Color": true}',
+        "train counts {} 'Color' must be non-negative int, got true"),
+    "eval-coverage-report-negative": (
+        "eval", "counts", b'{"examples": 22, "per_attribute_examples": {"Color": -3}}',
+        "train counts {} 'Color' must be non-negative int, got -3"),
+    "eval-counts-key-named-like-a-parameter": (
+        "eval", "counts", b'{"where": 1, "obj": "x"}',
+        "train counts {} 'obj' must be non-negative int, got \"x\""),
 }
 
 

@@ -1,6 +1,8 @@
 import json
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -23,6 +25,7 @@ from avex.corpus import (
     load_split_manifest,
     parse_product,
     save_labeled,
+    save_products,
     source_text,
     split_examples,
     tokenize,
@@ -109,6 +112,20 @@ def test_vocab_subset_preserves_order():
     assert vocab.subset({"C", "A"}).ids() == ["A", "C"]
     with pytest.raises(DataError):
         vocab.subset({"Z"})
+
+
+@given(st.lists(st.tuples(st.text(), st.none() | st.text()), max_size=4,
+                unique_by=lambda e: e[0]))
+def test_vocab_json_round_trip(entries):
+    vocab = AttributeVocab(entries)
+    again = AttributeVocab.from_json(vocab.to_json(), "rows")
+    assert again.ids() == vocab.ids() == [a for a, _ in entries]
+    assert [again.phrase(a) for a in again.ids()] == [vocab.phrase(a) for a in vocab.ids()]
+
+
+def test_vocab_from_json_refuses_what_is_not_a_list():
+    with pytest.raises(DataError, match="^rows must be a JSON list$"):
+        AttributeVocab.from_json({"id": "A"}, "rows")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -424,6 +441,29 @@ def test_load_products_reports_malformed_and_duplicates(tmp_path):
     products, malformed = load_products(path)
     assert [p.id for p in products] == ["a", "b"]
     assert [lineno for lineno, _ in malformed] == [2, 3, 4]
+
+
+PRODUCTS = st.lists(st.builds(
+    Product, id=st.text(), title=st.text(), bullets=st.lists(st.text(), max_size=3),
+    description=st.none() | st.text(),
+    gold_values=st.dictionaries(st.text(), st.lists(st.text(), max_size=3), max_size=3)),
+    max_size=5, unique_by=lambda p: p.id)
+
+
+@given(PRODUCTS)
+@example([Product("ü", "crème brûlée\u2028body wash", ["桜", ""], None,
+                  {"Scent": ["crème brûlée", "rose"], "Color": []})])
+def test_products_round_trip(products):
+    # Every field comes back, whatever its characters; a product without
+    # a description is written without the key.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_products(path, products)
+        assert load_products(path) == (products, [])
+        lines = path.read_text(encoding="utf-8").split("\n")  # not at U+2028
+    rows = [json.loads(line) for line in lines[:-1]]
+    assert [("description" in row) for row in rows] == \
+        [p.description is not None for p in products]
 
 
 def test_parse_product_takes_null_as_missing():

@@ -1,5 +1,7 @@
 import re
+import tempfile
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from avex.encoder import (
     encode_text,
     load_word_vectors,
     lstm_layer,
+    save_word_vectors,
 )
 from avex.errors import DataError
 from oracles import numeric_lstm_step, run_lstm, tanh
@@ -39,6 +42,23 @@ def test_load_word_vectors(tmp_path):
     vecs = load_word_vectors(path)
     assert set(vecs) == {"the", "cat"}
     np.testing.assert_array_equal(vecs["cat"], [-1.0, 2.0])
+
+
+# A token holds no whitespace, and neither does a word of a vector file.
+WORDS = st.text(min_size=1).filter(lambda w: w.split() == [w])
+
+
+@given(st.integers(1, 4).flatmap(lambda dim: st.dictionaries(WORDS, st.lists(
+    st.floats(-1e3, 1e3), min_size=dim, max_size=dim).map(np.array), min_size=1)))
+def test_word_vectors_round_trip_to_six_decimals(vectors):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.txt"
+        save_word_vectors(path, vectors)
+        loaded = load_word_vectors(path)
+    assert list(loaded) == list(vectors)
+    for word, vec in vectors.items():
+        # The decimal rounding, then that decimal's rounding to a double.
+        assert np.abs(loaded[word] - vec).max() <= 5e-7 + np.spacing(1e3)
 
 
 def test_load_word_vectors_rejects_ragged(tmp_path):

@@ -1,5 +1,6 @@
 """The package stands alone: nothing in ``src/avex`` imports the benchmark
-harness or the tests.  Within it, the tag codec ``avex.tagging`` is a leaf."""
+harness or the tests.  Within it, the tag codec ``avex.tagging`` is a leaf,
+and only ``avex.files`` opens a file."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,37 @@ def test_tagging_is_a_leaf():
     # none of them.
     source = (Path(avex.__file__).parent / "tagging.py").read_text(encoding="utf-8")
     assert avex_imports(source) == []
+
+
+# The built-in open, and the Path methods that open a file themselves.
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def file_calls(source: str) -> list[str]:
+    """The FILE_CALLS that ``source`` makes, as a name or as a method."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                names.append(name)
+    return names
+
+
+def test_file_calls_are_found():
+    source = """
+with open(path) as fh, Path(p).open("rb") as g:
+    text = path.read_text(encoding="utf-8")
+Path(p).write_bytes(b"")
+files.write_json(path, obj)
+"""
+    assert sorted(file_calls(source)) == ["open", "open", "read_text", "write_bytes"]
+
+
+def test_only_files_opens_a_file():
+    # "Every file avex reads or writes goes through this module."
+    paths = sorted(Path(avex.__file__).parent.glob("*.py"))
+    found = {path.name: calls for path in paths
+             if (calls := file_calls(path.read_text(encoding="utf-8")))}
+    assert set(found) == {"files.py"}

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from avex.encoder import load_word_vectors
 from avex.errors import DataError
 from avex.synth import SynthAttribute, SynthSpec, generate, write_corpus
 from test_acceptance import SHARING_SPEC
+from test_cli import SPEC as CLI_SPEC
 
 
 def spec(**kw):
@@ -161,6 +163,40 @@ def test_write_corpus_files_feed_the_pipeline(tmp_path):
     assert len(by_split["train"]) == 10
     vectors = load_word_vectors(paths["vectors"])
     assert set(vectors) == set(corpus.vectors)
+
+
+NON_ASCII_SPEC = {
+    "seed": 4, "vector_dim": 6,
+    "attributes": [
+        {"id": "Duft", "values": ["crème brûlée", "Zitrusblüte", "сирень", "桜"],
+         "templates": ["<value> Duschgel", "Seife mit <value> — groß"],
+         "train": 8, "dev": 4, "test": 3},
+        {"id": "Farbe", "values": ["grün", "weiß", "ñandú"],
+         "templates": ["Handtuch <value>"], "train": 8, "dev": 4, "test": 3},
+    ],
+}
+# SHA-256 of each file write_corpus writes, pinned so that moving a
+# format's writer changes no byte.
+WRITTEN_DIGESTS = {
+    "cli-spec": (CLI_SPEC, {
+        "corpus": "c961311d34e99e130e211b7ef127b3ee8ef076cc7f252b9818e1203bddd8f073",
+        "vocab": "d9244cc2fbf910b0255eb86eb5a1b1296d3133294bd516eb774f9c58dce250f5",
+        "splits": "98957a9d020d7a59bf5d1d9028c877e42f7fb9cf06ef03d18cfe78b176e2fa12",
+        "vectors": "c99094b63b0070e110738e3a05c14031ad12dd7742b856b72db51655f88b223d"}),
+    "non-ascii-spec": (NON_ASCII_SPEC, {
+        "corpus": "eae9bec32c9981c9afae3dc185446ec11e06a5e821ce36448d5678c9465804ff",
+        "vocab": "a800af77b3ace2e2258347285bb7dc2d4a141883ede95b3ffe4580319fbc9e9f",
+        "splits": "5451e032a69f88f4e0df79836ef130584fafba3ca25ffb2c9f8bb6758e8a74eb",
+        "vectors": "da26ab65537356273d482d0cc3debd97cad8bd6625e3e2d1908f8c9874702f19"}),
+}
+
+
+@pytest.mark.parametrize("spec_json,digests", WRITTEN_DIGESTS.values(),
+                         ids=list(WRITTEN_DIGESTS))
+def test_write_corpus_bytes_are_pinned(tmp_path, spec_json, digests):
+    paths = write_corpus(generate(SynthSpec.from_json(spec_json)), tmp_path)
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()} == digests
 
 
 def test_spec_from_json_takes_null_as_missing_and_keeps_zero():

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -762,6 +764,42 @@ def test_provenance_of_the_other_kind_of_variant_is_refused(tmp_path, variant):
     (tmp_path / "model.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="attribute_provenance"):
         load_checkpoint(tmp_path / "model")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.none() | st.text()), min_size=1, max_size=3,
+                unique_by=lambda e: e[0]))
+def test_manifest_attribute_vocab_is_the_vocabulary_file(entries):
+    # A checkpoint states its vocabulary in the rows of a vocabulary file,
+    # and loads it back with the same ids and phrases.
+    vocab = AttributeVocab(entries)
+    model = build_variant(micro_config(variant="bilstm_multicrf", d_h=2, d_word=2),
+                          vocab, {"shared": ["<pad>", "<unk>"]})
+    with tempfile.TemporaryDirectory() as tmp:
+        vocab.save(Path(tmp) / "vocab.json")
+        manifest = files.read_json(save_checkpoint(Path(tmp) / "model", model), "manifest")
+        assert manifest["attribute_vocab"] == \
+            files.read_json(Path(tmp) / "vocab.json", "vocabulary")
+        assert load_checkpoint(Path(tmp) / "model").attr_vocab.to_json() == vocab.to_json()
+
+
+@pytest.mark.parametrize("attributes", (["Color", "Scent", "Color"], [], None))
+def test_manifest_attributes_name_the_vocabulary_as_a_set(tmp_path, attributes):
+    # train() keeps the vocabulary's order and drops repeats, and ignores
+    # an empty list; another set of attributes is refused.
+    model = build_variant(micro_config(variant="bilstm_multicrf", d_h=2, d_word=2),
+                          AttributeVocab([("Scent", None), ("Color", None)]),
+                          {"shared": ["<pad>", "<unk>"]})
+    path = save_checkpoint(tmp_path / "model", model)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for attrs, loads in ((attributes, True), (["Scent"], False), (["Scent", "Nope"], False)):
+        manifest["config"]["attributes"] = attrs
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        if loads:
+            assert load_checkpoint(path).attr_vocab.ids() == ["Scent", "Color"]
+        else:
+            with pytest.raises(DataError, match="config attributes .* do not name"):
+                load_checkpoint(path)
 
 
 def test_checkpoint_save_failure_keeps_earlier_pair(tmp_path, monkeypatch):
