@@ -31,13 +31,17 @@ log = logging.getLogger(__name__)
 PROVENANCES = ("uncontextualized", "contextualized", "random")
 
 
-def _json_vector(value, where) -> np.ndarray:
+def _json_vector(value, where, row) -> np.ndarray:
     """A JSON array of finite numbers as a float vector; a string, bool,
-    null or nested array in it is refused rather than converted."""
+    null or nested array in it is refused rather than converted, and so
+    is an integer past the float range, in a ``row`` that ``where`` names."""
     if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
         raise DataError(f"{where}: a vector must be an array of JSON numbers, "
                         f"got {json.dumps(value):.60}")
-    vec = np.array(value, dtype=np.float64)  # OverflowError past the float range
+    try:
+        vec = np.array(value, dtype=np.float64)
+    except OverflowError as e:
+        raise DataError(f"{where}: bad {row}: {e}") from None
     if not np.isfinite(vec).all():
         raise DataError(f"{where}: non-finite vector component")
     return vec
@@ -86,14 +90,9 @@ class AttributeEmbeddingTable:
         """Read a pooled-table JSONL file: {"attribute", "vec"} per line."""
         vectors = {}
         provenances = set()
-        for lineno, line in files.read_lines(path, "embedding table"):
-            where = f"{path}:{lineno}"
-            try:
-                row = files.check(json.loads(line), where, attribute=str, vec=list,
-                                  provenance=str | None)
-                vec = _json_vector(row["vec"], where)
-            except (ValueError, OverflowError) as e:  # not JSON, or past the float range
-                raise DataError(f"{where}: bad table row: {e}")
+        for where, row in files.read_jsonl(path, "embedding table"):
+            files.check(row, where, attribute=str, vec=list, provenance=str | None)
+            vec = _json_vector(row["vec"], where, "table row")
             if row["attribute"] in vectors:
                 raise DataError(f"{where}: duplicate attribute {row['attribute']!r}")
             vectors[row["attribute"]] = vec
@@ -165,15 +164,10 @@ def ingest_contextualized(path) -> AttributeEmbeddingTable:
     """
     rows: dict[str, list[np.ndarray]] = {}  # each instance's name and value vectors
     dim = None
-    for lineno, line in files.read_lines(path, "instance file"):
-        where = f"{path}:{lineno}"
-        try:
-            row = files.check(json.loads(line), where, attribute=str, name_vec=list,
-                              value_vec=list)
-            name_vec = _json_vector(row["name_vec"], where)
-            value_vec = _json_vector(row["value_vec"], where)
-        except (ValueError, OverflowError) as e:  # not JSON, or past the float range
-            raise DataError(f"{where}: bad instance row: {e}")
+    for where, row in files.read_jsonl(path, "instance file"):
+        files.check(row, where, attribute=str, name_vec=list, value_vec=list)
+        name_vec = _json_vector(row["name_vec"], where, "instance row")
+        value_vec = _json_vector(row["value_vec"], where, "instance row")
         if name_vec.shape != value_vec.shape:
             raise DataError(f"{where}: name/value vectors must be equal-sized")
         if dim is None:

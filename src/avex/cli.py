@@ -36,11 +36,11 @@ def _attribute_ids(text) -> list[str]:
 
 
 def _config_flag(parser, name):
-    """``--name`` for the config field ``name``, parsed by the field's rule
+    """``--name`` for the config field ``name``, parsed by the field's parser
     and left out of the namespace when not given, so that it overrides
     ``--config`` exactly when given."""
     parser.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
-                        type=training.CONFIG_FIELDS[name].parse)
+                        type=training.CONFIG_FIELDS[name])
 
 
 def _build_parser() -> _Parser:

@@ -17,7 +17,6 @@ labeled.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import asdict, dataclass, field
@@ -84,8 +83,6 @@ class AttributeVocab:
         for attr_id, phrase in entries:
             if attr_id in self._phrases:
                 raise DataError(f"duplicate attribute id {attr_id!r}")
-            if phrase is not None and not isinstance(phrase, str):
-                raise DataError(f"phrase of attribute {attr_id!r} is not a string")
             self._phrases[attr_id] = phrase or attribute_phrase(attr_id)
 
     def ids(self) -> list[str]:
@@ -119,8 +116,11 @@ class AttributeVocab:
         if not isinstance(rows, list):
             raise DataError(f"{where} must be a JSON list")
         for i, row in enumerate(rows):
-            files.check(row, f"{where}: entry {i}", id=str)
-        return cls([(row["id"], row.get("phrase")) for row in rows])
+            files.check(row, f"{where}: entry {i}", id=str, phrase=str | None)
+        try:
+            return cls([(row["id"], row.get("phrase")) for row in rows])
+        except DataError as e:
+            raise DataError(f"{where}: {e}") from None
 
     @classmethod
     def load(cls, path) -> "AttributeVocab":
@@ -264,8 +264,8 @@ def load_products(path):
     malformed = []
     for lineno, line in files.read_lines(path, "corpus"):
         try:
-            product = parse_product(json.loads(line))
-        except (json.JSONDecodeError, DataError) as e:
+            product = parse_product(files.parse_json(line))
+        except DataError as e:
             malformed.append((lineno, str(e)))
             continue
         if product.id in products:
@@ -331,17 +331,16 @@ def save_labeled(path, examples):
 
 def load_labeled(path) -> list[LabeledExample]:
     examples = []
-    for lineno, line in files.read_lines(path, "labeled file"):
-        where = f"{path}:{lineno}"
+    for where, row in files.read_jsonl(path, "labeled file"):
+        files.check(row, where, id=str, attribute=str, tokens=list[list], tags=list[str],
+                    source_field=str | None)
         try:
-            row = files.check(json.loads(line), where, id=str, attribute=str,
-                              tokens=list[list], tags=list[str], source_field=str | None)
             tokens = tuple(Token(*t) for t in row["tokens"])
             tag_indices(row["tags"])
-        except (ValueError, TypeError) as e:  # not JSON, not [text, start, end], or not a tag
+        except (ValueError, TypeError) as e:  # not [text, start, end], or not a tag
             raise DataError(f"{where}: bad labeled example: {e}")
         for i, token in enumerate(tokens):
-            files.check(token._asdict(), f"{where}: token {i}", text=str, start=int, end=int)
+            files.check(token._asdict(), f"{where}: token {i}", **files.json_types(Token))
         if not tokens:
             raise DataError(f"{where}: bad labeled example: no tokens")
         if len(tokens) != len(row["tags"]):

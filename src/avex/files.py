@@ -1,18 +1,24 @@
 """Every file avex reads or writes goes through this module.
 
 A file that cannot be read (missing, not UTF-8, not JSON) or written is
-a DataError, and so is a JSON record of the wrong shape (``check``).
+a DataError, and so is a JSON record of the wrong shape (``check``); a
+record class states its JSON shape in its annotations (``json_types``).
 Output is staged beside its target and renamed into place.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import os
 import re
 import secrets
 import sys
+import typing
 from contextlib import contextmanager, suppress
+from functools import cache, reduce
+from operator import or_
 from pathlib import Path
 from types import GenericAlias, UnionType
 
@@ -72,6 +78,32 @@ def check(obj, where, /, **fields):
     return obj
 
 
+def _json_type(typ):
+    """The JSON type an annotation reads: a float also takes an integer,
+    and a record class is an object."""
+    if isinstance(typ, (UnionType, GenericAlias)):
+        args = tuple(map(_json_type, typ.__args__))
+        return reduce(or_, args) if isinstance(typ, UnionType) else typ.__origin__[args]
+    return int | float if typ is float else dict if dataclasses.is_dataclass(typ) else typ
+
+
+@cache
+def json_types(cls) -> dict:
+    """``check``'s types for an object of record class ``cls``, read off
+    its annotations."""
+    return {key: _json_type(typ) for key, typ in typing.get_type_hints(cls).items()}
+
+
+def record(cls, obj, where):
+    """``cls`` of a JSON object that ``check`` accepts by ``json_types(cls)``,
+    where a field with a default may also be missing or null, and takes it."""
+    fields = inspect.signature(cls).parameters
+    types = {key: typ | None if fields[key].default is not fields[key].empty else typ
+             for key, typ in json_types(cls).items()}
+    check(obj, where, **types)
+    return cls(**{key: obj[key] for key in types if obj.get(key) is not None})
+
+
 def read_lines(path, what):
     """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 file."""
     with _failing_as(f"cannot read {what} {path}", OSError, ValueError), \
@@ -79,6 +111,23 @@ def read_lines(path, what):
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 yield lineno, line
+
+
+def parse_json(text):
+    """The JSON value of ``text``; text that is not JSON is a DataError."""
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise DataError(e) from e
+
+
+def read_jsonl(path, what):
+    """Yield ``(where, row)`` per non-blank line of a JSON-lines file, where
+    ``where`` is ``<path>:<line>``."""
+    for lineno, line in read_lines(path, what):
+        with _failing_as(f"{path}:{lineno}: not JSON", DataError):
+            row = parse_json(line)
+        yield f"{path}:{lineno}", row
 
 
 @contextmanager

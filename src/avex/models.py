@@ -31,8 +31,9 @@ tag ids by arithmetic, with no joint tag names.  Everything else is
 shared: ``loss`` (training, on chains) and ``predict_batch`` (evaluation,
 on (token_texts, attribute) pairs) score a batch with the same forward
 and end in one ``chain_nll`` node or in one ``best_paths`` recursion over
-all its chains.  A model also exposes ``params``, the registry that the
-optimizer and the checkpoint writer read.
+all its chains.  A model also exposes ``params``, its tensors by name,
+which the optimizer and the checkpoint writer read; a tensor's group
+follows from its name (``parameter_group``).
 
 The caller picks the path.  ``loss`` and ``predict_batch`` take a batch:
 its forward groups the chains by the route's encoder and decoder.  Each
@@ -55,6 +56,7 @@ entries are kept until any tensor of ``params`` is assigned
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from itertools import compress
 from typing import NamedTuple
 
@@ -103,52 +105,31 @@ def word_scope(variant: str, attribute: str) -> str:
     return attribute if variant == "per_attribute" else SHARED_SCOPE
 
 
-class ModelParams:
-    """Named parameter registry with group labels and trainability flags."""
+PER_ATTRIBUTE = "per_attr/"  # the name prefix of per_attribute's tensors
 
-    def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
-        self._groups: dict[str, str] = {}
 
-    def add(self, name: str, value, group: str, trainable: bool = True) -> Tensor:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = value if isinstance(value, Tensor) else Tensor(value, requires_grad=trainable)
-        t.requires_grad = trainable
-        self._tensors[name] = t
-        self._groups[name] = group
-        return t
+def parameter_group(name: str) -> str:
+    """The group of the tensor ``name``: under ``per_attr/`` the attribute
+    (everything before the last ``/encoder/`` or ``/decoder/``, since an
+    attribute id may hold a ``/``), else the first path component."""
+    if name.startswith(PER_ATTRIBUTE):
+        rest = name[len(PER_ATTRIBUTE):]
+        return rest[:max(rest.rfind("/encoder/"), rest.rfind("/decoder/"))]
+    return name.split("/", 1)[0]
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
 
-    def __contains__(self, name):
-        return name in self._tensors
-
-    def items(self):
-        return list(self._tensors.items())
-
-    def group_of(self, name: str) -> str:
-        return self._groups[name]
-
-    def trainable(self) -> dict[str, Tensor]:
-        return {n: t for n, t in self._tensors.items() if t.requires_grad}
-
-    def in_group(self, group: str) -> dict[str, Tensor]:
-        return {n: t for n, t in self._tensors.items() if self._groups[n] == group}
+def add_param(params: dict, name: str, value, trainable: bool = True) -> Tensor:
+    """Register ``value``, a Tensor or an array, under a new ``name``."""
+    if name in params:
+        raise ValueError(f"duplicate parameter name {name!r}")
+    t = params[name] = value if isinstance(value, Tensor) else Tensor(value)
+    t.requires_grad = trainable
+    return t
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     s = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-s, s, size=shape)
-
-
-def _make_cell(params: ModelParams, prefix: str, group: str,
-               input_size: int, hidden: int, rng) -> LstmCell:
-    fan = input_size + hidden
-    return LstmCell(
-        params.add(f"{prefix}/W", _uniform(rng, (4 * hidden, fan), fan), group),
-        params.add(f"{prefix}/b", _uniform(rng, (4 * hidden,), fan), group))
 
 
 class Chain(NamedTuple):
@@ -248,7 +229,7 @@ class Model:
                  attr_table: AttributeEmbeddingTable | None, vectors, rng):
         self.config = config
         self.attr_vocab = vocab
-        self.params = ModelParams()
+        self.params: dict[str, Tensor] = {}  # by name, in payload order
         self.word_tables: dict[str, WordEmbeddingTable] = {}
         # Where a generated decoder's attribute table came from (None for
         # the other variants); a checkpoint load sets it from its manifest.
@@ -257,30 +238,31 @@ class Model:
             else BioeTags()
         self._cache: dict = {}  # key -> (stamp, value), see autodiff.reuse
         ids = vocab.ids()
-        add = self.params.add
+        add = partial(add_param, self.params)
 
-        def word_table(scope, prefix, group):
+        def word_table(scope, prefix):
             if scope not in word_itos:
                 raise DataError(f"no word vocabulary for {scope!r}")
-            table = WordEmbeddingTable.from_itos(
+            table = self.word_tables[scope] = WordEmbeddingTable.from_itos(
                 word_itos[scope], vectors, config.d_word, rng)
-            add(f"{prefix}/W_word", table.matrix, group)
-            self.word_tables[scope] = table
+            add(f"{prefix}/W_word", table.matrix)
             return table
 
-        def encoder(table, prefix, group):
-            fwd, bwd = (_make_cell(self.params, f"{prefix}/lstm_{d}", group,
-                                   config.d_word, config.d_h // 2, rng)
+        def encoder(table, prefix):
+            h = config.d_h // 2
+            fan = config.d_word + h
+            fwd, bwd = (LstmCell(add(f"{prefix}/lstm_{d}/W", _uniform(rng, (4 * h, fan), fan)),
+                                 add(f"{prefix}/lstm_{d}/b", _uniform(rng, (4 * h,), fan)))
                         for d in ("fwd", "bwd"))
             self._encoders.append((table, fwd, bwd))
             return len(self._encoders) - 1
 
-        def crf(prefix, group):
+        def crf(prefix):
             m, d_h = self.adaptor.num_tags, config.d_h
             self._decoders.append(DecoderInstance(
-                add(f"{prefix}/W", _uniform(rng, (m, d_h), d_h), group),
-                add(f"{prefix}/b", _uniform(rng, (m,), d_h), group),
-                add(f"{prefix}/T", _uniform(rng, (m, m), m), group)))
+                add(f"{prefix}/W", _uniform(rng, (m, d_h), d_h)),
+                add(f"{prefix}/b", _uniform(rng, (m,), d_h)),
+                add(f"{prefix}/T", _uniform(rng, (m, m), m))))
             return len(self._decoders) - 1
 
         # attribute -> (its encoder in _encoders, its decoder's slot: a row
@@ -290,51 +272,48 @@ class Model:
         self._decoders: list[DecoderInstance] = []
         if config.variant == "per_attribute":
             for a in ids:
-                prefix = f"per_attr/{a}/encoder"
-                self._route[a] = (encoder(word_table(a, prefix, a), prefix, a),
-                                  crf(f"per_attr/{a}/decoder", a))
+                prefix = f"{PER_ATTRIBUTE}{a}/encoder"
+                self._route[a] = (encoder(word_table(a, prefix), prefix),
+                                  crf(f"{PER_ATTRIBUTE}{a}/decoder"))
         elif config.variant == "bilstm_crf_shared_emb":
-            table = word_table(SHARED_SCOPE, "embedding", "embedding")
+            table = word_table(SHARED_SCOPE, "embedding")
             for a in ids:
-                self._route[a] = (encoder(table, f"encoder/{a}", "encoder"),
-                                  crf(f"decoder/{a}", "decoder"))
+                self._route[a] = (encoder(table, f"encoder/{a}"), crf(f"decoder/{a}"))
         else:
-            shared = encoder(word_table(SHARED_SCOPE, "encoder", "encoder"),
-                             "encoder", "encoder")
+            shared = encoder(word_table(SHARED_SCOPE, "encoder"), "encoder")
             if config.variant == "bilstm_multicrf":
-                slots = [crf(f"decoder/{a}", "decoder") for a in ids]
+                slots = [crf(f"decoder/{a}") for a in ids]
             elif config.variant == "n_tag_sets":
-                slots = [crf("decoder", "decoder")] * len(ids)
+                slots = [crf("decoder")] * len(ids)
             else:
-                self._make_generator(attr_table, rng)
+                self._make_generator(add, attr_table, rng)
                 slots = range(len(ids))
             self._route = {a: (shared, slot) for a, slot in zip(ids, slots)}
         # What every kept result is stamped with (see ``autodiff.reuse``).
-        self._tensors = tuple(t for _, t in self.params.items())
+        self._tensors = tuple(self.params.values())
 
-    def _make_generator(self, attr_table: AttributeEmbeddingTable | None, rng):
+    def _make_generator(self, add, attr_table: AttributeEmbeddingTable | None, rng):
         """Attribute table, hypernetwork and transition mixture of adatag.
         Only "adatag_random_emb" trains the table."""
         ids = self.attr_vocab.ids()
         d_r = self.config.d_r
         if attr_table is not None:
             self.attr_provenance = attr_table.provenance
-        add = self.params.add
         rows = np.zeros((len(ids), d_r)) if attr_table is None else attr_table.as_matrix(ids)
-        self.w_att = add("att_emb/W_att", rows, "att_emb",
+        self.w_att = add("att_emb/W_att", rows,
                          trainable=self.config.variant == "adatag_random_emb")
         flat = NUM_TAGS * self.config.d_h
         self.hyper = HyperNetwork(
-            add("hyper/W_hyper_w", _uniform(rng, (flat, d_r), d_r), "hyper"),
-            add("hyper/b_hyper_w", _uniform(rng, (flat,), d_r), "hyper"),
-            add("hyper/W_hyper_b", _uniform(rng, (NUM_TAGS, d_r), d_r), "hyper"),
-            add("hyper/b_hyper_b", _uniform(rng, (NUM_TAGS,), d_r), "hyper"),
+            add("hyper/W_hyper_w", _uniform(rng, (flat, d_r), d_r)),
+            add("hyper/b_hyper_w", _uniform(rng, (flat,), d_r)),
+            add("hyper/W_hyper_b", _uniform(rng, (NUM_TAGS, d_r), d_r)),
+            add("hyper/b_hyper_b", _uniform(rng, (NUM_TAGS,), d_r)),
         )
         k = self.config.k
-        experts = add("moe/experts", _uniform(rng, (k, NUM_TAGS, NUM_TAGS), NUM_TAGS), "moe")
+        experts = add("moe/experts", _uniform(rng, (k, NUM_TAGS, NUM_TAGS), NUM_TAGS))
         self.moe = TransitionMoe(
-            add("moe/W_moe", _uniform(rng, (k, d_r), d_r), "moe"),
-            add("moe/b_moe", _uniform(rng, (k,), d_r), "moe"),
+            add("moe/W_moe", _uniform(rng, (k, d_r), d_r)),
+            add("moe/b_moe", _uniform(rng, (k,), d_r)),
             experts,
         )
 

@@ -12,8 +12,7 @@ shared token tuple and tag tuple.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +36,14 @@ class SynthAttribute:
     """
 
     id: str
-    values: Sequence[str]
-    templates: Sequence[str]
+    values: list[str]
+    templates: list[str]
     train: int = 0
     dev: int = 0
     test: int = 0
     train_value_limit: int | None = None
 
     def validate(self):
-        if not all(isinstance(s, str) for s in (*self.values, *self.templates)):
-            raise DataError(f"values and templates of {self.id!r} must be strings")
         if not self.values:
             raise DataError(f"attribute {self.id!r} has no values")
         if not self.templates:
@@ -65,33 +62,21 @@ class SynthAttribute:
 
 @dataclass
 class SynthSpec:
+    attributes: list[SynthAttribute]
     seed: int = 0
-    attributes: list[SynthAttribute] = field(default_factory=list)
     vector_dim: int = 50
 
     @classmethod
-    def from_json(cls, obj, where="synth spec") -> "SynthSpec":
+    def from_json(cls, obj, where="synth spec") -> SynthSpec:
         """A spec from its JSON object; a missing or null key takes its default."""
-        files.check(obj, where, seed=int | None, vector_dim=int | None, attributes=list)
-        for i, a in enumerate(obj["attributes"]):
-            files.check(a, f"{where}: attributes[{i}]", **_ATTRIBUTE_KEYS)
-        return cls(attributes=[SynthAttribute(**_given(a, _ATTRIBUTE_KEYS))
-                               for a in obj["attributes"]],
-                   **_given(obj, ("seed", "vector_dim")))
+        spec = files.record(cls, obj, where)
+        spec.attributes = [files.record(SynthAttribute, a, f"{where}: attributes[{i}]")
+                           for i, a in enumerate(spec.attributes)]
+        return spec
 
     @classmethod
-    def load(cls, path) -> "SynthSpec":
+    def load(cls, path) -> SynthSpec:
         return cls.from_json(files.read_json(path, "synth spec"), f"synth spec {path}")
-
-
-# The keys of a spec attribute, with their JSON types.
-_ATTRIBUTE_KEYS = dict(id=str, values=list[str], templates=list[str], train=int | None,
-                       dev=int | None, test=int | None, train_value_limit=int | None)
-
-
-def _given(obj, keys) -> dict:
-    """The items of ``obj`` under ``keys`` that are not null."""
-    return {k: obj[k] for k in keys if obj.get(k) is not None}
 
 
 @dataclass

@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,8 @@ from .attribute_embeddings import PROVENANCES, AttributeEmbeddingTable
 from .corpus import SETTINGS, AttributeVocab
 from .errors import DataError, NumericError
 from .evaluation import decode_order, evaluate_model
-from .models import PAD, UNK, VARIANTS, build_variant, derive_word_itos, word_scope
+from .models import (PAD, UNK, VARIANTS, build_variant, derive_word_itos, parameter_group,
+                     word_scope)
 
 CHECKPOINT_FORMAT_VERSION = 3
 
@@ -92,21 +92,13 @@ def split_names(text) -> list[str] | None:
     return [a.strip() for a in text.split(",") if a.strip()] or None
 
 
-class FieldRule(NamedTuple):
-    parse: Callable[[str], object]  # a config-file value or a flag
-    json: object  # the type of the value in a checkpoint manifest
-
-
-# How each field is read, from its annotation; a JSON number of a float
-# field may be written without a point.
-_RULES = {"int": FieldRule(int, int), "float": FieldRule(float, int | float),
-          "str": FieldRule(str.strip, str),
-          "list[str] | None": FieldRule(split_names, list[str] | None)}
-CONFIG_FIELDS = {f.name: _RULES[f.type] for f in dataclasses.fields(TrainConfig)}
+# How a config file or a flag gives each field, by the field's annotation.
+_PARSERS = {"int": int, "float": float, "str": str.strip, "list[str] | None": split_names}
+CONFIG_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines, each value parsed by its key's rule;
+    """Flat ``key = value`` lines, each value parsed by its key's parser;
     '#' starts a comment.  An unknown or repeated key, or a value that
     does not parse, is a DataError that names the line."""
     out = {}
@@ -122,7 +114,7 @@ def parse_config_file(path) -> dict:
         if key in out:
             raise DataError(f"{path}:{lineno}: config key {key!r} given twice")
         try:
-            out[key] = CONFIG_FIELDS[key].parse(value)
+            out[key] = CONFIG_FIELDS[key](value)
         except ValueError:
             raise DataError(f"{path}:{lineno}: config key {key!r}: "
                             f"cannot parse {value!r}") from None
@@ -332,14 +324,16 @@ def train(config: TrainConfig, vocab: AttributeVocab, train_examples, dev_exampl
             sub_dev = [ex for ex in dev_examples if ex.attribute == a]
             if not sub_train or not sub_dev:
                 raise DataError(f"attribute {a!r} lacks train or dev examples")
-            fits.append((a, model.params.in_group(a), sub_train, sub_dev))
+            fits.append((a, [t for name, t in model.params.items()
+                              if parameter_group(name) == a], sub_train, sub_dev))
     else:
-        fits = [(None, model.params.trainable(), train_examples, dev_examples)]
+        fits = [(None, [t for t in model.params.values() if t.requires_grad],
+                 train_examples, dev_examples)]
     histories, dropped = {}, 0
     for a, tensors, examples, dev in fits:
         chains = model.prepare_examples(examples)
         dropped += sum(c.dropped_spans for c in chains)
-        optimizer = Adam(tensors.values(), config.learning_rate)
+        optimizer = Adam(tensors, config.learning_rate)
         histories[a] = _fit(model, optimizer, chains, dev, config, rng,
                             label="" if a is None else f" ({a})")
 
@@ -390,19 +384,29 @@ def checkpoint_paths(stem) -> tuple[Path, Path]:
     return stem.with_name(stem.name + ".json"), stem.with_name(stem.name + ".bin")
 
 
+def _f32(name, values) -> np.ndarray:
+    """The tensor ``name``'s values in f32, as a checkpoint holds them: only
+    if each is finite there (a float64 past the f32 range is not)."""
+    with np.errstate(over="ignore"):
+        values = np.asarray(values, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise NumericError(f"checkpoint tensor {name} holds non-finite values")
+    return values
+
+
 def save_checkpoint(stem, model) -> Path:
     """Write the manifest and the f32 payload of ``checkpoint_paths(stem)``.
 
     The manifest holds what ``build_variant`` takes and each tensor's name
     and shape, in payload order.  Neither file replaces an earlier
-    checkpoint at ``stem`` until both are written.
+    checkpoint at ``stem`` until both are written, and nothing is written
+    that ``load_checkpoint`` refuses: a tensor that is not finite in f32.
     """
     manifest_path, payload_path = checkpoint_paths(stem)
     if "att_emb/W_att" in model.params and model.attr_provenance is None:
         raise DataError(f"cannot save variant {model.config.variant!r} without the "
                         "provenance of its attribute table")
-    blobs = [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-             for _, t in model.params.items()]
+    blobs = [_f32(name, t.data).tobytes() for name, t in model.params.items()]
     word_vocabs = model.word_vocabs()
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -429,8 +433,7 @@ def _check_manifest(manifest, where):
     files.check(manifest, where, config=dict, attribute_vocab=list,
                 attribute_provenance=str | None, word_vocabs=dict[str, list[str]],
                 vocab_hashes=dict, payload_file=str, payload_bytes=int, tensors=list)
-    files.check(manifest["config"], f"{where}: config",
-                **{key: rule.json for key, rule in CONFIG_FIELDS.items()})
+    files.check(manifest["config"], f"{where}: config", **files.json_types(TrainConfig))
     files.check(manifest["vocab_hashes"], f"{where}: vocab_hashes",
                 attributes=str, words=dict[str, str])
     for i, entry in enumerate(manifest["tensors"]):
@@ -480,17 +483,17 @@ def load_checkpoint(stem):
         raise DataError(
             f"checkpoint payload {payload_path} is {len(payload)} bytes, "
             f"manifest expects {manifest['payload_bytes']} (truncated?)")
-    expected = dict(model.params.items())
+    expected = model.params.keys()
     listed = {entry["name"] for entry in manifest["tensors"]}
-    if listed != expected.keys():
+    if listed != expected:
         raise DataError(f"checkpoint tensors do not match model: "
-                        f"missing {sorted(expected.keys() - listed)}, "
-                        f"extra {sorted(listed - expected.keys())}")
+                        f"missing {sorted(expected - listed)}, "
+                        f"extra {sorted(listed - expected)}")
     offset = 0
     for entry in manifest["tensors"]:
         name = entry["name"]
         shape = tuple(entry["shape"])
-        t = expected[name]
+        t = model.params[name]
         if t.data.shape != shape:
             raise DataError(
                 f"tensor {name} has shape {shape} in checkpoint but the "
@@ -500,9 +503,7 @@ def load_checkpoint(stem):
             raise DataError(f"checkpoint payload too short for tensor {name}")
         values = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
-        if not np.isfinite(values).all():
-            raise NumericError(f"checkpoint tensor {name} holds non-finite values")
-        t.data = values.astype(np.float64).reshape(shape)
+        t.data = _f32(name, values).astype(np.float64).reshape(shape)
     return model
 
 
@@ -532,20 +533,12 @@ class ParamCountReport:
 
 def param_count(params, exclude=()) -> ParamCountReport:
     """Element counts per tensor and per group from a live model."""
-    tensors = {}
+    tensors = {name: int(t.data.size) for name, t in params.items() if name not in exclude}
     groups = {}
-    total = 0
-    trainable = 0
-    for name, t in params.items():
-        if name in exclude:
-            continue
-        n = int(t.data.size)
-        tensors[name] = n
-        groups[params.group_of(name)] = groups.get(params.group_of(name), 0) + n
-        total += n
-        if t.requires_grad:
-            trainable += n
-    return ParamCountReport(tensors, groups, total, trainable)
+    for name, n in tensors.items():
+        groups[parameter_group(name)] = groups.get(parameter_group(name), 0) + n
+    return ParamCountReport(tensors, groups, sum(tensors.values()),
+                            sum(n for name, n in tensors.items() if params[name].requires_grad))
 
 
 def _brace(names) -> str:

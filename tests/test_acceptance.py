@@ -28,7 +28,7 @@ from avex.attribute_embeddings import random_table, uncontextualized_table
 from avex.corpus import AttributeVocab, LabeledExample, build_corpus, \
     split_examples, tokenize
 from avex.evaluation import AttributeMetrics, evaluate_model, macro, prf1
-from avex.models import build_variant, derive_word_itos
+from avex.models import build_variant, derive_word_itos, parameter_group
 from avex.synth import SynthAttribute, SynthSpec, generate
 from avex.tagging import NUM_TAGS, spans_to_tags, tags_to_spans, Span
 from avex.training import (
@@ -91,7 +91,7 @@ def test_criterion_02_gradient_fidelity():
                               derive_word_itos("adatag", [example]),
                               attr_table=table)
         params = {name: t for name, t in model.params.items()
-                  if model.params.group_of(name) in ("encoder", "hyper", "moe")}
+                  if parameter_group(name) in ("encoder", "hyper", "moe")}
         chains = model.prepare_examples([example])
         report = ad.grad_check(lambda: model.loss(chains), params, step=1e-5)
         worst = max(worst, report.max_rel_error)

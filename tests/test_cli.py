@@ -943,7 +943,10 @@ WRONG_FIELD = {
     "embed-uncontextualized-vocab": (
         "embed-uncontextualized", "vocab",
         b'[{"id": "Scent", "phrase": 5}, {"id": "Color"}]',
-        "phrase of attribute 'Scent' is not a string"),
+        "attribute vocabulary {}: entry 0 'phrase' must be str | None, got 5"),
+    "embed-random-vocab-duplicate-id": (
+        "embed-random", "vocab", b'[{"id": "A"}, {"id": "A"}]',
+        "attribute vocabulary {}: duplicate attribute id 'A'"),
     "embed-contextualized-instances": (
         "embed-contextualized", "instances",
         b'{"attribute": "Scent", "name_vec": ["1", 0], "value_vec": [0, 1]}\n',
@@ -970,6 +973,11 @@ WRONG_FIELD = {
         "synth", "spec", _spec(b', "values": []'), "attribute 'A' has no values"),
     "synth-spec-no-templates": (
         "synth", "spec", _spec(b', "templates": []'), "attribute 'A' has no templates"),
+    # Two attributes of one id reach the vocabulary without a file.
+    "synth-spec-duplicate-id": (
+        "synth", "spec", b'{"attributes": [{"id": "A", "values": ["v"], "templates": ["<value>"]},'
+                         b' {"id": "A", "values": ["w"], "templates": ["<value>"]}]}',
+        "avex: data error: duplicate attribute id 'A'"),
     "synth-spec-null-id-fractional-count": (
         "synth", "spec", _spec(b', "id": null, "train": 2.9'),
         "synth spec {}: attributes[0] 'id' must be str, got null"),
@@ -1038,9 +1046,10 @@ def _first_record(text, kind):
     return doc, doc[0] if kind == "vocab" else doc, rest
 
 
-@pytest.mark.parametrize("kind", FIELD_READERS)
-def test_any_value_of_a_top_level_key_passes_or_fails_cleanly(pipeline, fuzz_inputs,
-                                                              tmp_path, capsys, kind):
+def _fuzz_fields(pipeline, fuzz_inputs, tmp_path, capsys, kind, path=()):
+    """Set each field of the record at ``path`` in the first record of the
+    input ``kind`` (each key of an object, each position of an array) to
+    each of FIELD_VALUES in turn, and run the command that reads it."""
     inputs = dict(fuzz_inputs)
     if kind == "manifest":
         stem, _ = _copy_checkpoint(pipeline, tmp_path)
@@ -1052,18 +1061,59 @@ def test_any_value_of_a_top_level_key_passes_or_fails_cleanly(pipeline, fuzz_inp
     argv = FUZZ_COMMANDS[FIELD_READERS[kind]]
     if "train" in argv:
         argv = argv + ["--max-epochs", "1"]
-    keys = list(_first_record(text, kind)[1])
+
+    def parsed():
+        doc, record, rest = _first_record(text, kind)
+        for step in path:
+            record = record[step]
+        return doc, record, rest
+
+    record = parsed()[1]
+    keys = list(record) if isinstance(record, dict) else list(range(len(record)))
     assert keys
     for key in keys:
         for i, value in enumerate(FIELD_VALUES):
-            doc, record, rest = _first_record(text, kind)
+            doc, record, rest = parsed()
             if value is DELETED:
                 del record[key]
             else:
                 record[key] = value
             edited.write_text(json.dumps(doc) + "\n" + rest, encoding="utf-8")
             rc, err, untouched = _run(argv, inputs, tmp_path / f"out-{key}-{i}", capsys)
-            assert rc == 0 or (rc == 2 and untouched), (key, value, rc, err)
+            assert rc == 0 or (rc == 2 and untouched), (path, key, value, rc, err)
+
+
+@pytest.mark.parametrize("kind", FIELD_READERS)
+def test_any_value_of_a_top_level_key_passes_or_fails_cleanly(pipeline, fuzz_inputs,
+                                                              tmp_path, capsys, kind):
+    _fuzz_fields(pipeline, fuzz_inputs, tmp_path, capsys, kind)
+
+
+# The records inside a first record, by the keys that lead to them.
+NESTED_RECORDS = [("spec", ("attributes", 0)), ("manifest", ("config",)),
+                  ("manifest", ("tensors", 0)), ("manifest", ("vocab_hashes",)),
+                  ("labeled", ("tokens", 0))]
+
+
+@pytest.mark.parametrize("kind,path", NESTED_RECORDS,
+                         ids=[f"{k}-{'.'.join(map(str, p))}" for k, p in NESTED_RECORDS])
+def test_any_value_of_a_nested_field_passes_or_fails_cleanly(pipeline, fuzz_inputs,
+                                                             tmp_path, capsys, kind, path):
+    _fuzz_fields(pipeline, fuzz_inputs, tmp_path, capsys, kind, path)
+
+
+@pytest.mark.parametrize("command,kind", [("embed-uncontextualized", "labeled"),
+                                          ("train", "table"),
+                                          ("embed-contextualized", "instances")])
+def test_a_line_that_is_not_json_is_named_by_its_line(fuzz_inputs, tmp_path, capsys,
+                                                      command, kind):
+    broken = tmp_path / f"broken-{kind}"
+    valid = fuzz_inputs[kind].read_bytes()
+    broken.write_bytes(valid + b"{nope\n")
+    rc, err = _assert_fails_cleanly(FUZZ_COMMANDS[command], {**fuzz_inputs, kind: broken},
+                                    tmp_path / "out", capsys)
+    line = valid.count(b"\n") + 1
+    assert rc == 2 and f"avex: data error: {broken}:{line}: not JSON: Expecting" in err
 
 
 # (command, output item, replacement that cannot be written)

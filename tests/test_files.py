@@ -1,6 +1,10 @@
+from __future__ import annotations
+
 import copy
 import os
 import re
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -94,3 +98,56 @@ def test_an_optional_key_may_be_missing_or_null_and_nothing_else():
         files.check({"a": -1}, "record", a=int | None)
     with pytest.raises(DataError, match="record is not a JSON object"):
         files.check([{"a": 0}], "record", a=int)
+
+
+def test_read_jsonl_names_the_line_that_is_not_json(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n[2]\n{"a": \n', encoding="utf-8")
+    rows = files.read_jsonl(path, "row file")
+    assert next(rows) == (f"{path}:1", {"a": 1})
+    assert next(rows) == (f"{path}:3", [2])
+    with pytest.raises(DataError) as err:
+        next(rows)
+    assert str(err.value) == f"{path}:4: not JSON: Expecting value: line 2 column 1 (char 7)"
+
+
+@dataclass
+class Inner:
+    name: str
+
+
+@dataclass
+class Outer:
+    inner: list[Inner]
+    size: int
+    rate: float = 0.5
+    tags: list[str] = field(default_factory=list)
+    limit: int | None = None
+
+
+class Triple(NamedTuple):
+    text: str
+    start: int
+    end: int = 0
+
+
+def test_json_types_are_read_off_the_annotations():
+    assert files.json_types(Outer) == dict(
+        inner=list[dict], size=int, rate=int | float, tags=list[str], limit=int | None)
+    assert files.json_types(Triple) == dict(text=str, start=int, end=int)
+
+
+def test_record_takes_a_default_for_a_missing_or_null_field():
+    assert files.record(Outer, {"inner": [], "size": 2, "rate": None, "x": 1}, "r") \
+        == Outer([], 2)
+    assert files.record(Triple, {"text": "a", "start": 1}, "r") == Triple("a", 1, 0)
+    assert files.record(Outer, {"inner": [{}], "size": 0, "rate": 1, "tags": ["t"]}, "r") \
+        == Outer([{}], 0, 1, ["t"])
+    for obj, message in [({"size": 1}, "r lacks 'inner'"),
+                         ({"inner": [], "size": 1.0}, "r 'size' must be non-negative int"),
+                         ({"inner": [7], "size": 1}, "r 'inner' must be list[dict]"),
+                         ({"inner": [], "size": 1, "rate": "1"},
+                          "r 'rate' must be non-negative int | float | None")]:
+        with pytest.raises(DataError, match=re.escape(message)):
+            files.record(Outer, obj, "r")
+

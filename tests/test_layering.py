@@ -1,6 +1,6 @@
 """The package stands alone: nothing in ``src/avex`` imports the benchmark
 harness or the tests.  Within it, the tag codec ``avex.tagging`` is a leaf,
-and only ``avex.files`` opens a file."""
+and only ``avex.files`` opens a file or parses JSON."""
 
 import ast
 from pathlib import Path
@@ -113,4 +113,37 @@ def test_only_files_opens_a_file():
     paths = sorted(Path(avex.__file__).parent.glob("*.py"))
     found = {path.name: calls for path in paths
              if (calls := file_calls(path.read_text(encoding="utf-8")))}
+    assert set(found) == {"files.py"}
+
+
+def json_parses(source: str) -> list[str]:
+    """The ``json.load``/``json.loads`` calls that ``source`` makes, or the
+    names it imports them under."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") \
+                and getattr(node.value, "id", None) == "json":
+            names.append(f"json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names += [a.name for a in node.names if a.name in ("load", "loads")]
+    return names
+
+
+def test_json_parses_are_found():
+    source = """
+import json
+from json import loads as parse
+rows = [json.loads(line) for line in lines]
+doc = json.load(fh)
+text = json.dumps(doc)
+"""
+    assert sorted(json_parses(source)) == ["json.load", "json.loads", "loads"]
+
+
+def test_only_files_parses_json():
+    # One reader for JSON input: its "not JSON" message and its checks
+    # live in one place.
+    paths = sorted(Path(avex.__file__).parent.glob("*.py"))
+    found = {path.name: calls for path in paths
+             if (calls := json_parses(path.read_text(encoding="utf-8")))}
     assert set(found) == {"files.py"}

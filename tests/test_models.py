@@ -16,9 +16,10 @@ from avex.errors import DataError, NumericError
 from avex.models import (
     VARIANTS,
     Chain,
-    ModelParams,
+    add_param,
     build_variant,
     derive_word_itos,
+    parameter_group,
 )
 from avex.attribute_embeddings import AttributeEmbeddingTable, random_table
 from avex.tagging import NUM_TAGS, tag_indices, tags_to_spans
@@ -63,21 +64,50 @@ def build(variant, **kw):
 # -- parameter registry ------------------------------------------------------
 
 
+def in_group(params, group):
+    return {n: t for n, t in params.items() if parameter_group(n) == group}
+
+
+def trainable(params):
+    return {n: t for n, t in params.items() if t.requires_grad}
+
+
 def test_model_params_rejects_duplicates():
-    params = ModelParams()
-    params.add("a/x", np.zeros(2), "g")
-    with pytest.raises(ValueError):
-        params.add("a/x", np.zeros(2), "g")
+    params = {}
+    add_param(params, "a/x", np.zeros(2))
+    with pytest.raises(ValueError, match="duplicate parameter name 'a/x'"):
+        add_param(params, "a/x", np.ones(2))
+    assert list(params) == ["a/x"] and not params["a/x"].data.any()
 
 
 def test_model_params_groups_and_trainability():
-    params = ModelParams()
-    params.add("a/x", np.zeros(2), "g1")
-    params.add("b/y", np.zeros(2), "g2", trainable=False)
-    assert [params.group_of(n) for n, _ in params.items()] == ["g1", "g2"]
-    assert set(params.trainable()) == {"a/x"}
-    assert set(params.in_group("g2")) == {"b/y"}
-    assert params.group_of("b/y") == "g2"
+    params = {}
+    add_param(params, "a/x", np.zeros(2))
+    add_param(params, "b/y", np.zeros(2), trainable=False)
+    add_param(params, "per_attr/Scent/decoder/T", np.zeros(2))
+    assert [parameter_group(n) for n in params] == ["a", "b", "Scent"]
+    assert set(trainable(params)) == {"a/x", "per_attr/Scent/decoder/T"}
+    assert set(in_group(params, "b")) == {"b/y"}
+
+
+def test_parameter_groups_of_attribute_ids_with_a_slash():
+    # An attribute's group is its whole id, so that its fit trains its own
+    # tensors and no other attribute's.
+    ids = ["a", "a/b", "q/decoder", "encoder", "x/encoder/lstm_fwd"]
+    vocab = AttributeVocab([(a, None) for a in ids])
+    model = build_variant(tiny_config("per_attribute"), vocab,
+                          {a: ["<pad>", "<unk>", "w"] for a in ids})
+    groups = {}
+    for name in model.params:
+        groups.setdefault(parameter_group(name), []).append(name)
+    assert list(groups) == ids
+    assert all(len(names) == 8 for names in groups.values())
+    for a, names in groups.items():
+        assert all(n.startswith(f"per_attr/{a}/") for n in names)
+    assert set(param_count(model.params).groups) == set(ids)
+    shared = build_variant(tiny_config("bilstm_crf_shared_emb"), vocab,
+                           {"shared": ["<pad>", "<unk>", "w"]})
+    assert set(param_count(shared.params).groups) == {"embedding", "encoder", "decoder"}
 
 
 # -- vocabulary derivation ---------------------------------------------------
@@ -120,10 +150,10 @@ def test_adatag_requires_embedding_table():
 def test_adatag_group_partition():
     model, _, _ = build("adatag")
     assert set(param_count(model.params).groups) == {"encoder", "att_emb", "hyper", "moe"}
-    hyper = model.params.in_group("hyper")
+    hyper = in_group(model.params, "hyper")
     assert set(hyper) == {"hyper/W_hyper_w", "hyper/b_hyper_w",
                           "hyper/W_hyper_b", "hyper/b_hyper_b"}
-    moe = model.params.in_group("moe")
+    moe = in_group(model.params, "moe")
     assert set(moe) == {"moe/W_moe", "moe/b_moe", "moe/experts"}
 
 
@@ -139,7 +169,7 @@ def test_adatag_hyper_shapes():
 def test_adatag_frozen_embeddings_not_trainable():
     model, _, _ = build("adatag")
     assert not model.params["att_emb/W_att"].requires_grad
-    assert "att_emb/W_att" not in model.params.trainable()
+    assert "att_emb/W_att" not in trainable(model.params)
 
 
 def test_adatag_attribute_vector_rows():
@@ -215,7 +245,7 @@ def test_empty_batch(variant):
 
 def test_multicrf_per_attribute_decoders():
     model, vocab, _ = build("bilstm_multicrf")
-    decoder_names = set(model.params.in_group("decoder"))
+    decoder_names = set(in_group(model.params, "decoder"))
     assert decoder_names == {
         "decoder/Scent/W", "decoder/Scent/b", "decoder/Scent/T",
         "decoder/Color/W", "decoder/Color/b", "decoder/Color/T"}
@@ -309,7 +339,7 @@ def test_shared_emb_variant_groups():
 def test_per_attribute_variant_disjoint_groups():
     model, vocab, _ = build("per_attribute")
     assert set(param_count(model.params).groups) == {"Scent", "Color"}
-    scent = model.params.in_group("Scent")
+    scent = in_group(model.params, "Scent")
     assert "per_attr/Scent/encoder/W_word" in scent
     assert "per_attr/Scent/decoder/T" in scent
     assert all(n.startswith("per_attr/Scent/") for n in scent)
@@ -335,7 +365,7 @@ def test_every_variant_trains_one_example(variant):
     prepared = model.prepare_examples(examples)
     loss = model.loss([prepared[0]])
     loss.backward()
-    grads = [t.grad for _, t in model.params.items() if t.requires_grad]
+    grads = [t.grad for t in model.params.values() if t.requires_grad]
     assert any(g is not None and np.any(g != 0) for g in grads)
 
 
@@ -592,7 +622,7 @@ def test_grad_check_after_predict_tags():
     ex = examples[0]
     for a in vocab.ids():
         model.predict_tags(ex.token_texts(), a)
-    params = model.params.trainable()
+    params = trainable(model.params)
     chains = model.prepare_examples([ex])
     report = grad_check(lambda: model.loss(chains), params, tolerance=1e-6)
     assert report.passed, report.max_rel_error
@@ -624,7 +654,7 @@ def _each_parameter_written(test):
     text, write the parameter, predict them again."""
     predict = [("predict", ["white", "cotton", "towel"], a) for a in ("Scent", "Color")]
     for variant in VARIANTS:
-        for index in range(len(build(variant)[0].params.items())):
+        for index in range(len(build(variant)[0].params)):
             test = example(variant=variant,
                            steps=predict + [("write", index, 0.5)] + predict)(test)
     return test
@@ -635,7 +665,7 @@ def _each_parameter_written(test):
 @_each_parameter_written
 def test_interleaved_predictions_equal_a_fresh_model(variant, steps):
     def write(model, index, delta):
-        _name, t = model.params.items()[index % len(model.params.items())]
+        t = list(model.params.values())[index % len(model.params)]
         t.data = t.data + delta
 
     model, _, _ = build(variant)
@@ -666,7 +696,7 @@ def test_batch_encodes_each_text_of_a_product_once(monkeypatch):
     config = tiny_config("adatag_random_emb")
     model = build_variant(config, vocab, derive_word_itos(config.variant, examples))
     batched = _count_calls(monkeypatch, "encode_batch")
-    params = model.params.trainable()
+    params = trainable(model.params)
 
     def grads(loss):
         for t in params.values():

@@ -39,6 +39,10 @@ from avex.training import (
 )
 
 
+def trainable(model):
+    return {n: t for n, t in model.params.items() if t.requires_grad}
+
+
 def micro_synth(seed=11):
     """Two small attributes; value lexicons are disjoint by design."""
     spec = SynthSpec(seed=seed, vector_dim=12, attributes=[
@@ -313,7 +317,7 @@ def test_single_adam_step_decreases_nll():
         model = build_variant(cfg, corpus.vocab, itos, attr_table=table,
                               vectors=corpus.vectors)
         batch = model.prepare_examples(by_split["train"][:8])
-        opt = Adam(model.params.trainable().values(), lr=1e-4)
+        opt = Adam(trainable(model).values(), lr=1e-4)
         before = model.loss(batch)
         value = before.item()
         before.backward()
@@ -391,7 +395,7 @@ def test_collect_results_generates_each_decoder_once(monkeypatch):
 
 def test_batch_gradient_is_sum_of_example_gradients():
     model, batch, _ = _adatag_batch()
-    params = model.params.trainable()
+    params = trainable(model)
 
     def grads():
         out = {name: t.grad.copy() for name, t in params.items()}
@@ -420,7 +424,7 @@ def test_batch_gradients_equal_zero_filled_accumulation(monkeypatch):
     from avex import autodiff
     model, batch, _ = _adatag_batch()
     batch = [c._replace(texts=c.texts * 4, targets=c.targets * 4) for c in batch]
-    params = model.params.trainable()
+    params = trainable(model)
 
     def grads():
         for t in params.values():
@@ -501,7 +505,7 @@ def _scripted_dev_f1(monkeypatch, f1s):
     seen = []
 
     def evaluate(model, examples):
-        seen.append({n: t.data.copy() for n, t in model.params.trainable().items()})
+        seen.append({n: t.data.copy() for n, t in trainable(model).items()})
         return dataclasses.replace(evaluate_model(model, examples),
                                    macro_f1=f1s[len(seen) - 1])
 
@@ -513,17 +517,17 @@ def test_worse_final_epoch_restores_the_earlier_best(monkeypatch):
     seen = _scripted_dev_f1(monkeypatch, [0.2, 0.9, 0.5])
     *_, report, model = run_micro_train(max_epochs=3, patience=5)
     assert (report.best_epoch, report.best_dev_f1, report.stopped_epoch) == (2, 0.9, 3)
-    for name, t in model.params.trainable().items():
+    for name, t in trainable(model).items():
         np.testing.assert_array_equal(t.data, seen[1][name])
     assert any(not np.array_equal(t.data, seen[2][name])
-               for name, t in model.params.trainable().items())
+               for name, t in trainable(model).items())
 
 
 def test_best_last_epoch_keeps_its_parameters(monkeypatch):
     seen = _scripted_dev_f1(monkeypatch, [0.2, 0.5, 0.9])
     *_, report, model = run_micro_train(max_epochs=3, patience=5)
     assert report.best_epoch == 3
-    for name, t in model.params.trainable().items():
+    for name, t in trainable(model).items():
         np.testing.assert_array_equal(t.data, seen[2][name])
 
 
@@ -550,7 +554,7 @@ def test_early_stopping_reads_the_dev_f1_sequence(monkeypatch, f1s, patience, be
         == (best, f1s[best - 1], stopped)
     assert len(report.epochs) == len(seen) == stopped
     assert [e.dev_f1 for e in report.epochs] == f1s[:stopped]
-    for name, t in model.params.trainable().items():
+    for name, t in trainable(model).items():
         np.testing.assert_array_equal(t.data, seen[best - 1][name])
 
 
@@ -559,12 +563,12 @@ def test_one_epoch_leaves_versions_at_the_adam_step_count():
     _, by_split, _, report, model = run_micro_train(max_epochs=1)
     steps = -(-len(by_split["train"]) // micro_config().batch_size)
     assert report.best_epoch == 1
-    assert {t.version for t in model.params.trainable().values()} == {steps}
+    assert {t.version for t in trainable(model).values()} == {steps}
 
 
 def test_train_releases_the_last_gradients():
     *_, model = run_micro_train(max_epochs=2)
-    assert all(t.grad is None for t in model.params.trainable().values())
+    assert all(t.grad is None for t in trainable(model).values())
 
 
 def test_train_adatag_adopts_table_dim():
@@ -750,6 +754,24 @@ def test_generated_decoder_without_provenance_is_not_saved(tmp_path):
     with pytest.raises(DataError, match="without the provenance of its attribute table"):
         save_checkpoint(tmp_path / "model", model)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39])
+def test_a_tensor_not_finite_in_f32_is_not_saved(tmp_path, value):
+    # No token reads the <pad> row, so a value there leaves the loss
+    # finite; a checkpoint holding it would not load.  1e39 is inf in f32.
+    *_, model = run_micro_train(max_epochs=1)
+    save_checkpoint(tmp_path / "model", model)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    t = model.params["encoder/W_word"]
+    data = t.data.copy()
+    data[0, 1] = value
+    t.data = data
+    for stem in ("model", "other"):
+        with pytest.raises(NumericError) as err:
+            save_checkpoint(tmp_path / stem, model)
+        assert str(err.value) == "checkpoint tensor encoder/W_word holds non-finite values"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
