@@ -105,10 +105,6 @@ class WordEmbeddingTable:
         """The tokens' rows of the matrix (each from ``stoi``, or UNK's)."""
         return [self.index(t) for t in token_texts]
 
-    def embed(self, token_texts) -> Tensor:
-        """The tokens' rows as one (n, d_word) ``row`` node."""
-        return row(self.matrix, self.indices(token_texts))
-
 
 @dataclass
 class LstmCell:
@@ -182,17 +178,25 @@ def lstm_steps(gates, recurrent, plan):
     return C, TC, H, I, F, O, G
 
 
-def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor:
+def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False,
+               distinct=None) -> Tensor:
     """Hidden states (N, h) of one LSTM direction over packed sequences.
 
     The rows of X are sequences of ``lengths`` rows laid end to end (by
     default one sequence); each starts from a zero state, and with
     ``reverse`` each is read from its last row to its first.  The states
-    come back in the rows of X.  One graph node: the input projection of
-    every row is a single (N, d) @ (d, 4h) product, and ``lstm_steps``
-    walks the plan of ``packed_steps``, step t advancing the b_t
-    sequences still running with one (b_t, h) @ (h, 4h) product.
-    Backpropagation through time walks the plan in reverse, each step
+    come back in the rows of X.  One graph node.  A row's input projection
+    ``W_x x + b`` depends on the row alone: with ``distinct``, a pair of
+    (U, d) rows and each row of X's index into them, it is one
+    (U, d) @ (d, 4h) product, which a ``take`` lays out in packed order;
+    else one (N, d) @ (d, 4h) product.  A row of a product has the bits
+    it has in any other product of two or more rows (with numpy's
+    OpenBLAS; the tests check it), so both give the same states; a
+    one-row product takes numpy's vector path, whose bits differ, so a
+    batch of one distinct row takes the all-rows product.
+    ``lstm_steps`` then walks the plan of ``packed_steps``, step t
+    advancing the b_t sequences still running with one (b_t, h) @ (h, 4h)
+    product.  Backpropagation through time walks the plan in reverse, each step
     adding its carried gradients into the rows of the step before, then
     takes a single (4h, N) @ (N, d + h) weight gradient.  The forward reads
     the cell's ``gate_stack``, which under no_grad is built once per
@@ -207,9 +211,13 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
         raise ValueError(f"sequence lengths cover {pack.starts[-1]} rows, input has {n}")
     k = cell.hidden_size
     W_x, W_h, bias = cell.gate_stack()
-    xs = X.data[pack.rows]
-    C, TC, H, I, F, O, G = (a[:, 0] for a in lstm_steps((xs @ W_x + bias)[:, None], (W_h,),
-                                                         pack.plan))
+    if distinct is None or len(distinct[0]) == 1:
+        gates = X.data[pack.rows] @ W_x + bias
+    else:
+        gates = distinct[0] @ W_x
+        gates += bias
+        gates = gates.take(distinct[1][pack.rows], axis=0)
+    C, TC, H, I, F, O, G = (a[:, 0] for a in lstm_steps(gates[:, None], (W_h,), pack.plan))
 
     def vjp(g):
         # Each packed row's state one step earlier (zero at step 0).
@@ -239,7 +247,7 @@ def lstm_layer(X, cell: LstmCell, lengths=None, reverse: bool = False) -> Tensor
             if before is not None:
                 dH[before] += dA[now] @ W_h
                 dC[before] += dc * F[now]
-        dW = dA.T @ np.hstack([xs, H_prev])
+        dW = dA.T @ np.hstack([X.data[pack.rows], H_prev])
         dX = np.empty((n, d))
         dX[pack.rows] = dA @ W[:, :d]
         return dX, dW, dA.sum(axis=0)
@@ -253,11 +261,15 @@ def encode_batch(texts, table: WordEmbeddingTable,
                  forward_cell: LstmCell, backward_cell: LstmCell) -> Tensor:
     """Encoder states of one or more texts, their rows stacked in text order:
     both directions side by side, one packed ``lstm_layer`` node per
-    direction."""
+    direction.  Both project each distinct word of the batch once."""
     lengths = [len(tokens) for tokens in texts]
-    X = table.embed([token for tokens in texts for token in tokens])
-    return concat([lstm_layer(X, forward_cell, lengths),
-                   lstm_layer(X, backward_cell, lengths, reverse=True)], axis=1)
+    ids = np.array(table.indices([token for tokens in texts for token in tokens]), dtype=int)
+    X = row(table.matrix, ids)
+    words, at = np.unique(ids, return_inverse=True)
+    distinct = table.matrix.data[words], at
+    return concat([lstm_layer(X, forward_cell, lengths, distinct=distinct),
+                   lstm_layer(X, backward_cell, lengths, reverse=True, distinct=distinct)],
+                  axis=1)
 
 
 def encode_text(tokens, table: WordEmbeddingTable,

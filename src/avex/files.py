@@ -48,10 +48,12 @@ def read_json(path, what):
 
 
 def _is(value, typ) -> bool:
-    """isinstance, where an int is a size, list[T] and dict[str, T] check
-    each item, and T | None also accepts null."""
+    """isinstance, where an int is a size, a float any JSON number, list[T]
+    and dict[str, T] check each item, and T | None also accepts null."""
     if typ is int:  # bool is an int subclass, and no size is negative
         return type(value) is int and value >= 0
+    if typ is float:
+        return type(value) in (int, float)
     if isinstance(typ, UnionType):
         return any(_is(value, t) for t in typ.__args__)
     if isinstance(typ, GenericAlias):
@@ -79,12 +81,11 @@ def check(obj, where, /, **fields):
 
 
 def _json_type(typ):
-    """The JSON type an annotation reads: a float also takes an integer,
-    and a record class is an object."""
+    """The JSON type an annotation reads: a record class is an object."""
     if isinstance(typ, (UnionType, GenericAlias)):
         args = tuple(map(_json_type, typ.__args__))
         return reduce(or_, args) if isinstance(typ, UnionType) else typ.__origin__[args]
-    return int | float if typ is float else dict if dataclasses.is_dataclass(typ) else typ
+    return dict if dataclasses.is_dataclass(typ) else typ
 
 
 @cache
@@ -105,12 +106,13 @@ def record(cls, obj, where):
 
 
 def read_lines(path, what):
-    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 file."""
+    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 file,
+    without its newline (so that a parser's position falls on the line)."""
     with _failing_as(f"cannot read {what} {path}", OSError, ValueError), \
             open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
-                yield lineno, line
+                yield lineno, line.rstrip("\n")
 
 
 def parse_json(text):

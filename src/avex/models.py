@@ -127,6 +127,19 @@ def add_param(params: dict, name: str, value, trainable: bool = True) -> Tensor:
     return t
 
 
+class _Undrawn:
+    """In place of the random generator of a model whose every tensor is
+    assigned after it is built (a loaded checkpoint): draws nothing and
+    gives zeros."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
+UNDRAWN = _Undrawn()
+
+
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     s = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-s, s, size=shape)
@@ -476,11 +489,13 @@ def build_variant(config, vocab: AttributeVocab, word_itos: dict,
                   attr_table: AttributeEmbeddingTable | None = None,
                   vectors: dict | None = None,
                   rng: np.random.Generator | None = None) -> Model:
-    """Instantiate a model variant with freshly initialized parameters;
-    its ``config`` is ``model_config(config, attr_table)``."""
+    """Instantiate a model variant with freshly initialized parameters, or,
+    with ``rng=UNDRAWN``, zeros and no draw (not even of
+    "adatag_random_emb"'s table); its ``config`` is
+    ``model_config(config, attr_table)``."""
     config = model_config(config.validate(), attr_table)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if config.variant == "adatag_random_emb":
+    if config.variant == "adatag_random_emb" and rng is not UNDRAWN:
         attr_table = random_table(vocab.ids(), config.d_r, config.seed)
     return Model(config, vocab, word_itos, attr_table, vectors, rng)

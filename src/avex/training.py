@@ -27,8 +27,8 @@ from .attribute_embeddings import PROVENANCES, AttributeEmbeddingTable
 from .corpus import SETTINGS, AttributeVocab
 from .errors import DataError, NumericError
 from .evaluation import decode_order, evaluate_model
-from .models import (PAD, UNK, VARIANTS, build_variant, derive_word_itos, parameter_group,
-                     word_scope)
+from .models import (PAD, UNK, UNDRAWN, VARIANTS, build_variant, derive_word_itos,
+                     parameter_group, word_scope)
 
 CHECKPOINT_FORMAT_VERSION = 3
 
@@ -468,7 +468,7 @@ def load_checkpoint(stem):
     if manifest["vocab_hashes"] != _vocab_hashes(vocab.ids(), word_itos):
         raise DataError(f"{where}: the attribute or word vocabularies do not match "
                         "their hashes")
-    model = build_variant(config, vocab, word_itos)
+    model = build_variant(config, vocab, word_itos, rng=UNDRAWN)  # the payload fills it
     # Only a generated decoder's attribute table has a provenance.
     allowed = PROVENANCES if "att_emb/W_att" in model.params else (None,)
     provenance = manifest.get("attribute_provenance")
@@ -571,7 +571,8 @@ def param_count_from_config(config: TrainConfig, n_attributes: int | None = None
     def build(ids, n_words):
         words = [f"<word {i}>" for i in range(n_words)]
         return build_variant(config, AttributeVocab([(a, None) for a in ids]),
-                             {word_scope(config.variant, a): words for a in ids})
+                             {word_scope(config.variant, a): words for a in ids},
+                             rng=UNDRAWN)
 
     ids = (["<attribute>"] if n_attributes is None
            else [f"<attribute {i}>" for i in range(1, n_attributes + 1)])

@@ -97,6 +97,36 @@ def test_packed_lstm_matches_per_sequence_reference(lengths, long, reverse, seed
         assert_close(g, w, name)
 
 
+@settings(max_examples=120, deadline=None)
+@given(lengths=lengths_strategy, one_token=st.booleans(), reverse=st.booleans(),
+       shape=st.sampled_from([(1, 1), (3, 4), (5, 2), (50, 25), (50, 100)]),
+       distinct=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_packed_lstm_over_distinct_rows_is_bitwise_the_all_rows_product(
+        lengths, one_token, reverse, shape, distinct, seed):
+    # Rows of X that repeat (the words of a batch), projected once per
+    # distinct row: the same states and gradients, bit for bit, whatever
+    # the number of distinct rows, one included.
+    if one_token:  # texts of one token each
+        lengths = [1] * len(lengths)
+    rng = np.random.default_rng(seed)
+    (d, h), n = shape, sum(lengths)
+    u = min(distinct, n)
+    rows = rng.normal(size=(u, d))
+    at = rng.permutation(np.concatenate([np.arange(u), rng.integers(0, u, n - u)]))
+    cell = make_cell(rng, d, h)
+    X = Tensor(rows[at], requires_grad=True)
+    weight = rng.normal(size=(n, h))
+    leaves = [X, *cell.tensors()]
+    results = []
+    for kept in ((rows, at), None):
+        out = lstm_layer(X, cell, lengths, reverse=reverse, distinct=kept)
+        results.append([out.data, *gradients((out * weight).sum(), leaves)])
+        with ad.no_grad():
+            results[-1].append(lstm_layer(X, cell, lengths, reverse, kept).data)
+    for name, got, want in zip(["states", "dX", "dW", "db", "no-grad states"], *results):
+        np.testing.assert_array_equal(got, want, name)
+
+
 @settings(max_examples=60, deadline=None)
 @given(lengths=lengths_strategy, long=st.booleans(), decoders=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))

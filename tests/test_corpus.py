@@ -443,6 +443,13 @@ def test_load_products_reports_malformed_and_duplicates(tmp_path):
     assert [lineno for lineno, _ in malformed] == [2, 3, 4]
 
 
+def test_load_products_names_the_position_on_the_malformed_line(tmp_path):
+    path = tmp_path / "products.jsonl"
+    path.write_text('{"id": "a", "title": "one"}\n{"id": \n', encoding="utf-8")
+    _, malformed = load_products(path)
+    assert malformed == [(2, "Expecting value: line 1 column 8 (char 7)")]
+
+
 PRODUCTS = st.lists(st.builds(
     Product, id=st.text(), title=st.text(), bullets=st.lists(st.text(), max_size=3),
     description=st.none() | st.text(),

@@ -253,7 +253,7 @@ def test_bilstm_concatenates_directions():
     b_cell = make_cell(rng, 2, 3)
     tokens = ["red", "towel", "set", "red"]
     H = encode_batch([tokens], table, f_cell, b_cell).data
-    X = table.embed(tokens)
+    X = Tensor(table.matrix.data[table.indices(tokens)])
     assert H.shape == (4, 6)
     np.testing.assert_array_equal(H[:, :3], lstm_layer(X, f_cell).data)
     np.testing.assert_array_equal(H[:, 3:], lstm_layer(X, b_cell, reverse=True).data)
@@ -269,41 +269,43 @@ def test_bilstm_rejects_empty_input():
         encode_batch([[]], table, cell, cell)
 
 
-def test_embed_gathers_rows_in_one_node():
+def _gathered(monkeypatch) -> list:
+    """The row nodes that the encoder makes, as it makes them."""
+    made, real = [], encoder.row
+    monkeypatch.setattr(encoder, "row", lambda *a: made.append(real(*a)) or made[-1])
+    return made
+
+
+def test_encode_batch_gathers_the_word_rows_in_one_node(monkeypatch):
     rng = np.random.default_rng(9)
     table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "towel"], {}, 3, rng)
-    X = table.embed(["towel", "red", "towel", "zebra"])
-    assert X.data.shape == (4, 3)
-    np.testing.assert_array_equal(
-        X.data, table.matrix.data[[table.stoi["towel"], table.stoi["red"],
-                                   table.stoi["towel"], table.stoi[UNK]]])
+    cell = make_cell(rng, 3, 2)
+    made = _gathered(monkeypatch)
+    H = encode_batch([["towel", "red"], ["towel", "zebra"]], table, cell, cell)
+    [X] = made
+    towel, red, unk = (table.stoi[w] for w in ("towel", "red", UNK))
+    np.testing.assert_array_equal(X.data, table.matrix.data[[towel, red, towel, unk]])
     assert X._parents == (table.matrix,)
-    X.sum().backward()
-    assert table.matrix.grad[table.stoi["towel"]].tolist() == [2.0] * 3
-    assert table.matrix.grad[table.stoi[UNK]].tolist() == [1.0] * 3
+    H.sum().backward()
+    np.testing.assert_array_equal(table.matrix.grad[towel], X.grad[0] + X.grad[2])
+    np.testing.assert_array_equal(table.matrix.grad[unk], X.grad[3])
+    assert not table.matrix.grad[table.stoi[PAD]].any()
 
 
-def test_encode_text_gathers_the_rows_of_embed_without_a_node(monkeypatch):
+def test_encode_text_gathers_the_word_rows_without_a_node(monkeypatch):
     rng = np.random.default_rng(10)
     table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "towel"], {}, 3, rng)
     f_cell, b_cell = make_cell(rng, 3, 2), make_cell(rng, 3, 2)
     tokens = ["towel", "Red", "zebra", "towel"]
-    X = table.embed(tokens)
-    with ad.no_grad():
-        Y = table.embed(tokens)
-        assert table.embed([]).data.shape == (0, 3)
-    assert Y.data.tobytes() == X.data.tobytes()
-    assert Y._parents == () and not Y.requires_grad
-    rows = []
-    real = encoder.row
-    monkeypatch.setattr(encoder, "row", lambda *a: rows.append(a) or real(*a))
+    made = _gathered(monkeypatch)
     with ad.no_grad():
         walked = encode_text(tokens, table, f_cell, b_cell)
-    assert rows == []
-    # encode_text gathers the rows that embed picks, and its states are
-    # those of encode_batch, which embeds.
-    assert table.matrix.data[table.indices(tokens)].tobytes() == X.data.tobytes()
-    assert walked.tobytes() == encode_batch([tokens], table, f_cell, b_cell).data.tobytes()
+    assert made == []
+    # Its states are those of encode_batch, whose one row node gathers
+    # the same rows.
+    batched = encode_batch([tokens], table, f_cell, b_cell)
+    assert len(made) == 1 and made[0]._parents == (table.matrix,)
+    assert walked.tobytes() == batched.data.tobytes()
 
 
 def test_encode_batch_shape():
@@ -333,6 +335,78 @@ def test_one_text_walk_matches_the_packed_layers(d, h, seed, tokens):
     assert isinstance(walked, np.ndarray) and walked.shape == (len(tokens), 2 * h)
     np.testing.assert_array_equal(unrecorded.data, packed.data)
     np.testing.assert_array_equal(walked, packed.data)
+
+
+def test_case_variants_and_unknown_words_share_a_row_of_the_batch(monkeypatch):
+    # "Red" and "red" read one row, every unknown word the <unk> row: the
+    # batch projects 3 distinct rows, with the bits and the gradients of
+    # the packed layers over all 9 rows.
+    rng = np.random.default_rng(14)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "red", "towel"], {}, 3, rng)
+    f_cell, b_cell = (make_cell(rng, 3, 2, requires_grad=True) for _ in range(2))
+    texts = [["Red", "towel", "zebra"], ["red", "qux", "RED", "towel"], ["Zebra", "red"]]
+    lengths = [len(t) for t in texts]
+    weight = rng.normal(size=(9, 4))
+    leaves = [table.matrix, *f_cell.tensors(), *b_cell.tensors()]
+
+    def gradients(H):
+        for t in leaves:
+            t.grad = None
+        (H * weight).sum().backward()
+        return [t.grad.copy() for t in leaves]
+
+    seen = []
+    real = encoder.lstm_layer
+    monkeypatch.setattr(encoder, "lstm_layer", lambda *a, distinct, **kw: seen.append(
+        distinct) or real(*a, distinct=distinct, **kw))
+    H = encode_batch(texts, table, f_cell, b_cell)
+    got = gradients(H)
+    X = ad.row(table.matrix, table.indices([token for tokens in texts for token in tokens]))
+    alone = ad.concat([real(X, f_cell, lengths), real(X, b_cell, lengths, reverse=True)],
+                      axis=1)
+    np.testing.assert_array_equal(H.data, alone.data)
+    want = gradients(alone)
+    for name, g, w in zip(["emb", "fW", "fb", "bW", "bb"], got, want):
+        np.testing.assert_array_equal(g, w, name)
+    (rows, at), (rows_b, at_b) = seen
+    assert rows is rows_b and at is at_b  # found once, for both directions
+    unk, red, towel = (table.stoi[w] for w in (UNK, "red", "towel"))
+    np.testing.assert_array_equal(rows, table.matrix.data[[unk, red, towel]])
+    assert at.tolist() == [1, 2, 0, 1, 0, 1, 2, 0, 1]
+
+
+class _SeenProducts(np.ndarray):
+    """An input block that records the rows of each product it is in."""
+
+    rows: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kw):
+        if ufunc is np.matmul:
+            _SeenProducts.rows.append(inputs[0].shape[0])
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kw)
+
+
+@pytest.mark.parametrize("texts, rows", [
+    ([["a", "b", "a", "a"], ["b", "zebra", "a"]], 3),  # U = 3 of N = 7
+    ([["a", "A"], ["a"]], 3),  # one distinct row: the all-rows product
+    ([["a"]], 1),
+])
+def test_the_input_product_takes_the_distinct_rows(monkeypatch, texts, rows):
+    rng = np.random.default_rng(15)
+    table = WordEmbeddingTable.from_itos([PAD, UNK, "a", "b"], {}, 3, rng)
+    cell = make_cell(rng, 3, 2)
+    real = LstmCell.gate_stack
+
+    def spied(self):
+        W_x, W_h, bias = real(self)
+        return W_x.view(_SeenProducts), W_h, bias
+
+    monkeypatch.setattr(LstmCell, "gate_stack", spied)
+    for recording in (True, False):
+        _SeenProducts.rows = []
+        with nullcontext() if recording else ad.no_grad():
+            encode_batch(texts, table, cell, cell)
+        assert _SeenProducts.rows == [rows, rows]  # forward, backward
 
 
 # The last column gives D, the directions side by side, of each call to

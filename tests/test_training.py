@@ -729,6 +729,29 @@ def test_checkpoint_save_load_save_is_identical(tmp_path, variant):
             second.with_suffix(suffix).read_bytes()
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_load_draws_nothing(tmp_path, monkeypatch, variant):
+    # The payload assigns every tensor, so the load makes no generator, not
+    # even for adatag_random_emb's attribute table, and counting from flags
+    # makes none either.
+    *_, model = run_micro_train(variant=variant, max_epochs=1)
+    save_checkpoint(tmp_path / "model", model)
+
+    def no_draw(*_args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded = load_checkpoint(tmp_path / "model")
+    param_count_from_config(model.config)
+    assert loaded.params.keys() == model.params.keys()
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data,
+                                      t.data.astype("<f4").astype(np.float64), name)
+    assert loaded.attr_provenance == model.attr_provenance
+    with pytest.raises(AssertionError, match="generator"):
+        build_variant(model.config, model.attr_vocab, model.word_vocabs())
+
+
 def test_checkpoints_of_dotted_stems_keep_apart(tmp_path):
     # m.seed1 and m.seed2 are two checkpoints, not one m.json written twice;
     # a stem ending .json names the manifest.
@@ -866,6 +889,21 @@ def test_checkpoint_config_mismatch_rejected(tmp_path):
     with pytest.raises(DataError) as err:
         load_checkpoint(stem)
     assert "shape" in str(err.value)
+
+
+@pytest.mark.parametrize("rate", [-1, -1.0])
+def test_a_negative_manifest_learning_rate_is_refused_by_validate(tmp_path, rate):
+    # An integer and a float of a float field are both numbers to the
+    # manifest check; the configuration's own check refuses the sign.
+    *_, model = run_micro_train(max_epochs=1)
+    stem = tmp_path / "model"
+    save_checkpoint(stem, model)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    manifest["config"]["learning_rate"] = rate
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=f"learning_rate must be positive and finite, "
+                                        f"got {rate}$"):
+        load_checkpoint(stem)
 
 
 def test_checkpoint_version_gate(tmp_path):
